@@ -9,8 +9,6 @@ from .algebra import (
     exact_det,
     module_membership,
     parse_algebra,
-    qval_arith,
-    qval_eval,
 )
 from .dynamics import (
     bmo_stat,

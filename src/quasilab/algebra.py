@@ -854,18 +854,3 @@ def mat_inverse(mat: QMatrix) -> list[list[QValue]]:
     det_inv = det.inverse()
     return mat_scale(mat_adjugate(mat), det_inv)
 
-
-def qval_arith(a: QValue, b: QValue, op: str) -> QValue:
-    """Named arithmetic entry point: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise PreconditionError(f"unknown op {op!r}")
-
-
-def qval_eval(a: QValue) -> float:
-    """Numeric embedding of a value."""
-    return float(a)

@@ -163,10 +163,7 @@ def _cmd_disc(args) -> int:
     )
     outdir = _out_dir(args)
     trace_path = outdir / "trace.csv"
-    with trace_path.open("w") as fh:
-        fh.write("n,D_n\n")
-        for n, v in zip(trace.ns, trace.values):
-            fh.write(f"{n},{format(v, '.17g')}\n")
+    _write_trace_csv(trace, trace_path)
     summary = {
         "max_abs": trace.max_abs,
         "argmax_n": trace.argmax_n,
@@ -305,6 +302,12 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _write_trace_csv(trace: dynamics.DiscrepancyTrace, path: Path) -> None:
+    with path.open("w") as fh:
+        fh.write("n,D_n\n")
+        fh.writelines(f"{n},{v:.17g}\n" for n, v in zip(trace.ns, trace.values))
+
+
 def _write_bounds_csv(trace: riesz.BoundsTrace, path: Path) -> None:
     with path.open("w") as fh:
         fh.write("R,size,lambda_min,lambda_max\n")
@@ -401,10 +404,7 @@ def _cmd_report(args) -> int:
         n = int(c["n"])
         trace = dynamics.discrepancy_trace(region, alpha, float(c.get("x0", 0)), (0, n))
         trace_path = outdir / "trace.csv"
-        with trace_path.open("w") as fh:
-            fh.write("n,D_n\n")
-            for nn, v in zip(trace.ns, trace.values):
-                fh.write(f"{nn},{format(v, '.17g')}\n")
+        _write_trace_csv(trace, trace_path)
         report["stages"]["disc"] = {
             "max_abs": trace.max_abs,
             "argmax_n": trace.argmax_n,

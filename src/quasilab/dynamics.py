@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import QValue, lift_to
 from .errors import PreconditionError
-from .regions import RegionSet, multiplicity
+from .regions import RegionSet
 
 __all__ = [
     "orbit_hits",
@@ -48,15 +48,12 @@ def _alpha_vector(region: RegionSet, alpha) -> tuple[QValue, ...]:
     return vec
 
 
-def _exact_ceil(v: QValue) -> int:
-    return -((-v).floor())
-
-
 def orbit_hits(region: RegionSet, alpha, x0, k_lo: int, k_hi: int) -> np.ndarray:
     """Multiplicity counts chi_S(x0 + k*alpha) for k = k_lo..k_hi.
 
-    One dimension is vectorized with exact fallback at guarded boundaries;
-    higher dimensions evaluate each orbit point exactly.
+    Every dimension runs through the region's membership kernel: one
+    vectorized float pass, with exact fallback for the orbit points inside
+    the guard band derived from the orbit's magnitudes.
     """
     if k_hi < k_lo:
         raise PreconditionError("empty orbit range")
@@ -67,45 +64,8 @@ def orbit_hits(region: RegionSet, alpha, x0, k_lo: int, k_hi: int) -> np.ndarray
     x0_vec = tuple(_as_qvalue(spec, v) for v in x0)
     if len(x0_vec) != region.dim:
         raise PreconditionError("x0 dimension does not match the region")
-
-    if region.dim > 1:
-        out = np.zeros(k_hi - k_lo + 1, dtype=np.int64)
-        for idx, k in enumerate(range(k_lo, k_hi + 1)):
-            x = tuple(x0_vec[i] + alpha_vec[i] * k for i in range(region.dim))
-            out[idx] = multiplicity(region, x)
-        return out
-
-    aq, x0q = alpha_vec[0], x0_vec[0]
-    af, x0f = float(aq), float(x0q)
-    ks_int = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    x = x0f + ks_int.astype(np.float64) * af
-    counts = np.zeros(len(ks_int), dtype=np.int64)
-    kmax = max(abs(k_lo), abs(k_hi))
-    intervals = region.intervals()
-    span = max(abs(float(a)) + abs(float(b)) for a, b, _ in intervals)
-    guard = 4e-16 * (kmax * abs(af) + abs(x0f) + span + 1.0) + 1e-12
-
-    for a, b, left_closed in intervals:
-        ya = float(a) - x
-        yb = float(b) - x
-        if left_closed:  # [a, b): count of integers in [a-x, b-x)
-            ca, cb = np.ceil(ya), np.ceil(yb)
-        else:  # (a, b]: count of integers in (a-x, b-x]
-            ca, cb = np.floor(ya), np.floor(yb)
-        contrib = (cb - ca).astype(np.int64)
-        flag = (np.abs(ya - np.rint(ya)) < guard) | (
-            np.abs(yb - np.rint(yb)) < guard
-        )
-        for idx in np.nonzero(flag)[0]:
-            k = int(ks_int[idx])
-            xq = x0q + aq * k
-            if left_closed:
-                exact = _exact_ceil(b - xq) - _exact_ceil(a - xq)
-            else:
-                exact = (b - xq).floor() - (a - xq).floor()
-            contrib[idx] = exact
-        counts += contrib
-    return counts
+    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
+    return region.membership.count(x0_vec, [alpha_vec], ks[:, None])
 
 
 @dataclass(eq=False)
@@ -206,14 +166,14 @@ def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
     # f[t] = sum over the first t orbit values minus t*mes; window sums are
     # differences of f, with the window start ranging over j in [-J, J].
     f = np.concatenate([[0.0], np.cumsum(chi) - mes * np.arange(1, len(chi) + 1)])
-    # position index: k = -J + 1 + (i - 1) for f[i]; f-index of prefix up to
-    # j is i(j) = j + J + 1 in [1, 2J + 1]; up to j+n is i(j) + n.
-    s_min, s_max = 1, 2 * J + 1
+    # f[i] sums the orbit values k = -J + 1 .. -J + i, so the prefix up to
+    # k = j is f-index i(j) = j + J in [0, 2J]; up to j+n it is i(j) + n.
+    s_min, s_max = 0, 2 * J
     best, best_t, best_s = -1.0, 0, 0
     max_dq: deque[int] = deque()
     min_dq: deque[int] = deque()
-    added = 0
-    for t in range(2, len(f)):
+    added = s_min - 1
+    for t in range(1, len(f)):
         lo = max(s_min, t - N)
         hi = min(s_max, t - 1)
         if hi < lo:
@@ -236,7 +196,7 @@ def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
             cand = abs(ft - f[s])
             if cand > best:
                 best, best_t, best_s = cand, t, s
-    j = best_s - J - 1
+    j = best_s - J
     n = best_t - best_s
     return BrsStatistic(best, n, j, N, J, mes, region.describe())
 

@@ -9,18 +9,15 @@ lexicographic order of that provenance.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import QValue, lift_to
-from .dynamics import orbit_hits
 from .errors import PreconditionError
 from .lattice import Lattice, check_special_form
-from .regions import RegionMembership, RegionSet, multiplicity
+from .regions import RegionSet
 
 __all__ = [
     "PointSet",
@@ -68,10 +65,6 @@ class PointSet:
             raise PreconditionError("values is for 1-D point sets")
         return self.coords[:, 0]
 
-    def sorted_by_provenance(self) -> "PointSet":
-        order = sorted(range(len(self)), key=lambda i: self.provenance[i])
-        return self.take(order)
-
     def take(self, order: Sequence[int]) -> "PointSet":
         return PointSet(
             self.dim,
@@ -112,6 +105,19 @@ def _window_check(window: RegionSet) -> None:
         raise PreconditionError("window must be one-dimensional")
 
 
+def _grid(box: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Integer points of an inclusive box, one per row, in lexicographic order."""
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+
+
+def _pointset(dim: int, pts: list, window: str) -> PointSet:
+    coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, dim)
+    return PointSet(
+        dim, coords, tuple(p for p, _ in pts), tuple(q for _, q in pts), window
+    )
+
+
 def cut_and_project(
     gamma: Lattice,
     window: RegionSet,
@@ -121,7 +127,8 @@ def cut_and_project(
 
     The search box gives inclusive integer ranges for the generator
     coordinates (m_1..m_d, n); membership of p2(gamma) in the semi-closed
-    window is decided exactly in the algebra.
+    window goes through the window's membership kernel, which is exact at
+    the window endpoints.  Exact coordinates are built for emitted points.
     """
     _window_check(window)
     d = gamma.dim_d
@@ -129,43 +136,15 @@ def cut_and_project(
         raise PreconditionError(f"search box needs {d + 1} coordinate ranges")
     if any(lo > hi for lo, hi in search):
         raise PreconditionError("empty search box")
-    spec = gamma.spec
-    intervals = [
-        (lift_to(spec, a), lift_to(spec, b), lc) for a, b, lc in window.intervals()
-    ]
-
-    def in_window(v: QValue) -> bool:
-        for a, b, left_closed in intervals:
-            if left_closed:
-                if (v - a).sign() >= 0 and (v - b).sign() < 0:
-                    return True
-            else:
-                if (v - a).sign() > 0 and (v - b).sign() <= 0:
-                    return True
-        return False
-
-    pts: list[tuple[tuple[int, ...], tuple[QValue, ...]]] = []
-
-    def scan(prefix: list[int], idx: int) -> None:
-        if idx == d + 1:
-            point = gamma.point(prefix)
-            if in_window(point[d]):
-                pts.append((tuple(prefix), point[:d]))
-            return
-        lo, hi = search[idx]
-        for v in range(lo, hi + 1):
-            scan(prefix + [v], idx + 1)
-
-    scan([], 0)
-    pts.sort(key=lambda t: t[0])
-    coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, d)
-    return PointSet(
-        d,
-        coords,
-        tuple(p for p, _ in pts),
-        tuple(q for _, q in pts),
-        window.describe(),
+    coeffs = _grid(search)
+    idx, shift = window.membership.translates(
+        (gamma.spec.zero(),), [(v,) for v in gamma.basis[d]], coeffs
     )
+    pts = []
+    for i in idx[shift[:, 0] == 0]:
+        prov = tuple(int(v) for v in coeffs[i])
+        pts.append((prov, gamma.point(prov)[:d]))
+    return _pointset(d, pts, window.describe())
 
 
 def special_quasicrystal(
@@ -176,10 +155,10 @@ def special_quasicrystal(
 ) -> PointSet:
     """Cut-and-project points of the special-form lattice over an m-box.
 
-    For each m the candidate n range is derived exactly from the window
-    (p2 = n - alpha^T m), then membership is decided exactly; this is the
-    same selection as cut_and_project with a sufficient box, at the cost
-    of one floor computation per m.
+    For each m, the emitted n are the integer translates of -alpha^T m
+    that land in the window (p2 = n - alpha^T m), found by the window's
+    membership kernel; this is the same selection as cut_and_project with
+    a sufficient box.  Exact coordinates are built for emitted points.
     """
     _window_check(window)
     d = len(alpha)
@@ -191,50 +170,15 @@ def special_quasicrystal(
     )
     alpha = [lift_to(spec, a) for a in alpha]
     beta = [lift_to(spec, b) for b in beta]
-    intervals = [
-        (lift_to(spec, a), lift_to(spec, b), lc) for a, b, lc in window.intervals()
-    ]
-
+    ms = _grid(m_box)
+    idx, ns = window.membership.translates((spec.zero(),), [(-a,) for a in alpha], ms)
     pts = []
-    ranges = [range(lo, hi + 1) for lo, hi in m_box]
-    for m in itertools.product(*ranges):
-        am = sum((alpha[i] * m[i] for i in range(1, d)), alpha[0] * m[0])
-        for a, b, left_closed in intervals:
-            # n - am in [a, b) or (a, b]
-            if left_closed:
-                n_lo = _exact_ceil(am + a)
-                n_hi = -(-(am + b)).floor()  # smallest n with n >= am+b
-                candidates = range(n_lo, n_hi + 1)
-            else:
-                n_lo = (am + a).floor()
-                n_hi = (am + b).floor() + 1
-                candidates = range(n_lo, n_hi + 1)
-            for n in candidates:
-                p2 = -am + n
-                ok = (
-                    (p2 - a).sign() >= 0 and (p2 - b).sign() < 0
-                    if left_closed
-                    else (p2 - a).sign() > 0 and (p2 - b).sign() <= 0
-                )
-                if ok:
-                    point = tuple(
-                        spec.from_rational(m[i]) - beta[i] * (n - am)
-                        for i in range(d)
-                    )
-                    pts.append((tuple(m) + (n,), point))
-    pts.sort(key=lambda t: t[0])
-    coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, d)
-    return PointSet(
-        d,
-        coords,
-        tuple(p for p, _ in pts),
-        tuple(q for _, q in pts),
-        window.describe(),
-    )
-
-
-def _exact_ceil(v: QValue) -> int:
-    return -((-v).floor())
+    for i, n in zip(idx.tolist(), ns[:, 0].tolist()):
+        m = ms[i].tolist()
+        p2 = n - sum((alpha[j] * m[j] for j in range(1, d)), alpha[0] * m[0])
+        point = tuple(spec.from_rational(m[j]) - beta[j] * p2 for j in range(d))
+        pts.append((tuple(m) + (n,), point))
+    return _pointset(d, pts, window.describe())
 
 
 def dual_model_points(
@@ -245,10 +189,11 @@ def dual_model_points(
 ) -> PointSet:
     """One-dimensional dual model set of a special-form lattice.
 
-    For each n in range and each integer m with n*alpha + m in S (exact
-    membership on the region's corners), emits n + <n alpha + m, beta>
-    with provenance (m_1..m_d, n); the block structure is recoverable from
-    the last provenance entry.
+    For each n in range and each integer m with n*alpha + m in S (the m
+    are the integer translates of n*alpha that the region's membership
+    kernel finds), emits n + <n alpha + m, beta> with provenance
+    (m_1..m_d, n); the block structure is recoverable from the last
+    provenance entry.
     """
     d = len(alpha)
     if region.dim != d:
@@ -259,36 +204,18 @@ def dual_model_points(
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise PreconditionError("empty n range")
-    lo, hi = region.bbox()
-    alpha_f = np.array([float(a) for a in alpha])
-    tester = RegionMembership(region)
-    pts = []
-    for n in range(n_lo, n_hi + 1):
-        anf = alpha_f * n
-        m_ranges = [
-            range(int(math.floor(lo[i] - anf[i])) - 1,
-                  int(math.ceil(hi[i] - anf[i])) + 2)
-            for i in range(d)
-        ]
-        for m in itertools.product(*m_ranges):
-            xf = anf + np.array(m, dtype=float)
-            x_exact = lambda n=n, m=m: tuple(
-                alpha[i] * n + m[i] for i in range(d)
-            )
-            if tester.contains(xf, x_exact):
-                x = x_exact()
-                lam = sum((x[i] * beta[i] for i in range(1, d)),
-                          x[0] * beta[0]) + n
-                pts.append((tuple(m) + (n,), (lam,)))
-    pts.sort(key=lambda t: t[0])
-    coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, 1)
-    return PointSet(
-        1,
-        coords,
-        tuple(p for p, _ in pts),
-        tuple(q for _, q in pts),
-        region.describe(),
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    idx, ms = region.membership.translates(
+        tuple(spec.zero() for _ in range(d)), [tuple(alpha)], ns[:, None]
     )
+    pts = []
+    for i, m in zip(idx.tolist(), ms.tolist()):
+        n = int(ns[i])
+        x = [alpha[j] * n + m[j] for j in range(d)]
+        lam = sum((x[j] * beta[j] for j in range(1, d)), x[0] * beta[0]) + n
+        pts.append((tuple(m) + (n,), (lam,)))
+    pts.sort(key=lambda t: t[0])
+    return _pointset(1, pts, region.describe())
 
 
 def sequence_points(
@@ -313,7 +240,7 @@ def sequence_points(
     alpha = [lift_to(spec, a) for a in alpha]
     beta = [lift_to(spec, b) for b in beta]
     pts = []
-    for m in itertools.product(*[range(lo, hi + 1) for lo, hi in m_box]):
+    for m in _grid(m_box).tolist():
         am = sum((alpha[i] * m[i] for i in range(1, d)), alpha[0] * m[0])
         n = am.floor()
         frac_part = am - n
@@ -321,15 +248,7 @@ def sequence_points(
             spec.from_rational(m[i]) + beta[i] * frac_part for i in range(d)
         )
         pts.append((tuple(m) + (n,), point))
-    pts.sort(key=lambda t: t[0])
-    coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, d)
-    return PointSet(
-        d,
-        coords,
-        tuple(p for p, _ in pts),
-        tuple(q for _, q in pts),
-        "sequence",
-    )
+    return _pointset(d, pts, "sequence")
 
 
 def periodic_points(
@@ -339,8 +258,8 @@ def periodic_points(
 ) -> PointSet:
     """Integer points n with <n, alpha> mod 1 in the circle window.
 
-    The window length must lie in (0, 1); membership is exact through the
-    algebra (vectorized with guarded fallback in one dimension).
+    The window length must lie in (0, 1); membership is decided by the
+    window's membership kernel (vectorized, exact inside the guard band).
     """
     _window_check(window)
     d = len(alpha)
@@ -350,25 +269,15 @@ def periodic_points(
     if not (length.sign() > 0 and (length - 1).sign() < 0):
         raise PreconditionError("window length must lie in (0, 1)")
     spec = window.spec
-    alpha = [lift_to(spec, a) for a in alpha]
-    if d == 1:
-        lo, hi = n_box[0]
-        # chi counts integer translates of n*alpha into the window, which
-        # is exactly the mod-1 membership indicator for sub-unit windows
-        chi = orbit_hits(window, alpha[0], 0, lo, hi)
-        ns = np.arange(lo, hi + 1, dtype=np.int64)
-        keep = chi > 0
-        coords = ns[keep].astype(float).reshape(-1, 1)
-        prov = tuple((int(n),) for n in ns[keep])
-        return PointSet(1, coords, prov, None, window.describe())
-    pts = []
-    for n in itertools.product(*[range(lo, hi + 1) for lo, hi in n_box]):
-        v = sum((alpha[i] * n[i] for i in range(1, d)), alpha[0] * n[0])
-        if multiplicity(window, (v,)) > 0:
-            pts.append(tuple(n))
-    pts.sort()
-    coords = np.array(pts, dtype=float).reshape(-1, d)
-    return PointSet(d, coords, tuple(pts), None, window.describe())
+    ns = _grid(n_box)
+    # the count of integer translates of <n, alpha> into the window is
+    # exactly the mod-1 membership indicator for sub-unit windows
+    chi = window.membership.count(
+        (spec.zero(),), [(lift_to(spec, a),) for a in alpha], ns
+    )
+    keep = ns[chi > 0]
+    prov = tuple(zip(*keep.T.tolist()))
+    return PointSet(d, keep.astype(float), prov, None, window.describe())
 
 
 def periodic_dual(
@@ -381,25 +290,20 @@ def periodic_dual(
     if region.dim != d:
         raise PreconditionError("region dimension must match alpha")
     spec = region.spec
-    alpha = [lift_to(spec, a) for a in alpha]
     lo, hi = m_range
     if lo > hi:
         raise PreconditionError("empty m range")
-    if d == 1:
-        chi = orbit_hits(region, -alpha[0], 0, lo, hi)
-        ms = np.arange(lo, hi + 1, dtype=np.int64)
-        keep = chi > 0
-        coords = ms[keep].astype(float).reshape(-1, 1)
-        return PointSet(
-            1, coords, tuple((int(m),) for m in ms[keep]), None, region.describe()
-        )
-    pts = []
-    for m in range(lo, hi + 1):
-        x = tuple(-(alpha[i] * m) for i in range(d))
-        if multiplicity(region, x) > 0:
-            pts.append((m,))
-    coords = np.array(pts, dtype=float).reshape(-1, 1)
-    return PointSet(1, coords, tuple(pts), None, region.describe())
+    ms = np.arange(lo, hi + 1, dtype=np.int64)
+    chi = region.membership.count(
+        tuple(spec.zero() for _ in range(d)),
+        [tuple(-lift_to(spec, a) for a in alpha)],
+        ms[:, None],
+    )
+    keep = ms[chi > 0]
+    return PointSet(
+        1, keep.astype(float).reshape(-1, 1), tuple(zip(keep.tolist())),
+        None, region.describe(),
+    )
 
 
 def density_estimate(

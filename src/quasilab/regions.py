@@ -10,8 +10,8 @@ window conventions and is never approximated.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -158,6 +158,11 @@ class RegionSet:
     def contains(self, x: Sequence[QValue], closure: bool = False) -> bool:
         return any(p.contains(x, closure=closure) for p in self.pieces)
 
+    @functools.cached_property
+    def membership(self) -> "Membership":
+        """The region's batch membership kernel, built on first use."""
+        return Membership(self)
+
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         corners = np.array(
             [[float(c) for c in corner] for p in self.pieces for corner in p.corners()]
@@ -189,38 +194,150 @@ class RegionSet:
         return f"RegionSet({self.describe()})"
 
 
-class RegionMembership:
-    """Prepared membership tester for many queries against one region.
+_EPS = float(np.finfo(float).eps)
 
-    Decides by floats when the unit-coordinate image of the query point is
-    farther than the guard from every face, and falls back to the exact
-    algebra when it is not, so semi-closed boundary hits stay exact.
+
+def _mag(v: QValue) -> float:
+    """Sum of |coefficient * basis value|: float(v) is within 2*eps*_mag(v)."""
+    return sum(abs(float(c) * x) for c, x in zip(v.coeffs, v.spec.numerics) if c)
+
+
+def _expand(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (i, lo[i] + r) for every r in the integer box [0, cnt[i])."""
+    tot = np.prod(np.maximum(cnt, 0), axis=1)
+    idx = np.repeat(np.arange(len(lo)), tot)
+    r = np.arange(len(idx)) - np.repeat(np.cumsum(tot) - tot, tot)
+    k = np.empty((len(idx), lo.shape[1]), dtype=np.int64)
+    for a in reversed(range(lo.shape[1])):
+        c = cnt[idx, a]
+        k[:, a] = lo[idx, a] + r % c
+        r = r // c
+    return idx, k
+
+
+class Membership:
+    """Guarded float-then-exact membership of point batches in one region.
+
+    A batch is the family x = base + c @ gens over integer rows c, with
+    exact base and generator vectors.  Points are placed in floats and a
+    float decision is trusted only outside a guard band around every face;
+    the band bounds the float error from the batch's own magnitudes (the
+    coefficients times the generators, the base, the piece corners and
+    the norm of the piece's inverse).  Inside the band the point is
+    recomputed exactly in the algebra, so semi-closed boundary hits are
+    decided, not guessed.  One-dimensional pieces count integer translates
+    in closed form, ceil/floor of the endpoints minus x, with two exact
+    floor() calls per piece as the fallback.
     """
 
-    def __init__(self, region: RegionSet, guard: float = 1e-7) -> None:
-        self.region = region
-        self.guard = guard
-        self._solvers = []
+    def __init__(self, region: RegionSet) -> None:
+        self.dim = region.dim
+        if self.dim == 1:
+            self._pieces = [(a, b, lc, float(a), float(b), _mag(a) + _mag(b))
+                            for a, b, lc in region.intervals()]
+            return
+        self._pieces = []
         for p in region.pieces:
-            edges_f = np.array([[float(v) for v in row] for row in p.edges])
-            self._solvers.append(
-                (p, mat_inverse(p.edges), np.linalg.inv(edges_f),
-                 np.array([float(v) for v in p.offset]))
+            inv = mat_inverse(p.edges)
+            corners_q = p.corners()
+            corners = np.array([[float(v) for v in c] for c in corners_q])
+            ext = max(_mag(v) for c in corners_q for v in c)
+            norm = max(sum(_mag(v) for v in row) for row in inv)
+            self._pieces.append((
+                p.offset, inv, np.array([[float(v) for v in row] for row in inv]),
+                np.array([float(v) for v in p.offset]),
+                corners.min(axis=0), corners.max(axis=0), ext, norm,
+            ))
+
+    def _batch(self, base, gens, coeffs):
+        c = np.asarray(coeffs, dtype=np.int64)
+        gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
+        xf = np.array([float(v) for v in base]) + c.astype(np.float64) @ gens_f
+        # each coordinate is a float sum of len(gens) + 1 rounded terms
+        scale = max(_mag(v) for v in base) + sum(
+            np.abs(c[:, j]).max(initial=0) * max(_mag(v) for v in g)
+            for j, g in enumerate(gens)
+        )
+        if not scale < 2.0 ** 62:
+            raise PreconditionError("point magnitudes beyond the int64 range")
+        x_err = (len(gens) + 4) * _EPS * scale
+
+        @functools.cache
+        def exact(i: int) -> tuple[QValue, ...]:
+            return tuple(
+                sum((g[a] * int(ci) for g, ci in zip(gens, c[i])), base[a])
+                for a in range(self.dim)
             )
 
-    def contains(self, x_float: np.ndarray, x_exact) -> bool:
-        """x_float is the numeric point; x_exact() yields its QValue tuple."""
-        for piece, inv_q, inv_f, off_f in self._solvers:
-            t = inv_f @ (x_float - off_f)
-            if np.all(t >= self.guard) and np.all(t <= 1 - self.guard):
-                return True
-            if np.any(t <= -self.guard) or np.any(t >= 1 + self.guard):
-                continue
-            xq = x_exact()
-            tq = mat_vec(inv_q, [xi - oi for xi, oi in zip(xq, piece.offset)])
-            if all(ti.sign() >= 0 and (ti - 1).sign() < 0 for ti in tq):
-                return True
-        return False
+        return xf, x_err, exact
+
+    def _ranges_1d(self, xf, x_err, exact) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per piece, the integer translates k of each point, lo <= k < hi."""
+        x = xf[:, 0]
+        xmax = np.abs(x).max(initial=0.0)
+        out = []
+        for a, b, left_closed, af, bf, span in self._pieces:
+            guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
+            ya, yb = af - x, bf - x
+            rnd = np.ceil if left_closed else np.floor
+            lo, hi = rnd(ya).astype(np.int64), rnd(yb).astype(np.int64)
+            flag = (np.abs(ya - np.rint(ya)) < guard) | (np.abs(yb - np.rint(yb)) < guard)
+            for i in np.flatnonzero(flag):
+                xq = exact(int(i))[0]
+                if left_closed:  # [a, b): ceil(a - x) <= k < ceil(b - x)
+                    lo[i], hi[i] = -(xq - a).floor(), -(xq - b).floor()
+                else:  # (a, b]: floor(a - x) < k <= floor(b - x)
+                    lo[i], hi[i] = (a - xq).floor(), (b - xq).floor()
+            if not left_closed:
+                lo, hi = lo + 1, hi + 1
+            out.append((lo, hi))
+        return out
+
+    def _hits(self, xf, x_err, exact) -> tuple[np.ndarray, np.ndarray]:
+        """(point index, integer shift) per piece a shifted point lands in."""
+        d = self.dim
+        anchor = np.zeros(xf.shape, dtype=np.int64)
+        if x_err >= 0.25:  # floats no longer place x: use x - floor(x) in [0, 1)^d
+            anchor = np.array([[v.floor() for v in exact(i)] for i in range(len(xf))],
+                              dtype=np.int64).reshape(xf.shape)
+            xf, x_err = np.full(xf.shape, 0.5), 0.5
+        xmax = np.abs(xf).max(initial=0.0)
+        idx_all, k_all = [], []
+        for off, inv, inv_f, off_f, lo_f, hi_f, ext, norm in self._pieces:
+            # error of x + k - offset, and of its image in unit coordinates
+            y_err = 2 * x_err + 4 * _EPS * (xmax + ext + 1)
+            guard = 2 * norm * (y_err + (d + 4) * _EPS * (ext + 1))
+            lo = np.floor(lo_f - xf - 2 * y_err).astype(np.int64)
+            idx, kf = _expand(lo, np.floor(hi_f - xf + 2 * y_err).astype(np.int64) - lo + 1)
+            t = (xf[idx] + kf - off_f) @ inv_f.T
+            k = kf - anchor[idx]
+            inside = np.all((t >= guard) & (t <= 1 - guard), axis=1)
+            unsure = ~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1)
+            for j in np.flatnonzero(unsure):
+                y = [xi + int(ki) - oi for xi, ki, oi in zip(exact(int(idx[j])), k[j], off)]
+                inside[j] = all(ti.sign() >= 0 and (ti - 1).sign() < 0
+                                for ti in mat_vec(inv, y))
+            idx_all.append(idx[inside])
+            k_all.append(k[inside])
+        return np.concatenate(idx_all), np.concatenate(k_all)
+
+    def count(self, base, gens, coeffs) -> np.ndarray:
+        """Per point, the number of (piece, integer shift) pairs that land."""
+        xf, x_err, exact = self._batch(base, gens, coeffs)
+        if self.dim == 1:
+            return sum(hi - lo for lo, hi in self._ranges_1d(xf, x_err, exact))
+        return np.bincount(self._hits(xf, x_err, exact)[0], minlength=len(xf))
+
+    def translates(self, base, gens, coeffs) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct (point index, integer shift) with x + shift in the region."""
+        xf, x_err, exact = self._batch(base, gens, coeffs)
+        if self.dim == 1:
+            pairs = [_expand(lo[:, None], (hi - lo)[:, None])
+                     for lo, hi in self._ranges_1d(xf, x_err, exact)]
+        else:
+            pairs = [self._hits(xf, x_err, exact)]
+        rows = np.unique(np.concatenate([np.column_stack(p) for p in pairs]), axis=0)
+        return rows[:, 0], rows[:, 1:]
 
 
 def interval(a: QValue, b: QValue, left_closed: bool = True) -> RegionSet:
@@ -336,20 +453,8 @@ def _as_qpoint(spec: AlgebraSpec, x: Sequence) -> tuple[QValue, ...]:
 
 def multiplicity(region: RegionSet, x: Sequence) -> int:
     """Number of integer translates of x landing in the region (exact)."""
-    xq = _as_qpoint(region.spec, x)
-    xf = np.array([float(v) for v in xq])
-    lo, hi = region.bbox()
-    count = 0
-    ranges = [
-        range(int(math.floor(l - xi)) - 1, int(math.ceil(h - xi)) + 2)
-        for l, h, xi in zip(lo, hi, xf)
-    ]
-    for k in itertools.product(*ranges):
-        shifted = tuple(xi + ki for xi, ki in zip(xq, k))
-        for p in region.pieces:
-            if p.contains(shifted):
-                count += 1
-    return count
+    point = _as_qpoint(region.spec, x)
+    return int(region.membership.count(point, [], np.zeros((1, 0)))[0])
 
 
 def check_disjoint(region: RegionSet, tol: float = 1e-9) -> list[tuple[int, int]]:

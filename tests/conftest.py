@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from quasilab.algebra import AlgebraSpec
+
+# property tests draw the same examples on every run
+settings.register_profile("quasilab", derandomize=True, deadline=None)
+settings.load_profile("quasilab")
 
 
 @pytest.fixture(scope="session")

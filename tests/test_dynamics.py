@@ -1,9 +1,13 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasilab.algebra import AlgebraSpec
 from quasilab.dynamics import (
     bmo_stat,
     brs_empirical,
@@ -13,8 +17,14 @@ from quasilab.dynamics import (
     orbit_transfer,
 )
 from quasilab.errors import PreconditionError
-from quasilab.modelset import sequence_points
-from quasilab.regions import box_region, interval, parse_region_literal
+from quasilab.modelset import dual_model_points, sequence_points
+from quasilab.regions import (
+    box_region,
+    brs_parallelepiped,
+    interval,
+    multiplicity,
+    parse_region_literal,
+)
 
 
 def orbit_oracle(member, n_pts: int, lo: int = 0):
@@ -96,21 +106,86 @@ def test_orbit_hits_two_dim(sqrt23):
     assert 0 < chi2.mean() < 1
 
 
+def test_orbit_hits_two_dim_faces(sqrt23):
+    # sheared parallelepiped; x0 = s*e1 + r*e2 - k0*alpha puts the orbit
+    # point k = k0 on a face or a corner; at k0 = 1e17 floats cannot place
+    # the orbit at all
+    alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    region = brs_parallelepiped(alpha, [(1, (-1, -1)), (1, (-2, -1))])
+    piece = region.pieces[0]
+    e1, e2 = piece.edge_columns()
+    corners = np.array([[float(v) for v in c] for c in piece.corners()])
+    lo, hi = corners.min(axis=0), corners.max(axis=0)
+    for k0, s, r in itertools.product((10**6, 10**17), (0, Fraction(1, 3), 1), (0, 1)):
+        x0 = tuple(e1[i] * s + e2[i] * r - alpha[i] * k0 for i in range(2))
+        chi = orbit_hits(region, alpha, x0, k0 - 2, k0 + 2)
+        for k, got in zip(range(k0 - 2, k0 + 3), chi):
+            x = [x0[i] + alpha[i] * k for i in range(2)]
+            shifts = [
+                range(math.floor(lo[i]) - x[i].floor() - 1, math.ceil(hi[i]) - x[i].floor() + 1)
+                for i in range(2)
+            ]
+            want = sum(piece.contains((x[0] + a, x[1] + b)) for a, b in itertools.product(*shifts))
+            assert got == want, (s, r, k)
+
+
+def floor_surd(p: int, q: int, r: int) -> int:
+    """Integer-only floor(p + q*sqrt(r)) for a non-square r."""
+    s = math.isqrt(q * q * r)
+    return p + s if q >= 0 else p - s - 1
+
+
+@settings(max_examples=40)
+@given(
+    r=st.sampled_from([2, 3]),
+    k0=st.builds(lambda e, u, sign: sign * (10**e + u), st.sampled_from(range(18)),
+                 st.integers(0, 10**6), st.sampled_from([1, -1])),
+    anchored=st.booleans(),
+    a=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    width=st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda w: w != (0, 0)),
+    left_closed=st.booleans(),
+)
+def test_orbit_kernel_against_isqrt_oracle(r, k0, anchored, a, width, left_closed):
+    # window endpoints in Z + Z*alpha; anchored ones meet the orbit k*alpha
+    # exactly at some k in the range, which exercises the half-open side
+    if width[0] + width[1] * math.sqrt(r) < 0:
+        width = (-width[0], -width[1])
+    a0, a1 = a[0], a[1] + (k0 if anchored else 0)
+    b0, b1 = a0 + width[0], a1 + width[1]
+    spec = AlgebraSpec.from_sqrt([r])
+    alpha = spec.basis_element("w1")
+    region = interval(a1 * alpha + a0, b1 * alpha + b0, left_closed=left_closed)
+    ks = range(k0 - 5, k0 + 6)
+
+    def translates(k):
+        # integers m with k*alpha + m in the window, from exact floors
+        if left_closed:
+            return range(-floor_surd(-a0, k - a1, r), -floor_surd(-b0, k - b1, r))
+        return range(floor_surd(a0, a1 - k, r) + 1, floor_surd(b0, b1 - k, r) + 1)
+
+    want = [len(translates(k)) for k in ks]
+    assert orbit_hits(region, alpha, 0, ks[0], ks[-1]).tolist() == want
+    assert [multiplicity(region, (alpha * k,)) for k in ks] == want
+    pts = dual_model_points([alpha], [spec.one()], region, (ks[0], ks[-1]))
+    assert set(pts.provenance) == {(m, k) for k in ks for m in translates(k)}
+
+
 def test_brs_statistic_oracle_small(sqrt2, hecke):
-    # brute-force double loop over (n, j) on an oracle-computed orbit
+    # brute-force double loop over (n, j) on an oracle-computed orbit; the
+    # small cases include the window starting at j = -J
     a = sqrt2.basis_element("w1")
-    N, J = 60, 40
-    chi = orbit_hits(hecke, a, 0, -J + 1, J + N)
     mes = float(hecke.volume())
-    best = 0.0
-    for j in range(-J, J + 1):
-        acc = 0.0
-        for n in range(1, N + 1):
-            k = j + n
-            acc += chi[k - (-J + 1)]
-            best = max(best, abs(acc - n * mes))
-    stat = brs_empirical(hecke, a, N, J)
-    assert abs(stat.value - best) < 1e-9
+    for N, J in ((60, 40), (7, 5), (1, 0), (10, 10)):
+        chi = orbit_hits(hecke, a, 0, -J + 1, J + N)
+
+        def window(j, n):
+            return sum(chi[k - (-J + 1)] for k in range(j + 1, j + n + 1)) - n * mes
+
+        best = max(abs(window(j, n)) for j in range(-J, J + 1) for n in range(1, N + 1))
+        stat = brs_empirical(hecke, a, N, J)
+        assert abs(stat.value - best) < 1e-9
+        assert 1 <= stat.argmax_n <= N and abs(stat.argmax_j) <= J
+        assert abs(abs(window(stat.argmax_j, stat.argmax_n)) - stat.value) < 1e-9
 
 
 def test_brs_bounded_vs_growth(sqrt2, half, hecke):

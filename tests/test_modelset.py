@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quasilab.dynamics import orbit_hits
 from quasilab.errors import PreconditionError
 from quasilab.lattice import make_special_lattice
 from quasilab.modelset import (
@@ -122,6 +123,19 @@ def test_dual_model_points_scan(sqrt2):
     assert np.allclose(got, expect, atol=1e-9)
     blocks = sorted(p[-1] for p in pts.provenance)
     assert blocks == [0, 3, 5]
+
+
+def test_dual_model_points_match_orbit_at_huge_n(sqrt2):
+    # at n ~ 1e11 the float error of n*sqrt2 exceeds 1e-7; the emitted
+    # blocks must still be exactly the orbit hits, n = 100000000331 included
+    w1 = sqrt2.basis_element("w1")
+    region = interval(sqrt2.zero(), w1 - 1)
+    lo, hi = 10**11, 10**11 + 3000
+    pts = dual_model_points([w1], [sqrt2.one()], region, (lo, hi))
+    chi = orbit_hits(region, w1, 0, lo, hi)
+    emitted = sorted(p[-1] for p in pts.provenance)
+    assert emitted == [lo + int(i) for i in np.flatnonzero(chi > 0)]
+    assert 100000000331 in emitted
 
 
 def test_dual_model_points_beta_zero(sqrt2):
