@@ -569,13 +569,33 @@ class QValue:
         return not self < other
 
     def floor(self) -> int:
-        """Exact floor: float guess corrected by exact comparisons."""
-        n = math.floor(float(self))
-        while (self - n).sign() < 0:
-            n -= 1
-        while (self - (n + 1)).sign() >= 0:
-            n += 1
-        return n
+        """Exact floor: float guess corrected by exact comparisons.
+
+        Steps of 1, 2, 4, ... away from the guess bracket the floor between
+        lo <= self and hi > self, then bisection closes the bracket, so a
+        guess off by d costs O(log d) sign() calls.
+        """
+        guess = math.floor(float(self))
+        step = 1
+        if (self - guess).sign() >= 0:
+            lo = guess
+            while (self - (guess + step)).sign() >= 0:
+                lo = guess + step
+                step *= 2
+            hi = guess + step
+        else:
+            hi = guess
+            while (self - (guess - step)).sign() < 0:
+                hi = guess - step
+                step *= 2
+            lo = guess - step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if (self - mid).sign() >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     def frac(self) -> "QValue":
         """Exact fractional part, in [0, 1)."""

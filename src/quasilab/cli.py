@@ -305,7 +305,8 @@ def _cmd_bounds(args) -> int:
 def _write_trace_csv(trace: dynamics.DiscrepancyTrace, path: Path) -> None:
     with path.open("w") as fh:
         fh.write("n,D_n\n")
-        fh.writelines(f"{n},{v:.17g}\n" for n, v in zip(trace.ns, trace.values))
+        rows = zip(trace.ns.tolist(), trace.values.tolist())
+        fh.writelines(f"{n},{v:.17g}\n" for n, v in rows)
 
 
 def _write_bounds_csv(trace: riesz.BoundsTrace, path: Path) -> None:

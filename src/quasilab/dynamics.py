@@ -9,7 +9,6 @@ there is no drift at k ~ 10^6.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +29,10 @@ __all__ = [
     "bmo_stat",
     "counting_discrepancy",
 ]
+
+
+# elements per block of the direct bmo_stat scan: the block buffer stays in cache
+_BMO_BLOCK = 1 << 15
 
 
 def _as_qvalue(spec, x) -> QValue:
@@ -153,52 +156,50 @@ class BrsStatistic:
     region_desc: str
 
 
+def _sliding_max(g: np.ndarray, w: int) -> np.ndarray:
+    """out[i] = max g[max(0, i-w+1) .. i] for i = 0 .. len(g)+w-2.
+
+    Van Herk / Gil-Werman: pad with -inf, cut into blocks of w, and take
+    each window as a block suffix maximum joined with the next block's
+    prefix maximum, so the cost is O(len(g) + w) independent of w.
+    """
+    m = len(g) + w - 1
+    tail = w - 1 + (-(m + w - 1)) % w
+    x = np.concatenate([np.full(w - 1, -np.inf), g, np.full(tail, -np.inf)]).reshape(-1, w)
+    pre = np.maximum.accumulate(x, axis=1).ravel()
+    suf = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suf[:m], pre[w - 1:w - 1 + m])
+
+
 def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
     """max over 1<=n<=N, |j|<=J of |sum_{k=j+1}^{j+n} chi_S(k alpha) - n mes S|.
 
-    Computed in O(N + J) from prefix sums of the single orbit, using a
-    sliding-window extremum over window starts.
+    Computed in O(N + J) from prefix sums f of the single orbit: a window
+    sum is f[t] - f[s] with start s in [0, 2J] and end t in s+1 .. s+N,
+    so for each end t a vectorized sliding maximum and minimum of f over
+    the starts give the best window ending there.  Ties resolve as a
+    left-to-right scan with strict improvement would: the first end t
+    attaining the value, the maximum side before the minimum side, and on
+    that side the latest start s holding the extremum.
     """
     if N <= 0 or J < 0:
         raise PreconditionError("N must be positive and J nonnegative")
     mes = float(region.volume())
     chi = orbit_hits(region, alpha, 0, -J + 1, J + N)
-    # f[t] = sum over the first t orbit values minus t*mes; window sums are
-    # differences of f, with the window start ranging over j in [-J, J].
+    # f[i] sums the orbit values k = -J + 1 .. -J + i minus i*mes, so the
+    # prefix up to k = j is f-index j + J in [0, 2J]; up to j+n it is j + J + n.
     f = np.concatenate([[0.0], np.cumsum(chi) - mes * np.arange(1, len(chi) + 1)])
-    # f[i] sums the orbit values k = -J + 1 .. -J + i, so the prefix up to
-    # k = j is f-index i(j) = j + J in [0, 2J]; up to j+n it is i(j) + n.
-    s_min, s_max = 0, 2 * J
-    best, best_t, best_s = -1.0, 0, 0
-    max_dq: deque[int] = deque()
-    min_dq: deque[int] = deque()
-    added = s_min - 1
-    for t in range(1, len(f)):
-        lo = max(s_min, t - N)
-        hi = min(s_max, t - 1)
-        if hi < lo:
-            continue
-        while added < hi:
-            added += 1
-            v = f[added]
-            while max_dq and f[max_dq[-1]] <= v:
-                max_dq.pop()
-            max_dq.append(added)
-            while min_dq and f[min_dq[-1]] >= v:
-                min_dq.pop()
-            min_dq.append(added)
-        while max_dq[0] < lo:
-            max_dq.popleft()
-        while min_dq[0] < lo:
-            min_dq.popleft()
-        ft = f[t]
-        for s in (max_dq[0], min_dq[0]):
-            cand = abs(ft - f[s])
-            if cand > best:
-                best, best_t, best_s = cand, t, s
-    j = best_s - J
-    n = best_t - best_s
-    return BrsStatistic(best, n, j, N, J, mes, region.describe())
+    starts = f[:2 * J + 1]
+    ends = f[1:]  # t = 1 .. 2J + N; entry t - 1 of top/bottom covers s in [t-N, t-1]
+    top = _sliding_max(starts, N)
+    bottom = -_sliding_max(-starts, N)
+    cand = np.maximum(top - ends, ends - bottom)
+    t = int(cand.argmax()) + 1
+    best = cand[t - 1]
+    ext = top[t - 1] if abs(f[t] - top[t - 1]) == best else bottom[t - 1]
+    s_lo = max(0, t - N)
+    s = s_lo + int(np.flatnonzero(f[s_lo:min(2 * J, t - 1) + 1] == ext)[-1])
+    return BrsStatistic(best, t - s, s - J, N, J, mes, region.describe())
 
 
 def orbit_transfer(region: RegionSet, alpha, n_range: tuple[int, int]) -> DiscrepancyTrace:
@@ -225,36 +226,52 @@ def orbit_transfer(region: RegionSet, alpha, n_range: tuple[int, int]) -> Discre
     return DiscrepancyTrace(alpha_desc, region.describe(), 0.0, ns, values, mes)
 
 
-def bmo_stat(
-    seq: Sequence[float],
-    window_lengths: Sequence[int],
-    chunk_elems: int = 1 << 22,
-) -> float:
+def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
     """Max over the window family of mean absolute deviation from window mean.
 
     Windows are every contiguous run of each supplied length.  The family
     is finite by design; callers report which lengths they used.
+
+    A sequence with few distinct values V (a rational mes S puts D_n in
+    (1/q)Z + const) takes, for each length L > |V|, the window sum
+    sum_v count_v(window) * |v - mean| from per-value prefix counts, at
+    O(n |V|) per length.  Other lengths scan the windows directly in
+    blocks of about ``_BMO_BLOCK`` elements, at O(n L) per length.
     """
     c = np.asarray(seq, dtype=np.float64)
     n = len(c)
-    c = c - c.mean()  # translation-invariant; keeps cumsum well conditioned
-    best = 0.0
-    cs = np.concatenate([[0.0], np.cumsum(c)])
     for L in window_lengths:
         if L < 1 or L > n:
             raise PreconditionError(
                 f"window length {L} outside the sequence range (1..{n})"
             )
+    c = c - c.mean()  # translation-invariant; keeps cumsum well conditioned
+    cs = np.concatenate([[0.0], np.cumsum(c)])
+    values, value_idx = np.unique(c, return_inverse=True)
+    best = 0.0
+    for L in window_lengths:
         means = (cs[L:] - cs[:-L]) / L
-        n_win = n - L + 1
-        step = max(1, chunk_elems // L)
-        view = np.lib.stride_tricks.sliding_window_view(c, L)
-        for s in range(0, n_win, step):
-            e = min(s + step, n_win)
-            dev = np.abs(view[s:e] - means[s:e, None]).mean(axis=1)
-            m = float(dev.max())
-            if m > best:
-                best = m
+        if len(values) < L:
+            total = np.zeros(len(means))
+            term = np.empty(len(means))
+            count = np.zeros(n + 1, dtype=np.int64)
+            for k, v in enumerate(values):
+                np.cumsum(value_idx == k, out=count[1:])
+                np.subtract(v, means, out=term)
+                np.abs(term, out=term)
+                term *= count[L:] - count[:-L]
+                total += term
+            best = max(best, float(total.max()) / L)
+        else:
+            view = np.lib.stride_tricks.sliding_window_view(c, L)
+            rows = max(1, _BMO_BLOCK // L)
+            buf = np.empty((rows, L))
+            for s in range(0, len(means), rows):
+                e = min(s + rows, len(means))
+                dev = buf[:e - s]
+                np.subtract(view[s:e], means[s:e, None], out=dev)
+                np.abs(dev, out=dev)
+                best = max(best, float(dev.sum(axis=1).max()) / L)
     return best
 
 

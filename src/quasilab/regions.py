@@ -96,10 +96,14 @@ class Piece:
         d = self.dim
         return [tuple(self.edges[i][j] for i in range(d)) for j in range(d)]
 
+    @functools.cached_property
+    def inverse(self) -> tuple[tuple[QValue, ...], ...]:
+        """Exact inverse of the edge matrix: point to unit coordinates."""
+        return tuple(tuple(row) for row in mat_inverse(self.edges))
+
     def contains(self, x: Sequence[QValue], closure: bool = False) -> bool:
         """Exact membership of a point; half-open unless ``closure``."""
-        inv = mat_inverse(self.edges)
-        t = mat_vec(inv, [xi - oi for xi, oi in zip(x, self.offset)])
+        t = mat_vec(self.inverse, [xi - oi for xi, oi in zip(x, self.offset)])
         for ti in t:
             s0 = ti.sign()
             s1 = (ti - 1).sign()
@@ -112,8 +116,7 @@ class Piece:
         return True
 
     def strictly_inside_unit_coords(self, x: Sequence[QValue]) -> bool:
-        inv = mat_inverse(self.edges)
-        t = mat_vec(inv, [xi - oi for xi, oi in zip(x, self.offset)])
+        t = mat_vec(self.inverse, [xi - oi for xi, oi in zip(x, self.offset)])
         return all(ti.sign() > 0 and (ti - 1).sign() < 0 for ti in t)
 
 
@@ -238,7 +241,7 @@ class Membership:
             return
         self._pieces = []
         for p in region.pieces:
-            inv = mat_inverse(p.edges)
+            inv = p.inverse
             corners_q = p.corners()
             corners = np.array([[float(v) for v in c] for c in corners_q])
             ext = max(_mag(v) for c in corners_q for v in c)

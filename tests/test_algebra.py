@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasilab.algebra import (
     AlgebraSpec,
@@ -191,6 +193,21 @@ def test_sign_and_floor(sqrt2):
     assert abs(float(tiny)) < 1e-4  # float eval is pure cancellation noise
     assert tiny.sign() == 1
     assert (-tiny).sign() == -1
+
+
+@given(
+    a=st.integers(-10**17, 10**17),
+    b=st.integers(-10**17, 10**17),
+    near=st.booleans(),
+)
+def test_floor_against_isqrt_oracle(sqrt2, a, b, near):
+    # near: a cancels b*sqrt2 to within a few units, where the float guess
+    # of a value with ~1e17 coefficients is off by tens
+    if near:
+        a = -math.isqrt(2 * b * b) * (1 if b >= 0 else -1) + a % 7 - 3
+    s = math.isqrt(2 * b * b)
+    want = a + s if b >= 0 else a - s - 1
+    assert (a + b * sqrt2.basis_element("w1")).floor() == want
 
 
 def test_sign_undecidable_without_descriptor():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -188,6 +189,47 @@ def test_brs_statistic_oracle_small(sqrt2, hecke):
         assert abs(abs(window(stat.argmax_j, stat.argmax_n)) - stat.value) < 1e-9
 
 
+def _brs_reference(region, alpha, N, J):
+    """Sliding-window deque scan over window ends t, one start at a time."""
+    mes = float(region.volume())
+    chi = orbit_hits(region, alpha, 0, -J + 1, J + N)
+    f = np.concatenate([[0.0], np.cumsum(chi) - mes * np.arange(1, len(chi) + 1)])
+    best, best_t, best_s = -1.0, 0, 0
+    max_dq: deque[int] = deque()
+    min_dq: deque[int] = deque()
+    added = -1
+    for t in range(1, len(f)):
+        lo, hi = max(0, t - N), min(2 * J, t - 1)
+        while added < hi:
+            added += 1
+            v = f[added]
+            while max_dq and f[max_dq[-1]] <= v:
+                max_dq.pop()
+            max_dq.append(added)
+            while min_dq and f[min_dq[-1]] >= v:
+                min_dq.pop()
+            min_dq.append(added)
+        while max_dq[0] < lo:
+            max_dq.popleft()
+        while min_dq[0] < lo:
+            min_dq.popleft()
+        for s in (max_dq[0], min_dq[0]):
+            cand = abs(f[t] - f[s])
+            if cand > best:
+                best, best_t, best_s = cand, t, s
+    return best, best_t - best_s, best_s - J
+
+
+def test_brs_matches_deque_reference(sqrt2, half, hecke):
+    # rational mes 1/2 makes many windows tie exactly; the argmax must be
+    # the one the deque scan keeps (first end, max side, latest start)
+    a = sqrt2.basis_element("w1")
+    for region in (hecke, half):
+        for N, J in ((60, 40), (7, 5), (1, 0), (10, 10), (500, 300)):
+            stat = brs_empirical(region, a, N, J)
+            assert (stat.value, stat.argmax_n, stat.argmax_j) == _brs_reference(region, a, N, J)
+
+
 def test_brs_bounded_vs_growth(sqrt2, half, hecke):
     a = sqrt2.basis_element("w1")
     bounded = brs_empirical(hecke, a, 5000, 500)
@@ -221,6 +263,40 @@ def test_transfer_bounded_on_bounded_region(sqrt2, hecke):
     a = sqrt2.basis_element("w1")
     g = orbit_transfer(hecke, a, (-100000, 100000))
     assert np.abs(g.values).max() <= 3.0
+
+
+def _bmo_reference(seq, window_lengths, chunk_elems=1 << 22):
+    """Direct scan: every window's deviations, in chunks of windows."""
+    c = np.asarray(seq, dtype=np.float64)
+    n = len(c)
+    c = c - c.mean()
+    best = 0.0
+    cs = np.concatenate([[0.0], np.cumsum(c)])
+    for L in window_lengths:
+        means = (cs[L:] - cs[:-L]) / L
+        n_win = n - L + 1
+        step = max(1, chunk_elems // L)
+        view = np.lib.stride_tricks.sliding_window_view(c, L)
+        for s in range(0, n_win, step):
+            e = min(s + step, n_win)
+            dev = np.abs(view[s:e] - means[s:e, None]).mean(axis=1)
+            best = max(best, float(dev.max()))
+    return best
+
+
+def test_bmo_matches_reference(rng, sqrt2, half):
+    # normal traces take the direct scan; integers / 4 with 1..12 distinct
+    # values take the per-value counts for every length above the count
+    cases = [(np.full(64, 3.7), [1, 2, 4, 8]), (np.array([1.0, -1.0] * 64), [2, 4, 8])]
+    for n_values in range(1, 13):
+        n = int(rng.integers(20, 400))
+        lengths = sorted({1, n, *rng.integers(1, n + 1, size=6).tolist()})
+        cases.append((rng.normal(size=n), lengths))
+        cases.append((rng.integers(0, n_values, size=n) / 4, lengths))
+    trace = discrepancy_trace(half, sqrt2.basis_element("w1"), 0, (0, 1 << 14))
+    cases.append((trace.values, [1 << j for j in range(0, 15)]))
+    for seq, lengths in cases:
+        assert abs(bmo_stat(seq, lengths) - _bmo_reference(seq, lengths)) <= 1e-12
 
 
 def test_bmo_constant_zero():
