@@ -98,6 +98,14 @@ def dual_lattice(lat: Lattice) -> Lattice:
     return lat.dual
 
 
+def lift_special(
+    alpha: Sequence[QValue], beta: Sequence[QValue]
+) -> tuple[AlgebraSpec, list[QValue], list[QValue]]:
+    """(spec, alpha, beta) lifted into the algebra of their first irrational entry."""
+    spec = next((v.spec for v in [*alpha, *beta] if not v.is_rational()), alpha[0].spec)
+    return spec, [lift_to(spec, a) for a in alpha], [lift_to(spec, b) for b in beta]
+
+
 def check_special_form(alpha: Sequence[QValue], beta: Sequence[QValue]) -> None:
     """Exact rank checks for the two independence conditions.
 
@@ -108,13 +116,8 @@ def check_special_form(alpha: Sequence[QValue], beta: Sequence[QValue]) -> None:
     d = len(alpha)
     if len(beta) != d or d == 0:
         raise PreconditionError("alpha and beta must be nonempty, equal length")
-    spec = next(
-        (v.spec for v in list(alpha) + list(beta) if not v.is_rational()),
-        alpha[0].spec,
-    )
+    spec, alpha, beta = lift_special(alpha, beta)
     one = spec.one()
-    alpha = [lift_to(spec, a) for a in alpha]
-    beta = [lift_to(spec, b) for b in beta]
     if coeff_rank([one] + list(alpha)) != d + 1:
         raise PreconditionError(
             "condition (i) violated: 1, alpha_1..alpha_d are rationally "
@@ -143,12 +146,7 @@ def make_special_lattice(
     """
     check_special_form(alpha, beta)
     d = len(alpha)
-    spec = next(
-        (v.spec for v in list(alpha) + list(beta) if not v.is_rational()),
-        alpha[0].spec,
-    )
-    alpha = [lift_to(spec, a) for a in alpha]
-    beta = [lift_to(spec, b) for b in beta]
+    spec, alpha, beta = lift_special(alpha, beta)
     one, zero = spec.one(), spec.zero()
 
     g = [[zero] * (d + 1) for _ in range(d + 1)]

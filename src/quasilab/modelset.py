@@ -5,19 +5,27 @@ convenience), keeps exact coordinates alongside the float embedding when
 the data lives in the algebra, and tags each point with the integer data
 (m_1..m_d, n) of the lattice point that produced it.  Output order is the
 lexicographic order of that provenance.
+
+Exact coordinates come from one integer affine map of the provenance per
+call (integer numerators over a common denominator, Python-int dot
+products); float coordinates apply ``float(QValue)``'s fsum rule to the
+same coefficients, so they are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import QValue, lift_to
 from .errors import PreconditionError
-from .lattice import Lattice, check_special_form
-from .regions import RegionSet
+from .lattice import Lattice, check_special_form, lift_special
+from .regions import RegionSet, interval
 
 __all__ = [
     "PointSet",
@@ -111,11 +119,34 @@ def _grid(box: Sequence[tuple[int, int]]) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
 
 
-def _pointset(dim: int, pts: list, window: str) -> PointSet:
-    coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, dim)
-    return PointSet(
-        dim, coords, tuple(p for p, _ in pts), tuple(q for _, q in pts), window
-    )
+def _affine_points(
+    mat: Sequence[Sequence[QValue]], prov: np.ndarray, window: str
+) -> PointSet:
+    """Points x_a = sum_j prov[:, j] * mat[a][j], one per provenance row.
+
+    Coefficients are Fractions of Python-int dot products with the map's
+    numerators over one common denominator (no int64 products).
+    """
+    spec = next((v.spec for row in mat for v in row if not v.is_rational()),
+                mat[0][0].spec)
+    mat = [[lift_to(spec, v) for v in row] for row in mat]
+    den = math.lcm(*(c.denominator for row in mat for v in row for c in v.coeffs))
+    # per coordinate, per basis element: the numerators over the provenance
+    cols = [[[int(v.coeffs[l] * den) for v in row] for l in range(spec.dim)]
+            for row in mat]
+    rows = prov.tolist()
+    qcoords, coords = [], []
+    for c in rows:
+        point = []
+        for coord_cols in cols:
+            nums = [sum(map(operator.mul, c, col)) for col in coord_cols]
+            point.append(QValue(spec, [Fraction(n, den) for n in nums]))
+            # int / int is correctly rounded, so n / den == float(Fraction(n, den))
+            coords.append(math.fsum(n / den * x
+                                    for n, x in zip(nums, spec.numerics) if n))
+        qcoords.append(tuple(point))
+    return PointSet(len(mat), np.array(coords), tuple(map(tuple, rows)),
+                    tuple(qcoords), window)
 
 
 def cut_and_project(
@@ -128,7 +159,7 @@ def cut_and_project(
     The search box gives inclusive integer ranges for the generator
     coordinates (m_1..m_d, n); membership of p2(gamma) in the semi-closed
     window goes through the window's membership kernel, which is exact at
-    the window endpoints.  Exact coordinates are built for emitted points.
+    the window endpoints.  An emitted point is the basis rows @ provenance.
     """
     _window_check(window)
     d = gamma.dim_d
@@ -140,11 +171,8 @@ def cut_and_project(
     idx, shift = window.membership.translates(
         (gamma.spec.zero(),), [(v,) for v in gamma.basis[d]], coeffs
     )
-    pts = []
-    for i in idx[shift[:, 0] == 0]:
-        prov = tuple(int(v) for v in coeffs[i])
-        pts.append((prov, gamma.point(prov)[:d]))
-    return _pointset(d, pts, window.describe())
+    return _affine_points(gamma.basis[:d], coeffs[idx[shift[:, 0] == 0]],
+                          window.describe())
 
 
 def special_quasicrystal(
@@ -158,27 +186,19 @@ def special_quasicrystal(
     For each m, the emitted n are the integer translates of -alpha^T m
     that land in the window (p2 = n - alpha^T m), found by the window's
     membership kernel; this is the same selection as cut_and_project with
-    a sufficient box.  Exact coordinates are built for emitted points.
+    a sufficient box.  An emitted point is x_i = m_i + beta_i (alpha^T m - n).
     """
     _window_check(window)
     d = len(alpha)
     if len(m_box) != d:
         raise PreconditionError(f"m box needs {d} coordinate ranges")
-    spec = next(
-        (v.spec for v in list(alpha) + list(beta) if not v.is_rational()),
-        alpha[0].spec,
-    )
-    alpha = [lift_to(spec, a) for a in alpha]
-    beta = [lift_to(spec, b) for b in beta]
+    spec, alpha, beta = lift_special(alpha, beta)
     ms = _grid(m_box)
     idx, ns = window.membership.translates((spec.zero(),), [(-a,) for a in alpha], ms)
-    pts = []
-    for i, n in zip(idx.tolist(), ns[:, 0].tolist()):
-        m = ms[i].tolist()
-        p2 = n - sum((alpha[j] * m[j] for j in range(1, d)), alpha[0] * m[0])
-        point = tuple(spec.from_rational(m[j]) - beta[j] * p2 for j in range(d))
-        pts.append((tuple(m) + (n,), point))
-    return _pointset(d, pts, window.describe())
+    one, zero = spec.one(), spec.zero()
+    mat = [[(one if i == j else zero) + beta[i] * alpha[j] for j in range(d)]
+           + [-beta[i]] for i in range(d)]
+    return _affine_points(mat, np.column_stack([ms[idx], ns]), window.describe())
 
 
 def dual_model_points(
@@ -193,7 +213,7 @@ def dual_model_points(
     are the integer translates of n*alpha that the region's membership
     kernel finds), emits n + <n alpha + m, beta> with provenance
     (m_1..m_d, n); the block structure is recoverable from the last
-    provenance entry.
+    provenance entry; the point is n (1 + <alpha, beta>) + <m, beta>.
     """
     d = len(alpha)
     if region.dim != d:
@@ -208,14 +228,10 @@ def dual_model_points(
     idx, ms = region.membership.translates(
         tuple(spec.zero() for _ in range(d)), [tuple(alpha)], ns[:, None]
     )
-    pts = []
-    for i, m in zip(idx.tolist(), ms.tolist()):
-        n = int(ns[i])
-        x = [alpha[j] * n + m[j] for j in range(d)]
-        lam = sum((x[j] * beta[j] for j in range(1, d)), x[0] * beta[0]) + n
-        pts.append((tuple(m) + (n,), (lam,)))
-    pts.sort(key=lambda t: t[0])
-    return _pointset(1, pts, region.describe())
+    prov = np.column_stack([ms, ns[idx]])
+    prov = prov[np.lexsort(prov.T[::-1])]
+    mat = [list(beta) + [sum((a * b for a, b in zip(alpha, beta)), spec.one())]]
+    return _affine_points(mat, prov, region.describe())
 
 
 def sequence_points(
@@ -225,30 +241,16 @@ def sequence_points(
 ) -> PointSet:
     """The explicit sequence m + {alpha^T m} * beta over an integer box.
 
-    Checks the special-form rank conditions first; provenance stores
-    (m_1..m_d, floor(alpha^T m)), matching the cut-and-project provenance
-    on the window (-1, 0].
+    Checks the special-form rank conditions first, then runs
+    special_quasicrystal on the window (-1, 0], whose one n per m is
+    floor(alpha^T m): provenance stores (m_1..m_d, floor(alpha^T m)).
     """
     check_special_form(alpha, beta)
-    d = len(alpha)
-    if len(m_box) != d:
-        raise PreconditionError(f"m box needs {d} coordinate ranges")
-    spec = next(
-        (v.spec for v in list(alpha) + list(beta) if not v.is_rational()),
-        alpha[0].spec,
-    )
-    alpha = [lift_to(spec, a) for a in alpha]
-    beta = [lift_to(spec, b) for b in beta]
-    pts = []
-    for m in _grid(m_box).tolist():
-        am = sum((alpha[i] * m[i] for i in range(1, d)), alpha[0] * m[0])
-        n = am.floor()
-        frac_part = am - n
-        point = tuple(
-            spec.from_rational(m[i]) + beta[i] * frac_part for i in range(d)
-        )
-        pts.append((tuple(m) + (n,), point))
-    return _pointset(d, pts, "sequence")
+    spec = lift_special(alpha, beta)[0]
+    window = interval(spec.from_rational(-1), spec.zero(), left_closed=False)
+    pts = special_quasicrystal(alpha, beta, window, m_box)
+    pts.window = "sequence"
+    return pts
 
 
 def periodic_points(

@@ -809,15 +809,18 @@ def construct_brs_between(
         range(lo_j[i], hi_j[i] + 1) for i in range(d)
     ]))
 
-    def strictly_inside_u(piece: Piece) -> bool:
-        # interior test: corners strictly inside some single piece of U
-        return all(
-            any(up.strictly_inside_unit_coords(c) for up in region_u.pieces)
-            for c in piece.corners()
-        )
+    @functools.cache
+    def corner_inside_u(c: tuple[int, ...]) -> bool:
+        # interior test of the tile corner edges @ c (shared by 2^d tiles)
+        x = tile_piece(c).offset
+        return any(up.strictly_inside_unit_coords(x) for up in region_u.pieces)
+
+    def strictly_inside_u(j: Sequence[int]) -> bool:
+        return all(corner_inside_u(tuple(a + e for a, e in zip(j, eps)))
+                   for eps in itertools.product((0, 1), repeat=d))
 
     for j in a_tiles:
-        if not strictly_inside_u(tile_piece(j)):
+        if not strictly_inside_u(j):
             raise SearchExhaustedError(
                 "a tile meeting K leaves the interior of U; retry with a "
                 "smaller epsilon"
@@ -839,7 +842,7 @@ def construct_brs_between(
     free = [
         j
         for j in itertools.product(*[range(ulo[i], uhi[i] + 1) for i in range(d)])
-        if j not in a_set and strictly_inside_u(tile_piece(j))
+        if j not in a_set and strictly_inside_u(j)
     ]
     if d == 1:
         right = sorted(j for j in free if j[0] > hi_j[0])

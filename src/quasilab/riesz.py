@@ -85,15 +85,12 @@ def enumerate_blocks(points: PointSet, s0_anchor: int = 0) -> Enumeration:
     order = np.lexsort((values, blocks))
     values = values[order]
     blocks = blocks[order]
-    sizes = np.zeros(n_hi - n_lo + 1, dtype=np.int64)
-    for b in blocks:
-        sizes[b - n_lo] += 1
+    sizes = np.bincount(blocks - n_lo, minlength=n_hi - n_lo + 1)
     s = np.zeros(n_hi - n_lo + 2, dtype=np.int64)
     s[1:] = np.cumsum(sizes)
+    ranks = np.arange(len(values), dtype=np.int64) - s[blocks - n_lo]
     s += s0_anchor - s[-n_lo]  # force s_0 = anchor
     js = np.arange(s[0], s[0] + len(values), dtype=np.int64)
-    ranks = np.concatenate([np.arange(sz, dtype=np.int64) for sz in sizes if sz]) \
-        if len(values) else np.zeros(0, dtype=np.int64)
     return Enumeration(js, values, blocks, ranks, n_lo, n_hi, s)
 
 

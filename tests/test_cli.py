@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -31,6 +32,25 @@ def test_gen_count_and_golden_file(tmp_path):
         parse_region_literal(spec, "(-1,0]"), [(-100, 100)],
     )
     assert text == direct.to_csv()
+
+
+# SHA-256 of point CSVs as written when every point was rebuilt per point
+# with QValue ring operations; the byte-identity of gen and dual is pinned
+@pytest.mark.parametrize("argv, name, digest", [
+    (["gen", "--alpha", "w1", "--beta", "1", "--window", "(-1,0]",
+      "--range", "100"], "points.csv",
+     "7ccc8b841d29bcc1715795843508088199c84fd0febc9222249957cd41b19661"),
+    (["gen", "--alpha", "w1,w2", "--beta", "1,1", "--algebra", "sqrt:2,3",
+      "--window", "(-1,0]", "--box=-12:9;-7:11"], "points.csv",
+     "6b41a979621343c0053b9655e0315cb5477ec26e97969f14e2a7886c11ba4538"),
+    (["dual", "--alpha", "w1", "--beta", "1",
+      "--region", "[0,-1+1*w1) U [1,3-1*w1)", "--n-range=-2136:2136"],
+     "dual_points.csv",
+     "bdb33a5542e2e8e2f2752c5092ba2aa3ed19c9b27168917156071e234bfc35c7"),
+], ids=["gen", "gen_box", "dual"])
+def test_point_csv_bytes_pinned(tmp_path, argv, name, digest):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_gen_deterministic(tmp_path):

@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quasilab.algebra import lift_to
 from quasilab.dynamics import orbit_hits
 from quasilab.errors import PreconditionError
-from quasilab.lattice import make_special_lattice
+from quasilab.lattice import Lattice, lift_special, make_special_lattice
 from quasilab.modelset import (
     PointSet,
     cut_and_project,
@@ -17,7 +19,7 @@ from quasilab.modelset import (
     sequence_points,
     special_quasicrystal,
 )
-from quasilab.regions import interval, parse_region_literal
+from quasilab.regions import box_region, interval, parse_region_literal
 
 
 def frac_oracle(x: float) -> float:
@@ -235,3 +237,172 @@ def test_csv_roundtrip(sqrt2, gamma, window_neg1_0):
 def test_empty_search_box_rejected(sqrt2, gamma, window_neg1_0):
     with pytest.raises(PreconditionError, match="empty"):
         cut_and_project(gamma, window_neg1_0, [(3, -3), (0, 0)])
+
+
+# -- per-point references ----------------------------------------------------
+#
+# The generators build each point from one integer affine map of its
+# provenance.  These references keep the earlier construction: every point
+# rebuilt with QValue ring operations, floats by float(QValue), and the
+# dual set ordered by a Python tuple sort.  Selection goes through the same
+# membership kernel, except the sequence, which takes floor() per point.
+
+
+def _reference_pointset(dim, pts, window):
+    coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, dim)
+    return PointSet(
+        dim, coords, tuple(p for p, _ in pts), tuple(q for _, q in pts), window
+    )
+
+
+def _cut_and_project_reference(gamma, window, search):
+    d = gamma.dim_d
+    axes = [np.arange(lo, hi + 1) for lo, hi in search]
+    coeffs = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d + 1)
+    idx, shift = window.membership.translates(
+        (gamma.spec.zero(),), [(v,) for v in gamma.basis[d]], coeffs
+    )
+    pts = []
+    for i in idx[shift[:, 0] == 0]:
+        prov = tuple(int(v) for v in coeffs[i])
+        pts.append((prov, gamma.point(prov)[:d]))
+    return _reference_pointset(d, pts, window.describe())
+
+
+def _special_reference(alpha, beta, window, m_box):
+    d = len(alpha)
+    spec, alpha, beta = lift_special(alpha, beta)
+    axes = [np.arange(lo, hi + 1) for lo, hi in m_box]
+    ms = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
+    idx, ns = window.membership.translates((spec.zero(),), [(-a,) for a in alpha], ms)
+    pts = []
+    for i, n in zip(idx.tolist(), ns[:, 0].tolist()):
+        m = ms[i].tolist()
+        p2 = n - sum((alpha[j] * m[j] for j in range(1, d)), alpha[0] * m[0])
+        point = tuple(spec.from_rational(m[j]) - beta[j] * p2 for j in range(d))
+        pts.append((tuple(m) + (n,), point))
+    return _reference_pointset(d, pts, window.describe())
+
+
+def _dual_reference(alpha, beta, region, n_range):
+    d = len(alpha)
+    spec = region.spec
+    alpha = [lift_to(spec, a) for a in alpha]
+    beta = [lift_to(spec, b) for b in beta]
+    ns = np.arange(n_range[0], n_range[1] + 1, dtype=np.int64)
+    idx, ms = region.membership.translates(
+        tuple(spec.zero() for _ in range(d)), [tuple(alpha)], ns[:, None]
+    )
+    pts = []
+    for i, m in zip(idx.tolist(), ms.tolist()):
+        n = int(ns[i])
+        x = [alpha[j] * n + m[j] for j in range(d)]
+        lam = sum((x[j] * beta[j] for j in range(1, d)), x[0] * beta[0]) + n
+        pts.append((tuple(m) + (n,), (lam,)))
+    pts.sort(key=lambda t: t[0])
+    return _reference_pointset(1, pts, region.describe())
+
+
+def _sequence_reference(alpha, beta, m_box):
+    d = len(alpha)
+    spec, alpha, beta = lift_special(alpha, beta)
+    axes = [np.arange(lo, hi + 1) for lo, hi in m_box]
+    pts = []
+    for m in np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d).tolist():
+        am = sum((alpha[i] * m[i] for i in range(1, d)), alpha[0] * m[0])
+        n = am.floor()
+        point = tuple(spec.from_rational(m[i]) + beta[i] * (am - n) for i in range(d))
+        pts.append((tuple(m) + (n,), point))
+    return _reference_pointset(d, pts, "sequence")
+
+
+def assert_same_points(got, want):
+    assert got.dim == want.dim and got.window == want.window
+    assert got.provenance == want.provenance
+    assert got.qcoords == want.qcoords
+    assert got.coords.shape == want.coords.shape
+    assert got.coords.tobytes() == want.coords.tobytes()
+
+
+def test_dual_matches_reference_duality_region(sqrt2):
+    # the duality experiment's two-piece region, translated as its seed does
+    w1 = sqrt2.basis_element("w1")
+    region = parse_region_literal(sqrt2, "[0,-1+1*w1) U [1,3-1*w1)")
+    region = region.translate([sqrt2.from_rational(Fraction(511234, 10**9))])
+    args = ([w1], [sqrt2.one()], region, (-2136, 2136))
+    got = dual_model_points(*args)
+    assert len(got) > 4000
+    assert_same_points(got, _dual_reference(*args))
+
+
+@pytest.mark.parametrize("n_lo", [10**11, 10**17])
+def test_dual_matches_reference_at_huge_n(sqrt2, n_lo):
+    w1 = sqrt2.basis_element("w1")
+    region = interval(sqrt2.zero(), w1 - 1)
+    args = ([w1], [sqrt2.one()], region, (n_lo, n_lo + 300))
+    got = dual_model_points(*args)
+    assert len(got) > 100
+    assert_same_points(got, _dual_reference(*args))
+
+
+def test_dual_matches_reference_two_dim(sqrt23):
+    # lambda has three irrational parts, and 1/5, 2/7 make the common
+    # denominator of the map 35
+    w1, w2, w3 = (sqrt23.basis_element(f"w{i}") for i in (1, 2, 3))
+    region = box_region(sqrt23, [0, 0], [w1 - 1, w2 - 1])
+    for beta in ([w2, sqrt23.parse("1/5")], [sqrt23.parse("2/7"), w3]):
+        args = ([w1, w2], beta, region, (-150, 150))
+        got = dual_model_points(*args)
+        assert len(got) > 50
+        assert_same_points(got, _dual_reference(*args))
+
+
+def test_generators_match_reference_rational_beta(sqrt2):
+    w1 = sqrt2.basis_element("w1")
+    beta = [sqrt2.parse("2/7")]
+    region = parse_region_literal(sqrt2, "(-1/3,1/2]")
+    assert_same_points(dual_model_points([w1], beta, region, (-700, 700)),
+                       _dual_reference([w1], beta, region, (-700, 700)))
+    window = parse_region_literal(sqrt2, "[-1/2,1/2)")
+    assert_same_points(special_quasicrystal([w1], beta, window, [(-300, 300)]),
+                       _special_reference([w1], beta, window, [(-300, 300)]))
+    assert_same_points(sequence_points([w1], beta, [(-300, 300)]),
+                       _sequence_reference([w1], beta, [(-300, 300)]))
+
+
+def test_special_matches_reference_two_dim(sqrt23):
+    w1, w2, w3 = (sqrt23.basis_element(f"w{i}") for i in (1, 2, 3))
+    window = parse_region_literal(sqrt23, "(-1,0]")
+    for beta in ([w1, w2], [sqrt23.parse("1/3"), w3]):
+        box = [(-10, 10), (-7, 12)]
+        got = special_quasicrystal([w1, w2], beta, window, box)
+        assert len(got) == 21 * 20
+        assert_same_points(got, _special_reference([w1, w2], beta, window, box))
+        assert_same_points(sequence_points([w1, w2], beta, box),
+                           _sequence_reference([w1, w2], beta, box))
+
+
+def test_cut_and_project_matches_reference_general_lattice(sqrt2):
+    p = sqrt2.parse
+    gamma = Lattice(1, [[p("1/2 + 1/3*w1"), p("3")], [p("1*w1"), p("1 - 1*w1")]])
+    window = parse_region_literal(sqrt2, "[-3/2,2)")
+    search = [(-30, 30), (-40, 40)]
+    got = cut_and_project(gamma, window, search)
+    assert len(got) > 100
+    assert_same_points(got, _cut_and_project_reference(gamma, window, search))
+
+
+def test_generators_empty_range(sqrt2, sqrt23):
+    w1 = sqrt2.basis_element("w1")
+    narrow = parse_region_literal(sqrt2, "[1/1000,2/1000)")
+    got = dual_model_points([w1], [sqrt2.one()], narrow, (0, 0))
+    assert len(got) == 0 and got.coords.shape == (0, 1)
+    assert_same_points(got, _dual_reference([w1], [sqrt2.one()], narrow, (0, 0)))
+    v = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    window = parse_region_literal(sqrt23, "[1/1000,2/1000)")
+    got = special_quasicrystal(v, v, window, [(0, 0), (0, 0)])
+    assert len(got) == 0 and got.coords.shape == (0, 2)
+    assert_same_points(got, _special_reference(v, v, window, [(0, 0), (0, 0)]))
+    gamma = make_special_lattice([w1], [sqrt2.one()])[0]
+    got = cut_and_project(gamma, narrow, [(0, 0), (0, 0)])
+    assert len(got) == 0 and got.coords.shape == (0, 1)
