@@ -9,6 +9,15 @@ decidable, while a consistent floating-point embedding is kept for geometry.
 The declared rational independence of the basis values is an axiom, not
 something the code proves: the constructor only checks that the numeric
 embedding is consistent with the product table to within ``EMBED_TOL``.
+
+Exact decisions (:meth:`QValue.sign`, :meth:`QValue.floor`) take one of
+three routes.  A value that is rational, or has one irrational term with
+a sqrt descriptor, is written as ``(A + B*sqrt(r))/D`` over Python ints
+with ``r`` squarefree and decided in closed form with ``math.isqrt``, at
+any magnitude.  A value with two or more surds encloses each in rational
+intervals of growing precision (the digit ladder); its floor brackets
+the float guess with such signs.  A value with a ``value``-declared basis
+element is decided by its float outside a fixed guard band, or refused.
 """
 
 from __future__ import annotations
@@ -37,10 +46,14 @@ _TERM_RE = re.compile(
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, r) with n = s^2 * r and r squarefree (n >= 1)."""
+    """Return (s, r) with n = s^2 * r and r squarefree (n >= 1).
+
+    Trial division stops at the cube root: what is left then has at most
+    two prime factors, so it is squarefree unless it is a perfect square.
+    """
     s, r = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
@@ -49,6 +62,9 @@ def _squarefree_split(n: int) -> tuple[int, int]:
         if e % 2:
             r *= d
         d += 1
+    t = math.isqrt(n)
+    if n > 1 and t * t == n:
+        return s * t, r
     return s, r * n
 
 
@@ -58,6 +74,15 @@ def _sqrt_interval(rad: Fraction, digits: int) -> tuple[Fraction, Fraction]:
     p, q = rad.numerator, rad.denominator
     s = math.isqrt(p * q * scale * scale)
     return Fraction(s, q * scale), Fraction(s + 1, q * scale)
+
+
+def _surd(rad: Fraction) -> tuple[Fraction, int]:
+    """(f, r) with sqrt(rad) = f * sqrt(r), r squarefree; r = 1 if rad is a square."""
+    p, q = rad.numerator, rad.denominator
+    if p == 0:
+        return Fraction(0), 1
+    s, r = _squarefree_split(p * q)
+    return Fraction(s, q), r
 
 
 class AlgebraSpec:
@@ -127,6 +152,9 @@ class AlgebraSpec:
                 sq[0] = r
                 self._products[(i, i)] = tuple(sq)
         self._check_embedding()
+        self._surds: tuple[Optional[tuple[Fraction, int]], ...] = tuple(
+            None if rad is None else _surd(rad) for rad in self.radicands
+        )
 
     @property
     def dim(self) -> int:
@@ -361,7 +389,10 @@ class QValue:
     Equality is exact coefficient equality; comparisons go through
     :meth:`sign`, which is exact whenever every contributing basis element
     carries a sqrt descriptor and otherwise falls back to a guarded float
-    test that refuses to decide inside the guard band.
+    test that refuses to decide inside the guard band.  Rational and
+    single-surd values get their sign and floor in closed form over
+    Python ints; values with two or more surds use rational interval
+    enclosures (the digit ladder).
     """
 
     __slots__ = ("spec", "coeffs")
@@ -395,11 +426,6 @@ class QValue:
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise PreconditionError("value is not rational")
-        return self.coeffs[0]
-
     def is_integer(self) -> bool:
         return self.is_rational() and self.coeffs[0].denominator == 1
 
@@ -428,6 +454,8 @@ class QValue:
         return (-self) + other
 
     def __mul__(self, other) -> "QValue":
+        if isinstance(other, (int, Fraction)):
+            return QValue(self.spec, tuple(c * other for c in self.coeffs))
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -506,11 +534,51 @@ class QValue:
             float(c) * x for c, x in zip(self.coeffs, self.spec.numerics) if c != 0
         )
 
+    def _surd_form(self) -> Optional[tuple[int, int, int, int]]:
+        """(A, B, r, D) over ints with self = (A + B*sqrt(r)) / D, D > 0, r squarefree.
+
+        Terms whose radicands share a squarefree part combine, and square
+        radicands join the rational part; None when two different surds or
+        a ``value``-declared basis element contribute.
+        """
+        a = b = Fraction(0)
+        root = 1
+        for c, surd in zip(self.coeffs, self.spec._surds):
+            if not c:
+                continue
+            if surd is None:
+                return None
+            f, r = surd
+            if r == 1:
+                a += c * f
+            elif root in (1, r):
+                root = r
+                b += c * f
+            else:
+                return None
+        den = math.lcm(a.denominator, b.denominator)
+        return (a.numerator * (den // a.denominator),
+                b.numerator * (den // b.denominator), root, den)
+
     def sign(self) -> int:
-        if all(c == 0 for c in self.coeffs):
-            return 0
-        if self.is_rational():
-            return 1 if self.coeffs[0] > 0 else -1
+        """Exact sign: -1, 0 or 1.
+
+        A rational or single-surd value (A + B*sqrt(r))/D is decided in
+        closed form: the sign of the nonzero one of A, B when they agree,
+        else sign(A) * sign(A^2 - B^2 r).  Values with two or more surds
+        enclose each surd in rational intervals of 24, 48, 96 and 200
+        digits until the sum's sign is certain.  A value with a
+        ``value``-declared basis element is decided by its float only
+        outside a 1e-9 guard band.
+        """
+        form = self._surd_form()
+        if form is not None:
+            A, B, r, _ = form
+            sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+            if sa * sb >= 0:
+                return sa or sb
+            n = A * A - B * B * r
+            return sa * ((n > 0) - (n < 0))
         exact = all(
             self.spec.radicands[i] is not None
             for i, c in enumerate(self.coeffs)
@@ -569,12 +637,21 @@ class QValue:
         return not self < other
 
     def floor(self) -> int:
-        """Exact floor: float guess corrected by exact comparisons.
+        """Exact floor.
 
-        Steps of 1, 2, 4, ... away from the guess bracket the floor between
-        lo <= self and hi > self, then bisection closes the bracket, so a
-        guess off by d costs O(log d) sign() calls.
+        A rational or single-surd value (A + B*sqrt(r))/D takes the closed
+        form floor(X / D) with X = A + isqrt(B^2 r) for B >= 0 and
+        X = A - isqrt(B^2 r) - 1 for B < 0 (B^2 r is not a square, as r > 1
+        is squarefree).  Other values start from the float guess: steps of
+        1, 2, 4, ... away from it bracket the floor between lo <= self and
+        hi > self, then bisection closes the bracket, so a guess off by d
+        costs O(log d) sign() calls.
         """
+        form = self._surd_form()
+        if form is not None:
+            A, B, r, den = form
+            root = math.isqrt(B * B * r)
+            return (A + root if B >= 0 else A - root - 1) // den
         guess = math.floor(float(self))
         step = 1
         if (self - guess).sign() >= 0:

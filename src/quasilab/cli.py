@@ -168,7 +168,7 @@ def _cmd_disc(args) -> int:
         "max_abs": trace.max_abs,
         "argmax_n": trace.argmax_n,
         "n_range": [int(trace.ns[0]), int(trace.ns[-1])],
-        "x0": trace.x0,
+        "x0": float(trace.x0),
         "mes": trace.mes,
         "region": trace.region_desc,
         "alpha": trace.alpha_desc,

@@ -43,12 +43,20 @@ def _as_qvalue(spec, x) -> QValue:
 
 def _alpha_vector(region: RegionSet, alpha) -> tuple[QValue, ...]:
     spec = region.spec
-    if isinstance(alpha, QValue):
+    if isinstance(alpha, (QValue, int, Fraction, float)):
         alpha = (alpha,)
+    if any(isinstance(a, float) for a in alpha):
+        raise PreconditionError(
+            "alpha must be exact: a QValue, int or Fraction per coordinate, not a float"
+        )
     vec = tuple(_as_qvalue(spec, a) for a in alpha)
     if len(vec) != region.dim:
         raise PreconditionError("alpha dimension does not match the region")
     return vec
+
+
+def _alpha_desc(region: RegionSet, alpha) -> str:
+    return ", ".join(str(a) for a in _alpha_vector(region, alpha))
 
 
 def orbit_hits(region: RegionSet, alpha, x0, k_lo: int, k_hi: int) -> np.ndarray:
@@ -77,7 +85,7 @@ class DiscrepancyTrace:
 
     alpha_desc: str
     region_desc: str
-    x0: float
+    x0: QValue
     ns: np.ndarray
     values: np.ndarray
     mes: float
@@ -136,9 +144,8 @@ def discrepancy_trace(
         neg = ns < 0
         t = -ns[neg]
         values[neg] = -csum_neg[t - 1] - ns[neg] * mes
-    alpha_desc = str(alpha) if isinstance(alpha, QValue) else repr(alpha)
     return DiscrepancyTrace(
-        alpha_desc, region.describe(), float(_as_qvalue(region.spec, x0)),
+        _alpha_desc(region, alpha), region.describe(), _as_qvalue(region.spec, x0),
         ns, values, mes,
     )
 
@@ -222,8 +229,10 @@ def orbit_transfer(region: RegionSet, alpha, n_range: tuple[int, int]) -> Discre
         chi = orbit_hits(region, alpha, 0, n_lo, -1)
         g = -np.cumsum((chi - mes)[::-1])
         values[ns < 0] = g[-ns[ns < 0] - 1]
-    alpha_desc = str(alpha) if isinstance(alpha, QValue) else repr(alpha)
-    return DiscrepancyTrace(alpha_desc, region.describe(), 0.0, ns, values, mes)
+    return DiscrepancyTrace(
+        _alpha_desc(region, alpha), region.describe(), region.spec.zero(),
+        ns, values, mes,
+    )
 
 
 def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
@@ -239,6 +248,8 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
     blocks of about ``_BMO_BLOCK`` elements, at O(n L) per length.
     """
     c = np.asarray(seq, dtype=np.float64)
+    if not np.isfinite(c).all():
+        raise PreconditionError("bmo_stat needs a finite sequence")
     n = len(c)
     for L in window_lengths:
         if L < 1 or L > n:

@@ -86,9 +86,6 @@ class Lattice:
             v.is_integer() for row in self.pairing_matrix(other) for v in row
         )
 
-    def basis_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.basis])
-
     def __repr__(self) -> str:
         return f"Lattice(d={self.dim_d})"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -566,6 +567,15 @@ def _edge_candidates(
     return out
 
 
+def _float_det(cols: Sequence[Sequence[float]]) -> float:
+    """Determinant by cofactor expansion along the first column."""
+    if len(cols) == 1:
+        return cols[0][0]
+    rest = cols[1:]
+    return sum((-1) ** i * cols[0][i] * _float_det([c[:i] + c[i + 1:] for c in rest])
+               for i in range(len(cols)))
+
+
 def measure_candidates(
     alpha: Sequence[QValue], gamma: QValue, search_bound: int
 ) -> Iterable[RegionSet]:
@@ -574,6 +584,8 @@ def measure_candidates(
     Candidate edges enumerate integer data (n, m) with entries 0, 1, -1,
     2, -2, ... up to the bound, lexicographically; edge subsets are tried
     in the induced order and every emitted piece has |det| = gamma exactly.
+    The exact determinant is taken only where the float |det| is within
+    its error bound of |gamma|.
     """
     d = len(alpha)
     if d == 1:
@@ -586,7 +598,17 @@ def measure_candidates(
             )
         return
     cands = _edge_candidates(alpha, search_bound)
+    cols_f = [[float(v) for v in col] for _, col in cands]
+    # the float determinant sums d! products of d entries, each entry within
+    # 2 eps of its _mag; the product of column _mag sums bounds every term
+    col_mag = [sum(_mag(v) for v in col) for _, col in cands]
+    gamma_f = abs(float(gamma))
+    gamma_err = 4 * _EPS * _mag(gamma)
+    det_err = 8 * math.factorial(d + 1) * _EPS
     for combo in itertools.combinations(range(len(cands)), d):
+        guard = det_err * math.prod(col_mag[i] for i in combo) + gamma_err
+        if abs(abs(_float_det([cols_f[i] for i in combo])) - gamma_f) > guard:
+            continue
         cols = [cands[i][1] for i in combo]
         edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
         det = exact_det(edges)

@@ -1,5 +1,6 @@
 import math
 import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,93 @@ def test_floor_against_isqrt_oracle(sqrt2, a, b, near):
     s = math.isqrt(2 * b * b)
     want = a + s if b >= 0 else a - s - 1
     assert (a + b * sqrt2.basis_element("w1")).floor() == want
+
+
+# sqrt(p/q) declared as text: squarefree, not squarefree, rational, a square
+_CLOSED_FORM_RADICANDS = {"2": (2, 1), "8": (8, 1), "1/2": (1, 2), "4": (4, 1)}
+_CLOSED_FORM_SPECS = {
+    rad: AlgebraSpec.from_text(f"basis w1 = sqrt {rad}") for rad in _CLOSED_FORM_RADICANDS
+}
+
+
+def _sqrt_convergents(n, bound):
+    """Convergents P/Q of sqrt(n), n not a square, with P, Q <= bound.
+
+    Integer-only periodic continued fraction: a_k = (a_0 + m_k) // d_k.
+    """
+    a0 = math.isqrt(n)
+    m, d, a = 0, 1, a0
+    p0, q0, p1, q1 = 1, 0, a0, 1
+    out = []
+    while p1 <= bound and q1 <= bound:
+        out.append((p1, q1))
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+    return out
+
+
+def _oracle_sign(a, b, p, q):
+    """Sign of a + b*sqrt(p/q) in 60-digit decimal, and the decimal value."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v = Decimal(a) + Decimal(b) * (Decimal(p) / Decimal(q)).sqrt()
+    # nonzero values here exceed 1e-19, far above the 1e-42 rounding error
+    assert v == 0 or abs(v) > Decimal(10) ** -30
+    return (v > 0) - (v < 0), v
+
+
+def _oracle_floor(a, b, p, q, den):
+    """floor((a + b*sqrt(p/q)) / den) from integer isqrt alone."""
+    # (a + b sqrt(p/q)) / den = (a q + b sqrt(pq)) / (q den), and for m >= 1
+    # floor(-sqrt(m)) = -ceil(sqrt(m)) = -(isqrt(m - 1) + 1)
+    m = b * b * p * q
+    part = math.isqrt(m) if b >= 0 or m == 0 else -(math.isqrt(m - 1) + 1)
+    return (a * q + part) // (q * den)
+
+
+@given(
+    rad=st.sampled_from(sorted(_CLOSED_FORM_RADICANDS)),
+    a=st.integers(-10**17, 10**17),
+    b=st.integers(-10**17, 10**17),
+    den=st.integers(1, 10**6),
+    cancel=st.booleans(),
+    second=st.booleans(),
+)
+def test_closed_form_sign_floor_against_oracle(rad, a, b, den, cancel, second):
+    # cancel: a + b*sqrt(p/q) is a convergent's error (or exactly 0 for the
+    # square radicand), scaled by den >= 1e4 to |value| < 1e-20
+    p, q = _CLOSED_FORM_RADICANDS[rad]
+    if cancel:
+        root = math.isqrt(p * q)
+        if root * root == p * q:
+            t = b // (q * root)
+            a, b = -root * t, q * t
+        else:
+            conv = _sqrt_convergents(p * q, 10**17 // q)
+            big_p, big_q = conv[-2] if second else conv[-1]
+            flip = -1 if b < 0 else 1
+            a, b = -flip * big_p, flip * q * big_q
+        den += 10**4
+    want, v = _oracle_sign(a, b, p, q)
+    if cancel:
+        assert abs(v) < den * Decimal(10) ** -20
+    spec = _CLOSED_FORM_SPECS[rad]
+    x = (spec.from_rational(a) + b * spec.basis_element("w1")) / den
+    assert x.sign() == want
+    assert (-x).sign() == -want
+    assert x.floor() == _oracle_floor(a, b, p, q, den)
+    assert (-x).floor() == _oracle_floor(-a, -b, p, q, den)
+
+
+def test_scalar_product_matches_table(sqrt23, rng):
+    for _ in range(20):
+        x = QValue(sqrt23, [Fraction(int(v), int(w)) for v, w in
+                            zip(rng.integers(-99, 99, 4), rng.integers(1, 9, 4))])
+        for k in (0, 1, -3, Fraction(5, 7), 10**20):
+            assert (x * k).coeffs == (x * sqrt23.from_rational(k)).coeffs
+            assert (k * x).coeffs == (x * k).coeffs
 
 
 def test_sign_undecidable_without_descriptor():

@@ -78,6 +78,21 @@ def test_trace_increment_identity(sqrt2, half):
     assert tr2.increments_consistent(half, a)
 
 
+@pytest.mark.parametrize("x0", ["1/2 - 1*w1", "1/2 - 3*w1"])
+def test_trace_keeps_exact_x0(sqrt2, half, x0):
+    # x0 + k*sqrt2 lands on the endpoint 1/2 at k = 1 or 3; a float x0
+    # misses that hit when the increments are recomputed
+    a, x = sqrt2.basis_element("w1"), sqrt2.parse(x0)
+    tr = discrepancy_trace(half, a, x, (0, 10))
+    assert tr.x0 == x
+    assert tr.increments_consistent(half, a)
+
+
+def test_float_alpha_refused(half):
+    with pytest.raises(PreconditionError, match="alpha must be exact"):
+        orbit_hits(half, 1.4142, 0, 0, 5)
+
+
 def test_trace_negative_requires_two_sided(sqrt2, half):
     with pytest.raises(PreconditionError):
         discrepancy_trace(half, sqrt2.basis_element("w1"), 0, (-5, 5))
@@ -322,6 +337,12 @@ def test_bmo_growth_regime(sqrt2, half):
     short = bmo_stat(tr.values, [1 << j for j in range(0, 8)])
     long = bmo_stat(tr.values, [1 << j for j in range(0, 15)])
     assert long > short
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bmo_refuses_non_finite(bad):
+    with pytest.raises(PreconditionError, match="finite"):
+        bmo_stat([0, bad, 1, 2], [1, 2])
 
 
 def test_bmo_window_validation():
