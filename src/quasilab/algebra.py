@@ -39,10 +39,12 @@ RationalLike = int | Fraction
 
 _TERM_RE = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
-        (?P<num>\d+(?:\.\d+)?(?:/\d+)?)?
+        (?P<num>\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
         \s*(?:\*\s*)?(?P<name>[A-Za-z_][A-Za-z_0-9]*)?\s*$""",
     re.VERBOSE,
 )
+# a term ending in a number's exponent mark, as in "1e-5": its sign is no split
+_EXPONENT_OPEN = re.compile(r"(?:^|[^\w.])(?:\d+\.?\d*|\.\d+)[eE]$")
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -207,14 +209,14 @@ class AlgebraSpec:
         return QValue(self, tuple(coeffs))
 
     def parse(self, text: str) -> "QValue":
-        """Parse a literal like ``"3/2 + 1*w1 - 2*w2"`` or ``"w1 - 1"``."""
+        """Parse ``"3/2 + 1*w1 - 2*w2"``, ``"w1 - 1"`` or ``"1e-5"`` (numbers exact)."""
         s = text.strip()
         if not s:
             raise PreconditionError("empty value literal")
         chunks: list[str] = []
         cur = ""
         for ch in s:
-            if ch in "+-" and cur.strip():
+            if ch in "+-" and cur.strip() and not _EXPONENT_OPEN.search(cur):
                 chunks.append(cur)
                 cur = ch
             else:

@@ -159,7 +159,7 @@ def _cmd_disc(args) -> int:
     alpha = spec.parse(args.alpha)
     n_lo = args.n_lo if args.n_lo is not None else (-args.n if args.two_sided else 0)
     trace = dynamics.discrepancy_trace(
-        region, alpha, args.x0, (n_lo, args.n), two_sided=args.two_sided
+        region, alpha, spec.parse(args.x0), (n_lo, args.n), two_sided=args.two_sided
     )
     outdir = _out_dir(args)
     trace_path = outdir / "trace.csv"
@@ -403,7 +403,8 @@ def _cmd_report(args) -> int:
         region = regions.parse_region_literal(spec, c["set"])
         alpha = spec.parse(c["alpha"])
         n = int(c["n"])
-        trace = dynamics.discrepancy_trace(region, alpha, float(c.get("x0", 0)), (0, n))
+        x0 = spec.parse(c.get("x0", "0"))
+        trace = dynamics.discrepancy_trace(region, alpha, x0, (0, n))
         trace_path = outdir / "trace.csv"
         _write_trace_csv(trace, trace_path)
         report["stages"]["disc"] = {
@@ -523,7 +524,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-lo", type=int, default=None)
-    p.add_argument("--x0", type=float, default=0.0)
+    p.add_argument("--x0", default="0", help="exact value literal")
     p.add_argument("--two-sided", action="store_true")
     p.set_defaults(func=_cmd_disc)
 

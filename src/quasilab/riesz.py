@@ -3,7 +3,9 @@
 Block enumerations of one-dimensional model sets, perturbation sequences
 delta_j and their windowed means, the averaged-perturbation basis check on
 an interval, Gram matrices with closed-form entries, and extreme-eigenvalue
-traces over nested truncations.  Verdicts here are evidence, not theorems:
+traces over nested truncations (one matrix per trace, each truncation a
+leading submatrix; a one-piece region takes a real kernel with the Gram
+spectrum).  Verdicts here are evidence, not theorems:
 finite sections cannot certify infinite-dimensional basis properties, so
 reports carry the thresholds and ranges they used.
 """
@@ -11,10 +13,9 @@ reports carry the thresholds and ranges they used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import QValue, admissible_decomposition, lift_to
 from .errors import PreconditionError, QuasilabError
@@ -235,26 +236,43 @@ def gram_matrix(points, region: RegionSet) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-    n, d = pts.shape
+    d = pts.shape[1]
     if d != region.dim:
         raise PreconditionError("point dimension does not match the region")
-    iu = np.triu_indices(n)
-    diffs = pts[iu[1]] - pts[iu[0]]  # lambda_k - lambda_j for j <= k
-    vals = ft_indicator(region, diffs if d > 1 else diffs[:, 0])
-    g = np.zeros((n, n), dtype=complex)
+    return _from_upper(pts, lambda t: ft_indicator(region, t if d > 1 else t[:, 0]))
+
+
+def _from_upper(pts: np.ndarray, entry) -> np.ndarray:
+    """Matrix of entry(lambda_k - lambda_j) for j <= k, mirrored conjugate."""
+    iu = np.triu_indices(len(pts))
+    vals = entry(pts[iu[1]] - pts[iu[0]])
+    g = np.zeros((len(pts), len(pts)), dtype=vals.dtype)
     g[iu] = vals
-    il = (iu[1], iu[0])
-    g[il] = np.conj(vals)
+    g[iu[1], iu[0]] = np.conj(vals)
     return g
 
 
+def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
+    """A matrix with the spectrum of gram_matrix(pts, region).
+
+    For one piece o + E[0,1)^d, G = D K D* with D = diag(exp(-2 pi i
+    <lambda, o + E 1/2>)) unitary; the real symmetric K_jk = |det E|
+    prod_axis sinc((E^T (lambda_k - lambda_j))_axis) is returned.
+    """
+    if len(region.pieces) != 1:
+        return gram_matrix(pts, region)
+    e_mat = np.array([[float(v) for v in row] for row in region.pieces[0].edges])
+    vol = abs(float(region.pieces[0].det()))
+    return _from_upper(pts, lambda t: vol * np.prod(np.sinc(t @ e_mat), axis=1))
+
+
 def extreme_eigs(g: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of a Hermitian matrix (direct dense solve)."""
+    """Extreme eigenvalues of an exactly Hermitian, complex or real, matrix (numpy)."""
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise PreconditionError("matrix must be square")
     if not np.array_equal(g, g.conj().T):
         raise PreconditionError("matrix is not exactly Hermitian")
-    ev = scipy.linalg.eigvalsh(g)
+    ev = np.linalg.eigvalsh(g)
     return float(ev[0]), float(ev[-1])
 
 
@@ -278,27 +296,26 @@ class BoundsTrace:
 
 
 def riesz_bound_trace(
-    points: Union[PointSet, Callable[[float], PointSet]],
-    radii: Sequence[float],
-    region: RegionSet,
+    points: PointSet, radii: Sequence[float], region: RegionSet
 ) -> BoundsTrace:
     """Extreme Gram eigenvalues over nested truncations [-R, R]^d.
 
-    Nested principal submatrices interlace, so lambda_min must be
-    nonincreasing and lambda_max nondecreasing in R; this is asserted (with
-    solver slack) on every trace.
+    One matrix (_spectral_gram) is built over the points sorted stably by
+    max-norm; each truncation is a leading principal submatrix of it.
+    These interlace, so lambda_min must be nonincreasing and lambda_max
+    nondecreasing in R; this is asserted (with solver slack) on every trace.
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be increasing")
-    rows = []
-    for r in radii:
-        pset = points(r) if callable(points) else points.restrict_box(r)
-        if len(pset) == 0:
-            raise PreconditionError(f"no points within radius {r}")
-        g = gram_matrix(pset, region)
-        lo, hi = extreme_eigs(g)
-        rows.append((float(r), len(pset), lo, hi))
+    norms = np.abs(points.coords).max(axis=1)
+    order = np.argsort(norms, kind="stable")
+    sizes = np.searchsorted(norms[order], radii, side="right")
+    if radii and sizes[0] == 0:
+        raise PreconditionError(f"no points within radius {radii[0]}")
+    g = _spectral_gram(points.coords[order[: sizes.max(initial=0)]], region)
+    rows = [(float(r), int(n), *extreme_eigs(g[:n, :n]))
+            for r, n in zip(radii, sizes)]
     tol = 1e-9
     for (_, _, lo0, hi0), (_, _, lo1, hi1) in zip(rows, rows[1:]):
         if lo1 > lo0 + tol or hi1 < hi0 - tol:

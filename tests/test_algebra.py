@@ -315,6 +315,20 @@ def test_parse_roundtrip(sqrt23):
     assert sqrt23.parse("w1 - 1") == sqrt23.basis_element("w1") - 1
 
 
+def test_parse_decimal_and_exponent_literals(sqrt2):
+    # every plain decimal float() reads is an exact rational here; the
+    # sign of an exponent does not split the literal into two terms
+    w1 = sqrt2.basis_element("w1")
+    for text in ("0.1171875", repr(float(37 / 256)), "1e-5", "-1e-5", "1E-5",
+                 "2.5e+3", ".5", "1.", "0.3"):
+        assert sqrt2.parse(text) == sqrt2.from_rational(Fraction(text))
+    assert sqrt2.parse("1/2 - 3*w1") == sqrt2.from_rational(Fraction(1, 2)) - 3 * w1
+    assert sqrt2.parse("-1e-3 + w1") == w1 - sqrt2.from_rational(Fraction(1, 1000))
+    assert sqrt2.parse("w1-1") == w1 - 1
+    with pytest.raises(PreconditionError):
+        sqrt2.parse("1e-5/2")
+
+
 def test_algebra_text_roundtrip(sqrt23):
     spec2 = parse_algebra(sqrt23.to_text())
     assert spec2 == sqrt23

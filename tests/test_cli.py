@@ -1,13 +1,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quasilab
 from quasilab import cli
 from quasilab.algebra import parse_algebra
+from quasilab.dynamics import discrepancy_trace
 from quasilab.modelset import PointSet, special_quasicrystal
 from quasilab.regions import parse_region_literal
 
@@ -77,6 +83,60 @@ def test_disc_wrapper_matches_library(tmp_path):
     assert np.array_equal(got, tr.values)
     summary = json.loads((out / "disc_summary.json").read_text())
     assert summary["max_abs"] == tr.max_abs
+
+
+def _trace_rows(path: Path) -> tuple[list[int], np.ndarray]:
+    rows = [r.split(",") for r in path.read_text().splitlines()[1:]]
+    return [int(n) for n, _ in rows], np.array([float(v) for _, v in rows])
+
+
+@pytest.mark.parametrize("x0", ["1/2 - w1", "1/2 - 3*w1"])
+def test_disc_x0_is_an_exact_literal(tmp_path, x0):
+    # x0 + k*sqrt2 lands on the endpoint 1/2 at k = 1 or 3; only an exact
+    # start puts it there, a float start gives another trace
+    assert run_cli("disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "20",
+                   f"--x0={x0}", "--out", str(tmp_path)) == 0
+    spec = parse_algebra("sqrt:2")
+    region, w1 = parse_region_literal(spec, "[0,1/2)"), spec.basis_element("w1")
+    tr = discrepancy_trace(region, w1, spec.parse(x0), (0, 20))
+    ns, values = _trace_rows(tmp_path / "trace.csv")
+    assert ns == tr.ns.tolist() and np.array_equal(values, tr.values)
+    rounded = discrepancy_trace(region, w1, Fraction(float(spec.parse(x0))), (0, 20))
+    assert not np.array_equal(values, rounded.values)
+
+
+@pytest.mark.parametrize("x0", ["0.62890625", "1e-5", "-0.3"])
+def test_disc_x0_decimals_are_exact_rationals(tmp_path, x0):
+    assert run_cli("disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "200",
+                   f"--x0={x0}", "--out", str(tmp_path)) == 0
+    spec = parse_algebra("sqrt:2")
+    tr = discrepancy_trace(parse_region_literal(spec, "[0,1/2)"),
+                           spec.basis_element("w1"), Fraction(x0), (0, 200))
+    assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
+    summary = json.loads((tmp_path / "disc_summary.json").read_text())
+    assert summary["x0"] == float(x0)
+
+
+def test_report_disc_x0_is_an_exact_literal(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[experiment]\noutdir = {tmp_path}\n"
+                   "[disc]\nset = [0,1/2)\nalpha = w1\nn = 20\nx0 = 1/2 - 3*w1\n")
+    assert run_cli("report", "--config", str(cfg)) == 0
+    spec = parse_algebra("sqrt:2")
+    tr = discrepancy_trace(parse_region_literal(spec, "[0,1/2)"),
+                           spec.basis_element("w1"), spec.parse("1/2 - 3*w1"), (0, 20))
+    assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is imported lazily where it is used (the cKDTree of separation)
+    src = str(Path(quasilab.__file__).resolve().parent.parent)
+    code = ("import sys; import quasilab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_dual_and_enum_and_avdonin(tmp_path):

@@ -1,14 +1,22 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quasilab.dynamics import brs_empirical
 from quasilab.errors import PreconditionError, QuasilabError
 from quasilab.lattice import transform_pointset, transform_region
-from quasilab.modelset import dual_model_points, sequence_points
+from quasilab.modelset import (
+    PointSet,
+    dual_model_points,
+    sequence_points,
+    special_quasicrystal,
+)
 from quasilab.regions import (
     box_region,
+    brs_parallelepiped,
     interval,
     parse_region_literal,
     union,
@@ -212,6 +220,83 @@ def test_bound_trace_monotonicity(sqrt2):
     lmaxs = [r[3] for r in tr.rows]
     assert all(b <= a + 1e-9 for a, b in zip(lmins, lmins[1:]))
     assert all(b >= a - 1e-9 for a, b in zip(lmaxs, lmaxs[1:]))
+
+
+def _bound_trace_reference(points, radii, region):
+    """The per-radius trace: restrict, build the complex Gram, dense solve."""
+    rows = []
+    for r in radii:
+        pset = points.restrict_box(r)
+        ev = scipy.linalg.eigvalsh(gram_matrix(pset, region))
+        rows.append((float(r), len(pset), float(ev[0]), float(ev[-1])))
+    return rows
+
+
+def assert_trace_matches_reference(points, radii, region):
+    got = riesz_bound_trace(points, radii, region).rows
+    want = _bound_trace_reference(points, radii, region)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for (_, _, lo, hi), (_, _, lo_w, hi_w) in zip(got, want):
+        tol = 1e-12 * max(1.0, hi_w)
+        assert abs(lo - lo_w) <= tol and abs(hi - hi_w) <= tol
+
+
+DUALITY_REGION = "[0,-1+1*w1) U [1,3-1*w1)"
+
+
+@pytest.mark.parametrize("window", ["[0,1)", "(-1,0]", "[0,-1+1*w1)"])
+def test_trace_matches_reference_one_interval(sqrt2, window):
+    # the dual side of a duality run: a translated two-piece region's dual
+    # model set on one interval
+    w1 = sqrt2.basis_element("w1")
+    region = parse_region_literal(sqrt2, DUALITY_REGION).translate(
+        [sqrt2.from_rational(Fraction(123457, 10**9))])
+    pts = dual_model_points([w1], [sqrt2.one()], region, (-110, 110))
+    assert_trace_matches_reference(pts, [10, 25, 50, 100],
+                                   parse_region_literal(sqrt2, window))
+
+
+def test_trace_matches_reference_duality_region(sqrt2):
+    # the primal side: two pieces keep the complex Gram matrix
+    w1 = sqrt2.basis_element("w1")
+    pts = special_quasicrystal([w1], [sqrt2.one()],
+                               parse_region_literal(sqrt2, "[0,1)"), [(-110, 110)])
+    assert_trace_matches_reference(pts, [10, 25, 50, 100],
+                                   parse_region_literal(sqrt2, DUALITY_REGION))
+
+
+@pytest.mark.parametrize("shape", ["box", "parallelepiped"])
+def test_trace_matches_reference_two_dim(sqrt23, shape):
+    alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    if shape == "box":
+        region = box_region(sqrt23, [0, sqrt23.parse("-1/3")],
+                            [sqrt23.parse("w1 - 1"), 1])
+    else:  # sheared, |det E| = sqrt3 - 1
+        region = brs_parallelepiped(alpha, [(1, (-1, -1)), (1, (-2, -1))])
+    pts = sequence_points(alpha, alpha, [(-8, 8), (-8, 8)])
+    assert_trace_matches_reference(pts, [2.5, 4, 6, 8], region)
+
+
+@pytest.mark.parametrize("dim, region_text", [
+    (1, "[0,1/2)"), (1, DUALITY_REGION), (2, "box"),
+])
+def test_trace_matches_reference_points_on_the_box_boundary(sqrt2, dim, region_text):
+    # integer points lie exactly on |x| = R for every integer radius
+    grid = np.stack(np.meshgrid(*[np.arange(-9, 10)] * dim, indexing="ij"), -1)
+    coords = grid.reshape(-1, dim).astype(float)
+    pts = PointSet(dim, coords, tuple(tuple(int(v) for v in row) for row in coords))
+    region = (box_region(sqrt2, [0, 0], [Fraction(1, 2), Fraction(1, 3)])
+              if region_text == "box" else parse_region_literal(sqrt2, region_text))
+    assert_trace_matches_reference(pts, [0, 1, 2, 5, 9], region)
+
+
+def test_bound_trace_refusals(sqrt2, unit_interval):
+    pts = PointSet(1, np.array([[3.0], [-4.0]]), ((3,), (-4,)))
+    with pytest.raises(PreconditionError, match="no points within radius 2.5"):
+        riesz_bound_trace(pts, [2.5, 5.0], unit_interval)
+    with pytest.raises(PreconditionError, match="increasing"):
+        riesz_bound_trace(pts, [5.0, 5.0], unit_interval)
+    assert riesz_bound_trace(pts, [], unit_interval).rows == []
 
 
 def test_gram_covariance_scaling(sqrt2):
