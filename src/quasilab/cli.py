@@ -115,10 +115,7 @@ def _cmd_gen(args) -> int:
     else:
         box = [(-args.range, args.range)] * d
     pts = modelset.special_quasicrystal(alpha, beta, window, box)
-    out = _out_dir(args) / "points.csv"
-    out.write_text(pts.to_csv())
-    print(f"wrote {out} ({len(pts)} points)")
-    return EXIT_OK
+    return _write_points(pts, _out_dir(args) / "points.csv")
 
 
 def _cmd_dual(args) -> int:
@@ -127,10 +124,7 @@ def _cmd_dual(args) -> int:
     beta = spec.parse_vector(args.beta)
     region = _load_region(spec, args.region)
     pts = modelset.dual_model_points(alpha, beta, region, _parse_range(args.n_range))
-    out = _out_dir(args) / "dual_points.csv"
-    out.write_text(pts.to_csv())
-    print(f"wrote {out} ({len(pts)} points)")
-    return EXIT_OK
+    return _write_points(pts, _out_dir(args) / "dual_points.csv")
 
 
 def _cmd_periodic(args) -> int:
@@ -140,17 +134,13 @@ def _cmd_periodic(args) -> int:
     if args.dual_region:
         region = _load_region(spec, args.dual_region)
         pts = modelset.periodic_dual(alpha, region, _parse_range(args.m_range))
-        out = outdir / "periodic_dual.csv"
-    else:
-        if not args.window:
-            raise PreconditionError("periodic needs --window or --dual-region")
-        window = _load_region(spec, args.window)
-        box = [(-args.range, args.range)] * len(alpha)
-        pts = modelset.periodic_points(alpha, window, box)
-        out = outdir / "periodic_points.csv"
-    out.write_text(pts.to_csv())
-    print(f"wrote {out} ({len(pts)} points)")
-    return EXIT_OK
+        return _write_points(pts, outdir / "periodic_dual.csv")
+    if not args.window:
+        raise PreconditionError("periodic needs --window or --dual-region")
+    window = _load_region(spec, args.window)
+    box = [(-args.range, args.range)] * len(alpha)
+    pts = modelset.periodic_points(alpha, window, box)
+    return _write_points(pts, outdir / "periodic_points.csv")
 
 
 def _cmd_disc(args) -> int:
@@ -162,8 +152,7 @@ def _cmd_disc(args) -> int:
         region, alpha, spec.parse(args.x0), (n_lo, args.n), two_sided=args.two_sided
     )
     outdir = _out_dir(args)
-    trace_path = outdir / "trace.csv"
-    _write_trace_csv(trace, trace_path)
+    trace_path = _write_trace_csv(trace, outdir)
     summary = {
         "max_abs": trace.max_abs,
         "argmax_n": trace.argmax_n,
@@ -231,10 +220,8 @@ def _cmd_enum(args) -> int:
     pts = modelset.dual_model_points(alpha, beta, region, _parse_range(args.n_range))
     enum = riesz.enumerate_blocks(pts)
     out = _out_dir(args) / "enum.csv"
-    with out.open("w") as fh:
-        fh.write("j,lambda,block,rank\n")
-        for j, lam, b, r in zip(enum.js, enum.lambdas, enum.blocks, enum.ranks):
-            fh.write(f"{j},{format(lam, '.17g')},{b},{r}\n")
+    cols = [enum.js, enum.lambdas, enum.blocks, enum.ranks]
+    out.write_bytes(modelset._csv_bytes("j,lambda,block,rank", cols))
     print(f"wrote {out} ({len(enum.js)} points, blocks {enum.n_lo}..{enum.n_hi})")
     return EXIT_OK
 
@@ -302,21 +289,21 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _write_trace_csv(trace: dynamics.DiscrepancyTrace, path: Path) -> None:
-    with path.open("w") as fh:
-        fh.write("n,D_n\n")
-        rows = zip(trace.ns.tolist(), trace.values.tolist())
-        fh.writelines(f"{n},{v:.17g}\n" for n, v in rows)
+def _write_points(pts: modelset.PointSet, path: Path) -> int:
+    path.write_text(pts.to_csv())
+    print(f"wrote {path} ({len(pts)} points)")
+    return EXIT_OK
+
+
+def _write_trace_csv(trace: dynamics.DiscrepancyTrace, outdir: Path) -> Path:
+    path = outdir / "trace.csv"
+    path.write_bytes(modelset._csv_bytes("n,D_n", [trace.ns, trace.values]))
+    return path
 
 
 def _write_bounds_csv(trace: riesz.BoundsTrace, path: Path) -> None:
-    with path.open("w") as fh:
-        fh.write("R,size,lambda_min,lambda_max\n")
-        for r, n, lo, hi in trace.rows:
-            fh.write(
-                f"{format(r, '.17g')},{n},{format(lo, '.17g')},"
-                f"{format(hi, '.17g')}\n"
-            )
+    header = "R,size,lambda_min,lambda_max"
+    path.write_bytes(modelset._csv_bytes(header, list(zip(*trace.rows))))
 
 
 def _duality_from_config(cfg: dict[str, str], outdir: Path) -> dict:
@@ -405,8 +392,7 @@ def _cmd_report(args) -> int:
         n = int(c["n"])
         x0 = spec.parse(c.get("x0", "0"))
         trace = dynamics.discrepancy_trace(region, alpha, x0, (0, n))
-        trace_path = outdir / "trace.csv"
-        _write_trace_csv(trace, trace_path)
+        trace_path = _write_trace_csv(trace, outdir)
         report["stages"]["disc"] = {
             "max_abs": trace.max_abs,
             "argmax_n": trace.argmax_n,
@@ -445,12 +431,9 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list[Path]:
         stage = stages.get("disc")
         if not stage or "trace_file" not in stage:
             raise PreconditionError("report has no discrepancy trace series")
-        rows = Path(stage["trace_file"]).read_text().splitlines()[1:]
+        body = Path(stage["trace_file"]).read_bytes().partition(b"\n")[2]
         path = outdir / "Dn.dat"
-        with path.open("w") as fh:
-            for row in rows:
-                n, v = row.split(",")
-                fh.write(f"{n} {v}\n")
+        path.write_bytes(body.replace(b",", b" "))
         (outdir / "Dn.dat.meta").write_text(
             "columns: n D_n\nsource: discrepancy trace\n"
         )
@@ -466,9 +449,7 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list[Path]:
         else:
             raise PreconditionError("report has no bounds trace series")
         path = outdir / "lmin.dat"
-        with path.open("w") as fh:
-            for row in rows:
-                fh.write(f"{row['R']} {format(row['lambda_min'], '.17g')}\n")
+        path.write_text("".join(f"{r['R']} {r['lambda_min']:.17g}\n" for r in rows))
         (outdir / "lmin.dat.meta").write_text(
             "columns: R lambda_min\nsource: finite-section trace\n"
         )

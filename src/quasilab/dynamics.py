@@ -133,17 +133,15 @@ def discrepancy_trace(
     mes = float(region.volume())
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     values = np.zeros(len(ns), dtype=np.float64)
+    p, q = max(n_lo, 1), min(n_hi, -1)  # the first n > 0 and the last n < 0
     if n_hi > 0:
         chi = orbit_hits(region, alpha, x0, 0, n_hi - 1)
         csum = np.cumsum(chi)
-        pos = ns > 0
-        values[pos] = csum[ns[pos] - 1] - ns[pos] * mes
+        values[p - n_lo:] = csum[p - 1:] - ns[p - n_lo:] * mes
     if n_lo < 0:
         chi_neg = orbit_hits(region, alpha, x0, n_lo, -1)
         csum_neg = np.cumsum(chi_neg[::-1])  # index t-1 = sum over k=-t..-1
-        neg = ns < 0
-        t = -ns[neg]
-        values[neg] = -csum_neg[t - 1] - ns[neg] * mes
+        values[:q + 1 - n_lo] = -csum_neg[-q - 1:-n_lo][::-1] - ns[:q + 1 - n_lo] * mes
     return DiscrepancyTrace(
         _alpha_desc(region, alpha), region.describe(), _as_qvalue(region.spec, x0),
         ns, values, mes,
@@ -221,14 +219,13 @@ def orbit_transfer(region: RegionSet, alpha, n_range: tuple[int, int]) -> Discre
     mes = float(region.volume())
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     values = np.zeros(len(ns), dtype=np.float64)
+    p, q = max(n_lo, 1), min(n_hi, -1)  # the first n > 0 and the last n < 0
     if n_hi > 0:
         chi = orbit_hits(region, alpha, 0, 0, n_hi - 1)
-        g = np.cumsum(chi - mes)
-        values[ns > 0] = g[ns[ns > 0] - 1]
+        values[p - n_lo:] = np.cumsum(chi - mes)[p - 1:]
     if n_lo < 0:
         chi = orbit_hits(region, alpha, 0, n_lo, -1)
-        g = -np.cumsum((chi - mes)[::-1])
-        values[ns < 0] = g[-ns[ns < 0] - 1]
+        values[:q + 1 - n_lo] = -np.cumsum((chi - mes)[::-1])[-q - 1:-n_lo][::-1]
     return DiscrepancyTrace(
         _alpha_desc(region, alpha), region.describe(), region.spec.zero(),
         ns, values, mes,

@@ -87,12 +87,14 @@ class PointSet:
         return self.take(keep)
 
     def to_csv(self) -> str:
-        lines = [f"# quasilab pointset v1 dim={self.dim}"]
-        for row, prov in zip(self.coords, self.provenance):
-            cells = [format(v, ".17g") for v in row]
-            cells.extend(str(int(p)) for p in prov)
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        """Header line, then one row ``x1,...,xd,prov...`` per point.
+
+        Written by ``_csv_bytes``: ``"%.17g"`` of each distinct coordinate bit
+        pattern, formatted once, and ``str(int)`` of the provenance at any
+        magnitude, byte-identical to formatting the rows one by one."""
+        prov = np.array(self.provenance, dtype=object).T  # one row per entry
+        header = f"# quasilab pointset v1 dim={self.dim}"
+        return _csv_bytes(header, [*self.coords.T, *prov]).decode()
 
     @classmethod
     def from_csv(cls, text: str) -> "PointSet":
@@ -106,6 +108,48 @@ class PointSet:
             coords.append([float(c) for c in cells[:dim]])
             prov.append(tuple(int(c) for c in cells[dim:]))
         return cls(dim, np.array(coords), tuple(prov))
+
+
+def _csv_bytes(header: str, columns: Sequence) -> bytes:
+    """The header line, then one CSV row per index of the columns.
+
+    A float column's cell is ``"%.17g" % v``, formatted once per distinct
+    bit pattern (``-0.0`` and ``0.0`` stay apart, as do NaN payloads); any
+    other column's is ``str(int(v))``, its digits computed by numpy (pass
+    Python ints outside int64 as an object array).  The rows are the
+    non-NUL bytes of one matrix of NUL-padded fixed-width cells and
+    separators: byte-identical to formatting each row with an f-string.
+    """
+    out = (header + "\n").encode()
+    if not len(columns) or not len(columns[0]):
+        return out
+    sep = np.full((len(columns[0]), 1), ord(","), dtype=np.uint8)
+    text = np.hstack([part for col in columns for part in (_cells(np.asarray(col)), sep)])
+    text[:, -1] = ord("\n")
+    return out + text[text != 0].tobytes()
+
+
+def _cells(a: np.ndarray) -> np.ndarray:
+    """The text of each entry of a column as a row of NUL-padded bytes."""
+    if a.dtype.kind == "f":
+        bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+        uniq, inv = np.unique(bits, return_inverse=True)
+        distinct = len(uniq) == len(bits)  # then format in row order, no gather
+        values = tuple((bits if distinct else uniq).view(np.float64).tolist())
+        table = np.array(("%.17g " * len(values) % values).encode().split(), dtype=bytes)
+        cells = table.view(np.uint8).reshape(len(values), table.itemsize)
+        return cells if distinct else cells[inv]
+    try:
+        mag = np.abs(a.astype(np.int64)).astype(np.uint64)  # |-2**63| wraps to 2**63
+    except OverflowError:  # Python ints outside int64, in an object array
+        mag = np.abs(a)
+    digits = len(str(mag.max()))
+    cells = np.zeros((len(a), digits + 1), dtype=np.uint8)
+    cells[a < 0, 0] = ord("-")
+    for col in range(digits, 0, -1):  # the units digit is written also for 0
+        cells[:, col] = np.where((mag > 0) | (col == digits), mag % 10 + ord("0"), 0)
+        mag //= 10
+    return cells
 
 
 def _window_check(window: RegionSet) -> None:

@@ -39,6 +39,9 @@ __all__ = [
     "duality_experiment",
 ]
 
+# entries per row block of _from_upper: the block's temporaries stay small
+_GRAM_BLOCK = 1 << 18
+
 
 @dataclass(eq=False)
 class Enumeration:
@@ -243,12 +246,16 @@ def gram_matrix(points, region: RegionSet) -> np.ndarray:
 
 
 def _from_upper(pts: np.ndarray, entry) -> np.ndarray:
-    """Matrix of entry(lambda_k - lambda_j) for j <= k, mirrored conjugate."""
-    iu = np.triu_indices(len(pts))
-    vals = entry(pts[iu[1]] - pts[iu[0]])
-    g = np.zeros((len(pts), len(pts)), dtype=vals.dtype)
-    g[iu] = vals
-    g[iu[1], iu[0]] = np.conj(vals)
+    """Matrix of entry(lambda_k - lambda_j) for j <= k, mirrored conjugate,
+    built in row blocks of at most _GRAM_BLOCK entries (bounded temporaries)."""
+    n = len(pts)
+    rows, g = max(1, _GRAM_BLOCK // max(n, 1)), None
+    for j0 in range(0, max(n, 1), rows):  # n = 0: one empty block sets the dtype
+        j, k = (i + j0 for i in np.triu_indices(min(rows, n - j0), m=n - j0))
+        vals = entry(pts[k] - pts[j])
+        if g is None:
+            g = np.zeros((n, n), dtype=vals.dtype)
+        g[j, k], g[k, j] = vals, np.conj(vals)  # mirror last: the diagonal is conj
     return g
 
 

@@ -40,8 +40,9 @@ def test_gen_count_and_golden_file(tmp_path):
     assert text == direct.to_csv()
 
 
-# SHA-256 of point CSVs as written when every point was rebuilt per point
-# with QValue ring operations; the byte-identity of gen and dual is pinned
+# SHA-256 of CSV artifacts as written when every point was rebuilt per point
+# with QValue ring operations and every row was formatted by its own
+# f-string; the byte-identity of gen, dual, disc, enum and periodic is pinned
 @pytest.mark.parametrize("argv, name, digest", [
     (["gen", "--alpha", "w1", "--beta", "1", "--window", "(-1,0]",
       "--range", "100"], "points.csv",
@@ -53,10 +54,34 @@ def test_gen_count_and_golden_file(tmp_path):
       "--region", "[0,-1+1*w1) U [1,3-1*w1)", "--n-range=-2136:2136"],
      "dual_points.csv",
      "bdb33a5542e2e8e2f2752c5092ba2aa3ed19c9b27168917156071e234bfc35c7"),
-], ids=["gen", "gen_box", "dual"])
+    (["disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "3000"], "trace.csv",
+     "339ff632ecc5da9276bcc32ad4763914e09ebce97e2e59e4661b975f1db535b6"),
+    (["disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "3000", "--two-sided",
+      "--x0=1/2 - w1"], "trace.csv",
+     "c6e092f5786ad6b85db6586bace52e3e3ef73b94472c8a257da8b70390799199"),
+    (["disc", "--set", "[0,-1+1*w1)", "--alpha", "w1", "--n", "3000"],
+     "trace.csv",
+     "037e2a73b8a704499e9bc0a1a4c27315745808cda4aa4b03abfaddaa3bfd3f93"),
+    (["enum", "--alpha", "w1", "--beta", "1", "--region", "[0,1)",
+      "--n-range=-500:500"], "enum.csv",
+     "0a2800f3318dc5b8cc52b766b5c94ed5dba2a6cc733a64247b3e46c4afb3736f"),
+    (["periodic", "--alpha", "w1", "--window", "[0,1/2)"], "periodic_points.csv",
+     "7ada8dad1bce52a42b3b1d6a7e92a777472dcd7bb2af9fc64f81c53bb33b338e"),
+], ids=["gen", "gen_box", "dual", "disc", "disc_two_sided", "disc_irrational",
+        "enum", "periodic"])
 def test_point_csv_bytes_pinned(tmp_path, argv, name, digest):
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_plotdata_bytes_pinned(tmp_path):
+    # Dn.dat of the two-sided disc trace pinned above, as written row by row
+    assert run_cli("disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "3000",
+                   "--two-sided", "--x0=1/2 - w1", "--out", str(tmp_path)) == 0
+    report = {"stages": {"disc": {"trace_file": str(tmp_path / "trace.csv")}}}
+    cli.emit_plotdata(report, "discrepancy", tmp_path)
+    assert hashlib.sha256((tmp_path / "Dn.dat").read_bytes()).hexdigest() == (
+        "7d45fe12d7a67cfc0e49003031ceee1a3fba2eb3bd3be976cbece144e9b921e9")
 
 
 def test_gen_deterministic(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quasilab.algebra import lift_to
 from quasilab.dynamics import orbit_hits
@@ -10,6 +13,7 @@ from quasilab.errors import PreconditionError
 from quasilab.lattice import Lattice, lift_special, make_special_lattice
 from quasilab.modelset import (
     PointSet,
+    _csv_bytes,
     cut_and_project,
     density_estimate,
     dual_model_points,
@@ -232,6 +236,79 @@ def test_csv_roundtrip(sqrt2, gamma, window_neg1_0):
     assert np.array_equal(again.coords, pts.coords)
     assert again.provenance == pts.provenance
     assert pts.to_csv().splitlines()[0] == "# quasilab pointset v1 dim=1"
+
+
+def _csv_reference(header, columns) -> bytes:
+    # one f-string per cell, row by row: (is_float, Python values) per column
+    lines = [header]
+    for row in zip(*(vals for _, vals in columns)):
+        lines.append(",".join(
+            f"{v:.17g}" if is_float else str(int(v))
+            for (is_float, _), v in zip(columns, row)
+        ))
+    return ("\n".join(lines) + "\n").encode()
+
+
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0123))[0]
+_FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, _NAN_PAYLOAD,
+                5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                1e-300, -1e-300, 0.1, -2.5, 1 / 3]
+_INT_EDGES = [0, 1, -1, 2**62, -2**62, 2**63 - 1, -2**63, 10**18, -10**18]
+
+
+@st.composite
+def _csv_columns(draw):
+    n = draw(st.integers(0, 30))
+    floats = st.one_of(st.floats(), st.sampled_from(_FLOAT_EDGES))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["int64", "big", "few", "distinct"]), min_size=1, max_size=4)):
+        if kind == "int64":
+            ints = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_INT_EDGES))
+            columns.append((False, draw(st.lists(ints, min_size=n, max_size=n))))
+        elif kind == "big":
+            big = st.one_of(st.integers(-10**40, 10**40), st.sampled_from(
+                [2**63, -2**63 - 1, 2**64, -2**100, *_INT_EDGES]))
+            columns.append((False, draw(st.lists(big, min_size=n, max_size=n))))
+        elif kind == "few":
+            pool = draw(st.lists(floats, min_size=1, max_size=3))
+            vals = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            columns.append((True, vals))
+        else:
+            vals = draw(st.lists(floats, min_size=n, max_size=n,
+                                 unique_by=lambda v: struct.pack("<d", v)))
+            columns.append((True, vals))
+    return columns
+
+
+def _as_array(is_float, vals):
+    if is_float:
+        return np.array(vals, dtype=np.float64)
+    try:
+        return np.array(vals, dtype=np.int64)
+    except OverflowError:
+        return np.array(vals, dtype=object)
+
+
+@given(columns=_csv_columns())
+def test_csv_bytes_matches_per_row_formatting(columns):
+    arrays = [_as_array(is_float, vals) for is_float, vals in columns]
+    assert _csv_bytes("h,e", arrays) == _csv_reference("h,e", columns)
+
+
+def test_csv_bytes_zero_rows_and_signed_zeros():
+    assert _csv_bytes("a,b", [np.array([]), np.array([], dtype=np.int64)]) == b"a,b\n"
+    assert _csv_bytes("x", [np.array([0.0, -0.0, 0.0, -0.0])]) == b"x\n0\n-0\n0\n-0\n"
+
+
+def test_to_csv_prints_provenance_outside_int64():
+    prov = ((2**63, -1), (-2**64 - 5, 10**30), (0, -2**63))
+    pts = PointSet(1, [[0.5], [-0.0], [1e-320]], prov)
+    columns = [(True, [0.5, -0.0, 1e-320]), (False, [p[0] for p in prov]),
+               (False, [p[1] for p in prov])]
+    expected = _csv_reference("# quasilab pointset v1 dim=1", columns)
+    assert pts.to_csv().encode() == expected
+    assert PointSet.from_csv(pts.to_csv()).provenance == prov
 
 
 def test_empty_search_box_rejected(sqrt2, gamma, window_neg1_0):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quasilab import riesz
 from quasilab.dynamics import brs_empirical
 from quasilab.errors import PreconditionError, QuasilabError
 from quasilab.lattice import transform_pointset, transform_region
@@ -17,6 +18,7 @@ from quasilab.modelset import (
 from quasilab.regions import (
     box_region,
     brs_parallelepiped,
+    ft_indicator,
     interval,
     parse_region_literal,
     union,
@@ -297,6 +299,37 @@ def test_bound_trace_refusals(sqrt2, unit_interval):
     with pytest.raises(PreconditionError, match="increasing"):
         riesz_bound_trace(pts, [5.0, 5.0], unit_interval)
     assert riesz_bound_trace(pts, [], unit_interval).rows == []
+
+
+def _gram_reference(pts, region):
+    # one gather of the whole upper triangle, then the conjugate mirror
+    iu = np.triu_indices(len(pts))
+    t = pts.coords[iu[1]] - pts.coords[iu[0]]
+    vals = ft_indicator(region, t if pts.dim > 1 else t[:, 0])
+    g = np.zeros((len(pts), len(pts)), dtype=complex)
+    g[iu] = vals
+    g[iu[1], iu[0]] = np.conj(vals)
+    return g
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_gram_row_blocks_are_bit_identical(sqrt2, sqrt23, monkeypatch, block):
+    w1 = sqrt2.basis_element("w1")
+    alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    one_d = special_quasicrystal([w1], [sqrt2.one()],
+                                 parse_region_literal(sqrt2, "[0,1)"), [(-60, 60)])
+    cases = [
+        (one_d, parse_region_literal(sqrt2, DUALITY_REGION)),
+        (one_d, parse_region_literal(sqrt2, "[0,-1+1*w1)")),
+        (sequence_points(alpha, alpha, [(-5, 5), (-5, 5)]),
+         brs_parallelepiped(alpha, [(1, (-1, -1)), (1, (-2, -1))])),
+    ]
+    # 121 points: the default block holds the whole triangle
+    whole = [(_gram_reference(p, r), riesz._spectral_gram(p.coords, r)) for p, r in cases]
+    monkeypatch.setattr(riesz, "_GRAM_BLOCK", block)
+    for (pts, region), (gram, kernel) in zip(cases, whole):
+        assert gram_matrix(pts, region).tobytes() == gram.tobytes()
+        assert riesz._spectral_gram(pts.coords, region).tobytes() == kernel.tobytes()
 
 
 def test_gram_covariance_scaling(sqrt2):
