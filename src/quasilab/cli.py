@@ -3,8 +3,17 @@
 Every subcommand is a thin wrapper over one library call: it parses flags,
 invokes the operation, writes CSV/JSON artifacts into the output directory
 and echoes enough of the configuration that the run can be reproduced from
-the artifacts alone.  Exit codes: 0 success, 2 precondition violation,
-3 search exhaustion, 64 usage error, 66 unreadable config.
+the artifacts alone.
+
+The operations that ``report`` also runs (gen, disc, brs and duality) each
+have one stage function.  A stage reads its inputs from a mapping, which is
+either ``vars(args)`` or a config section (the section keys are the flag
+names), runs the library call, writes the operation's data artifact and
+returns its summary.  Missing keys and unset flags take the same defaults,
+and a required key missing from a config section is a ``ConfigError``.
+
+Exit codes: 0 success, 2 precondition violation, 3 search exhaustion,
+64 usage error, 66 unreadable or incomplete config.
 """
 
 from __future__ import annotations
@@ -42,6 +51,17 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _get(c, key: str, default):
+    """c[key], or default when the key is absent or None (an unset flag)."""
+    value = c.get(key)
+    return default if value is None else value
+
+
+def _spec(c) -> AlgebraSpec:
+    lit = _get(c, "algebra", "sqrt:2")
+    return parse_algebra(Path(lit[1:]).read_text() if lit.startswith("@") else lit)
+
+
 def _load_region(spec: AlgebraSpec, text: str, allow_closed: bool = False):
     if text.startswith("@"):
         return regions.region_from_text(Path(text[1:]).read_text())
@@ -61,13 +81,28 @@ def _parse_radii(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def read_config(path: str) -> dict[str, dict[str, str]]:
+class ConfigError(QuasilabError):
+    pass
+
+
+class _Section(dict):
+    """One config section; a missing required key is a ConfigError."""
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, key):
+        raise ConfigError(f"config section [{self.name}] needs a '{key}' key")
+
+
+def read_config(path: str) -> dict[str, _Section]:
     """Line-based config: [section] headers, key = value entries."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    out: dict[str, dict[str, str]] = {}
+    out: dict[str, _Section] = {}
     section = "default"
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -75,24 +110,13 @@ def read_config(path: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            out.setdefault(section, {})
+            out.setdefault(section, _Section(section))
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
-        out.setdefault(section, {})[key.strip()] = val.strip()
+        out.setdefault(section, _Section(section))[key.strip()] = val.strip()
     return out
-
-
-class ConfigError(QuasilabError):
-    pass
-
-
-def _spec_from_args(args) -> AlgebraSpec:
-    lit = getattr(args, "algebra", None) or "sqrt:2"
-    if lit.startswith("@"):
-        return parse_algebra(Path(lit[1:]).read_text())
-    return parse_algebra(lit)
 
 
 def _out_dir(args) -> Path:
@@ -101,34 +125,112 @@ def _out_dir(args) -> Path:
     return out
 
 
+# -- stages: the operations that report also runs -------------------------------
+# Flag-only options (gen --box, disc --n-lo and --two-sided) are keyword
+# arguments, so no config key reaches them.
+
+
+def _gen(c, outdir: Path, box=None) -> tuple[modelset.PointSet, dict]:
+    spec = _spec(c)
+    alpha = spec.parse_vector(c["alpha"])
+    beta = spec.parse_vector(c["beta"])
+    window = _load_region(spec, c["window"])
+    if box is None:
+        r = int(_get(c, "range", 100))
+        box = [(-r, r)] * len(alpha)
+    pts = modelset.special_quasicrystal(alpha, beta, window, box)
+    path = outdir / "points.csv"
+    _write_points(pts, path)
+    return pts, {"count": len(pts), "points_file": str(path)}
+
+
+def _disc(c, outdir: Path, n_lo=None, two_sided: bool = False) -> dict:
+    spec = _spec(c)
+    region = _load_region(spec, c["set"])
+    alpha = spec.parse(c["alpha"])
+    n = int(c["n"])
+    if n_lo is None:
+        n_lo = -n if two_sided else 0
+    x0 = spec.parse(_get(c, "x0", "0"))
+    trace = dynamics.discrepancy_trace(region, alpha, x0, (n_lo, n), two_sided=two_sided)
+    return {
+        "max_abs": trace.max_abs,
+        "argmax_n": trace.argmax_n,
+        "n_range": [int(trace.ns[0]), int(trace.ns[-1])],
+        "x0": float(trace.x0),
+        "mes": trace.mes,
+        "region": trace.region_desc,
+        "alpha": trace.alpha_desc,
+        "trace_file": str(_write_trace_csv(trace, outdir)),
+    }
+
+
+def _brs(c) -> dict:
+    spec = _spec(c)
+    region = _load_region(spec, c["set"])
+    alpha = spec.parse(c["alpha"])
+    stat = dynamics.brs_empirical(region, alpha, int(c["N"]), int(c["J"]))
+    return {
+        "max_abs": stat.value,
+        "argmax_n": stat.argmax_n,
+        "argmax_j": stat.argmax_j,
+        "N": stat.N,
+        "J": stat.J,
+        "mes": stat.mes,
+        "region": stat.region_desc,
+    }
+
+
+def _duality(c, outdir: Path) -> dict:
+    spec = _spec(c)
+    alpha = spec.parse_vector(c["alpha"])
+    beta = spec.parse_vector(c["beta"])
+    window = _load_region(spec, c["window"])
+    region = _load_region(spec, c["region"])
+    radii = _parse_radii(c.get("radii", "10,20"))
+    translate = None
+    if "seed" in c:
+        rng = np.random.default_rng(int(c["seed"]))
+        translate = [
+            spec.from_rational(Fraction(int(rng.integers(0, 10**6)), 10**9))
+            for _ in range(len(alpha))
+        ]
+    report = riesz.duality_experiment(
+        alpha, beta, window, region, radii,
+        n_max=int(c.get("n_max", 128)),
+        k_bound=int(c.get("k_bound", 2000)),
+        translate=translate,
+    )
+    _write_bounds_csv(report.primal, outdir / "primal_bounds.csv")
+    _write_bounds_csv(report.dual, outdir / "dual_bounds.csv")
+    return report.as_dict()
+
+
 # -- subcommand implementations -------------------------------------------------
 
 
 def _cmd_gen(args) -> int:
-    spec = _spec_from_args(args)
-    alpha = spec.parse_vector(args.alpha)
-    beta = spec.parse_vector(args.beta)
-    window = _load_region(spec, args.window)
-    d = len(alpha)
-    if args.box:
-        box = [_parse_range(part) for part in args.box.split(";")]
-    else:
-        box = [(-args.range, args.range)] * d
-    pts = modelset.special_quasicrystal(alpha, beta, window, box)
-    return _write_points(pts, _out_dir(args) / "points.csv")
+    box = [_parse_range(part) for part in args.box.split(";")] if args.box else None
+    _gen(vars(args), _out_dir(args), box)
+    return EXIT_OK
+
+
+def _dual_points(c) -> tuple[AlgebraSpec, regions.RegionSet, modelset.PointSet]:
+    spec = _spec(c)
+    alpha = spec.parse_vector(c["alpha"])
+    beta = spec.parse_vector(c["beta"])
+    region = _load_region(spec, c["region"])
+    pts = modelset.dual_model_points(alpha, beta, region, _parse_range(c["n_range"]))
+    return spec, region, pts
 
 
 def _cmd_dual(args) -> int:
-    spec = _spec_from_args(args)
-    alpha = spec.parse_vector(args.alpha)
-    beta = spec.parse_vector(args.beta)
-    region = _load_region(spec, args.region)
-    pts = modelset.dual_model_points(alpha, beta, region, _parse_range(args.n_range))
+    pts = _dual_points(vars(args))[2]
     return _write_points(pts, _out_dir(args) / "dual_points.csv")
 
 
 def _cmd_periodic(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args))
     alpha = spec.parse_vector(args.alpha)
     outdir = _out_dir(args)
     if args.dual_region:
@@ -144,54 +246,23 @@ def _cmd_periodic(args) -> int:
 
 
 def _cmd_disc(args) -> int:
-    spec = _spec_from_args(args)
-    region = _load_region(spec, args.set)
-    alpha = spec.parse(args.alpha)
-    n_lo = args.n_lo if args.n_lo is not None else (-args.n if args.two_sided else 0)
-    trace = dynamics.discrepancy_trace(
-        region, alpha, spec.parse(args.x0), (n_lo, args.n), two_sided=args.two_sided
-    )
     outdir = _out_dir(args)
-    trace_path = _write_trace_csv(trace, outdir)
-    summary = {
-        "max_abs": trace.max_abs,
-        "argmax_n": trace.argmax_n,
-        "n_range": [int(trace.ns[0]), int(trace.ns[-1])],
-        "x0": float(trace.x0),
-        "mes": trace.mes,
-        "region": trace.region_desc,
-        "alpha": trace.alpha_desc,
-        "trace_file": str(trace_path),
-    }
+    summary = _disc(vars(args), outdir, args.n_lo, args.two_sided)
     _json_dump(summary, outdir / "disc_summary.json")
-    print(f"wrote {trace_path} (max |D_n| = {trace.max_abs})")
+    print(f"wrote {summary['trace_file']} (max |D_n| = {summary['max_abs']})")
     return EXIT_OK
 
 
 def _cmd_brs_test(args) -> int:
-    spec = _spec_from_args(args)
-    region = _load_region(spec, args.set)
-    alpha = spec.parse(args.alpha)
-    stat = dynamics.brs_empirical(region, alpha, args.N, args.J)
+    summary = _brs(vars(args))
     out = _out_dir(args) / "brs_test.json"
-    _json_dump(
-        {
-            "max_abs": stat.value,
-            "argmax_n": stat.argmax_n,
-            "argmax_j": stat.argmax_j,
-            "N": stat.N,
-            "J": stat.J,
-            "mes": stat.mes,
-            "region": stat.region_desc,
-        },
-        out,
-    )
-    print(f"wrote {out} (statistic = {stat.value})")
+    _json_dump(summary, out)
+    print(f"wrote {out} (statistic = {summary['max_abs']})")
     return EXIT_OK
 
 
 def _cmd_brs_make(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args))
     alpha = spec.parse_vector(args.alpha)
     gamma = spec.parse(args.gamma)
     outdir = _out_dir(args)
@@ -213,12 +284,7 @@ def _cmd_brs_make(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    spec = _spec_from_args(args)
-    alpha = spec.parse_vector(args.alpha)
-    beta = spec.parse_vector(args.beta)
-    region = _load_region(spec, args.region)
-    pts = modelset.dual_model_points(alpha, beta, region, _parse_range(args.n_range))
-    enum = riesz.enumerate_blocks(pts)
+    enum = riesz.enumerate_blocks(_dual_points(vars(args))[2])
     out = _out_dir(args) / "enum.csv"
     cols = [enum.js, enum.lambdas, enum.blocks, enum.ranks]
     out.write_bytes(modelset._csv_bytes("j,lambda,block,rank", cols))
@@ -227,11 +293,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_avdonin(args) -> int:
-    spec = _spec_from_args(args)
-    alpha = spec.parse_vector(args.alpha)
-    beta = spec.parse_vector(args.beta)
-    region = _load_region(spec, args.region)
-    pts = modelset.dual_model_points(alpha, beta, region, _parse_range(args.n_range))
+    spec, region, pts = _dual_points(vars(args))
     enum = riesz.enumerate_blocks(pts)
     mes = region.volume()
     ds = riesz.delta_sequence(enum, mes)
@@ -260,7 +322,7 @@ def _cmd_avdonin(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args))
     region = _load_region(spec, args.region)
     pts = _load_points(args.points)
     g = riesz.gram_matrix(pts, region)
@@ -279,7 +341,7 @@ def _cmd_gram(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec(vars(args))
     region = _load_region(spec, args.region)
     pts = _load_points(args.points)
     trace = riesz.riesz_bound_trace(pts, _parse_radii(args.radii), region)
@@ -306,41 +368,12 @@ def _write_bounds_csv(trace: riesz.BoundsTrace, path: Path) -> None:
     path.write_bytes(modelset._csv_bytes(header, list(zip(*trace.rows))))
 
 
-def _duality_from_config(cfg: dict[str, str], outdir: Path) -> dict:
-    spec = parse_algebra(cfg.get("algebra", "sqrt:2"))
-    alpha = spec.parse_vector(cfg["alpha"])
-    beta = spec.parse_vector(cfg["beta"])
-    window = regions.parse_region_literal(spec, cfg["window"])
-    region = (
-        regions.region_from_text(Path(cfg["region_file"]).read_text())
-        if "region_file" in cfg
-        else regions.parse_region_literal(spec, cfg["region"])
-    )
-    radii = _parse_radii(cfg.get("radii", "10,20"))
-    translate = None
-    if "seed" in cfg:
-        rng = np.random.default_rng(int(cfg["seed"]))
-        translate = [
-            spec.from_rational(Fraction(int(rng.integers(0, 10**6)), 10**9))
-            for _ in range(len(alpha))
-        ]
-    report = riesz.duality_experiment(
-        alpha, beta, window, region, radii,
-        n_max=int(cfg.get("n_max", 128)),
-        k_bound=int(cfg.get("k_bound", 2000)),
-        translate=translate,
-    )
-    _write_bounds_csv(report.primal, outdir / "primal_bounds.csv")
-    _write_bounds_csv(report.dual, outdir / "dual_bounds.csv")
-    return report.as_dict()
-
-
 def _cmd_duality(args) -> int:
     cfg = read_config(args.config)
-    section = cfg.get("duality", cfg.get("default", {}))
+    section = cfg.get("duality", cfg.get("default", _Section("duality")))
     outdir = Path(section.get("outdir", getattr(args, "out", ".") or "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    result = _duality_from_config(section, outdir)
+    result = _duality(section, outdir)
     result["config_echo"] = section
     result["version"] = REPORT_VERSION
     out = outdir / "duality_report.json"
@@ -360,63 +393,26 @@ def _cmd_report(args) -> int:
     cfg = read_config(args.config)
     outdir = Path(cfg.get("experiment", {}).get("outdir", getattr(args, "out", ".") or "."))
     outdir.mkdir(parents=True, exist_ok=True)
-    report: dict = {"version": REPORT_VERSION, "config_echo": cfg, "stages": {}}
-
+    stages: dict = {}
+    report = {"version": REPORT_VERSION, "config_echo": cfg, "stages": stages}
     if "gen" in cfg:
-        c = cfg["gen"]
-        spec = parse_algebra(c.get("algebra", "sqrt:2"))
-        alpha = spec.parse_vector(c["alpha"])
-        beta = spec.parse_vector(c["beta"])
-        window = regions.parse_region_literal(spec, c["window"])
-        box = [(-int(c["range"]), int(c["range"]))] * len(alpha)
-        pts = modelset.special_quasicrystal(alpha, beta, window, box)
-        (outdir / "points.csv").write_text(pts.to_csv())
-        radii = _parse_radii(c.get("density_radii", "")) or None
-        stage = {
-            "count": len(pts),
-            "separation": modelset.separation(pts) if len(pts) > 1 else None,
-            "points_file": str(outdir / "points.csv"),
-        }
+        pts, stage = _gen(cfg["gen"], outdir)
+        stage["separation"] = modelset.separation(pts) if len(pts) > 1 else None
+        radii = _parse_radii(cfg["gen"].get("density_radii", ""))
         if radii:
             stage["density"] = [
                 {"R": r, "lower": lo, "upper": hi}
                 for r, lo, hi in modelset.density_estimate(pts, radii)
             ]
-        report["stages"]["gen"] = stage
-
+        stages["gen"] = stage
     if "disc" in cfg:
-        c = cfg["disc"]
-        spec = parse_algebra(c.get("algebra", "sqrt:2"))
-        region = regions.parse_region_literal(spec, c["set"])
-        alpha = spec.parse(c["alpha"])
-        n = int(c["n"])
-        x0 = spec.parse(c.get("x0", "0"))
-        trace = dynamics.discrepancy_trace(region, alpha, x0, (0, n))
-        trace_path = _write_trace_csv(trace, outdir)
-        report["stages"]["disc"] = {
-            "max_abs": trace.max_abs,
-            "argmax_n": trace.argmax_n,
-            "mes": trace.mes,
-            "trace_file": str(trace_path),
-        }
-
+        s = _disc(cfg["disc"], outdir)
+        stages["disc"] = {k: s[k] for k in ("max_abs", "argmax_n", "mes", "trace_file")}
     if "brs" in cfg:
-        c = cfg["brs"]
-        spec = parse_algebra(c.get("algebra", "sqrt:2"))
-        region = regions.parse_region_literal(spec, c["set"])
-        alpha = spec.parse(c["alpha"])
-        stat = dynamics.brs_empirical(region, alpha, int(c["N"]), int(c["J"]))
-        report["stages"]["brs"] = {
-            "max_abs": stat.value,
-            "argmax_n": stat.argmax_n,
-            "argmax_j": stat.argmax_j,
-            "N": stat.N,
-            "J": stat.J,
-        }
-
+        s = _brs(cfg["brs"])
+        stages["brs"] = {k: s[k] for k in ("max_abs", "argmax_n", "argmax_j", "N", "J")}
     if "duality" in cfg:
-        report["stages"]["duality"] = _duality_from_config(cfg["duality"], outdir)
-
+        stages["duality"] = _duality(cfg["duality"], outdir)
     out = outdir / "experiment_report.json"
     _json_dump(report, out)
     print(f"wrote {out}")
@@ -439,15 +435,10 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list[Path]:
         )
         written = [path, outdir / "Dn.dat.meta"]
     elif kind == "bounds":
-        stage = stages.get("duality") or stages.get("bounds")
-        if stage is None and "primal_trace" in stages:
-            stage = stages  # standalone duality report
-        if stage and "primal_trace" in stage:
-            rows = stage["primal_trace"]["rows"]
-        elif stage and "rows" in stage:
-            rows = stage["rows"]
-        else:
+        stage = stages.get("duality", stages)  # or a standalone duality report
+        if "primal_trace" not in stage:
             raise PreconditionError("report has no bounds trace series")
+        rows = stage["primal_trace"]["rows"]
         path = outdir / "lmin.dat"
         path.write_text("".join(f"{r['R']} {r['lambda_min']:.17g}\n" for r in rows))
         (outdir / "lmin.dat.meta").write_text(
@@ -469,8 +460,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--algebra", default="sqrt:2",
-                       help="algebra literal 'sqrt:2,3' or @file")
+        p.add_argument("--algebra", default=None,
+                       help="algebra literal 'sqrt:2,3' or @file (default sqrt:2)")
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("gen", help="generate quasicrystal points")
@@ -478,7 +469,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--window", required=True, help="semi-closed interval literal")
-    p.add_argument("--range", type=int, default=100, help="m box half-width")
+    p.add_argument("--range", type=int, default=None, help="m box half-width")
     p.add_argument("--box", default=None, help="explicit box 'lo:hi;lo:hi'")
     p.set_defaults(func=_cmd_gen)
 
@@ -505,7 +496,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-lo", type=int, default=None)
-    p.add_argument("--x0", default="0", help="exact value literal")
+    p.add_argument("--x0", default=None, help="exact value literal")
     p.add_argument("--two-sided", action="store_true")
     p.set_defaults(func=_cmd_disc)
 

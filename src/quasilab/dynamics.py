@@ -210,26 +210,10 @@ def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
 def orbit_transfer(region: RegionSet, alpha, n_range: tuple[int, int]) -> DiscrepancyTrace:
     """Transfer-function samples g(n*alpha), normalized by g(0) = 0.
 
-    Accumulates g((n+1)alpha) = g(n alpha) + chi_S(n alpha) - mes S in both
-    directions, which reproduces the two-sided discrepancy at x0 = 0.
+    g((n+1)alpha) = g(n alpha) + chi_S(n alpha) - mes S in both directions
+    is the two-sided discrepancy at x0 = 0.
     """
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        raise PreconditionError("empty n range")
-    mes = float(region.volume())
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    values = np.zeros(len(ns), dtype=np.float64)
-    p, q = max(n_lo, 1), min(n_hi, -1)  # the first n > 0 and the last n < 0
-    if n_hi > 0:
-        chi = orbit_hits(region, alpha, 0, 0, n_hi - 1)
-        values[p - n_lo:] = np.cumsum(chi - mes)[p - 1:]
-    if n_lo < 0:
-        chi = orbit_hits(region, alpha, 0, n_lo, -1)
-        values[:q + 1 - n_lo] = -np.cumsum((chi - mes)[::-1])[-q - 1:-n_lo][::-1]
-    return DiscrepancyTrace(
-        _alpha_desc(region, alpha), region.describe(), region.spec.zero(),
-        ns, values, mes,
-    )
+    return discrepancy_trace(region, alpha, 0, n_range, two_sided=True)
 
 
 def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:

@@ -15,7 +15,7 @@ from quasilab import cli
 from quasilab.algebra import parse_algebra
 from quasilab.dynamics import discrepancy_trace
 from quasilab.modelset import PointSet, special_quasicrystal
-from quasilab.regions import parse_region_literal
+from quasilab.regions import parse_region_literal, region_to_text
 
 
 def run_cli(*argv) -> int:
@@ -82,6 +82,52 @@ def test_plotdata_bytes_pinned(tmp_path):
     cli.emit_plotdata(report, "discrepancy", tmp_path)
     assert hashlib.sha256((tmp_path / "Dn.dat").read_bytes()).hexdigest() == (
         "7d45fe12d7a67cfc0e49003031ceee1a3fba2eb3bd3be976cbece144e9b921e9")
+
+
+_DUALITY_CFG = (
+    "[duality]\n"
+    "algebra = sqrt:2\n"
+    "alpha = w1\n"
+    "beta = 1\n"
+    "window = (-1,0]\n"
+    "region = [0,-1+1*w1) U [1,3-1*w1)\n"
+    "radii = 8,16\n"
+    "n_max = 16\n"
+    "k_bound = 150\n"
+)
+
+
+# SHA-256 of the JSON artifacts as written when each subcommand and the
+# report had their own copy of every operation; the output directory is
+# replaced by a fixed string, since the summaries embed artifact paths
+@pytest.mark.parametrize("argv, name, digest", [
+    (["disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "3000", "--two-sided",
+      "--x0=1/2 - w1"], "disc_summary.json",
+     "6e12e89430cbdec3c3f82fca41e3b741a266a7f2a26284d12611ecf449312bd1"),
+    (["brs-test", "--set", "[0,-1+1*w1)", "--alpha", "w1", "--N", "2000",
+      "--J", "200"], "brs_test.json",
+     "108e3920b23b9a1775e414b0f2b795cd7d006805aabfcc4286118de67eee052a"),
+    (["report"], "rep/experiment_report.json",
+     "dc1bf894f7d5919a3ded6a355a00745a97af7137efbed9824a8b63fca9704557"),
+], ids=["disc_summary", "brs_test", "experiment_report"])
+def test_json_bytes_pinned(tmp_path, argv, name, digest):
+    if argv == ["report"]:
+        argv = ["report", "--config", str(_report_cfg(tmp_path)[0])]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    text = (tmp_path / name).read_text().replace(str(tmp_path), "OUT")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_bounds_plotdata_from_duality_report_pinned(tmp_path):
+    # lmin.dat from a standalone duality_report.json, with a seeded translate
+    cfg = tmp_path / "dual.cfg"
+    cfg.write_text(_DUALITY_CFG + f"seed = 7\noutdir = {tmp_path}\n")
+    assert run_cli("duality", "--config", str(cfg)) == 0
+    assert run_cli("report", "--plot", "bounds",
+                   "--from", str(tmp_path / "duality_report.json"),
+                   "--out", str(tmp_path)) == 0
+    assert hashlib.sha256((tmp_path / "lmin.dat").read_bytes()).hexdigest() == (
+        "464ceaab75196849f6c9106380eb283efdef2aced1432238531509b3e4384314")
 
 
 def test_gen_deterministic(tmp_path):
@@ -237,18 +283,7 @@ def test_brs_make_between(tmp_path):
 
 def test_duality_config_run(tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "[duality]\n"
-        "algebra = sqrt:2\n"
-        "alpha = w1\n"
-        "beta = 1\n"
-        "window = (-1,0]\n"
-        "region = [0,-1+1*w1) U [1,3-1*w1)\n"
-        "radii = 8,16\n"
-        "n_max = 16\n"
-        "k_bound = 150\n"
-        f"outdir = {tmp_path / 'dout'}\n"
-    )
+    cfg.write_text(_DUALITY_CFG + f"outdir = {tmp_path / 'dout'}\n")
     assert run_cli("duality", "--config", str(cfg)) == 0
     rep = json.loads((tmp_path / "dout" / "duality_report.json").read_text())
     assert rep["version"] == "quasilab-report v1"
@@ -258,7 +293,7 @@ def test_duality_config_run(tmp_path):
     assert rep["config_echo"]["alpha"] == "w1"
 
 
-def test_report_stages_and_plots(tmp_path):
+def _report_cfg(tmp_path) -> tuple[Path, Path]:
     outdir = tmp_path / "rep"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -276,9 +311,16 @@ def test_report_stages_and_plots(tmp_path):
         "region = [0,-1+1*w1) U [1,3-1*w1)\nradii = 8,16\n"
         "n_max = 16\nk_bound = 150\n"
     )
+    return cfg, outdir
+
+
+def test_report_stages_and_plots(tmp_path):
+    cfg, outdir = _report_cfg(tmp_path)
     assert run_cli("report", "--config", str(cfg)) == 0
     rep = json.loads((outdir / "experiment_report.json").read_text())
     assert set(rep["stages"]) == {"gen", "disc", "brs", "duality"}
+    assert set(rep["stages"]["disc"]) == {"max_abs", "argmax_n", "mes", "trace_file"}
+    assert set(rep["stages"]["brs"]) == {"max_abs", "argmax_n", "argmax_j", "N", "J"}
     assert rep["stages"]["gen"]["count"] == 81
     # reproducibility: every stage number comes from the echoed config
     from quasilab.dynamics import brs_empirical
@@ -322,6 +364,47 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.run(["no-such-command"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("command, text, rc, section, key", [
+    ("report", "[disc]\nset = [0,1/2)\nalpha = w1\n", 66, "disc", "n"),
+    ("report", "[brs]\nset = [0,1/2)\nalpha = w1\nN = 20\n", 66, "brs", "J"),
+    ("duality", _DUALITY_CFG.replace("beta = 1\n", ""), 66, "duality", "beta"),
+    ("report", "[gen]\nalpha = w1\nbeta = 1\n", 66, "gen", "window"),
+    # range is optional, with the default of gen --range
+    ("report", "[gen]\nalpha = w1\nbeta = 1\nwindow = (-1,0]\n", 0, "gen", None),
+], ids=["disc_n", "brs_J", "duality_beta", "gen_window", "gen_range"])
+def test_missing_config_key(tmp_path, capsys, command, text, rc, section, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"[experiment]\noutdir = {tmp_path}\n" + text)
+    assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == rc
+    if key is not None:
+        assert f"[{section}] needs a '{key}' key" in capsys.readouterr().err
+    else:
+        rep = json.loads((tmp_path / "experiment_report.json").read_text())
+        assert rep["stages"]["gen"]["count"] == 201
+
+
+def test_config_reads_files_like_flags(tmp_path):
+    # @file works for algebra and region values in a config as in a flag
+    spec = parse_algebra("sqrt:2")
+    region = parse_region_literal(spec, "[0,-1+1*w1) U [1,3-1*w1)")
+    (tmp_path / "region.txt").write_text(region_to_text(region))
+    (tmp_path / "alg.txt").write_text("basis w1 = sqrt 2\n")
+    (tmp_path / "a.cfg").write_text(_DUALITY_CFG + f"outdir = {tmp_path / 'a'}\n")
+    (tmp_path / "b.cfg").write_text(
+        _DUALITY_CFG.replace("sqrt:2", f"@{tmp_path / 'alg.txt'}")
+        .replace("[0,-1+1*w1) U [1,3-1*w1)", f"@{tmp_path / 'region.txt'}")
+        + f"outdir = {tmp_path / 'b'}\n")
+    for name in ("a", "b"):
+        assert run_cli("duality", "--config", str(tmp_path / f"{name}.cfg")) == 0
+    reports = [json.loads((tmp_path / name / "duality_report.json").read_text())
+               for name in ("a", "b")]
+    for rep in reports:
+        del rep["config_echo"]
+    assert reports[0] == reports[1]
+    for name in ("primal_bounds.csv", "dual_bounds.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_json_outputs_are_deterministic(tmp_path):
