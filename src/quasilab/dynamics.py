@@ -17,6 +17,7 @@ import numpy as np
 
 from .algebra import QValue, lift_to
 from .errors import PreconditionError
+from .modelset import PointSet
 from .regions import RegionSet
 
 __all__ = [
@@ -268,29 +269,27 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
 
 
 def counting_discrepancy(
-    points,
+    points: PointSet | Sequence[float],
     density: float,
     xs: Sequence[float],
     block_mode: bool = False,
 ) -> np.ndarray:
     """d(Lambda, x) = n_Lambda(x) - density*x at the sample points.
 
-    The counting function is normalized by n(0) = 0.  In block mode each
-    block is collapsed to a point mass of its size at its integer index,
-    which requires provenance on the point set.
+    points is a PointSet or an array-like of values.  The counting function
+    is normalized by n(0) = 0.  In block mode each block is collapsed to a
+    point mass of its size at its integer index, the last provenance column,
+    so block mode needs a PointSet.
     """
     if density <= 0:
         raise PreconditionError("density must be positive")
-    if hasattr(points, "coords"):
-        vals = np.sort(np.asarray(points.coords, dtype=float).reshape(-1))
-        prov = getattr(points, "provenance", None)
+    if isinstance(points, PointSet):
+        vals = points.provenance[:, -1] if block_mode else points.coords
+    elif block_mode:
+        raise PreconditionError("block mode requires a PointSet with provenance")
     else:
-        vals = np.sort(np.asarray(points, dtype=float).reshape(-1))
-        prov = None
-    if block_mode:
-        if prov is None:
-            raise PreconditionError("block mode requires point provenance")
-        vals = np.sort(np.array([p[-1] for p in prov], dtype=float))
+        vals = points
+    vals = np.sort(np.asarray(vals, dtype=float).reshape(-1))
     xs_arr = np.asarray(xs, dtype=float)
     base = np.searchsorted(vals, 0.0, side="left")
     n_of_x = np.searchsorted(vals, xs_arr, side="left") - base

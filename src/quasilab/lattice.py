@@ -247,13 +247,8 @@ def transform_pointset(points, a) -> "PointSet":
     )
     if abs(np.linalg.det(a_f)) < 1e-14:
         raise PreconditionError("transform matrix is singular")
-    return PointSet(
-        points.dim,
-        points.coords @ a_f.T,
-        points.provenance,
-        None,
-        points.window,
-    )
+    return PointSet(points.dim, points.coords @ a_f.T, points.provenance,
+                    points.window)
 
 
 def transform_region(region, m) -> "RegionSet":

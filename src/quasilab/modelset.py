@@ -1,15 +1,18 @@
 """Point-set generators: quasicrystals, dual model sets, periodic variants.
 
 Every generator takes an explicit search range (reproducibility over
-convenience), keeps exact coordinates alongside the float embedding when
-the data lives in the algebra, and tags each point with the integer data
-(m_1..m_d, n) of the lattice point that produced it.  Output order is the
-lexicographic order of that provenance.
+convenience) and tags each point with the integer data (m_1..m_d, n) of
+the lattice point that produced it, one row of an int64 provenance matrix.
+Output order is the lexicographic order of that provenance.
 
-Exact coordinates come from one integer affine map of the provenance per
-call (integer numerators over a common denominator, Python-int dot
-products); float coordinates apply ``float(QValue)``'s fsum rule to the
-same coefficients, so they are bit-identical to it.
+A point set stores float coordinates and provenance only.  The exact
+coordinates are ``Lattice.point`` of the provenance: the first d entries
+on the lattice Gamma for a quasicrystal (for the special-form generators,
+Gamma of ``make_special_lattice(alpha, beta)``), and entry d on Gamma* for
+a dual model point.  Float coordinates come from one integer affine map of
+the provenance per call (integer numerators over a common denominator,
+Python-int dot products) under ``float(QValue)``'s fsum rule, so they are
+bit-identical to ``float`` of those exact values.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,24 +46,32 @@ __all__ = [
 class PointSet:
     """Finite tagged point set.
 
-    coords is an (n, dim) float array; provenance holds the integer data
-    (m_1..m_d, n) per point (the block index of a one-dimensional dual
-    model point is the last entry).  qcoords retains exact coordinates
-    when the generator worked in the algebra.
+    coords is an (n, dim) float array; provenance is an (n, k) int64 matrix
+    with the integer data (m_1..m_d, n) of each point (the block index of a
+    one-dimensional dual model point is the last column).  Entries outside
+    int64 and a row count other than n are refused.
     """
 
     dim: int
     coords: np.ndarray
-    provenance: tuple[tuple[int, ...], ...]
-    qcoords: Optional[tuple[tuple[QValue, ...], ...]] = None
+    provenance: np.ndarray
     window: str = ""
 
     def __post_init__(self) -> None:
-        self.coords = np.asarray(self.coords, dtype=float).reshape(
-            -1, self.dim
-        )
-        if len(self.provenance) != len(self.coords):
-            raise PreconditionError("provenance length mismatch")
+        self.coords = np.asarray(self.coords, dtype=float).reshape(-1, self.dim)
+        prov = np.asarray(self.provenance)
+        if prov.dtype != np.int64:
+            try:  # Python ints outside int64 overflow here
+                ints = np.asarray(self.provenance, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                ints = None
+            if ints is None or not np.array_equal(ints, prov):
+                raise PreconditionError("provenance entries must be integers within int64")
+            prov = ints
+        self.provenance = prov.reshape(0, 0) if prov.ndim == 1 and not prov.size else prov
+        if self.provenance.ndim != 2 or len(prov) != len(self.coords):
+            raise PreconditionError(
+                f"provenance of shape {prov.shape} for {len(self.coords)} points")
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -74,13 +84,9 @@ class PointSet:
         return self.coords[:, 0]
 
     def take(self, order: Sequence[int]) -> "PointSet":
-        return PointSet(
-            self.dim,
-            self.coords[list(order)],
-            tuple(self.provenance[i] for i in order),
-            None if self.qcoords is None else tuple(self.qcoords[i] for i in order),
-            self.window,
-        )
+        order = np.asarray(order, dtype=np.intp)
+        return PointSet(self.dim, self.coords[order], self.provenance[order],
+                        self.window)
 
     def restrict_box(self, radius: float) -> "PointSet":
         keep = np.nonzero(np.abs(self.coords).max(axis=1) <= radius)[0]
@@ -90,11 +96,10 @@ class PointSet:
         """Header line, then one row ``x1,...,xd,prov...`` per point.
 
         Written by ``_csv_bytes``: ``"%.17g"`` of each distinct coordinate bit
-        pattern, formatted once, and ``str(int)`` of the provenance at any
-        magnitude, byte-identical to formatting the rows one by one."""
-        prov = np.array(self.provenance, dtype=object).T  # one row per entry
+        pattern, formatted once, and ``str(int)`` of the provenance,
+        byte-identical to formatting the rows one by one."""
         header = f"# quasilab pointset v1 dim={self.dim}"
-        return _csv_bytes(header, [*self.coords.T, *prov]).decode()
+        return _csv_bytes(header, [*self.coords.T, *self.provenance.T]).decode()
 
     @classmethod
     def from_csv(cls, text: str) -> "PointSet":
@@ -107,7 +112,7 @@ class PointSet:
             cells = line.split(",")
             coords.append([float(c) for c in cells[:dim]])
             prov.append(tuple(int(c) for c in cells[dim:]))
-        return cls(dim, np.array(coords), tuple(prov))
+        return cls(dim, np.array(coords), prov)
 
 
 def _csv_bytes(header: str, columns: Sequence) -> bytes:
@@ -115,10 +120,10 @@ def _csv_bytes(header: str, columns: Sequence) -> bytes:
 
     A float column's cell is ``"%.17g" % v``, formatted once per distinct
     bit pattern (``-0.0`` and ``0.0`` stay apart, as do NaN payloads); any
-    other column's is ``str(int(v))``, its digits computed by numpy (pass
-    Python ints outside int64 as an object array).  The rows are the
-    non-NUL bytes of one matrix of NUL-padded fixed-width cells and
-    separators: byte-identical to formatting each row with an f-string.
+    other column's is ``str(int(v))`` of an int64, its digits computed by
+    numpy.  The rows are the non-NUL bytes of one matrix of NUL-padded
+    fixed-width cells and separators: byte-identical to formatting each row
+    with an f-string.
     """
     out = (header + "\n").encode()
     if not len(columns) or not len(columns[0]):
@@ -139,10 +144,7 @@ def _cells(a: np.ndarray) -> np.ndarray:
         table = np.array(("%.17g " * len(values) % values).encode().split(), dtype=bytes)
         cells = table.view(np.uint8).reshape(len(values), table.itemsize)
         return cells if distinct else cells[inv]
-    try:
-        mag = np.abs(a.astype(np.int64)).astype(np.uint64)  # |-2**63| wraps to 2**63
-    except OverflowError:  # Python ints outside int64, in an object array
-        mag = np.abs(a)
+    mag = np.abs(a.astype(np.int64)).astype(np.uint64)  # |-2**63| wraps to 2**63
     digits = len(str(mag.max()))
     cells = np.zeros((len(a), digits + 1), dtype=np.uint8)
     cells[a < 0, 0] = ord("-")
@@ -166,10 +168,12 @@ def _grid(box: Sequence[tuple[int, int]]) -> np.ndarray:
 def _affine_points(
     mat: Sequence[Sequence[QValue]], prov: np.ndarray, window: str
 ) -> PointSet:
-    """Points x_a = sum_j prov[:, j] * mat[a][j], one per provenance row.
+    """Float points x_a = sum_j prov[:, j] * mat[a][j], one per provenance row.
 
-    Coefficients are Fractions of Python-int dot products with the map's
-    numerators over one common denominator (no int64 products).
+    Each coordinate is the fsum of its basis-element numerators (Python-int
+    dot products with the map's numerators over one common denominator, no
+    int64 products) divided by that denominator, times the basis numerics:
+    ``float`` of the exact value, bit for bit.
     """
     spec = next((v.spec for row in mat for v in row if not v.is_rational()),
                 mat[0][0].spec)
@@ -178,19 +182,14 @@ def _affine_points(
     # per coordinate, per basis element: the numerators over the provenance
     cols = [[[int(v.coeffs[l] * den) for v in row] for l in range(spec.dim)]
             for row in mat]
-    rows = prov.tolist()
-    qcoords, coords = [], []
-    for c in rows:
-        point = []
+    coords = []
+    for c in prov.tolist():
         for coord_cols in cols:
-            nums = [sum(map(operator.mul, c, col)) for col in coord_cols]
-            point.append(QValue(spec, [Fraction(n, den) for n in nums]))
+            nums = (sum(map(operator.mul, c, col)) for col in coord_cols)
             # int / int is correctly rounded, so n / den == float(Fraction(n, den))
             coords.append(math.fsum(n / den * x
                                     for n, x in zip(nums, spec.numerics) if n))
-        qcoords.append(tuple(point))
-    return PointSet(len(mat), np.array(coords), tuple(map(tuple, rows)),
-                    tuple(qcoords), window)
+    return PointSet(len(mat), np.array(coords), prov, window)
 
 
 def cut_and_project(
@@ -257,7 +256,8 @@ def dual_model_points(
     are the integer translates of n*alpha that the region's membership
     kernel finds), emits n + <n alpha + m, beta> with provenance
     (m_1..m_d, n); the block structure is recoverable from the last
-    provenance entry; the point is n (1 + <alpha, beta>) + <m, beta>.
+    provenance entry; the point is n (1 + <alpha, beta>) + <m, beta>,
+    coordinate d of Gamma* at the provenance.
     """
     d = len(alpha)
     if region.dim != d:
@@ -322,8 +322,7 @@ def periodic_points(
         (spec.zero(),), [(lift_to(spec, a),) for a in alpha], ns
     )
     keep = ns[chi > 0]
-    prov = tuple(zip(*keep.T.tolist()))
-    return PointSet(d, keep.astype(float), prov, None, window.describe())
+    return PointSet(d, keep.astype(float), keep, window.describe())
 
 
 def periodic_dual(
@@ -345,11 +344,8 @@ def periodic_dual(
         [tuple(-lift_to(spec, a) for a in alpha)],
         ms[:, None],
     )
-    keep = ms[chi > 0]
-    return PointSet(
-        1, keep.astype(float).reshape(-1, 1), tuple(zip(keep.tolist())),
-        None, region.describe(),
-    )
+    keep = ms[chi > 0, None]
+    return PointSet(1, keep.astype(float), keep, region.describe())
 
 
 def density_estimate(

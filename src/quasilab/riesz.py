@@ -79,9 +79,9 @@ def enumerate_blocks(points: PointSet, s0_anchor: int = 0) -> Enumeration:
     """
     if points.dim != 1:
         raise PreconditionError("enumeration needs a 1-D point set")
-    if not points.provenance:
-        raise PreconditionError("enumeration needs provenance")
-    blocks = np.array([p[-1] for p in points.provenance], dtype=np.int64)
+    if not len(points):
+        raise PreconditionError("cannot enumerate an empty point set")
+    blocks = points.provenance[:, -1]
     n_lo, n_hi = int(blocks.min()), int(blocks.max())
     if not (n_lo <= 0 <= n_hi):
         raise PreconditionError("block range must contain 0 for the s_0 anchor")

@@ -366,6 +366,14 @@ def test_exit_codes(tmp_path):
     assert exc.value.code == 64
 
 
+def test_points_outside_int64_refused(tmp_path, capsys):
+    points = tmp_path / "big.csv"
+    points.write_text("# quasilab pointset v1 dim=1\n0.5,9223372036854775808,1\n")
+    assert run_cli("bounds", "--points", str(points), "--region", "[0,1)",
+                   "--radii", "1", "--out", str(tmp_path)) == 2
+    assert "provenance entries must be integers within int64" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, text, rc, section, key", [
     ("report", "[disc]\nset = [0,1/2)\nalpha = w1\n", 66, "disc", "n"),
     ("report", "[brs]\nset = [0,1/2)\nalpha = w1\nN = 20\n", 66, "brs", "J"),

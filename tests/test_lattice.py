@@ -170,7 +170,9 @@ def test_transforms(sqrt2):
     pts = PointSet(1, np.array([[0.0], [1.0], [2.0]]), ((0,), (1,), (2,)))
     doubled = transform_pointset(pts, np.array([[2.0]]))
     assert np.allclose(doubled.coords[:, 0], [0.0, 2.0, 4.0])
-    assert doubled.provenance == pts.provenance
+    assert doubled.provenance.dtype == np.int64
+    assert doubled.provenance.shape == (3, 1)
+    assert np.array_equal(doubled.provenance, pts.provenance)
 
     region = interval(sqrt2.zero(), sqrt2.one())
     half = transform_region(region, [[sqrt2.parse("1/2")]])

@@ -31,6 +31,24 @@ def frac_oracle(x: float) -> float:
     return x - math.floor(x)
 
 
+def assert_provenance(got, want):
+    want = np.asarray(want, dtype=np.int64)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def assert_lattice_coords(pts, lat, coord=None):
+    # every float coordinate is float() of the exact lattice point of its
+    # provenance: the first d entries, or entry ``coord`` alone
+    want = []
+    for prov in pts.provenance.tolist():
+        point = lat.point(prov)
+        exact = point[: pts.dim] if coord is None else (point[coord],)
+        want.append([float(v) for v in exact])
+    want = np.array(want, dtype=float).reshape(-1, pts.dim)
+    assert pts.coords.tobytes() == want.tobytes()
+
+
 @pytest.fixture
 def gamma(sqrt2):
     return make_special_lattice([sqrt2.basis_element("w1")], [sqrt2.one()])[0]
@@ -56,7 +74,8 @@ def test_cut_and_project_boundary_conventions(sqrt2, gamma):
     at_zero = [(0, 0), (0, 0)]
     pts_incl = cut_and_project(gamma, win_incl, [(0, 0), (0, 0)])
     pts_excl = cut_and_project(gamma, win_excl, [(0, 0), (0, 0)])
-    assert len(pts_incl) == 1 and pts_incl.provenance == ((0, 0),)
+    assert len(pts_incl) == 1
+    assert_provenance(pts_incl.provenance, [(0, 0)])
     assert len(pts_excl) == 0
 
 
@@ -76,38 +95,63 @@ def test_cut_and_project_equals_sequence(sqrt2, gamma, window_neg1_0):
     pts = cut_and_project(gamma, window_neg1_0, [(-20, 20), (-40, 40)])
     seq = sequence_points([sqrt2.basis_element("w1")], [sqrt2.one()],
                           [(-20, 20)])
-    assert pts.provenance == seq.provenance
-    assert np.allclose(pts.values, seq.values, atol=0)
-    assert pts.qcoords == seq.qcoords  # exact pointwise identity
+    assert_provenance(pts.provenance, seq.provenance)
+    assert pts.coords.tobytes() == seq.coords.tobytes()
+    # exact pointwise identity: both are the points of gamma
+    assert_lattice_coords(seq, gamma)
 
 
 def test_special_quasicrystal_matches_general(sqrt2, gamma, window_neg1_0):
     fast = special_quasicrystal([sqrt2.basis_element("w1")], [sqrt2.one()],
                                 window_neg1_0, [(-20, 20)])
     slow = cut_and_project(gamma, window_neg1_0, [(-20, 20), (-40, 40)])
-    assert fast.provenance == slow.provenance
-    assert fast.qcoords == slow.qcoords
+    assert_provenance(fast.provenance, slow.provenance)
+    assert fast.coords.tobytes() == slow.coords.tobytes()
+    assert_lattice_coords(fast, gamma)
 
 
-def test_provenance_resubstitution_exact(sqrt2, gamma, window_neg1_0):
-    pts = cut_and_project(gamma, window_neg1_0, [(-10, 10), (-20, 20)])
-    for prov, q in zip(pts.provenance, pts.qcoords):
-        full = gamma.point(prov)
-        assert full[: pts.dim] == q
+def test_coords_are_float_of_lattice_points(sqrt2, sqrt23, gamma, window_neg1_0):
+    # primal points on Gamma, dual points as coordinate d of Gamma*
+    assert_lattice_coords(
+        cut_and_project(gamma, window_neg1_0, [(-10, 10), (-20, 20)]), gamma)
+    w1 = sqrt2.basis_element("w1")
+    beta = [sqrt2.parse("2/7")]
+    lat = make_special_lattice([w1], beta)[0]
+    window = parse_region_literal(sqrt2, "[-1/2,1/2)")
+    assert_lattice_coords(special_quasicrystal([w1], beta, window, [(-200, 200)]), lat)
+    assert_lattice_coords(sequence_points([w1], beta, [(-200, 200)]), lat)
+    region = parse_region_literal(sqrt2, "[0,-1+1*w1) U [1,3-1*w1)")
+    region = region.translate([sqrt2.from_rational(Fraction(511234, 10**9))])
+    lat_star = make_special_lattice([w1], [sqrt2.one()])[1]
+    for n_range in ((-400, 400), (10**11, 10**11 + 300)):
+        pts = dual_model_points([w1], [sqrt2.one()], region, n_range)
+        assert len(pts) > 100
+        assert_lattice_coords(pts, lat_star, coord=1)
+    w = [sqrt23.basis_element(f"w{i}") for i in (1, 2, 3)]
+    for beta in ([w[1], sqrt23.parse("1/5")], [sqrt23.parse("1/3"), w[2]]):
+        lat, lat_star = make_special_lattice(w[:2], beta)
+        window = parse_region_literal(sqrt23, "(-1,0]")
+        box = [(-6, 6), (-5, 7)]
+        assert_lattice_coords(special_quasicrystal(w[:2], beta, window, box), lat)
+        assert_lattice_coords(sequence_points(w[:2], beta, box), lat)
+        region = box_region(sqrt23, [0, 0], [w[0] - 1, w[1] - 1])
+        pts = dual_model_points(w[:2], beta, region, (-150, 150))
+        assert len(pts) > 50
+        assert_lattice_coords(pts, lat_star, coord=2)
 
 
 def test_sequence_point_values(sqrt2):
     seq = sequence_points([sqrt2.basis_element("w1")], [sqrt2.one()], [(0, 3)])
-    lam3 = seq.values[list(seq.provenance).index((3, 4))]
+    lam3 = seq.values[seq.provenance.tolist().index([3, 4])]
     assert abs(lam3 - 3.2426406871) < 1e-9
-    lam0 = seq.values[list(seq.provenance).index((0, 0))]
+    lam0 = seq.values[seq.provenance.tolist().index([0, 0])]
     assert lam0 == 0.0
 
 
 def test_sequence_two_dim_example(sqrt23):
     alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
     seq = sequence_points(alpha, alpha, [(0, 1), (0, 0)])
-    idx = [i for i, p in enumerate(seq.provenance) if p[:2] == (1, 0)][0]
+    idx = [i for i, p in enumerate(seq.provenance.tolist()) if p[:2] == [1, 0]][0]
     assert np.allclose(
         seq.coords[idx], [1.5857864376, 0.7174389352], atol=1e-9
     )
@@ -127,8 +171,7 @@ def test_dual_model_points_scan(sqrt2):
     got = sorted(pts.values)
     expect = [0.0, 3 + frac_oracle(3 * math.sqrt(2)), 5 + frac_oracle(5 * math.sqrt(2))]
     assert np.allclose(got, expect, atol=1e-9)
-    blocks = sorted(p[-1] for p in pts.provenance)
-    assert blocks == [0, 3, 5]
+    assert sorted(pts.provenance[:, -1].tolist()) == [0, 3, 5]
 
 
 def test_dual_model_points_match_orbit_at_huge_n(sqrt2):
@@ -139,7 +182,7 @@ def test_dual_model_points_match_orbit_at_huge_n(sqrt2):
     lo, hi = 10**11, 10**11 + 3000
     pts = dual_model_points([w1], [sqrt2.one()], region, (lo, hi))
     chi = orbit_hits(region, w1, 0, lo, hi)
-    emitted = sorted(p[-1] for p in pts.provenance)
+    emitted = sorted(pts.provenance[:, -1].tolist())
     assert emitted == [lo + int(i) for i in np.flatnonzero(chi > 0)]
     assert 100000000331 in emitted
 
@@ -234,7 +277,7 @@ def test_csv_roundtrip(sqrt2, gamma, window_neg1_0):
     pts = cut_and_project(gamma, window_neg1_0, [(-5, 5), (-10, 10)])
     again = PointSet.from_csv(pts.to_csv())
     assert np.array_equal(again.coords, pts.coords)
-    assert again.provenance == pts.provenance
+    assert_provenance(again.provenance, pts.provenance)
     assert pts.to_csv().splitlines()[0] == "# quasilab pointset v1 dim=1"
 
 
@@ -253,7 +296,8 @@ _NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0123))[0]
 _FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, _NAN_PAYLOAD,
                 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
                 1e-300, -1e-300, 0.1, -2.5, 1 / 3]
-_INT_EDGES = [0, 1, -1, 2**62, -2**62, 2**63 - 1, -2**63, 10**18, -10**18]
+_INT_EDGES = [0, 1, -1, 2**62, -2**62, 2**63 - 1, -(2**63 - 1), -2**63,
+              10**18, -10**18]
 
 
 @st.composite
@@ -262,14 +306,10 @@ def _csv_columns(draw):
     floats = st.one_of(st.floats(), st.sampled_from(_FLOAT_EDGES))
     columns = []
     for kind in draw(st.lists(st.sampled_from(
-            ["int64", "big", "few", "distinct"]), min_size=1, max_size=4)):
+            ["int64", "few", "distinct"]), min_size=1, max_size=4)):
         if kind == "int64":
             ints = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from(_INT_EDGES))
             columns.append((False, draw(st.lists(ints, min_size=n, max_size=n))))
-        elif kind == "big":
-            big = st.one_of(st.integers(-10**40, 10**40), st.sampled_from(
-                [2**63, -2**63 - 1, 2**64, -2**100, *_INT_EDGES]))
-            columns.append((False, draw(st.lists(big, min_size=n, max_size=n))))
         elif kind == "few":
             pool = draw(st.lists(floats, min_size=1, max_size=3))
             vals = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
@@ -281,18 +321,10 @@ def _csv_columns(draw):
     return columns
 
 
-def _as_array(is_float, vals):
-    if is_float:
-        return np.array(vals, dtype=np.float64)
-    try:
-        return np.array(vals, dtype=np.int64)
-    except OverflowError:
-        return np.array(vals, dtype=object)
-
-
 @given(columns=_csv_columns())
 def test_csv_bytes_matches_per_row_formatting(columns):
-    arrays = [_as_array(is_float, vals) for is_float, vals in columns]
+    arrays = [np.array(vals, dtype=np.float64 if is_float else np.int64)
+              for is_float, vals in columns]
     assert _csv_bytes("h,e", arrays) == _csv_reference("h,e", columns)
 
 
@@ -301,14 +333,29 @@ def test_csv_bytes_zero_rows_and_signed_zeros():
     assert _csv_bytes("x", [np.array([0.0, -0.0, 0.0, -0.0])]) == b"x\n0\n-0\n0\n-0\n"
 
 
-def test_to_csv_prints_provenance_outside_int64():
-    prov = ((2**63, -1), (-2**64 - 5, 10**30), (0, -2**63))
-    pts = PointSet(1, [[0.5], [-0.0], [1e-320]], prov)
+def test_pointset_refuses_provenance_outside_int64():
+    coords = [[0.5], [-0.0], [1e-320]]
+    for bad in (2**63, -2**63 - 1, 10**30):
+        with pytest.raises(PreconditionError, match="int64"):
+            PointSet(1, coords, ((0, -1), (bad, 2), (0, 1)))
+        text = f"# quasilab pointset v1 dim=1\n0.5,0,-1\n-0,{bad},2\n"
+        with pytest.raises(PreconditionError, match="int64"):
+            PointSet.from_csv(text)
+    with pytest.raises(PreconditionError, match="int64"):
+        PointSet(1, coords, np.array([[0], [2**63], [1]], dtype=np.uint64))
+    with pytest.raises(PreconditionError, match="int64"):
+        PointSet(1, coords, [[0], [0.5], [1]])
+    with pytest.raises(PreconditionError, match=r"shape \(2, 1\) for 3 points"):
+        PointSet(1, coords, ((0,), (1,)))
+    # the int64 edges are kept, and written digit for digit
+    prov = ((2**63 - 1, -1), (-2**63, 10**18), (0, -(2**63 - 1)))
+    pts = PointSet(1, coords, prov)
+    assert_provenance(pts.provenance, prov)
     columns = [(True, [0.5, -0.0, 1e-320]), (False, [p[0] for p in prov]),
                (False, [p[1] for p in prov])]
     expected = _csv_reference("# quasilab pointset v1 dim=1", columns)
     assert pts.to_csv().encode() == expected
-    assert PointSet.from_csv(pts.to_csv()).provenance == prov
+    assert_provenance(PointSet.from_csv(pts.to_csv()).provenance, prov)
 
 
 def test_empty_search_box_rejected(sqrt2, gamma, window_neg1_0):
@@ -325,11 +372,10 @@ def test_empty_search_box_rejected(sqrt2, gamma, window_neg1_0):
 # membership kernel, except the sequence, which takes floor() per point.
 
 
-def _reference_pointset(dim, pts, window):
+def _reference_pointset(dim, pts, window, k):
     coords = np.array([[float(v) for v in q] for _, q in pts]).reshape(-1, dim)
-    return PointSet(
-        dim, coords, tuple(p for p, _ in pts), tuple(q for _, q in pts), window
-    )
+    prov = np.array([p for p, _ in pts], dtype=np.int64).reshape(-1, k)
+    return PointSet(dim, coords, prov, window)
 
 
 def _cut_and_project_reference(gamma, window, search):
@@ -343,7 +389,7 @@ def _cut_and_project_reference(gamma, window, search):
     for i in idx[shift[:, 0] == 0]:
         prov = tuple(int(v) for v in coeffs[i])
         pts.append((prov, gamma.point(prov)[:d]))
-    return _reference_pointset(d, pts, window.describe())
+    return _reference_pointset(d, pts, window.describe(), d + 1)
 
 
 def _special_reference(alpha, beta, window, m_box):
@@ -358,7 +404,7 @@ def _special_reference(alpha, beta, window, m_box):
         p2 = n - sum((alpha[j] * m[j] for j in range(1, d)), alpha[0] * m[0])
         point = tuple(spec.from_rational(m[j]) - beta[j] * p2 for j in range(d))
         pts.append((tuple(m) + (n,), point))
-    return _reference_pointset(d, pts, window.describe())
+    return _reference_pointset(d, pts, window.describe(), d + 1)
 
 
 def _dual_reference(alpha, beta, region, n_range):
@@ -377,7 +423,7 @@ def _dual_reference(alpha, beta, region, n_range):
         lam = sum((x[j] * beta[j] for j in range(1, d)), x[0] * beta[0]) + n
         pts.append((tuple(m) + (n,), (lam,)))
     pts.sort(key=lambda t: t[0])
-    return _reference_pointset(1, pts, region.describe())
+    return _reference_pointset(1, pts, region.describe(), d + 1)
 
 
 def _sequence_reference(alpha, beta, m_box):
@@ -390,13 +436,12 @@ def _sequence_reference(alpha, beta, m_box):
         n = am.floor()
         point = tuple(spec.from_rational(m[i]) + beta[i] * (am - n) for i in range(d))
         pts.append((tuple(m) + (n,), point))
-    return _reference_pointset(d, pts, "sequence")
+    return _reference_pointset(d, pts, "sequence", d + 1)
 
 
 def assert_same_points(got, want):
     assert got.dim == want.dim and got.window == want.window
-    assert got.provenance == want.provenance
-    assert got.qcoords == want.qcoords
+    assert_provenance(got.provenance, want.provenance)
     assert got.coords.shape == want.coords.shape
     assert got.coords.tobytes() == want.coords.tobytes()
 
@@ -483,3 +528,49 @@ def test_generators_empty_range(sqrt2, sqrt23):
     gamma = make_special_lattice([w1], [sqrt2.one()])[0]
     got = cut_and_project(gamma, narrow, [(0, 0), (0, 0)])
     assert len(got) == 0 and got.coords.shape == (0, 1)
+    got = sequence_points([w1], [sqrt2.one()], [(1, 0)])
+    assert len(got) == 0 and got.coords.shape == (0, 1)
+    assert_same_points(got, _sequence_reference([w1], [sqrt2.one()], [(1, 0)]))
+
+
+def assert_provenance_contract(pts, k):
+    # int64 rows of the documented width, in lexicographic order
+    prov = pts.provenance
+    assert prov.dtype == np.int64 and prov.shape == (len(pts), k)
+    assert np.array_equal(np.lexsort(prov.T[::-1]), np.arange(len(pts)))
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["points", "empty"])
+def test_generators_provenance_contract(sqrt2, sqrt23, empty):
+    # empty: boxes from 0 to -1, and n ranges whose blocks all miss the region
+    w1 = sqrt2.basis_element("w1")
+    one = sqrt2.one()
+    hi = -1 if empty else 40
+    window = parse_region_literal(sqrt2, "(-1,0]")
+    circle = interval(sqrt2.zero(), w1 - 1)
+    narrow = parse_region_literal(sqrt2, "[1/1000,2/1000)")
+    region = narrow if empty else parse_region_literal(sqrt2, "[0,-1+1*w1) U [1,3-1*w1)")
+    n_range = (0, 0) if empty else (-40, 40)
+    gamma = make_special_lattice([w1], [one])[0]
+    v = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    window23 = parse_region_literal(sqrt23, "(-1,0]")
+    tiny = sqrt23.parse("1/1000")
+    box23 = (box_region(sqrt23, [tiny, tiny], [2 * tiny, 2 * tiny]) if empty
+             else box_region(sqrt23, [0, 0], v))
+    cases = [
+        (cut_and_project(gamma, narrow if empty else window,
+                         [(-20, 20), (-40, 40)]), 2),
+        (special_quasicrystal([w1], [one], window, [(0, hi)]), 2),
+        (special_quasicrystal(v, v, window23, [(0, hi), (-3, 3)]), 3),
+        (dual_model_points([w1], [one], region, n_range), 2),
+        (dual_model_points(v, v, box23, n_range), 3),
+        (sequence_points([w1], [one], [(0, hi)]), 2),
+        (sequence_points(v, v, [(-3, 3), (0, hi)]), 3),
+        (periodic_points([w1], circle, [(0, 2 * hi)]), 1),
+        (periodic_points(v, parse_region_literal(sqrt23, "[0,1/2)"),
+                         [(0, hi), (-5, 5)]), 2),
+        (periodic_dual([w1], narrow if empty else circle, n_range), 1),
+    ]
+    for pts, k in cases:
+        assert (len(pts) == 0) == empty
+        assert_provenance_contract(pts, k)

@@ -90,6 +90,15 @@ def test_enumeration_anchor(example_enum):
     assert example_enum.blocks[j0] == 0  # lambda_0 is the first of block 0
 
 
+def test_enumeration_refuses_an_empty_set(sqrt2):
+    w1 = sqrt2.basis_element("w1")
+    narrow = parse_region_literal(sqrt2, "[1/1000,2/1000)")
+    pts = dual_model_points([w1], [sqrt2.one()], narrow, (0, 0))
+    assert pts.provenance.shape == (0, 2)
+    with pytest.raises(PreconditionError, match="empty point set"):
+        enumerate_blocks(pts)
+
+
 def test_delta_recomputable(example_enum, sqrt2):
     ds = delta_sequence(example_enum, sqrt2.one())
     assert np.abs(ds.deltas + ds.js / 1.0 - ds.lambdas).max() < 1e-9
