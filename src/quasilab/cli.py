@@ -157,7 +157,8 @@ def _disc(c, outdir: Path, n_lo=None, two_sided: bool = False) -> dict:
         "max_abs": trace.max_abs,
         "argmax_n": trace.argmax_n,
         "n_range": [int(trace.ns[0]), int(trace.ns[-1])],
-        "x0": float(trace.x0),
+        # a scalar in one dimension, as the 1-D artifacts have always had it
+        "x0": float(trace.x0[0]) if len(trace.x0) == 1 else [float(v) for v in trace.x0],
         "mes": trace.mes,
         "region": trace.region_desc,
         "alpha": trace.alpha_desc,

@@ -9,6 +9,7 @@ there is no drift at k ~ 10^6.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -34,6 +35,7 @@ __all__ = [
 
 # elements per block of the direct bmo_stat scan: the block buffer stays in cache
 _BMO_BLOCK = 1 << 15
+_EPS = 2.0 ** -53  # unit roundoff of float64
 
 
 def _as_qvalue(spec, x) -> QValue:
@@ -60,24 +62,33 @@ def _alpha_desc(region: RegionSet, alpha) -> str:
     return ", ".join(str(a) for a in _alpha_vector(region, alpha))
 
 
+def _x0_vector(region: RegionSet, x0) -> tuple[QValue, ...]:
+    """The start point as a vector: None is the zero vector, a scalar a 1-vector."""
+    spec = region.spec
+    if x0 is None:
+        return tuple(spec.zero() for _ in range(region.dim))
+    if not isinstance(x0, (tuple, list, np.ndarray)):
+        x0 = (x0,)
+    vec = tuple(_as_qvalue(spec, v) for v in x0)
+    if len(vec) != region.dim:
+        raise PreconditionError("x0 dimension does not match the region")
+    return vec
+
+
 def orbit_hits(region: RegionSet, alpha, x0, k_lo: int, k_hi: int) -> np.ndarray:
     """Multiplicity counts chi_S(x0 + k*alpha) for k = k_lo..k_hi.
 
-    Every dimension runs through the region's membership kernel: one
-    vectorized float pass, with exact fallback for the orbit points inside
-    the guard band derived from the orbit's magnitudes.
+    x0 is a vector of the region's dimension (a scalar in one dimension),
+    and None is the zero vector.  Every dimension runs through the region's
+    membership kernel: one vectorized float pass, with exact fallback for
+    the orbit points inside the guard band derived from the orbit's
+    magnitudes.
     """
     if k_hi < k_lo:
         raise PreconditionError("empty orbit range")
     alpha_vec = _alpha_vector(region, alpha)
-    spec = region.spec
-    if not isinstance(x0, (tuple, list, np.ndarray)):
-        x0 = (x0,)
-    x0_vec = tuple(_as_qvalue(spec, v) for v in x0)
-    if len(x0_vec) != region.dim:
-        raise PreconditionError("x0 dimension does not match the region")
     ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    return region.membership.count(x0_vec, [alpha_vec], ks[:, None])
+    return region.membership.count(_x0_vector(region, x0), [alpha_vec], ks[:, None])
 
 
 @dataclass(eq=False)
@@ -86,7 +97,7 @@ class DiscrepancyTrace:
 
     alpha_desc: str
     region_desc: str
-    x0: QValue
+    x0: tuple[QValue, ...]
     ns: np.ndarray
     values: np.ndarray
     mes: float
@@ -115,20 +126,23 @@ class DiscrepancyTrace:
 def discrepancy_trace(
     region: RegionSet,
     alpha,
-    x0=0,
+    x0=None,
     n_range: tuple[int, int] = (0, 1000),
     two_sided: bool = False,
 ) -> DiscrepancyTrace:
     """Exact-summation trace of D_n(S, x0).
 
-    For n > 0 this is the hit count over k = 0..n-1 minus n*mes S; n = 0
-    gives 0 and negative n (two-sided mode) uses the reflected convention
-    with k = n..-1.  Hit counts accumulate in exact integers; the only
-    floating step is the single product n*mes per entry.
+    x0 is a vector of the region's dimension (a scalar in one dimension),
+    and None is the zero vector.  For n > 0 this is the hit count over
+    k = 0..n-1 minus n*mes S; n = 0 gives 0 and negative n (two-sided mode)
+    uses the reflected convention with k = n..-1.  Hit counts accumulate in
+    exact integers; the only floating step is the single product n*mes per
+    entry.
     """
     n_lo, n_hi = n_range
     if n_lo > n_hi:
         raise PreconditionError("empty n range")
+    x0 = _x0_vector(region, x0)
     if n_lo < 0 and not two_sided:
         raise PreconditionError("negative n requires two_sided=True")
     mes = float(region.volume())
@@ -144,8 +158,7 @@ def discrepancy_trace(
         csum_neg = np.cumsum(chi_neg[::-1])  # index t-1 = sum over k=-t..-1
         values[:q + 1 - n_lo] = -csum_neg[-q - 1:-n_lo][::-1] - ns[:q + 1 - n_lo] * mes
     return DiscrepancyTrace(
-        _alpha_desc(region, alpha), region.describe(), _as_qvalue(region.spec, x0),
-        ns, values, mes,
+        _alpha_desc(region, alpha), region.describe(), x0, ns, values, mes,
     )
 
 
@@ -191,7 +204,7 @@ def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
     if N <= 0 or J < 0:
         raise PreconditionError("N must be positive and J nonnegative")
     mes = float(region.volume())
-    chi = orbit_hits(region, alpha, 0, -J + 1, J + N)
+    chi = orbit_hits(region, alpha, None, -J + 1, J + N)
     # f[i] sums the orbit values k = -J + 1 .. -J + i minus i*mes, so the
     # prefix up to k = j is f-index j + J in [0, 2J]; up to j+n it is j + J + n.
     f = np.concatenate([[0.0], np.cumsum(chi) - mes * np.arange(1, len(chi) + 1)])
@@ -212,9 +225,37 @@ def orbit_transfer(region: RegionSet, alpha, n_range: tuple[int, int]) -> Discre
     """Transfer-function samples g(n*alpha), normalized by g(0) = 0.
 
     g((n+1)alpha) = g(n alpha) + chi_S(n alpha) - mes S in both directions
-    is the two-sided discrepancy at x0 = 0.
+    is the two-sided discrepancy from the zero vector.
     """
-    return discrepancy_trace(region, alpha, 0, n_range, two_sided=True)
+    return discrepancy_trace(region, alpha, None, n_range, two_sided=True)
+
+
+def _scan_max(c: np.ndarray, means: np.ndarray, L: int, keep=None) -> float:
+    """Largest computed sum_i |c_i - mean| / L over the windows in keep (all
+    windows when None), in blocks of about ``_BMO_BLOCK`` elements.
+
+    Each window is summed in its own contiguous row of L elements, so its
+    value does not depend on which other windows share the block.
+    """
+    view = np.lib.stride_tricks.sliding_window_view(c, L)
+    rows = max(1, _BMO_BLOCK // L)
+    best = 0.0
+    if keep is None:
+        buf = np.empty((rows, L))
+        for s in range(0, len(means), rows):
+            e = min(s + rows, len(means))
+            dev = buf[:e - s]
+            np.subtract(view[s:e], means[s:e, None], out=dev)
+            np.abs(dev, out=dev)
+            best = max(best, float(dev.sum(axis=1).max()) / L)
+    else:
+        for s in range(0, len(keep), rows):
+            idx = keep[s:s + rows]
+            dev = view[idx]
+            np.subtract(dev, means[idx, None], out=dev)
+            np.abs(dev, out=dev)
+            best = max(best, float(dev.sum(axis=1).max()) / L)
+    return best
 
 
 def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
@@ -227,7 +268,23 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
     (1/q)Z + const) takes, for each length L > |V|, the window sum
     sum_v count_v(window) * |v - mean| from per-value prefix counts, at
     O(n |V|) per length.  Other lengths scan the windows directly in
-    blocks of about ``_BMO_BLOCK`` elements, at O(n L) per length.
+    blocks of about ``_BMO_BLOCK`` elements, at O(n L) per length, but
+    only the windows that could raise the maximum.
+
+    The pruning is branch and bound.  By Cauchy-Schwarz a window's mean
+    absolute deviation is at most its standard deviation, and the
+    variances of all windows of one length come in O(n) from prefix sums
+    of c and c^2 (c the centred sequence).  The bound is widened by a
+    slack taken from the input's own magnitudes (n, sum c^2, max |c|) that
+    covers the rounding of both prefix sums and of the computed window
+    mean, and by a factor 1 + O(L eps) that covers the rounded row sum.
+    So no window whose computed value could reach the running maximum is
+    dropped.  The running maximum starts from the exact value of each
+    length's highest-bound window; a length whose bound stays below it is
+    skipped whole, and one where more than a quarter of the windows
+    survive is scanned in full.  Every window that is evaluated goes
+    through the same subtract / abs / row-sum arithmetic in its own row,
+    so the result is the direct scan's float, bit for bit.
     """
     c = np.asarray(seq, dtype=np.float64)
     if not np.isfinite(c).all():
@@ -242,9 +299,10 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
     cs = np.concatenate([[0.0], np.cumsum(c)])
     values, value_idx = np.unique(c, return_inverse=True)
     best = 0.0
+    scan = []
     for L in window_lengths:
-        means = (cs[L:] - cs[:-L]) / L
         if len(values) < L:
+            means = (cs[L:] - cs[:-L]) / L
             total = np.zeros(len(means))
             term = np.empty(len(means))
             count = np.zeros(n + 1, dtype=np.int64)
@@ -255,16 +313,53 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
                 term *= count[L:] - count[:-L]
                 total += term
             best = max(best, float(total.max()) / L)
-        else:
-            view = np.lib.stride_tricks.sliding_window_view(c, L)
-            rows = max(1, _BMO_BLOCK // L)
-            buf = np.empty((rows, L))
-            for s in range(0, len(means), rows):
-                e = min(s + rows, len(means))
-                dev = buf[:e - s]
-                np.subtract(view[s:e], means[s:e, None], out=dev)
-                np.abs(dev, out=dev)
-                best = max(best, float(dev.sum(axis=1).max()) / L)
+        elif L not in scan:  # a repeated length has the same windows
+            scan.append(L)
+    if not scan:
+        return best
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        c2s = np.concatenate([[0.0], np.cumsum(c * c)])
+        big, total2 = float(np.abs(c).max()), float(c2s[-1])
+        # twice the rounding bounds of a window sum of c (whose magnitudes
+        # sum to at most sqrt(n sum c^2)) and of c^2 from the prefix sums
+        e1 = 4 * (n + 2) * _EPS * math.sqrt(n * total2)
+        e2 = 4 * (n + 3) * _EPS * total2
+    if not math.isfinite(e1):
+        # n sum c^2 overflows: no bound, so scan every window in the old blocks
+        return max([best] + [_scan_max(c, (cs[L:] - cs[:-L]) / L, L) for L in scan])
+
+    def variance(L: int, means: np.ndarray) -> np.ndarray:
+        q = c2s[L:] - c2s[:-L]
+        q /= L
+        q -= means * means
+        return q
+
+    def cut(L: int) -> float:
+        # A window with computed variance q below the cut has a computed
+        # value below best: with m the exact and m' the computed mean,
+        # |m - m'| <= dm, so the exact mean square deviation from m' is at
+        # most q + slack, and its mean absolute deviation at most the root
+        # of that; the row sum adds at most a factor 1 + (L + 1) eps.
+        dm = e1 / L + 2 * _EPS * (big + e1 / L)
+        top = big + dm
+        slack = 2 * (e2 / L + 2 * top * dm + 6 * _EPS * top * top)
+        return (best / (1 + 4 * (L + 8) * _EPS)) ** 2 - slack
+
+    top_q = {}
+    for L in scan:
+        means = (cs[L:] - cs[:-L]) / L
+        q = variance(L, means)
+        j = int(q.argmax())
+        top_q[L] = q[j]
+        best = max(best, _scan_max(c, means, L, np.array([j])))
+    for L in scan:
+        bar = cut(L)
+        if top_q[L] < bar:
+            continue
+        means = (cs[L:] - cs[:-L]) / L
+        keep = np.flatnonzero(~(variance(L, means) < bar))
+        best = max(best, _scan_max(c, means, L, None if 4 * len(keep) > len(means) else keep))
     return best
 
 

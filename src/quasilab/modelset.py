@@ -159,8 +159,14 @@ def _window_check(window: RegionSet) -> None:
         raise PreconditionError("window must be one-dimensional")
 
 
-def _grid(box: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Integer points of an inclusive box, one per row, in lexicographic order."""
+def _grid(box: Sequence[tuple[int, int]], what: str) -> np.ndarray:
+    """Integer points of an inclusive box, one per row, in lexicographic order.
+
+    Every generator's boxes and ranges come through here, so lo > hi on any
+    axis is refused the same way everywhere.
+    """
+    if any(lo > hi for lo, hi in box):
+        raise PreconditionError(f"empty {what}: lo > hi")
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
 
@@ -208,9 +214,7 @@ def cut_and_project(
     d = gamma.dim_d
     if len(search) != d + 1:
         raise PreconditionError(f"search box needs {d + 1} coordinate ranges")
-    if any(lo > hi for lo, hi in search):
-        raise PreconditionError("empty search box")
-    coeffs = _grid(search)
+    coeffs = _grid(search, "search box")
     idx, shift = window.membership.translates(
         (gamma.spec.zero(),), [(v,) for v in gamma.basis[d]], coeffs
     )
@@ -236,7 +240,7 @@ def special_quasicrystal(
     if len(m_box) != d:
         raise PreconditionError(f"m box needs {d} coordinate ranges")
     spec, alpha, beta = lift_special(alpha, beta)
-    ms = _grid(m_box)
+    ms = _grid(m_box, "m box")
     idx, ns = window.membership.translates((spec.zero(),), [(-a,) for a in alpha], ms)
     one, zero = spec.one(), spec.zero()
     mat = [[(one if i == j else zero) + beta[i] * alpha[j] for j in range(d)]
@@ -265,12 +269,9 @@ def dual_model_points(
     spec = region.spec
     alpha = [lift_to(spec, a) for a in alpha]
     beta = [lift_to(spec, b) for b in beta]
-    n_lo, n_hi = n_range
-    if n_lo > n_hi:
-        raise PreconditionError("empty n range")
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    ns = _grid([n_range], "n range")
     idx, ms = region.membership.translates(
-        tuple(spec.zero() for _ in range(d)), [tuple(alpha)], ns[:, None]
+        tuple(spec.zero() for _ in range(d)), [tuple(alpha)], ns
     )
     prov = np.column_stack([ms, ns[idx]])
     prov = prov[np.lexsort(prov.T[::-1])]
@@ -315,7 +316,7 @@ def periodic_points(
     if not (length.sign() > 0 and (length - 1).sign() < 0):
         raise PreconditionError("window length must lie in (0, 1)")
     spec = window.spec
-    ns = _grid(n_box)
+    ns = _grid(n_box, "n box")
     # the count of integer translates of <n, alpha> into the window is
     # exactly the mod-1 membership indicator for sub-unit windows
     chi = window.membership.count(
@@ -335,16 +336,13 @@ def periodic_dual(
     if region.dim != d:
         raise PreconditionError("region dimension must match alpha")
     spec = region.spec
-    lo, hi = m_range
-    if lo > hi:
-        raise PreconditionError("empty m range")
-    ms = np.arange(lo, hi + 1, dtype=np.int64)
+    ms = _grid([m_range], "m range")
     chi = region.membership.count(
         tuple(spec.zero() for _ in range(d)),
         [tuple(-lift_to(spec, a) for a in alpha)],
-        ms[:, None],
+        ms,
     )
-    keep = ms[chi > 0, None]
+    keep = ms[chi > 0]
     return PointSet(1, keep.astype(float), keep, region.describe())
 
 

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import time
 from collections import deque
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasilab.algebra import AlgebraSpec
+from quasilab import dynamics
 from quasilab.dynamics import (
     bmo_stat,
     brs_empirical,
@@ -84,7 +87,7 @@ def test_trace_keeps_exact_x0(sqrt2, half, x0):
     # misses that hit when the increments are recomputed
     a, x = sqrt2.basis_element("w1"), sqrt2.parse(x0)
     tr = discrepancy_trace(half, a, x, (0, 10))
-    assert tr.x0 == x
+    assert tr.x0 == (x,)
     assert tr.increments_consistent(half, a)
 
 
@@ -120,6 +123,35 @@ def test_orbit_hits_two_dim(sqrt23):
     halfcube = box_region(sqrt23, [0, 0], ["0.5", "0.5"])
     chi2 = orbit_hits(halfcube, alpha, (0, 0), 0, 200)
     assert 0 < chi2.mean() < 1
+
+
+@pytest.mark.parametrize("upper, want", [
+    # [0,sqrt2-1) x [0,1) is a bounded remainder set: max |D_n| = 2 - sqrt2
+    (("w1 - 1", "1"), (0.586, 0.586, 0.586)),
+    # [0,1) x [0,sqrt2-1) has the same measure and is not one: it grows
+    (("1", "w1 - 1"), (1.68, 2.29, 2.45)),
+])
+def test_two_dim_discrepancy_pair(sqrt23, upper, want):
+    alpha = (sqrt23.basis_element("w1"), sqrt23.basis_element("w2"))
+    box = box_region(sqrt23, [0, 0], [sqrt23.parse(u) for u in upper])
+    tr = discrepancy_trace(box, alpha, n_range=(0, 100_000))
+    assert tr.x0 == (sqrt23.zero(), sqrt23.zero())
+    chi = orbit_hits(box, alpha, (0, 0), 0, 99_999)
+    counts = np.concatenate([[0.0], np.cumsum(chi) - np.arange(1, 100_001) * tr.mes])
+    assert np.array_equal(tr.values, counts)
+    got = [np.abs(tr.values[:n + 1]).max() for n in (1_000, 10_000, 100_000)]
+    assert np.allclose(got, want, atol=5e-3)
+    assert tr.increments_consistent(box, alpha)
+
+
+def test_two_dim_brs_and_transfer(sqrt23):
+    alpha = (sqrt23.basis_element("w1"), sqrt23.basis_element("w2"))
+    box = box_region(sqrt23, [0, 0], [sqrt23.parse("w1 - 1"), 1])
+    stat = brs_empirical(box, alpha, 2_000, 500)
+    assert (stat.value, stat.argmax_n, stat.argmax_j) == _brs_reference(box, alpha, 2_000, 500)
+    assert stat.value <= 1.0
+    g = orbit_transfer(box, alpha, (-500, 500))
+    assert g.value_at(0) == 0.0 and g.max_abs <= 2 - math.sqrt(2) + 1e-12
 
 
 def test_orbit_hits_two_dim_faces(sqrt23):
@@ -208,7 +240,7 @@ def test_brs_statistic_oracle_small(sqrt2, hecke):
 def _brs_reference(region, alpha, N, J):
     """Sliding-window deque scan over window ends t, one start at a time."""
     mes = float(region.volume())
-    chi = orbit_hits(region, alpha, 0, -J + 1, J + N)
+    chi = orbit_hits(region, alpha, None, -J + 1, J + N)
     f = np.concatenate([[0.0], np.cumsum(chi) - mes * np.arange(1, len(chi) + 1)])
     best, best_t, best_s = -1.0, 0, 0
     max_dq: deque[int] = deque()
@@ -313,6 +345,151 @@ def test_bmo_matches_reference(rng, sqrt2, half):
     cases.append((trace.values, [1 << j for j in range(0, 15)]))
     for seq, lengths in cases:
         assert abs(bmo_stat(seq, lengths) - _bmo_reference(seq, lengths)) <= 1e-12
+
+
+def _bmo_scan_reference(seq, window_lengths, block=1 << 15):
+    """bmo_stat as the direct scan computed it before the variance bound:
+    every window of every length, in blocks of about ``block`` elements."""
+    c = np.asarray(seq, dtype=np.float64)
+    n = len(c)
+    c = c - c.mean()
+    cs = np.concatenate([[0.0], np.cumsum(c)])
+    values, value_idx = np.unique(c, return_inverse=True)
+    best = 0.0
+    for L in window_lengths:
+        means = (cs[L:] - cs[:-L]) / L
+        if len(values) < L:
+            total = np.zeros(len(means))
+            term = np.empty(len(means))
+            count = np.zeros(n + 1, dtype=np.int64)
+            for k, v in enumerate(values):
+                np.cumsum(value_idx == k, out=count[1:])
+                np.subtract(v, means, out=term)
+                np.abs(term, out=term)
+                term *= count[L:] - count[:-L]
+                total += term
+            best = max(best, float(total.max()) / L)
+        else:
+            view = np.lib.stride_tricks.sliding_window_view(c, L)
+            rows = max(1, block // L)
+            buf = np.empty((rows, L))
+            for s in range(0, len(means), rows):
+                e = min(s + rows, len(means))
+                dev = buf[:e - s]
+                np.subtract(view[s:e], means[s:e, None], out=dev)
+                np.abs(dev, out=dev)
+                best = max(best, float(dev.sum(axis=1).max()) / L)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_trace(lit: str) -> np.ndarray:
+    spec = AlgebraSpec.from_sqrt([2])
+    region = parse_region_literal(spec, lit)
+    return discrepancy_trace(region, spec.basis_element("w1"), None, (0, 4000)).values
+
+
+@st.composite
+def bmo_inputs(draw):
+    kind = draw(st.sampled_from(["bounded", "growth", "few", "outliers", "ramp",
+                                 "offset", "constant", "alternating"]))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("bounded", "growth"):
+        # a bounded remainder set, and a set of irrational measure that is not one
+        trace = _rotation_trace("[0,-1+1*w1)" if kind == "bounded" else "[0,2/3*w1)")
+        start = draw(st.integers(0, len(trace) - n))
+        seq = trace[start:start + n]
+    elif kind == "few":
+        seq = rng.integers(0, draw(st.integers(1, 12)), size=n) / 4
+    elif kind == "outliers":
+        seq = rng.normal(size=n)
+        hits = rng.integers(0, n, size=draw(st.integers(1, 3)))
+        seq[hits] = rng.choice([-1.0, 1.0], size=len(hits)) * 10.0 ** draw(st.integers(3, 12))
+    elif kind == "ramp":
+        # steps of up to 1e8 with noise of up to 1e8: sum c^2 dwarfs a
+        # window's variance, which the prefix sums then get by cancellation
+        step = draw(st.sampled_from([1.0, 1e4, 1e8]))
+        noise = draw(st.sampled_from([0.0, 1e-3, 1.0, 1e8]))
+        seq = np.cumsum(step + noise * rng.uniform(-1, 1, size=n))
+    elif kind == "offset":
+        seq = 1e9 + draw(st.integers(-1000, 1000)) + rng.normal(size=n) * draw(
+            st.sampled_from([1e-6, 1e-3, 1.0]))
+    elif kind == "constant":
+        seq = np.full(n, draw(st.floats(-1e9, 1e9)))
+    else:
+        seq = np.resize([1.0, -1.0], n) * draw(st.floats(1e-3, 1e9))
+    # short lengths alone: for L = 1 the computed deviation is only the
+    # rounding of the prefix sums, which the variance's own rounding dwarfs
+    lengths = draw(st.one_of(st.lists(st.integers(1, n), min_size=1, max_size=6),
+                             st.lists(st.integers(1, min(n, 3)), min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        lengths += [n, lengths[0]]  # the whole sequence, and a repeated length
+    return seq, lengths
+
+
+@settings(max_examples=250)
+@given(bmo_inputs())
+def test_bmo_bit_identical_to_direct_scan(case):
+    # the variance bound only skips windows; the float is the scan's, bit for bit
+    seq, lengths = case
+    assert bmo_stat(seq, lengths) == _bmo_scan_reference(seq, lengths)
+
+
+def test_bmo_bit_identical_under_cancellation():
+    # a unit ramp with 1e-9 noise: sum c^2 ~ n^3 / 12, so the prefix sums
+    # give the L = 2 variances (1/4 each) only to about 1e-9, the size of
+    # the noise that separates the windows; only the slack keeps the
+    # window whose computed value is highest
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        seq = np.arange(300.0) + rng.normal(size=300) * 1e-9
+        assert bmo_stat(seq, [2]) == _bmo_scan_reference(seq, [2])
+
+
+def test_bmo_overflowing_squares_match_scan():
+    # where c^2 or the prefix sums overflow there is no bound, and every
+    # window is scanned in the old blocks (a non-finite window value drops
+    # its whole block from the maximum there)
+    cases = [[1e308, -1e308, 1e308, 5.0], [1e200, -3e199, 7.0, 1e200, 2.0, -1e200],
+             np.linspace(-1e307, 1e307, 50), [1e160, 3.0, -2e159, 1.0] * 20]
+    with np.errstate(all="ignore"):
+        for seq in cases:
+            assert bmo_stat(seq, [1, 2, 3]) == _bmo_scan_reference(seq, [1, 2, 3])
+
+
+def test_bmo_large_bounded_trace(sqrt2, hecke):
+    # 2^20 terms of a bounded remainder set's trace: the maximum is
+    # 1 - 1/sqrt2, attained at L = 2 by a single step of +1 - mes S, and the
+    # bound leaves little of the 2^0..2^12 scan (about 14 s as a full scan)
+    tr = discrepancy_trace(hecke, sqrt2.basis_element("w1"), None, (0, 1 << 20))
+    start = time.perf_counter()
+    val = bmo_stat(tr.values, [1 << j for j in range(13)])
+    elapsed = time.perf_counter() - start
+    # the pinned float is the direct scan's; D_n itself carries n * mes S
+    # rounding at n ~ 1e6, so the closed form holds to 1e-10
+    assert abs(val - 0.29289321883697994) <= 1e-12
+    assert abs(val - (1 - 1 / math.sqrt(2))) <= 1e-10
+    assert bmo_stat(tr.values, [2]) == val
+    assert elapsed < 10.0
+
+
+def test_bmo_bound_prunes_growth_trace(sqrt2, monkeypatch):
+    # a trace that grows: the seeded maximum leaves about a tenth of the
+    # direct scan's window elements (over half when nothing seeds it)
+    region = parse_region_literal(sqrt2, "[0,2/3*w1)")
+    seq = discrepancy_trace(region, sqrt2.basis_element("w1"), None, (0, 1 << 14)).values
+    lengths = [1 << j for j in range(13)]
+    evaluated = []
+    scan = dynamics._scan_max
+
+    def counting(c, means, L, keep=None):
+        evaluated.append((len(means) if keep is None else len(keep)) * L)
+        return scan(c, means, L, keep)
+
+    monkeypatch.setattr(dynamics, "_scan_max", counting)
+    assert bmo_stat(seq, lengths) == _bmo_scan_reference(seq, lengths)
+    assert sum(evaluated) <= 0.25 * sum((len(seq) - L + 1) * L for L in lengths)
 
 
 def test_bmo_constant_zero():

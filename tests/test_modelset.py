@@ -515,6 +515,7 @@ def test_cut_and_project_matches_reference_general_lattice(sqrt2):
 
 
 def test_generators_empty_range(sqrt2, sqrt23):
+    # in-range boxes whose points all miss a narrow window
     w1 = sqrt2.basis_element("w1")
     narrow = parse_region_literal(sqrt2, "[1/1000,2/1000)")
     got = dual_model_points([w1], [sqrt2.one()], narrow, (0, 0))
@@ -528,9 +529,40 @@ def test_generators_empty_range(sqrt2, sqrt23):
     gamma = make_special_lattice([w1], [sqrt2.one()])[0]
     got = cut_and_project(gamma, narrow, [(0, 0), (0, 0)])
     assert len(got) == 0 and got.coords.shape == (0, 1)
-    got = sequence_points([w1], [sqrt2.one()], [(1, 0)])
-    assert len(got) == 0 and got.coords.shape == (0, 1)
-    assert_same_points(got, _sequence_reference([w1], [sqrt2.one()], [(1, 0)]))
+    got = periodic_points(v, window, [(0, 0), (0, 0)])
+    assert len(got) == 0 and got.coords.shape == (0, 2)
+
+
+def test_generators_refuse_reversed_ranges(sqrt2, sqrt23):
+    # one rule for every generator: a range with lo > hi is refused, in
+    # any axis of a d = 2 box as in one dimension
+    w1 = sqrt2.basis_element("w1")
+    v = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    window = parse_region_literal(sqrt2, "(-1,0]")
+    window23 = parse_region_literal(sqrt23, "(-1,0]")
+    half23 = parse_region_literal(sqrt23, "[0,1/2)")
+    box23 = box_region(sqrt23, [0, 0], v)
+    gamma = make_special_lattice([w1], [sqrt2.one()])[0]
+    for bad in ([(0, -1), (-3, 3)], [(-3, 3), (1, 0)]):
+        calls = [
+            lambda: special_quasicrystal(v, v, window23, bad),
+            lambda: sequence_points(v, v, bad),
+            lambda: periodic_points(v, half23, bad),
+        ]
+        for call in calls:
+            with pytest.raises(PreconditionError, match="empty"):
+                call()
+    calls = [
+        lambda: special_quasicrystal([w1], [sqrt2.one()], window, [(1, 0)]),
+        lambda: sequence_points([w1], [sqrt2.one()], [(1, 0)]),
+        lambda: periodic_points([w1], parse_region_literal(sqrt2, "[0,1/2)"), [(1, 0)]),
+        lambda: cut_and_project(gamma, window, [(0, 0), (1, 0)]),
+        lambda: dual_model_points(v, v, box23, (1, 0)),
+        lambda: periodic_dual(v, box23, (1, 0)),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="empty"):
+            call()
 
 
 def assert_provenance_contract(pts, k):
@@ -542,35 +574,40 @@ def assert_provenance_contract(pts, k):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["points", "empty"])
 def test_generators_provenance_contract(sqrt2, sqrt23, empty):
-    # empty: boxes from 0 to -1, and n ranges whose blocks all miss the region
+    # empty: in-range boxes and n ranges whose points all miss a narrow
+    # window; the sequence has one point per m, so it is never empty
     w1 = sqrt2.basis_element("w1")
     one = sqrt2.one()
-    hi = -1 if empty else 40
-    window = parse_region_literal(sqrt2, "(-1,0]")
-    circle = interval(sqrt2.zero(), w1 - 1)
+    hi = 0 if empty else 40
     narrow = parse_region_literal(sqrt2, "[1/1000,2/1000)")
+    window = narrow if empty else parse_region_literal(sqrt2, "(-1,0]")
+    circle = narrow if empty else interval(sqrt2.zero(), w1 - 1)
     region = narrow if empty else parse_region_literal(sqrt2, "[0,-1+1*w1) U [1,3-1*w1)")
     n_range = (0, 0) if empty else (-40, 40)
+    side3, side5 = ((0, 0), (0, 0)) if empty else ((-3, 3), (-5, 5))
     gamma = make_special_lattice([w1], [one])[0]
     v = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
-    window23 = parse_region_literal(sqrt23, "(-1,0]")
+    narrow23 = parse_region_literal(sqrt23, "[1/1000,2/1000)")
+    window23 = narrow23 if empty else parse_region_literal(sqrt23, "(-1,0]")
+    circle23 = narrow23 if empty else parse_region_literal(sqrt23, "[0,1/2)")
     tiny = sqrt23.parse("1/1000")
     box23 = (box_region(sqrt23, [tiny, tiny], [2 * tiny, 2 * tiny]) if empty
              else box_region(sqrt23, [0, 0], v))
     cases = [
-        (cut_and_project(gamma, narrow if empty else window,
-                         [(-20, 20), (-40, 40)]), 2),
+        (cut_and_project(gamma, window, [(-20, 20), (-40, 40)]), 2),
         (special_quasicrystal([w1], [one], window, [(0, hi)]), 2),
-        (special_quasicrystal(v, v, window23, [(0, hi), (-3, 3)]), 3),
+        (special_quasicrystal(v, v, window23, [(0, hi), side3]), 3),
         (dual_model_points([w1], [one], region, n_range), 2),
         (dual_model_points(v, v, box23, n_range), 3),
-        (sequence_points([w1], [one], [(0, hi)]), 2),
-        (sequence_points(v, v, [(-3, 3), (0, hi)]), 3),
         (periodic_points([w1], circle, [(0, 2 * hi)]), 1),
-        (periodic_points(v, parse_region_literal(sqrt23, "[0,1/2)"),
-                         [(0, hi), (-5, 5)]), 2),
-        (periodic_dual([w1], narrow if empty else circle, n_range), 1),
+        (periodic_points(v, circle23, [(0, hi), side5]), 2),
+        (periodic_dual([w1], circle, n_range), 1),
     ]
+    if not empty:
+        cases += [
+            (sequence_points([w1], [one], [(0, hi)]), 2),
+            (sequence_points(v, v, [(-3, 3), (0, hi)]), 3),
+        ]
     for pts, k in cases:
         assert (len(pts) == 0) == empty
         assert_provenance_contract(pts, k)
