@@ -147,11 +147,11 @@ def _gen(c, outdir: Path, box=None) -> tuple[modelset.PointSet, dict]:
 def _disc(c, outdir: Path, n_lo=None, two_sided: bool = False) -> dict:
     spec = _spec(c)
     region = _load_region(spec, c["set"])
-    alpha = spec.parse(c["alpha"])
+    alpha = spec.parse_vector(c["alpha"])
     n = int(c["n"])
     if n_lo is None:
         n_lo = -n if two_sided else 0
-    x0 = spec.parse(_get(c, "x0", "0"))
+    x0 = None if c.get("x0") is None else spec.parse_vector(c["x0"])
     trace = dynamics.discrepancy_trace(region, alpha, x0, (n_lo, n), two_sided=two_sided)
     return {
         "max_abs": trace.max_abs,
@@ -169,7 +169,7 @@ def _disc(c, outdir: Path, n_lo=None, two_sided: bool = False) -> dict:
 def _brs(c) -> dict:
     spec = _spec(c)
     region = _load_region(spec, c["set"])
-    alpha = spec.parse(c["alpha"])
+    alpha = spec.parse_vector(c["alpha"])
     stat = dynamics.brs_empirical(region, alpha, int(c["N"]), int(c["J"]))
     return {
         "max_abs": stat.value,
@@ -497,7 +497,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-lo", type=int, default=None)
-    p.add_argument("--x0", default=None, help="exact value literal")
+    p.add_argument("--x0", default=None, help="exact vector literal (default: zero)")
     p.add_argument("--two-sided", action="store_true")
     p.set_defaults(func=_cmd_disc)
 

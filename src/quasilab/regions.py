@@ -199,6 +199,8 @@ class RegionSet:
 
 
 _EPS = float(np.finfo(float).eps)
+# coefficient rows per block of the membership kernel: a block's buffers stay in L2
+_BLOCK = 1 << 14
 
 
 def _mag(v: QValue) -> float:
@@ -253,18 +255,18 @@ class Membership:
                 corners.min(axis=0), corners.max(axis=0), ext, norm,
             ))
 
-    def _batch(self, base, gens, coeffs):
-        c = np.asarray(coeffs, dtype=np.int64)
-        gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
-        xf = np.array([float(v) for v in base]) + c.astype(np.float64) @ gens_f
-        # each coordinate is a float sum of len(gens) + 1 rounded terms
-        scale = max(_mag(v) for v in base) + sum(
+    def _scale(self, base, gens, c) -> float:
+        """Bound on the terms of every coordinate: |base| + sum_j max|c_j| * |g_j|."""
+        return max(_mag(v) for v in base) + sum(
             np.abs(c[:, j]).max(initial=0) * max(_mag(v) for v in g)
             for j, g in enumerate(gens)
         )
-        if not scale < 2.0 ** 62:
-            raise PreconditionError("point magnitudes beyond the int64 range")
-        x_err = (len(gens) + 4) * _EPS * scale
+
+    def _batch(self, base, gens, c):
+        gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
+        xf = np.array([float(v) for v in base]) + c.astype(np.float64) @ gens_f
+        # each coordinate is a float sum of len(gens) + 1 rounded terms
+        x_err = (len(gens) + 4) * _EPS * self._scale(base, gens, c)
 
         @functools.cache
         def exact(i: int) -> tuple[QValue, ...]:
@@ -275,17 +277,37 @@ class Membership:
 
         return xf, x_err, exact
 
+    def _blocks(self, base, gens, coeffs):
+        """(first row, xf, x_err, exact) per block of _BLOCK coefficient rows.
+
+        The int64 refusal is decided on the whole batch; a block's error bound
+        comes from its own coefficients, valid for its points and usually tighter."""
+        c = np.asarray(coeffs, dtype=np.int64)
+        if not self._scale(base, gens, c) < 2.0 ** 62:
+            raise PreconditionError("point magnitudes beyond the int64 range")
+        for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
+            yield (start, *self._batch(base, gens, c[start:start + _BLOCK]))
+
     def _ranges_1d(self, xf, x_err, exact) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per piece, the integer translates k of each point, lo <= k < hi."""
         x = xf[:, 0]
         xmax = np.abs(x).max(initial=0.0)
+        y, r = np.empty_like(x), np.empty_like(x)
         out = []
         for a, b, left_closed, af, bf, span in self._pieces:
             guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
-            ya, yb = af - x, bf - x
+            # y = e - x is near an integer when d = |y - rnd(y)|, in [0, 1),
+            # is below guard or above 1 - guard.  d is exact unless |y| < 1,
+            # where it and 1 - guard round by at most eps/2 each; the guard's
+            # 4 eps is spare above the float error of y and covers both.
             rnd = np.ceil if left_closed else np.floor
-            lo, hi = rnd(ya).astype(np.int64), rnd(yb).astype(np.int64)
-            flag = (np.abs(ya - np.rint(ya)) < guard) | (np.abs(yb - np.rint(yb)) < guard)
+            ends, flag = [], np.zeros(len(x), dtype=bool)
+            for e in (af, bf):
+                rnd(np.subtract(e, x, out=y), out=r)
+                ends.append(r.astype(np.int64))
+                d = np.subtract(r, y, out=y) if left_closed else np.subtract(y, r, out=y)
+                flag |= (d < guard) | (d > 1 - guard)
+            lo, hi = ends
             for i in np.flatnonzero(flag):
                 xq = exact(int(i))[0]
                 if left_closed:  # [a, b): ceil(a - x) <= k < ceil(b - x)
@@ -327,20 +349,27 @@ class Membership:
 
     def count(self, base, gens, coeffs) -> np.ndarray:
         """Per point, the number of (piece, integer shift) pairs that land."""
-        xf, x_err, exact = self._batch(base, gens, coeffs)
-        if self.dim == 1:
-            return sum(hi - lo for lo, hi in self._ranges_1d(xf, x_err, exact))
-        return np.bincount(self._hits(xf, x_err, exact)[0], minlength=len(xf))
+        out = []
+        for _, xf, x_err, exact in self._blocks(base, gens, coeffs):
+            if self.dim == 1:
+                out.append(sum(hi - lo for lo, hi in self._ranges_1d(xf, x_err, exact)))
+            else:
+                out.append(np.bincount(self._hits(xf, x_err, exact)[0], minlength=len(xf)))
+        return np.concatenate(out)
 
     def translates(self, base, gens, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct (point index, integer shift) with x + shift in the region."""
-        xf, x_err, exact = self._batch(base, gens, coeffs)
-        if self.dim == 1:
-            pairs = [_expand(lo[:, None], (hi - lo)[:, None])
-                     for lo, hi in self._ranges_1d(xf, x_err, exact)]
-        else:
-            pairs = [self._hits(xf, x_err, exact)]
-        rows = np.unique(np.concatenate([np.column_stack(p) for p in pairs]), axis=0)
+        out = []
+        for start, xf, x_err, exact in self._blocks(base, gens, coeffs):
+            if self.dim == 1:
+                pairs = [_expand(lo[:, None], (hi - lo)[:, None])
+                         for lo, hi in self._ranges_1d(xf, x_err, exact)]
+            else:
+                pairs = [self._hits(xf, x_err, exact)]
+            rows = np.unique(np.concatenate([np.column_stack(p) for p in pairs]), axis=0)
+            rows[:, 0] += start  # blocks are contiguous, so the rows stay sorted
+            out.append(rows)
+        rows = np.concatenate(out)
         return rows[:, 0], rows[:, 1:]
 
 

@@ -1,3 +1,12 @@
+import os
+import sys
+
+# One BLAS thread, the benchmark's setting: a threaded eigensolve waits for
+# its slowest thread, so on a loaded machine its time swings far past the
+# computation's own.  The thread count is read when numpy is first imported.
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -13,9 +13,9 @@ import pytest
 import quasilab
 from quasilab import cli
 from quasilab.algebra import parse_algebra
-from quasilab.dynamics import discrepancy_trace
+from quasilab.dynamics import brs_empirical, discrepancy_trace
 from quasilab.modelset import PointSet, special_quasicrystal
-from quasilab.regions import parse_region_literal, region_to_text
+from quasilab.regions import box_region, parse_region_literal, region_to_text
 
 
 def run_cli(*argv) -> int:
@@ -145,7 +145,7 @@ def test_disc_wrapper_matches_library(tmp_path):
                  "--n", "500", "--out", str(out))
     assert rc == 0
     rows = (out / "trace.csv").read_text().splitlines()[1:]
-    from quasilab.dynamics import discrepancy_trace
+    from quasilab.dynamics import brs_empirical, discrepancy_trace
 
     spec = parse_algebra("sqrt:2")
     tr = discrepancy_trace(parse_region_literal(spec, "[0,1/2)"),
@@ -186,6 +186,29 @@ def test_disc_x0_decimals_are_exact_rationals(tmp_path, x0):
     assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
     summary = json.loads((tmp_path / "disc_summary.json").read_text())
     assert summary["x0"] == float(x0)
+
+
+def test_disc_and_brs_test_take_a_vector_alpha(tmp_path):
+    # the bounded remainder box [0, sqrt2 - 1) x [0, 1) of alpha = (sqrt2, sqrt3)
+    spec = parse_algebra("sqrt:2,3")
+    box = box_region(spec, [0, 0], [spec.parse("w1 - 1"), 1])
+    alpha = (spec.basis_element("w1"), spec.basis_element("w2"))
+    (tmp_path / "box.txt").write_text(region_to_text(box))
+    flags = ["--algebra", "sqrt:2,3", "--set", f"@{tmp_path / 'box.txt'}", "--alpha", "w1,w2"]
+    assert run_cli("disc", *flags, "--n", "10000", "--out", str(tmp_path)) == 0
+    tr = discrepancy_trace(box, alpha, n_range=(0, 10_000))
+    assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
+    summary = json.loads((tmp_path / "disc_summary.json").read_text())
+    assert summary["max_abs"] == tr.max_abs and abs(tr.max_abs - 0.586) < 5e-3
+    assert summary["x0"] == [0.0, 0.0]
+    assert run_cli("disc", *flags, "--n", "100", "--x0=1/2,w2 - 1", "--out", str(tmp_path)) == 0
+    tr = discrepancy_trace(box, alpha, (spec.parse("1/2"), spec.parse("w2 - 1")), (0, 100))
+    assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
+    assert run_cli("brs-test", *flags, "--N", "1000", "--J", "100", "--out", str(tmp_path)) == 0
+    stat = json.loads((tmp_path / "brs_test.json").read_text())
+    want = brs_empirical(box, alpha, 1000, 100)
+    assert (stat["max_abs"], stat["argmax_n"], stat["argmax_j"]) == (
+        want.value, want.argmax_n, want.argmax_j)
 
 
 def test_report_disc_x0_is_an_exact_literal(tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from quasilab import regions
 from quasilab.errors import PreconditionError, SearchExhaustedError
+from quasilab.modelset import periodic_points, special_quasicrystal
 from quasilab.regions import (
     Piece,
     RegionSet,
@@ -322,3 +324,78 @@ def test_overlap_detection(sqrt2):
     c = interval(sqrt2.one(), sqrt2.parse("2"))
     assert check_disjoint(union(a, b)) == [(0, 1)]
     assert check_disjoint(union(a, c)) == []
+
+
+def _kernel_batches(sqrt2, sqrt23, block):
+    """(region, base, gens, coeffs) batches of the membership kernel, the last
+    one empty and the others spanning several blocks of the given size."""
+    w1, zero = sqrt2.basis_element("w1"), (sqrt2.zero(),)
+    irr = parse_region_literal(sqrt2, "[0,-1+1*w1)")
+    n = 2 * block + 40
+    out = []
+    # orbit point k_hit is the endpoint 1/2, or sqrt2 = (sqrt2 - 1) + 1, and
+    # it is the first row of the second block
+    for region, x0, k_hit in ((parse_region_literal(sqrt2, "[0,1/2)"), "1/2 - 3*w1", 3),
+                              (parse_region_literal(sqrt2, "(0,1/2]"), "1/2 - 3*w1", 3),
+                              (irr, "0", 1)):
+        ks = np.arange(k_hit - block, k_hit - block + n)[:, None]
+        out.append((region, (sqrt2.parse(x0),), [(w1,)], ks))
+    # small and k ~ 1e15 magnitudes interleaved: each block's guard must cover its largest
+    huge = np.column_stack([np.arange(20), 10**15 + np.arange(20)]).reshape(-1, 1)
+    out.append((irr, zero, [(w1,)], huge))
+    alpha = (sqrt23.basis_element("w1"), sqrt23.basis_element("w2"))
+    for upper in (("w1 - 1", "1"), ("1", "w1 - 1")):  # as test_two_dim_discrepancy_pair
+        box = box_region(sqrt23, [0, 0], [sqrt23.parse(u) for u in upper])
+        out.append((box, (sqrt23.zero(),) * 2, [alpha], np.arange(n)[:, None]))
+    out.append((irr, zero, [(w1,)], np.zeros((0, 1), dtype=np.int64)))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, regions._BLOCK])
+def test_membership_blocks_are_bit_identical(sqrt2, sqrt23, monkeypatch, block):
+    w1 = sqrt2.basis_element("w1")
+    irr, unit = parse_region_literal(sqrt2, "[0,-1+1*w1)"), parse_region_literal(sqrt2, "[0,1)")
+    box = [(-block - 20, block + 20)]
+
+    def run():
+        batches = [(r.membership.count(*b), *r.membership.translates(*b))
+                   for r, *b in _kernel_batches(sqrt2, sqrt23, block)]
+        return batches + [(p.coords, p.provenance) for p in (
+            periodic_points([w1], irr, box), special_quasicrystal([w1], [sqrt2.one()], unit, box))]
+
+    monkeypatch.setattr(regions, "_BLOCK", 1 << 40)  # the whole batch as one block
+    whole = run()
+    monkeypatch.setattr(regions, "_BLOCK", block)
+    for want, got in zip(whole, run(), strict=True):
+        for a, b in zip(want, got, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    empty = whole[-3]  # the last kernel batch, before the two point sets
+    assert [a.shape for a in empty] == [(0,), (0,), (0, 1)]
+    assert empty[0].dtype == np.int64
+
+
+@pytest.mark.parametrize("lit, at_left, at_right", [("[0,-1+1*w1)", 1, 0), ("(0,-1+1*w1]", 0, 1)])
+def test_membership_decides_endpoint_hits_on_either_float_side(sqrt2, lit, at_left, at_right):
+    # x0 = e - K*sqrt2 puts orbit point K exactly on the endpoint e; for e = sqrt2 - 1
+    # its float lands above e for 266 and below it for 132 of K = 1..399
+    w1 = sqrt2.basis_element("w1")
+    kernel = parse_region_literal(sqrt2, lit).membership
+    for e, want in ((sqrt2.zero(), at_left), (w1 - 1, at_right)):
+        got = {int(kernel.count((e - w1 * K,), [(w1,)], [[K]])[0]) for K in range(1, 400)}
+        assert got == {want}
+
+
+@pytest.mark.parametrize("block", [1, 7, regions._BLOCK])
+def test_membership_refusal_is_decided_on_the_whole_batch(sqrt2, monkeypatch, block):
+    monkeypatch.setattr(regions, "_BLOCK", block)
+    w1 = sqrt2.basis_element("w1")
+    kernel = parse_region_literal(sqrt2, "[0,1/2)").membership
+    base, gens = (sqrt2.zero(),), [(w1,), (w1,)]
+    # each column maximum alone stays below 2^62, and they lie in different blocks
+    c = np.zeros((2 * block, 2), dtype=np.int64)
+    c[0, 0] = c[-1, 1] = 2**61
+    for row in (0, -1):  # either row alone is accepted
+        assert kernel.count(base, gens, c[[row]]).shape == (1,)
+    for call in (kernel.count, kernel.translates):
+        with pytest.raises(PreconditionError, match="beyond the int64 range"):
+            call(base, gens, c)
