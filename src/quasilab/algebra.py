@@ -9,15 +9,18 @@ decidable, while a consistent floating-point embedding is kept for geometry.
 The declared rational independence of the basis values is an axiom, not
 something the code proves: the constructor only checks that the numeric
 embedding is consistent with the product table to within ``EMBED_TOL``.
+Equality compares coefficients, while signs of sqrt values are exact
+identities between reals: declaring ``sqrt 2`` and ``sqrt 8`` both makes
+``2*w1 - w2`` unequal to 0 with sign 0.
 
 Exact decisions (:meth:`QValue.sign`, :meth:`QValue.floor`) take one of
-three routes.  A value that is rational, or has one irrational term with
-a sqrt descriptor, is written as ``(A + B*sqrt(r))/D`` over Python ints
-with ``r`` squarefree and decided in closed form with ``math.isqrt``, at
-any magnitude.  A value with two or more surds encloses each in rational
-intervals of growing precision (the digit ladder); its floor brackets
-the float guess with such signs.  A value with a ``value``-declared basis
-element is decided by its float outside a fixed guard band, or refused.
+two routes.  A value whose nonzero terms all carry sqrt descriptors is
+written as ``sum_r B_r*sqrt(r) / D`` over Python ints with each ``r``
+squarefree, and its sign comes from the norm tower (:func:`_tower_sign`),
+exactly and at any magnitude; its floor is closed form with ``math.isqrt``
+for at most one root and brackets the float guess with signs otherwise.
+A value with a ``value``-declared basis element is decided by its float
+outside a fixed guard band, or refused.
 """
 
 from __future__ import annotations
@@ -70,21 +73,51 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, r * n
 
 
-def _sqrt_interval(rad: Fraction, digits: int) -> tuple[Fraction, Fraction]:
-    """Enclose sqrt(rad) in a rational interval of width 1/(den*10^digits)."""
-    scale = 10 ** digits
-    p, q = rad.numerator, rad.denominator
-    s = math.isqrt(p * q * scale * scale)
-    return Fraction(s, q * scale), Fraction(s + 1, q * scale)
-
-
-def _surd(rad: Fraction) -> tuple[Fraction, int]:
-    """(f, r) with sqrt(rad) = f * sqrt(r), r squarefree; r = 1 if rad is a square."""
+def _surd(rad: Fraction) -> tuple[int, int, int]:
+    """(s, q, r) over ints with sqrt(rad) = s/q * sqrt(r), r squarefree (r = 1 for a square)."""
     p, q = rad.numerator, rad.denominator
     if p == 0:
-        return Fraction(0), 1
+        return 0, 1, 1
     s, r = _squarefree_split(p * q)
-    return Fraction(s, q), r
+    return s, q, r
+
+
+def _tower_sign(terms: dict[int, int]) -> int:
+    """Exact sign of sum(b * sqrt(r) for r, b in terms.items()), r >= 1 squarefree.
+
+    Gcd refinement over the radicands picks p > 1 that divides each r or is
+    coprime to it, with no factoring.  The sum splits as P + Q*sqrt(p), and
+    its sign is that of P or Q when neither is opposite to the other, else
+    sign(P) * sign(P^2 - p*Q^2).  P, Q and the norm only have radicands
+    coprime to p, so the recursion ends at a single term.  Each step is an
+    identity between reals: no independence of the surds is assumed.
+    """
+    if len(terms) <= 1:  # b * sqrt(r) has the sign of b
+        b = next(iter(terms.values()), 0)
+        return (b > 0) - (b < 0)
+    p = 0
+    for r in terms:
+        g = math.gcd(p, r)
+        if g > 1:
+            p = g
+    P: dict[int, int] = {}
+    Q: dict[int, int] = {}
+    for r, b in terms.items():
+        if r % p:
+            P[r] = b
+        else:
+            Q[r // p] = b
+    sp, sq = _tower_sign(P), _tower_sign(Q)
+    if sp * sq >= 0:
+        return sp or sq
+    norm: dict[int, int] = {}
+    for part, scale in ((P, 1), (Q, -p)):
+        for a, x in part.items():
+            for b, y in part.items():
+                g = math.gcd(a, b)  # sqrt(a) * sqrt(b) = g * sqrt(ab / g^2)
+                r = (a // g) * (b // g)
+                norm[r] = norm.get(r, 0) + scale * g * x * y
+    return sp * _tower_sign(norm)
 
 
 class AlgebraSpec:
@@ -154,7 +187,7 @@ class AlgebraSpec:
                 sq[0] = r
                 self._products[(i, i)] = tuple(sq)
         self._check_embedding()
-        self._surds: tuple[Optional[tuple[Fraction, int]], ...] = tuple(
+        self._surds: tuple[Optional[tuple[int, int, int]], ...] = tuple(
             None if rad is None else _surd(rad) for rad in self.radicands
         )
 
@@ -390,11 +423,9 @@ class QValue:
 
     Equality is exact coefficient equality; comparisons go through
     :meth:`sign`, which is exact whenever every contributing basis element
-    carries a sqrt descriptor and otherwise falls back to a guarded float
-    test that refuses to decide inside the guard band.  Rational and
-    single-surd values get their sign and floor in closed form over
-    Python ints; values with two or more surds use rational interval
-    enclosures (the digit ladder).
+    carries a sqrt descriptor (the norm tower over Python ints) and
+    otherwise falls back to a guarded float test that refuses to decide
+    inside the guard band.
     """
 
     __slots__ = ("spec", "coeffs")
@@ -536,85 +567,38 @@ class QValue:
             float(c) * x for c, x in zip(self.coeffs, self.spec.numerics) if c != 0
         )
 
-    def _surd_form(self) -> Optional[tuple[int, int, int, int]]:
-        """(A, B, r, D) over ints with self = (A + B*sqrt(r)) / D, D > 0, r squarefree.
+    def _terms(self) -> Optional[tuple[dict[int, int], int]]:
+        """(terms, D) over ints with self = sum(B * sqrt(r) for r, B in terms) / D.
 
-        Terms whose radicands share a squarefree part combine, and square
-        radicands join the rational part; None when two different surds or
-        a ``value``-declared basis element contribute.
+        Each r is squarefree, square radicands join the rational part r = 1,
+        every B is nonzero and D > 0; None when a ``value``-declared basis
+        element contributes.
         """
-        a = b = Fraction(0)
-        root = 1
+        parts = []
         for c, surd in zip(self.coeffs, self.spec._surds):
-            if not c:
-                continue
-            if surd is None:
-                return None
-            f, r = surd
-            if r == 1:
-                a += c * f
-            elif root in (1, r):
-                root = r
-                b += c * f
-            else:
-                return None
-        den = math.lcm(a.denominator, b.denominator)
-        return (a.numerator * (den // a.denominator),
-                b.numerator * (den // b.denominator), root, den)
+            if c:
+                if surd is None:
+                    return None
+                s, q, r = surd
+                parts.append((c.numerator * s, c.denominator * q, r))
+        den = math.lcm(*(q for _, q, _ in parts))
+        terms: dict[int, int] = {}
+        for b, q, r in parts:
+            terms[r] = terms.get(r, 0) + b * (den // q)
+        return {r: b for r, b in terms.items() if b}, den
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or 1.
 
-        A rational or single-surd value (A + B*sqrt(r))/D is decided in
-        closed form: the sign of the nonzero one of A, B when they agree,
-        else sign(A) * sign(A^2 - B^2 r).  Values with two or more surds
-        enclose each surd in rational intervals of 24, 48, 96 and 200
-        digits until the sum's sign is certain.  A value with a
-        ``value``-declared basis element is decided by its float only
-        outside a 1e-9 guard band.
+        A value whose terms all carry sqrt descriptors is decided by the
+        norm tower over its integer terms (:func:`_tower_sign`); for one
+        root that is the closed form sign(A) or sign(B) when they agree,
+        else sign(A) * sign(A^2 - B^2 r).  A value with a ``value``-declared
+        basis element is decided by its float only outside a 1e-9 guard band.
         """
-        form = self._surd_form()
+        form = self._terms()
         if form is not None:
-            A, B, r, _ = form
-            sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
-            if sa * sb >= 0:
-                return sa or sb
-            n = A * A - B * B * r
-            return sa * ((n > 0) - (n < 0))
-        exact = all(
-            self.spec.radicands[i] is not None
-            for i, c in enumerate(self.coeffs)
-            if c != 0
-        )
-        if exact:
-            for digits in (24, 48, 96, 200):
-                lo = hi = Fraction(0)
-                for i, c in enumerate(self.coeffs):
-                    if c == 0:
-                        continue
-                    rad = self.spec.radicands[i]
-                    p, q = rad.numerator, rad.denominator
-                    sp, sq = math.isqrt(p), math.isqrt(q)
-                    if sp * sp == p and sq * sq == q:
-                        v = Fraction(sp, sq)
-                        lo += c * v
-                        hi += c * v
-                        continue
-                    vlo, vhi = _sqrt_interval(rad, digits)
-                    if c > 0:
-                        lo += c * vlo
-                        hi += c * vhi
-                    else:
-                        lo += c * vhi
-                        hi += c * vlo
-                if lo > 0:
-                    return 1
-                if hi < 0:
-                    return -1
-            raise SignUndecidableError(
-                f"sign of {self} not decided at 200 digits; the declared "
-                "independence axiom may be violated"
-            )
+            return _tower_sign(form[0])
         f = float(self)
         if abs(f) > EMBED_TOL:
             return 1 if f > 0 else -1
@@ -641,7 +625,7 @@ class QValue:
     def floor(self) -> int:
         """Exact floor.
 
-        A rational or single-surd value (A + B*sqrt(r))/D takes the closed
+        A value (A + B*sqrt(r))/D with at most one root takes the closed
         form floor(X / D) with X = A + isqrt(B^2 r) for B >= 0 and
         X = A - isqrt(B^2 r) - 1 for B < 0 (B^2 r is not a square, as r > 1
         is squarefree).  Other values start from the float guess: steps of
@@ -649,11 +633,14 @@ class QValue:
         hi > self, then bisection closes the bracket, so a guess off by d
         costs O(log d) sign() calls.
         """
-        form = self._surd_form()
+        form = self._terms()
         if form is not None:
-            A, B, r, den = form
-            root = math.isqrt(B * B * r)
-            return (A + root if B >= 0 else A - root - 1) // den
+            terms, den = form
+            a = terms.pop(1, 0)
+            if len(terms) <= 1:
+                r, b = next(iter(terms.items()), (1, 0))
+                root = math.isqrt(b * b * r)
+                return (a + root if b >= 0 else a - root - 1) // den
         guess = math.floor(float(self))
         step = 1
         if (self - guess).sign() >= 0:

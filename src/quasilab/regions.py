@@ -34,22 +34,6 @@ from .errors import PreconditionError, SearchExhaustedError
 Witness = tuple[int, tuple[int, ...]]
 
 
-def _qmin(values: Iterable[QValue]) -> QValue:
-    best = None
-    for v in values:
-        if best is None or (v - best).sign() < 0:
-            best = v
-    return best
-
-
-def _qmax(values: Iterable[QValue]) -> QValue:
-    best = None
-    for v in values:
-        if best is None or (v - best).sign() > 0:
-            best = v
-    return best
-
-
 @dataclass(frozen=True, eq=False)
 class Piece:
     """One half-open parallelepiped: offset + edges @ [0,1)^d.
@@ -102,23 +86,21 @@ class Piece:
         """Exact inverse of the edge matrix: point to unit coordinates."""
         return tuple(tuple(row) for row in mat_inverse(self.edges))
 
+    def unit_coords(self, x: Sequence[QValue]) -> list[QValue]:
+        """Exact coordinates of x in the piece's frame: x = offset + edges @ t."""
+        return mat_vec(self.inverse, [xi - oi for xi, oi in zip(x, self.offset)])
+
     def contains(self, x: Sequence[QValue], closure: bool = False) -> bool:
         """Exact membership of a point; half-open unless ``closure``."""
-        t = mat_vec(self.inverse, [xi - oi for xi, oi in zip(x, self.offset)])
-        for ti in t:
-            s0 = ti.sign()
-            s1 = (ti - 1).sign()
-            if closure:
-                if s0 < 0 or s1 > 0:
-                    return False
-            else:
-                if s0 < 0 or s1 >= 0:
-                    return False
-        return True
+        top = 0 if closure else -1  # the largest sign of t - 1 allowed
+        return all(ti.sign() >= 0 and (ti - 1).sign() <= top for ti in self.unit_coords(x))
 
     def strictly_inside_unit_coords(self, x: Sequence[QValue]) -> bool:
-        t = mat_vec(self.inverse, [xi - oi for xi, oi in zip(x, self.offset)])
-        return all(ti.sign() > 0 and (ti - 1).sign() < 0 for ti in t)
+        return all(ti.sign() > 0 and (ti - 1).sign() < 0 for ti in self.unit_coords(x))
+
+
+def _vec_text(v: Sequence[QValue]) -> str:
+    return "(" + ", ".join(str(x) for x in v) + ")"
 
 
 class RegionSet:
@@ -192,7 +174,11 @@ class RegionSet:
             for lo, hi, lc in self.intervals():
                 parts.append(f"[{lo},{hi})" if lc else f"({lo},{hi}]")
             return " U ".join(parts)
-        return f"<{len(self.pieces)} pieces, dim {self.dim}>"
+        # offset + [0,1)*e_1 + ... + [0,1)*e_d, the edges e_j being the columns
+        return " U ".join(
+            " + ".join([_vec_text(p.offset)] + [f"[0,1)*{_vec_text(e)}" for e in p.edge_columns()])
+            for p in self.pieces
+        )
 
     def __repr__(self) -> str:
         return f"RegionSet({self.describe()})"
@@ -244,29 +230,46 @@ class Membership:
             return
         self._pieces = []
         for p in region.pieces:
-            inv = p.inverse
             corners_q = p.corners()
             corners = np.array([[float(v) for v in c] for c in corners_q])
             ext = max(_mag(v) for c in corners_q for v in c)
-            norm = max(sum(_mag(v) for v in row) for row in inv)
+            norm = max(sum(_mag(v) for v in row) for row in p.inverse)
             self._pieces.append((
-                p.offset, inv, np.array([[float(v) for v in row] for row in inv]),
+                p, np.array([[float(v) for v in row] for row in p.inverse]),
                 np.array([float(v) for v in p.offset]),
                 corners.min(axis=0), corners.max(axis=0), ext, norm,
             ))
 
-    def _scale(self, base, gens, c) -> float:
-        """Bound on the terms of every coordinate: |base| + sum_j max|c_j| * |g_j|."""
-        return max(_mag(v) for v in base) + sum(
-            np.abs(c[:, j]).max(initial=0) * max(_mag(v) for v in g)
-            for j, g in enumerate(gens)
-        )
+    def _blocks(self, base, gens, coeffs):
+        """(first row, xf, x_err, exact) per block of _BLOCK coefficient rows.
 
-    def _batch(self, base, gens, c):
+        The int64 refusal is decided on the whole batch; a block's error bound
+        comes from its own coefficients, valid for its points and usually tighter."""
+        c = np.asarray(coeffs, dtype=np.int64)
+        base_mag = max(_mag(v) for v in base)
+        gen_mags = [max(_mag(v) for v in g) for g in gens]
+
+        def scale(c) -> float:
+            """Bound on the terms of every coordinate: |base| + sum_j max|c_j| * |g_j|."""
+            # column extremes as Python ints: abs(-2**63) overflows int64
+            return base_mag + sum(
+                max(-int(c[:, j].min(initial=0)), int(c[:, j].max(initial=0))) * m
+                for j, m in enumerate(gen_mags)
+            )
+
+        if not scale(c) < 2.0 ** 62:
+            raise PreconditionError("point magnitudes beyond the int64 range")
         gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
-        xf = np.array([float(v) for v in base]) + c.astype(np.float64) @ gens_f
-        # each coordinate is a float sum of len(gens) + 1 rounded terms
-        x_err = (len(gens) + 4) * _EPS * self._scale(base, gens, c)
+        base_f = np.array([float(v) for v in base])
+        for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
+            cb = c[start:start + _BLOCK]
+            # each coordinate is a float sum of len(gens) + 1 rounded terms
+            x_err = (len(gens) + 4) * _EPS * scale(cb)
+            xf = base_f + cb.astype(np.float64) @ gens_f
+            yield start, xf, x_err, self._exact(base, gens, cb)
+
+    def _exact(self, base, gens, c):
+        """Point i of the batch, base + c[i] @ gens, rebuilt in the algebra (cached)."""
 
         @functools.cache
         def exact(i: int) -> tuple[QValue, ...]:
@@ -275,18 +278,7 @@ class Membership:
                 for a in range(self.dim)
             )
 
-        return xf, x_err, exact
-
-    def _blocks(self, base, gens, coeffs):
-        """(first row, xf, x_err, exact) per block of _BLOCK coefficient rows.
-
-        The int64 refusal is decided on the whole batch; a block's error bound
-        comes from its own coefficients, valid for its points and usually tighter."""
-        c = np.asarray(coeffs, dtype=np.int64)
-        if not self._scale(base, gens, c) < 2.0 ** 62:
-            raise PreconditionError("point magnitudes beyond the int64 range")
-        for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
-            yield (start, *self._batch(base, gens, c[start:start + _BLOCK]))
+        return exact
 
     def _ranges_1d(self, xf, x_err, exact) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per piece, the integer translates k of each point, lo <= k < hi."""
@@ -329,7 +321,7 @@ class Membership:
             xf, x_err = np.full(xf.shape, 0.5), 0.5
         xmax = np.abs(xf).max(initial=0.0)
         idx_all, k_all = [], []
-        for off, inv, inv_f, off_f, lo_f, hi_f, ext, norm in self._pieces:
+        for piece, inv_f, off_f, lo_f, hi_f, ext, norm in self._pieces:
             # error of x + k - offset, and of its image in unit coordinates
             y_err = 2 * x_err + 4 * _EPS * (xmax + ext + 1)
             guard = 2 * norm * (y_err + (d + 4) * _EPS * (ext + 1))
@@ -340,9 +332,8 @@ class Membership:
             inside = np.all((t >= guard) & (t <= 1 - guard), axis=1)
             unsure = ~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1)
             for j in np.flatnonzero(unsure):
-                y = [xi + int(ki) - oi for xi, ki, oi in zip(exact(int(idx[j])), k[j], off)]
-                inside[j] = all(ti.sign() >= 0 and (ti - 1).sign() < 0
-                                for ti in mat_vec(inv, y))
+                x = exact(int(idx[j]))
+                inside[j] = piece.contains([xi + int(ki) for xi, ki in zip(x, k[j])])
             idx_all.append(idx[inside])
             k_all.append(k[inside])
         return np.concatenate(idx_all), np.concatenate(k_all)
@@ -727,10 +718,9 @@ def verify_equidecomposition(cert: EquidecompCertificate) -> Verdict:
         if moved != tp.offset:
             return Verdict(False, f"piece {i}: translated offset differs")
         if wit is None:
-            shift_str = "(" + ", ".join(str(v) for v in shift) + ")"
             return Verdict(
                 False,
-                f"piece {i}: translation {shift_str} is not in Z*alpha + Z^d",
+                f"piece {i}: translation {_vec_text(shift)} is not in Z*alpha + Z^d",
             )
         n, m = wit
         rebuilt = _combo_vector(cert.alpha, n, m)
@@ -920,8 +910,8 @@ def construct_brs_between(
         for cand in measure_candidates(alpha, residual, fit_bound):
             cp = cand.pieces[0]
             corner_coords = [mat_vec(inv, list(c)) for c in cp.corners()]
-            mins = [_qmin(c[i] for c in corner_coords) for i in range(d)]
-            maxs = [_qmax(c[i] for c in corner_coords) for i in range(d)]
+            mins = [min(c[i] for c in corner_coords) for i in range(d)]
+            maxs = [max(c[i] for c in corner_coords) for i in range(d)]
             if any((maxs[i] - mins[i] - 1).sign() > 0 for i in range(d)):
                 continue
             if d == 1 and free[k_full][0] < lo_j[0]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 from decimal import Decimal, localcontext
@@ -287,6 +288,82 @@ def test_closed_form_sign_floor_against_oracle(rad, a, b, den, cancel, second):
     assert (-x).sign() == -want
     assert x.floor() == _oracle_floor(a, b, p, q, den)
     assert (-x).floor() == _oracle_floor(-a, -b, p, q, den)
+
+
+# the tower's fields: two multiquadratic bases, and a text spec whose
+# radicands 6, 10 and 15 share primes pairwise (gcd refinement, no products)
+_TOWER_SPECS = {
+    "2,3": AlgebraSpec.from_sqrt([2, 3]),
+    "2,3,5": AlgebraSpec.from_sqrt([2, 3, 5]),
+    "6,10,15": AlgebraSpec.from_text(
+        "basis w1 = sqrt 6\nbasis w2 = sqrt 10\nbasis w3 = sqrt 15\n"),
+}
+# small units of Q(sqrt2, sqrt3), with the largest power whose coefficients
+# stay below 1e16 (and whose value is below 1.2e-16)
+_SMALL_UNITS = {"w1 - 1": 42, "2 - w2": 28, "w2 - w1": 32}
+
+
+@functools.cache
+def _unit_power(spec_name, unit, n):
+    spec = _TOWER_SPECS[spec_name]
+    return spec.one() if n == 0 else _unit_power(spec_name, unit, n - 1) * spec.parse(unit)
+
+
+def _decimal_oracle(x):
+    """(sign, floor, value) of x from 90-digit decimal, sharing no code with sign()."""
+    if all(c == 0 for c in x.coeffs[1:]):  # the basis is independent over Q
+        c = x.coeffs[0]
+        return (c > 0) - (c < 0), math.floor(c), Decimal(c.numerator) / c.denominator
+    with localcontext() as ctx:
+        ctx.prec = 90
+        v = sum(Decimal(c.numerator) / Decimal(c.denominator) * Decimal(int(r)).sqrt()
+                for c, r in zip(x.coeffs, x.spec.radicands))
+        fl = math.floor(v)
+    # coefficients stay below 1e24, so the rounding error is below 1e-60;
+    # an irrational value is at least 1e-40 from every integer here
+    assert min(abs(v), v - fl, fl + 1 - v) > Decimal(10) ** -45
+    return (v > 0) - (v < 0), fl, v
+
+
+@given(
+    spec_name=st.sampled_from(sorted(_TOWER_SPECS)),
+    coeffs=st.lists(st.integers(-10**17, 10**17), min_size=8, max_size=8),
+    den=st.integers(1, 10**6),
+    cancel=st.booleans(),
+    unit=st.sampled_from(sorted(_SMALL_UNITS)),
+    drop=st.integers(0, 3),
+    mult=st.lists(st.integers(-3, 3), min_size=8, max_size=8),
+)
+def test_tower_sign_floor_against_decimal_oracle(spec_name, coeffs, den, cancel, unit, drop,
+                                                 mult):
+    # cancel: a high power of a small unit times a small multiplier, over a
+    # denominator above 1e8, so |value| < 1e-20 with coefficients up to ~1e17
+    spec = _TOWER_SPECS[spec_name]
+    cancel = cancel and spec_name != "6,10,15"  # the units lie in Q(sqrt2, sqrt3)
+    if cancel:
+        power = _unit_power(spec_name, unit, _SMALL_UNITS[unit] - drop)
+        x = power * QValue(spec, [Fraction(c) for c in mult[:spec.dim]]) / (10**8 + den)
+    else:
+        x = QValue(spec, [Fraction(c, den) for c in coeffs[:spec.dim]])
+    want, want_floor, v = _decimal_oracle(x)
+    if cancel:
+        assert abs(v) < Decimal(10) ** -20
+    assert x.sign() == want
+    assert (-x).sign() == -want
+    assert x.floor() == want_floor
+
+
+def test_tower_decides_equal_radicands_to_zero():
+    # sqrt 8 = 2 sqrt 2 and sqrt 12 = 2 sqrt 3 are declared as their own
+    # basis elements, so this value is exactly 0 though no coefficient is
+    spec = AlgebraSpec.from_text(
+        "basis w1 = sqrt 2\nbasis w2 = sqrt 8\nbasis w3 = sqrt 3\nbasis w4 = sqrt 12\n")
+    x = spec.parse("2*w1 - w2 + 2*w3 - w4")
+    assert x.coeffs[1:] != (0, 0, 0, 0)
+    assert x.sign() == 0 and x.floor() == 0
+    assert (x + spec.parse("w1 - w3")).sign() == -1
+    assert (x + spec.parse("w1 - w3")).floor() == -1
+    assert spec.parse("w2 - w4 + 1").floor() == 0  # 2 sqrt2 - 2 sqrt3 + 1 ~ 0.37
 
 
 def test_scalar_product_matches_table(sqrt23, rng):

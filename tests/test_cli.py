@@ -15,7 +15,9 @@ from quasilab import cli
 from quasilab.algebra import parse_algebra
 from quasilab.dynamics import brs_empirical, discrepancy_trace
 from quasilab.modelset import PointSet, special_quasicrystal
-from quasilab.regions import box_region, parse_region_literal, region_to_text
+from quasilab.regions import (
+    box_region, brs_parallelepiped, parse_region_literal, region_to_text,
+)
 
 
 def run_cli(*argv) -> int:
@@ -395,6 +397,30 @@ def test_points_outside_int64_refused(tmp_path, capsys):
     assert run_cli("bounds", "--points", str(points), "--region", "[0,1)",
                    "--radii", "1", "--out", str(tmp_path)) == 2
     assert "provenance entries must be integers within int64" in capsys.readouterr().err
+
+
+def test_gen_box_outside_int64_refused(tmp_path, capsys):
+    assert run_cli("gen", "--alpha", "w1", "--beta", "1", "--window", "(-1,0]",
+                   "--box=-9223372036854775808:-9223372036854775808",
+                   "--out", str(tmp_path)) == 2
+    assert "beyond the int64 range" in capsys.readouterr().err
+
+
+def test_two_dim_region_names(tmp_path):
+    # each piece is written as offset + [0,1)*e_1 + [0,1)*e_2 over its edge columns
+    spec = parse_algebra("sqrt:2,3")
+    alpha = (spec.basis_element("w1"), spec.basis_element("w2"))
+    regions = {
+        "(0, 0) + [0,1)*(-1 + 1*w1, 0) + [0,1)*(0, 1)":
+            box_region(spec, [0, 0], [spec.parse("w1 - 1"), 1]),
+        "(0, 0) + [0,1)*(1, 0) + [0,1)*(-1 + 1*w1, -2 + 1*w2)":
+            brs_parallelepiped(alpha, [(0, (1, 0)), (1, (-1, -2))]),
+    }
+    for name, region in regions.items():
+        (tmp_path / "s.txt").write_text(region_to_text(region))
+        assert run_cli("disc", "--algebra", "sqrt:2,3", "--set", f"@{tmp_path / 's.txt'}",
+                       "--alpha", "w1,w2", "--n", "10", "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "disc_summary.json").read_text())["region"] == name
 
 
 @pytest.mark.parametrize("command, text, rc, section, key", [

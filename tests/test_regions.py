@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 
 from quasilab import regions
+from quasilab.dynamics import orbit_hits
 from quasilab.errors import PreconditionError, SearchExhaustedError
 from quasilab.modelset import periodic_points, special_quasicrystal
 from quasilab.regions import (
@@ -399,3 +400,13 @@ def test_membership_refusal_is_decided_on_the_whole_batch(sqrt2, monkeypatch, bl
     for call in (kernel.count, kernel.translates):
         with pytest.raises(PreconditionError, match="beyond the int64 range"):
             call(base, gens, c)
+
+
+def test_membership_refuses_the_int64_minimum(sqrt2):
+    # abs(-2**63) overflows int64, so the bound takes column extremes as Python ints
+    w1 = sqrt2.basis_element("w1")
+    window = parse_region_literal(sqrt2, "[0,1/2)")
+    for call in (lambda: orbit_hits(window, w1, 0, -2**63, -2**63),
+                 lambda: periodic_points([w1], window, [(-2**63, -2**63)])):
+        with pytest.raises(PreconditionError, match="beyond the int64 range"):
+            call()
