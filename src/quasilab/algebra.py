@@ -7,11 +7,12 @@ objects, so equality, membership in ``Z*alpha + Z^d`` and determinants are
 decidable, while a consistent floating-point embedding is kept for geometry.
 
 The declared rational independence of the basis values is an axiom, not
-something the code proves: the constructor only checks that the numeric
-embedding is consistent with the product table to within ``EMBED_TOL``.
-Equality compares coefficients, while signs of sqrt values are exact
-identities between reals: declaring ``sqrt 2`` and ``sqrt 8`` both makes
-``2*w1 - w2`` unequal to 0 with sign 0.
+something the code proves: the constructor checks that the numeric
+embedding is consistent with the product table to within ``EMBED_TOL``, and
+refuses two sqrt elements with the same squarefree root (``sqrt 2`` and
+``sqrt 8``), which would make a value such as ``2*w1 - w2`` unequal to 0
+by its coefficients while its exact sign is 0.  A sqrt radicand's
+numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
 
 Exact decisions (:meth:`QValue.sign`, :meth:`QValue.floor`) take one of
 two routes.  A value whose nonzero terms all carry sqrt descriptors is
@@ -50,12 +51,22 @@ _TERM_RE = re.compile(
 _EXPONENT_OPEN = re.compile(r"(?:^|[^\w.])(?:\d+\.?\d*|\.\d+)[eE]$")
 
 
+# the largest integer _squarefree_split takes: its trial division runs to
+# the cube root, 10^5 steps here, about 30 ms
+RADICAND_MAX = 10**15
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, r) with n = s^2 * r and r squarefree (n >= 1).
+    """Return (s, r) with n = s^2 * r and r squarefree (1 <= n <= RADICAND_MAX).
 
     Trial division stops at the cube root: what is left then has at most
     two prime factors, so it is squarefree unless it is a perfect square.
     """
+    if n > RADICAND_MAX:
+        raise PreconditionError(
+            f"sqrt radicand {n} exceeds 10^15 (numerator times denominator "
+            "for a fraction): its squarefree part is found by trial division"
+        )
     s, r = 1, 1
     d = 2
     while d * d * d <= n:
@@ -71,6 +82,13 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     if n > 1 and t * t == n:
         return s * t, r
     return s, r * n
+
+
+def _squarefree_product(a: int, b: int) -> tuple[int, int]:
+    """(s, r) with a * b = s^2 * r for squarefree a and b: s = gcd(a, b) and
+    r = (a / s) * (b / s), squarefree as a coprime product (no factoring)."""
+    g = math.gcd(a, b)
+    return g, (a // g) * (b // g)
 
 
 def _surd(rad: Fraction) -> tuple[int, int, int]:
@@ -114,8 +132,7 @@ def _tower_sign(terms: dict[int, int]) -> int:
     for part, scale in ((P, 1), (Q, -p)):
         for a, x in part.items():
             for b, y in part.items():
-                g = math.gcd(a, b)  # sqrt(a) * sqrt(b) = g * sqrt(ab / g^2)
-                r = (a // g) * (b // g)
+                g, r = _squarefree_product(a, b)  # sqrt(a) sqrt(b) = g sqrt(r)
                 norm[r] = norm.get(r, 0) + scale * g * x * y
     return sp * _tower_sign(norm)
 
@@ -130,6 +147,8 @@ class AlgebraSpec:
     radicands:
         Per basis element, the rational ``r`` such that the element embeds
         as ``sqrt(r)``, or ``None`` for an element declared only numerically.
+        No two non-unit elements may share a squarefree root, and the
+        numerator times denominator of each ``r`` is at most RADICAND_MAX.
     numerics:
         Float embedding per element; derived from radicands when omitted.
     products:
@@ -190,6 +209,17 @@ class AlgebraSpec:
         self._surds: tuple[Optional[tuple[int, int, int]], ...] = tuple(
             None if rad is None else _surd(rad) for rad in self.radicands
         )
+        roots: dict[int, int] = {}
+        for i in range(1, k):
+            if self._surds[i] is not None:
+                j = roots.setdefault(self._surds[i][2], i)
+                if j != i:
+                    raise PreconditionError(
+                        f"'basis {self.names[j]} = sqrt {self.radicands[j]}' and "
+                        f"'basis {self.names[i]} = sqrt {self.radicands[i]}' "
+                        f"declare the same squarefree root sqrt {self._surds[i][2]}: "
+                        "the basis must be independent over Q"
+                    )
 
     @property
     def dim(self) -> int:
@@ -345,7 +375,7 @@ class AlgebraSpec:
             changed = False
             for a in sorted(rads):
                 for b in sorted(rads):
-                    r = _squarefree_split(a * b)[1]
+                    r = _squarefree_product(a, b)[1]
                     if r not in rads:
                         rads.add(r)
                         changed = True
@@ -353,11 +383,10 @@ class AlgebraSpec:
         names = ["1"] + [f"w{i}" for i in range(1, len(order))]
         radicands = [Fraction(r) for r in order]
         numerics = [math.sqrt(r) for r in order]
-        spec = cls(names, radicands, numerics)
         products: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         for i in range(1, len(order)):
             for j in range(i, len(order)):
-                s, r = _squarefree_split(order[i] * order[j])
+                s, r = _squarefree_product(order[i], order[j])
                 coeffs = [Fraction(0)] * len(order)
                 coeffs[order.index(r)] = Fraction(s)
                 products[(i, j)] = tuple(coeffs)
@@ -628,20 +657,25 @@ class QValue:
         A value (A + B*sqrt(r))/D with at most one root takes the closed
         form floor(X / D) with X = A + isqrt(B^2 r) for B >= 0 and
         X = A - isqrt(B^2 r) - 1 for B < 0 (B^2 r is not a square, as r > 1
-        is squarefree).  Other values start from the float guess: steps of
-        1, 2, 4, ... away from it bracket the floor between lo <= self and
-        hi > self, then bisection closes the bracket, so a guess off by d
-        costs O(log d) sign() calls.
+        is squarefree).  Other values start from a guess: for two or more
+        roots, (A + sum of sign(B) isqrt(B^2 r)) // D, within a few units at
+        any magnitude; with a ``value``-declared element, the float's floor.
+        Steps of 1, 2, 4, ... away from it bracket the floor between
+        lo <= self and hi > self, then bisection closes the bracket, so a
+        guess off by d costs O(log d) sign() calls.
         """
         form = self._terms()
-        if form is not None:
+        if form is None:
+            guess = math.floor(float(self))
+        else:
             terms, den = form
             a = terms.pop(1, 0)
             if len(terms) <= 1:
                 r, b = next(iter(terms.items()), (1, 0))
                 root = math.isqrt(b * b * r)
                 return (a + root if b >= 0 else a - root - 1) // den
-        guess = math.floor(float(self))
+            guess = (a + sum(math.isqrt(b * b * r) * (1 if b > 0 else -1)
+                             for r, b in terms.items())) // den
         step = 1
         if (self - guess).sign() >= 0:
             lo = guess

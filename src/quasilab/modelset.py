@@ -10,9 +10,11 @@ coordinates are ``Lattice.point`` of the provenance: the first d entries
 on the lattice Gamma for a quasicrystal (for the special-form generators,
 Gamma of ``make_special_lattice(alpha, beta)``), and entry d on Gamma* for
 a dual model point.  Float coordinates come from one integer affine map of
-the provenance per call (integer numerators over a common denominator,
-Python-int dot products) under ``float(QValue)``'s fsum rule, so they are
-bit-identical to ``float`` of those exact values.
+the provenance per call (integer numerators over a common denominator)
+under ``float(QValue)``'s fsum rule, so they are bit-identical to ``float``
+of those exact values.  The map runs vectorized in int64 and float64, with
+TwoSum sums whose correct rounding is proven; a row that could overflow
+2^53 or whose rounding is not proven is redone in Python ints.
 """
 
 from __future__ import annotations
@@ -176,10 +178,13 @@ def _affine_points(
 ) -> PointSet:
     """Float points x_a = sum_j prov[:, j] * mat[a][j], one per provenance row.
 
-    Each coordinate is the fsum of its basis-element numerators (Python-int
-    dot products with the map's numerators over one common denominator, no
-    int64 products) divided by that denominator, times the basis numerics:
-    ``float`` of the exact value, bit for bit.
+    The map is taken once as integer numerators over one common denominator
+    den.  A coordinate is ``float(QValue)``'s rule on the exact value: the
+    fsum of n_l / den * x_l over the basis elements l whose numerator n_l
+    (a dot product of the provenance with the map's numerators) is nonzero,
+    x_l the basis numerics.  Every row first goes through _affine_floats;
+    a row it cannot prove runs that rule on Python ints (no fixed-width
+    overflow), so each coordinate is ``float`` of the exact value, bit for bit.
     """
     spec = next((v.spec for row in mat for v in row if not v.is_rational()),
                 mat[0][0].spec)
@@ -188,14 +193,88 @@ def _affine_points(
     # per coordinate, per basis element: the numerators over the provenance
     cols = [[[int(v.coeffs[l] * den) for v in row] for l in range(spec.dim)]
             for row in mat]
-    coords = []
-    for c in prov.tolist():
-        for coord_cols in cols:
+    coords, exact = _affine_floats(cols, den, spec.numerics, prov)
+    for i in np.flatnonzero(exact).tolist():
+        c = prov[i].tolist()
+        for a, coord_cols in enumerate(cols):
             nums = (sum(map(operator.mul, c, col)) for col in coord_cols)
             # int / int is correctly rounded, so n / den == float(Fraction(n, den))
-            coords.append(math.fsum(n / den * x
-                                    for n, x in zip(nums, spec.numerics) if n))
-    return PointSet(len(mat), np.array(coords), prov, window)
+            coords[i, a] = math.fsum(n / den * x
+                                     for n, x in zip(nums, spec.numerics) if n)
+    return PointSet(len(mat), coords, prov, window)
+
+
+# integers of magnitude below 2^53 are exact float64 values
+_EXACT_INT = 1 << 53
+# a float bound on sum_j |prov_j| * max|num_j| below this proves the true
+# one below 2^53 (its rounding is a relative (k + 2) * 2^-53 for k columns)
+_ROW_BOUND = _EXACT_INT * (1 - 2.0 ** -40)
+
+
+def _affine_floats(
+    cols: list[list[list[int]]], den: int, numerics: Sequence[float],
+    prov: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) coordinates of _affine_points in numpy, and the rows to redo.
+
+    With |n| and den below 2^53 both are exact floats, so n / den * x is
+    the rule's product.  Numerators are int64 products, trusted on a row
+    whose float bound on sum_j |prov_j| * max|num_j| is below 2^53.  A sum
+    of at most two nonzero terms is one rounded addition, which is fsum's;
+    three or more go through _sum2 and its proof of correct rounding.  A row
+    is redone when its bound fails, a sum is not proven, or a coordinate is
+    not finite (fsum's overflow behaviour); a map whose den or numerators
+    reach 2^53 redoes every row.
+    """
+    n_pts, dim = len(prov), len(cols)
+    flat = [col for coord_cols in cols for col in coord_cols]
+    if (not n_pts or den >= _EXACT_INT
+            or any(abs(v) >= _EXACT_INT for col in flat for v in col)):
+        return np.zeros((n_pts, dim)), np.ones(n_pts, dtype=bool)
+    num = np.array(flat, dtype=np.int64).reshape(len(flat), -1).T
+    nums = prov @ num  # exact on every row the bound keeps
+    bound = np.abs(prov.astype(float)) @ np.abs(num).max(axis=1).astype(float)
+    exact = bound >= _ROW_BOUND
+    nonzero = nums != 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(nonzero, nums / den * np.tile(numerics, dim), 0.0)
+        terms = terms.reshape(n_pts, dim, -1)
+        coords = terms.sum(axis=2)
+        many = nonzero.reshape(terms.shape).sum(axis=2) > 2
+        coords[many], proven = _sum2(terms[many])
+    unsure = np.zeros_like(many)
+    unsure[many] = ~proven
+    exact |= (unsure | ~np.isfinite(coords)).any(axis=1)
+    return coords, exact
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s = fl(a + b) and the exact error a + b - s (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _sum2(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over the last axis, and where each is proven correctly rounded.
+
+    TwoSum passes (Sum2 of Ogita, Rump and Oishi) leave the exact sum as
+    p + sigma + delta, where delta is the sum of the TwoSum errors of
+    sigma's own accumulation, |delta| <= slack.  s = fl(p + sigma) with
+    its error t.  When delta is 0, s is the rounding of the exact sum, ties
+    included.  Otherwise s is proven when |t| + 2 * slack is below half the
+    float spacing below |s|, the narrower side of s's rounding interval.
+    """
+    p = terms[..., 0]
+    sigma = slack = np.zeros(p.shape)
+    for l in range(1, terms.shape[-1]):
+        p, err = _two_sum(p, terms[..., l])
+        sigma, resid = _two_sum(sigma, err)
+        slack = slack + np.abs(resid)
+    s, t = _two_sum(p, sigma)
+    mag = np.abs(s)
+    half_gap = (mag - np.nextafter(mag, 0)) / 2
+    return s, np.isfinite(s) & ((slack == 0) | (np.abs(t) + 2 * slack < half_gap))
 
 
 def cut_and_project(

@@ -2,10 +2,11 @@
 
 Block enumerations of one-dimensional model sets, perturbation sequences
 delta_j and their windowed means, the averaged-perturbation basis check on
-an interval, Gram matrices with closed-form entries, and extreme-eigenvalue
-traces over nested truncations (one matrix per trace, each truncation a
-leading submatrix; a one-piece region takes a real kernel with the Gram
-spectrum).  Verdicts here are evidence, not theorems:
+an interval, Gram matrices with closed-form entries (evaluated once per
+distinct float difference of the points, then gathered), and
+extreme-eigenvalue traces over nested truncations (one matrix per trace,
+each truncation a leading submatrix; a one-piece region takes a real
+kernel with the Gram spectrum).  Verdicts here are evidence, not theorems:
 finite sections cannot certify infinite-dimensional basis properties, so
 reports carry the thresholds and ranges they used.
 """
@@ -247,16 +248,39 @@ def gram_matrix(points, region: RegionSet) -> np.ndarray:
 
 def _from_upper(pts: np.ndarray, entry) -> np.ndarray:
     """Matrix of entry(lambda_k - lambda_j) for j <= k, mirrored conjugate,
-    built in row blocks of at most _GRAM_BLOCK entries (bounded temporaries)."""
+    built in row blocks of at most _GRAM_BLOCK entries (bounded temporaries).
+
+    Within a block, entry runs once per distinct bit pattern of the float
+    differences and is gathered back to every pair: each entry is entry of
+    its own difference, bit for bit.  A Meyer set's differences are
+    uniformly discrete, so a block has far fewer distinct ones than pairs.
+    """
     n = len(pts)
     rows, g = max(1, _GRAM_BLOCK // max(n, 1)), None
     for j0 in range(0, max(n, 1), rows):  # n = 0: one empty block sets the dtype
         j, k = (i + j0 for i in np.triu_indices(min(rows, n - j0), m=n - j0))
-        vals = entry(pts[k] - pts[j])
+        distinct, inv = _distinct_rows(pts[k] - pts[j])
+        vals = entry(distinct)[inv]
         if g is None:
             g = np.zeros((n, n), dtype=vals.dtype)
         g[j, k], g[k, j] = vals, np.conj(vals)  # mirror last: the diagonal is conj
     return g
+
+
+def _distinct_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a float matrix by bit pattern, and for each row
+    the index of its distinct row (``-0.0`` and ``0.0`` stay apart)."""
+    bits = np.ascontiguousarray(t).view(np.int64)
+    if bits.shape[1] == 1:
+        uniq, inv = np.unique(bits[:, 0], return_inverse=True)
+        return uniq.view(np.float64)[:, None], inv
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(len(ranked), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return t[order[new]], inv
 
 
 def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
@@ -275,10 +299,18 @@ def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
 
 def extreme_eigs(g: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of an exactly Hermitian, complex or real, matrix (numpy)."""
+    _check_hermitian(g)
+    return _eig_ends(g)
+
+
+def _check_hermitian(g: np.ndarray) -> None:
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise PreconditionError("matrix must be square")
     if not np.array_equal(g, g.conj().T):
         raise PreconditionError("matrix is not exactly Hermitian")
+
+
+def _eig_ends(g: np.ndarray) -> tuple[float, float]:
     ev = np.linalg.eigvalsh(g)
     return float(ev[0]), float(ev[-1])
 
@@ -308,7 +340,8 @@ def riesz_bound_trace(
     """Extreme Gram eigenvalues over nested truncations [-R, R]^d.
 
     One matrix (_spectral_gram) is built over the points sorted stably by
-    max-norm; each truncation is a leading principal submatrix of it.
+    max-norm; each truncation is a leading principal submatrix of it.  The
+    matrix is checked exactly Hermitian once, and so is each section.
     These interlace, so lambda_min must be nonincreasing and lambda_max
     nondecreasing in R; this is asserted (with solver slack) on every trace.
     """
@@ -321,7 +354,8 @@ def riesz_bound_trace(
     if radii and sizes[0] == 0:
         raise PreconditionError(f"no points within radius {radii[0]}")
     g = _spectral_gram(points.coords[order[: sizes.max(initial=0)]], region)
-    rows = [(float(r), int(n), *extreme_eigs(g[:n, :n]))
+    _check_hermitian(g)  # then so is every leading section
+    rows = [(float(r), int(n), *_eig_ends(g[:n, :n]))
             for r, n in zip(radii, sizes)]
     tol = 1e-9
     for (_, _, lo0, hi0), (_, _, lo1, hi1) in zip(rows, rows[1:]):

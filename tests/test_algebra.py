@@ -1,14 +1,19 @@
 import functools
 import math
 import operator
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quasilab
 from quasilab.algebra import (
     AlgebraSpec,
     QValue,
@@ -353,17 +358,65 @@ def test_tower_sign_floor_against_decimal_oracle(spec_name, coeffs, den, cancel,
     assert x.floor() == want_floor
 
 
-def test_tower_decides_equal_radicands_to_zero():
-    # sqrt 8 = 2 sqrt 2 and sqrt 12 = 2 sqrt 3 are declared as their own
-    # basis elements, so this value is exactly 0 though no coefficient is
+def test_spec_refuses_a_repeated_squarefree_root():
+    # sqrt 8 = 2 sqrt 2: with both declared, 2*w1 - w2 would have sign 0
+    # but nonzero coefficients, so == 0, < 0 and > 0 would all be False
+    with pytest.raises(PreconditionError) as err:
+        AlgebraSpec.from_text("basis w1 = sqrt 2\nbasis w2 = sqrt 3\nbasis w3 = sqrt 8\n")
+    assert "'basis w1 = sqrt 2'" in str(err.value)
+    assert "'basis w3 = sqrt 8'" in str(err.value)
+    with pytest.raises(PreconditionError, match="sqrt 1/3"):  # sqrt(1/3) = sqrt(3)/3
+        AlgebraSpec(["1", "a", "b"], [1, 3, Fraction(1, 3)])
+    with pytest.raises(PreconditionError, match="same squarefree root sqrt 1"):
+        AlgebraSpec.from_text("basis w1 = sqrt 4\nbasis w2 = sqrt 9\n")
     spec = AlgebraSpec.from_text(
-        "basis w1 = sqrt 2\nbasis w2 = sqrt 8\nbasis w3 = sqrt 3\nbasis w4 = sqrt 12\n")
-    x = spec.parse("2*w1 - w2 + 2*w3 - w4")
-    assert x.coeffs[1:] != (0, 0, 0, 0)
-    assert x.sign() == 0 and x.floor() == 0
-    assert (x + spec.parse("w1 - w3")).sign() == -1
-    assert (x + spec.parse("w1 - w3")).floor() == -1
-    assert spec.parse("w2 - w4 + 1").floor() == 0  # 2 sqrt2 - 2 sqrt3 + 1 ~ 0.37
+        "basis w1 = sqrt 2\nbasis w2 = sqrt 3\nbasis w3 = sqrt 24\n"
+        "product w1 w2 = 1/2*w3\n")  # sqrt 24 = 2 sqrt 6: distinct roots
+    w1, w2, w3 = (spec.basis_element(f"w{i}") for i in (1, 2, 3))
+    assert w3 - 2 * w1 * w2 == 0
+    assert (w3 - w1 - w2).sign() == 1 and (w3 - w1 - w2).floor() == 1
+
+
+def test_multi_root_floor_past_the_float_range(sqrt23):
+    # a float guess overflows here; every sign the bracketing needs is exact
+    w1, w2, w3 = (sqrt23.basis_element(f"w{i}") for i in (1, 2, 3))
+    assert (sqrt23.from_rational(10**400) + w1 + w2).floor() == 10**400 + 3
+    rng = np.random.default_rng(400)
+    digits = 450  # the oracle floors each root term at 10^-450
+    for _ in range(40):
+        a, b, c = (int(v) * 10**398 + int(u) for v, u in rng.integers(-10**6, 10**6, (3, 2)))
+        base = int(rng.integers(-10**6, 10**6)) * 10**400
+        x = base + a * w1 + b * w2 + c * w3
+        low = base * 10**digits + sum(
+            math.isqrt(k * k * r * 10**(2 * digits)) if k >= 0
+            else -math.isqrt(k * k * r * 10**(2 * digits)) - 1
+            for k, r in ((a, 2), (b, 3), (c, 6)))
+        # low <= x * 10^digits < low + 3: the floor is decided unless an
+        # integer falls in between
+        assert low // 10**digits == (low + 3) // 10**digits
+        assert x.floor() == low // 10**digits
+        assert (-x).floor() == -(low // 10**digits) - 1
+
+
+def test_huge_radicand_refused_quickly(tmp_path):
+    # trial division to the cube root would not finish on this prime; the
+    # child process runs under a timeout, so a regression fails, not hangs
+    src = str(Path(quasilab.__file__).resolve().parent.parent)
+    code = ("import time; from quasilab.algebra import AlgebraSpec\n"
+            "t = time.perf_counter()\n"
+            "try:\n"
+            "    AlgebraSpec.from_text('basis w1 = sqrt 1000000000000000000000000000057')\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, time.perf_counter() - t)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, timeout=30,
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src})
+    name, seconds = out.stdout.split()
+    assert name == "PreconditionError" and float(seconds) < 1.0
+    with pytest.raises(PreconditionError, match="exceeds 10\\^15"):
+        AlgebraSpec.from_text(f"basis w1 = sqrt 1/{10**15 + 1}")
+    # a prime at the bound: the longest trial division still accepted
+    assert AlgebraSpec.from_text("basis w1 = sqrt 1/999999999999989").dim == 2
 
 
 def test_scalar_product_matches_table(sqrt23, rng):

@@ -406,6 +406,15 @@ def test_gen_box_outside_int64_refused(tmp_path, capsys):
     assert "beyond the int64 range" in capsys.readouterr().err
 
 
+def test_algebra_file_with_a_repeated_root_refused(tmp_path, capsys):
+    (tmp_path / "alg.txt").write_text("basis w1 = sqrt 2\nbasis w2 = sqrt 8\n")
+    assert run_cli("gen", "--algebra", f"@{tmp_path / 'alg.txt'}", "--alpha", "w1",
+                   "--beta", "1", "--window", "(-1,0]", "--range", "10",
+                   "--out", str(tmp_path / "out")) == 2
+    assert ("'basis w1 = sqrt 2' and 'basis w2 = sqrt 8' declare the same "
+            "squarefree root sqrt 2" in capsys.readouterr().err)
+
+
 def test_two_dim_region_names(tmp_path):
     # each piece is written as offset + [0,1)*e_1 + [0,1)*e_2 over its edge columns
     spec = parse_algebra("sqrt:2,3")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quasilab import modelset
 from quasilab.algebra import lift_to
 from quasilab.dynamics import orbit_hits
 from quasilab.errors import PreconditionError
@@ -611,3 +612,103 @@ def test_generators_provenance_contract(sqrt2, sqrt23, empty):
     for pts, k in cases:
         assert (len(pts) == 0) == empty
         assert_provenance_contract(pts, k)
+
+
+def _affine_fsum_reference(mat, prov):
+    # per point and coordinate: Python-int numerators over the common
+    # denominator, then the fsum rule of float(QValue)
+    spec = next((v.spec for row in mat for v in row if not v.is_rational()),
+                mat[0][0].spec)
+    mat = [[lift_to(spec, v) for v in row] for row in mat]
+    den = math.lcm(*(c.denominator for row in mat for v in row for c in v.coeffs))
+    coords = []
+    for c in np.asarray(prov).tolist():
+        for row in mat:
+            nums = [sum(p * int(v.coeffs[l] * den) for p, v in zip(c, row))
+                    for l in range(spec.dim)]
+            coords.append(math.fsum(n / den * x for n, x in zip(nums, spec.numerics) if n))
+    return np.array(coords).reshape(len(prov), len(mat))
+
+
+def _vectorized_share(mat, prov):
+    # the share of rows the numpy map decides without the exact path
+    got = modelset._affine_points(mat, np.asarray(prov, dtype=np.int64), "")
+    assert got.coords.tobytes() == _affine_fsum_reference(mat, prov).tobytes()
+    spec = next((v.spec for row in mat for v in row if not v.is_rational()))
+    den = math.lcm(*(c.denominator for row in mat for v in row for c in v.coeffs))
+    cols = [[[int(v.coeffs[l] * den) for v in row] for l in range(spec.dim)]
+            for row in mat]
+    _, exact = modelset._affine_floats(cols, den, spec.numerics,
+                                       np.asarray(prov, dtype=np.int64))
+    return 1 - exact.mean()
+
+
+def test_affine_map_matches_fsum_reference_generators(sqrt2, sqrt23):
+    w1 = sqrt2.basis_element("w1")
+    dual = dual_model_points([w1], [sqrt2.one()], interval(sqrt2.zero(), w1 - 1),
+                             (10**11, 10**11 + 3000))
+    assert len(dual) > 1000
+    assert _vectorized_share([[sqrt2.one(), w1 + 1]], dual.provenance) == 1
+    # the sqrt:2,3 box: up to four nonzero terms per coordinate
+    alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    box = special_quasicrystal(alpha, alpha, parse_region_literal(sqrt23, "(-1,0]"),
+                               [(-40, 40), (-40, 40)])
+    assert len(box) == 81 * 81
+    one, zero = sqrt23.one(), sqrt23.zero()
+    mat = [[(one if i == j else zero) + alpha[i] * alpha[j] for j in range(2)]
+           + [-alpha[i]] for i in range(2)]
+    assert _vectorized_share(mat, box.provenance) > 0.99
+
+
+def test_affine_map_rows_at_the_float_integer_bound(sqrt2):
+    # x = (p0 + p1 sqrt2) / 3: a numerator of 2^53 + 1 is no float, so only
+    # the exact path gives (2^53 + 1) / 3 = 3002399751580331
+    third = sqrt2.parse("1/3")
+    mat = [[third, third * sqrt2.basis_element("w1")]]
+    rows = [(2**53 + 1, 0), (2**53 - 5, 5), (-(2**53) + 1, -1), (2**52, 2**51),
+            (2**52 + 7, -(2**20)), (3, -7)]
+    prov = np.array(rows, dtype=np.int64)
+    got = modelset._affine_points(mat, prov, "")
+    assert got.coords.tobytes() == _affine_fsum_reference(mat, rows).tobytes()
+    assert got.coords[0, 0] == 3002399751580331.0
+    assert float(2**53 + 1) / 3 != 3002399751580331.0
+    _, exact = modelset._affine_floats([[[1, 0], [0, 1]]], 3, sqrt2.numerics, prov)
+    assert exact.tolist() == [True, True, True, False, False, False]
+
+
+def test_affine_map_at_binade_edges(sqrt23):
+    # n + a sqrt2 + b sqrt3 + c sqrt6 within 1/2 of +-2^k: many of these
+    # round to the power of two itself, where the float spacing halves
+    w1, w2, w3 = (sqrt23.basis_element(f"w{i}") for i in (1, 2, 3))
+    rng = np.random.default_rng(53)
+    abc = rng.integers(-10**4, 10**4, size=(3000, 3))
+    k = rng.choice([1, 10, 30, 45, 50, 51, 52], size=len(abc))
+    sign = rng.choice([-1, 1], size=len(abc))
+    irr = abc.astype(float) @ np.sqrt([2.0, 3.0, 6.0])
+    n = sign * 2.0 ** k - np.round(irr)
+    prov = np.column_stack([n.astype(np.int64), abc])
+    mat = [[sqrt23.one(), w1, w2, w3]]
+    assert _vectorized_share(mat, prov) > 0.9
+    got = modelset._affine_points(mat, prov, "").coords[:, 0]
+    assert np.count_nonzero(np.abs(got) == 2.0 ** k) > 300
+
+
+def test_sum2_proves_only_correct_roundings():
+    # near-ties at 2^53 + 2k, where fl(p + sigma) can round the wrong way:
+    # (1) a tiny third term just off the midpoint; (2) errors near +-1 that
+    # cancel in sigma and leave residuals of about 2^-50
+    rng = np.random.default_rng(2)
+    n = 20000
+    ties = np.zeros((n, 4))
+    ties[:, 1] = rng.choice([1.0, -1.0, 3.0, 0.5], size=n)
+    ties[:, 2] = rng.choice([2.0**-80, -(2.0**-80), 2.0**-1074, 0.0], size=n)
+    ties[:, 3] = rng.standard_normal(n) * 2.0 ** rng.integers(-110, -40, size=n)
+    residues = rng.choice([1.0, -1.0, 0.5, -0.5, 1.5], size=(n, 5))
+    residues[:, 1:] += rng.standard_normal((n, 4)) * 2.0**-50
+    for terms in (ties, residues):
+        terms[:, 0] = 2.0**53 + 2 * rng.integers(0, 4, size=n)
+        s, proven = modelset._sum2(terms)
+        want = np.array([math.fsum(row) for row in terms.tolist()])
+        assert np.array_equal(s[proven], want[proven])
+        assert 0 < np.count_nonzero(s[~proven] != want[~proven])
+        assert proven.mean() > 0.3

@@ -341,6 +341,41 @@ def test_gram_row_blocks_are_bit_identical(sqrt2, sqrt23, monkeypatch, block):
         assert riesz._spectral_gram(pts.coords, region).tobytes() == kernel.tobytes()
 
 
+def _kernel_reference(pts, region):
+    # the real one-piece kernel on the whole upper triangle, then the mirror
+    piece = region.pieces[0]
+    e_mat = np.array([[float(v) for v in row] for row in piece.edges])
+    iu = np.triu_indices(len(pts))
+    t = pts.coords[iu[1]] - pts.coords[iu[0]]
+    vals = abs(float(piece.det())) * np.prod(np.sinc(t @ e_mat), axis=1)
+    k = np.zeros((len(pts), len(pts)))
+    k[iu] = vals
+    k[iu[1], iu[0]] = vals
+    return k
+
+
+def test_gram_entries_once_per_distinct_difference(sqrt2, sqrt23, monkeypatch):
+    w1 = sqrt2.basis_element("w1")
+    primal = special_quasicrystal([w1], [sqrt2.one()], parse_region_literal(sqrt2, "[0,1)"),
+                                  [(-110, 110)]).restrict_box(100)
+    alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    box = box_region(sqrt23, [0, sqrt23.parse("-1/3")], [sqrt23.parse("w1 - 1"), 1])
+    evals = []
+    monkeypatch.setattr(riesz, "ft_indicator",
+                        lambda region, t: evals.append(len(t)) or ft_indicator(region, t))
+    two_piece = parse_region_literal(sqrt2, DUALITY_REGION)
+    assert np.array_equal(gram_matrix(primal, two_piece), _gram_reference(primal, two_piece))
+    # a Meyer set: its differences repeat, and each distinct one is evaluated once
+    assert len(primal) == 200 and sum(evals) < len(primal) ** 2 / 20
+    one_piece = parse_region_literal(sqrt2, "[0,-1+1*w1)")
+    assert np.array_equal(riesz._spectral_gram(primal.coords, one_piece),
+                          _kernel_reference(primal, one_piece))
+    plane = sequence_points(alpha, alpha, [(-6, 6), (-6, 6)])
+    assert np.array_equal(gram_matrix(plane, box), _gram_reference(plane, box))
+    assert np.array_equal(riesz._spectral_gram(plane.coords, box),
+                          _kernel_reference(plane, box))
+
+
 def test_gram_covariance_scaling(sqrt2):
     # Gram of (A Lambda) on A^{-T} S equals |det A|^{-1} Gram(Lambda) on S
     seq = sequence_points([sqrt2.basis_element("w1")], [sqrt2.one()],
