@@ -8,10 +8,11 @@ decidable, while a consistent floating-point embedding is kept for geometry.
 
 The declared rational independence of the basis values is an axiom, not
 something the code proves: the constructor checks that the numeric
-embedding is consistent with the product table to within ``EMBED_TOL``, and
-refuses two sqrt elements with the same squarefree root (``sqrt 2`` and
-``sqrt 8``), which would make a value such as ``2*w1 - w2`` unequal to 0
-by its coefficients while its exact sign is 0.  A sqrt radicand's
+embedding is consistent with the product table to within ``EMBED_TOL``
+relative to the magnitudes of the two sides, and refuses two sqrt elements
+with the same squarefree root (``sqrt 2`` and ``sqrt 8``), which would make
+a value such as ``2*w1 - w2`` unequal to 0 by its coefficients while its
+exact sign is 0.  A sqrt radicand's
 numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
 
 Exact decisions (:meth:`QValue.sign`, :meth:`QValue.floor`) take one of
@@ -226,10 +227,14 @@ class AlgebraSpec:
         return len(self.names)
 
     def _check_embedding(self) -> None:
+        """Each declared product agrees with the embedding to within EMBED_TOL
+        relative to the magnitudes of both sides (absolute below 1)."""
         for (i, j), coeffs in self._products.items():
             direct = self.numerics[i] * self.numerics[j]
-            via = sum(float(c) * x for c, x in zip(coeffs, self.numerics))
-            if abs(direct - via) > EMBED_TOL:
+            terms = [float(c) * x for c, x in zip(coeffs, self.numerics)]
+            via = sum(terms)
+            scale = max(1.0, abs(direct), sum(abs(t) for t in terms))
+            if abs(direct - via) > EMBED_TOL * scale:
                 raise PreconditionError(
                     f"product table for {self.names[i]}*{self.names[j]} is "
                     f"inconsistent with the numeric embedding "

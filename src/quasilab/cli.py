@@ -304,18 +304,7 @@ def _cmd_avdonin(args) -> int:
     )
     out = _out_dir(args) / "avdonin.json"
     _json_dump(
-        {
-            "satisfied_at": verdict.satisfied_at,
-            "sup_deviation": verdict.sup_deviation,
-            "threshold": verdict.threshold,
-            "margin": verdict.margin,
-            "c_hat": verdict.c_hat,
-            "n_max": verdict.n_max,
-            "k_range": list(verdict.k_range),
-            "separation": verdict.separation,
-            "region": region.describe(),
-            "interval_length": float(length),
-        },
+        {**verdict.as_dict(), "region": region.describe(), "interval_length": float(length)},
         out,
     )
     print(f"wrote {out} (satisfied_at = {verdict.satisfied_at})")

@@ -116,11 +116,11 @@ class DiscrepancyTrace:
             raise PreconditionError(f"n={n} outside the computed range")
         return float(self.values[idx])
 
-    def increments_consistent(self, region: RegionSet, alpha, tol: float = 1e-9) -> bool:
-        """D_{n+1} - D_n = chi_S(x0 + n*alpha) - mes S on the whole range."""
+    def increments_consistent(self, region: RegionSet, alpha) -> bool:
+        """D_{n+1} - D_n = chi_S(x0 + n*alpha) - mes S on the whole range, to 1e-9."""
         chi = orbit_hits(region, alpha, self.x0, int(self.ns[0]), int(self.ns[-1]) - 1)
         incs = np.diff(self.values)
-        return bool(np.max(np.abs(incs - (chi - self.mes))) <= tol)
+        return bool(np.max(np.abs(incs - (chi - self.mes))) <= 1e-9)
 
 
 def discrepancy_trace(

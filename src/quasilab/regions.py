@@ -25,6 +25,7 @@ from .algebra import (
     admissible_decomposition,
     exact_det,
     lift_to,
+    mat_adjugate,
     mat_inverse,
     mat_vec,
     module_membership,
@@ -94,9 +95,6 @@ class Piece:
         """Exact membership of a point; half-open unless ``closure``."""
         top = 0 if closure else -1  # the largest sign of t - 1 allowed
         return all(ti.sign() >= 0 and (ti - 1).sign() <= top for ti in self.unit_coords(x))
-
-    def strictly_inside_unit_coords(self, x: Sequence[QValue]) -> bool:
-        return all(ti.sign() > 0 and (ti - 1).sign() < 0 for ti in self.unit_coords(x))
 
 
 def _vec_text(v: Sequence[QValue]) -> str:
@@ -481,63 +479,38 @@ def multiplicity(region: RegionSet, x: Sequence) -> int:
     return int(region.membership.count(point, [], np.zeros((1, 0)))[0])
 
 
-def check_disjoint(region: RegionSet, tol: float = 1e-9) -> list[tuple[int, int]]:
-    """Pairwise overlap report (indices of pieces that may overlap).
+def check_disjoint(region: RegionSet) -> list[tuple[int, int]]:
+    """Pairs (i, j) of pieces whose interiors overlap, decided exactly.
 
-    Axis-aligned pairs are decided exactly; general pairs use a numeric
-    separating-axis test over the face normals (and, in 3-D, edge cross
-    products), reported conservatively.
+    Separating-axis test: two parallelepipeds have disjoint interiors exactly
+    when, on some axis, the projections of their corners meet in at most one
+    point.  The axes are the face normals of both pieces (the rows of their
+    edge adjugates) and, in 3-D, the nonzero cross products of an edge of
+    each; these suffice up to dimension 3, and beyond it a pair may be
+    reported that does not overlap.  Projections are exact and compared by
+    sign, so pieces that only touch are disjoint.
     """
+    pieces = region.pieces
+    corners = [p.corners() for p in pieces]
+    normals = [mat_adjugate(p.edges) for p in pieces]
 
-    def axis_aligned(p: Piece) -> bool:
-        d = p.dim
-        return all(
-            i == j or p.edges[i][j] == 0 for i in range(d) for j in range(d)
-        )
+    def separated(ax: Sequence[QValue], a: list, b: list) -> bool:
+        pa, pb = ([sum((u * x for u, x in zip(ax[1:], c[1:])), ax[0] * c[0]) for c in cs]
+                  for cs in (a, b))
+        return max(pa) <= min(pb) or max(pb) <= min(pa)
 
-    def overlap(p: Piece, q: Piece) -> bool:
-        if axis_aligned(p) and axis_aligned(q):
-            for i in range(p.dim):
-                alo, ahi = sorted(
-                    [p.offset[i], p.offset[i] + p.edges[i][i]], key=float
-                )
-                blo, bhi = sorted(
-                    [q.offset[i], q.offset[i] + q.edges[i][i]], key=float
-                )
-                lo = alo if (alo - blo).sign() >= 0 else blo
-                hi = ahi if (ahi - bhi).sign() <= 0 else bhi
-                if (hi - lo).sign() <= 0:
-                    return False
-            return True
-        pa = np.array([[float(v) for v in c] for c in p.corners()])
-        qa = np.array([[float(v) for v in c] for c in q.corners()])
-        axes = []
-        for piece in (p, q):
-            inv = np.linalg.inv(
-                np.array([[float(v) for v in row] for row in piece.edges])
-            )
-            axes.extend(inv)  # face normals
-        if p.dim == 3:
-            ep = np.array([[float(v) for v in row] for row in p.edges]).T
-            eq = np.array([[float(v) for v in row] for row in q.edges]).T
-            for u in ep:
-                for v in eq:
-                    w = np.cross(u, v)
-                    if np.linalg.norm(w) > tol:
+    def overlap(i: int, j: int) -> bool:
+        axes = normals[i] + normals[j]
+        if region.dim == 3:
+            for u in pieces[i].edge_columns():
+                for v in pieces[j].edge_columns():
+                    w = [u[(a + 1) % 3] * v[(a + 2) % 3] - u[(a + 2) % 3] * v[(a + 1) % 3]
+                         for a in range(3)]
+                    if any(x != 0 for x in w):
                         axes.append(w)
-        for ax in axes:
-            a0, a1 = (pa @ ax).min(), (pa @ ax).max()
-            b0, b1 = (qa @ ax).min(), (qa @ ax).max()
-            if a1 <= b0 + tol or b1 <= a0 + tol:
-                return False
-        return True
+        return not any(separated(ax, corners[i], corners[j]) for ax in axes)
 
-    bad = []
-    for i in range(len(region.pieces)):
-        for j in range(i + 1, len(region.pieces)):
-            if overlap(region.pieces[i], region.pieces[j]):
-                bad.append((i, j))
-    return bad
+    return [(i, j) for i, j in itertools.combinations(range(len(pieces)), 2) if overlap(i, j)]
 
 
 # -- constructions certified over Z*alpha + Z^d --------------------------------
@@ -815,9 +788,10 @@ def construct_brs_between(
     if not ((gamma - vol_k).sign() > 0 and (vol_u - gamma).sign() > 0):
         raise PreconditionError("need mes K < gamma < mes U")
     for p in region_k.pieces:
-        for corner in p.corners():
-            if not region_u.contains(corner, closure=True):
-                raise PreconditionError("K is not contained in U")
+        corners = p.corners()
+        if not any(all(up.contains(c, closure=True) for c in corners)
+                   for up in region_u.pieces):
+            raise PreconditionError("K is not contained in U")
 
     chosen = _tile_edges(alpha, epsilon, tile_bound)
     witnesses = tuple(w for w, _ in chosen)
@@ -827,8 +801,11 @@ def construct_brs_between(
     det = exact_det(edges)
     tile_vol = -det if det.sign() < 0 else det
 
-    def tile_coords(x: Sequence[QValue]) -> list[QValue]:
-        return mat_vec(inv, list(x))
+    def cover(region: RegionSet) -> tuple[list[int], list[int]]:
+        """Per axis, the least and the greatest tile index of a corner of the region."""
+        coords = [mat_vec(inv, list(c)) for p in region.pieces for c in p.corners()]
+        return ([min(c[i].floor() for c in coords) for i in range(d)],
+                [max(c[i].floor() for c in coords) for i in range(d)])
 
     def tile_piece(j: Sequence[int]) -> Piece:
         off = tuple(
@@ -841,31 +818,42 @@ def construct_brs_between(
         return Piece(off, edges, witnesses)
 
     # Tiles meeting K: box cover of K's corners in tile coordinates.
-    k_corner_coords = [
-        tile_coords(c) for p in region_k.pieces for c in p.corners()
-    ]
-    lo_j = [min(c[i].floor() for c in k_corner_coords) for i in range(d)]
-    hi_j = [max(c[i].floor() for c in k_corner_coords) for i in range(d)]
+    lo_j, hi_j = cover(region_k)
     a_tiles = sorted(itertools.product(*[
         range(lo_j[i], hi_j[i] + 1) for i in range(d)
     ]))
 
-    @functools.cache
-    def corner_inside_u(c: tuple[int, ...]) -> bool:
-        # interior test of the tile corner edges @ c (shared by 2^d tiles)
-        x = tile_piece(c).offset
-        return any(up.strictly_inside_unit_coords(x) for up in region_u.pieces)
+    # Tiles j inside U over a box cover of U: the tile is inside when its 2^d
+    # corners edges @ (j + eps) lie in the interior of one piece of U.  In a
+    # piece's unit coordinates the corners edges @ c form the integer-affine
+    # batch inv @ (edges @ c - offset), and t is in (0,1)^d exactly when the
+    # kernel shifts it by 0 into both [0,1)^d and (0,1]^d.  Each cube tiles
+    # space, so the kernel returns one shift per corner and cube.
+    ulo, uhi = cover(region_u)
+    ulo = [v - 1 for v in ulo]  # tiles ulo .. uhi + 1, corners ulo .. uhi + 2
+    shape = tuple(hi - lo + 3 for lo, hi in zip(ulo, uhi))
+    grid = np.indices(shape).reshape(d, -1).T + np.array(ulo)
+    cube = box_region(spec, [0] * d, [1] * d)
+    mirror = RegionSet(d, [Piece((spec.one(),) * d,
+                                 tuple(tuple(-v for v in row) for row in cube.pieces[0].edges))])
+    inside = np.zeros([n - 1 for n in shape], dtype=bool)
+    for up in region_u.pieces:
+        base = mat_vec(up.inverse, [-o for o in up.offset])
+        gens = [mat_vec(up.inverse, list(col)) for col in cols]
+        corner_in = np.ones(len(grid), dtype=bool)
+        for unit in (cube, mirror):
+            corner_in &= ~unit.membership.translates(base, gens, grid)[1].any(axis=1)
+        corner_in = corner_in.reshape(shape)
+        inside |= np.logical_and.reduce([
+            corner_in[tuple(slice(e, e + n - 1) for e, n in zip(eps, shape))]
+            for eps in itertools.product((0, 1), repeat=d)
+        ])
 
-    def strictly_inside_u(j: Sequence[int]) -> bool:
-        return all(corner_inside_u(tuple(a + e for a, e in zip(j, eps)))
-                   for eps in itertools.product((0, 1), repeat=d))
-
-    for j in a_tiles:
-        if not strictly_inside_u(j):
-            raise SearchExhaustedError(
-                "a tile meeting K leaves the interior of U; retry with a "
-                "smaller epsilon"
-            )
+    if not all(inside[tuple(a - b for a, b in zip(j, ulo))] for j in a_tiles):
+        raise SearchExhaustedError(
+            "a tile meeting K leaves the interior of U; retry with a "
+            "smaller epsilon"
+        )
     mes_a = tile_vol * len(a_tiles)
     if (gamma - mes_a).sign() < 0:
         raise SearchExhaustedError(
@@ -873,24 +861,14 @@ def construct_brs_between(
             "a smaller epsilon"
         )
 
-    # Free tiles inside U, preferring contiguity with the block in 1-D.
-    u_corner_coords = [
-        tile_coords(c) for p in region_u.pieces for c in p.corners()
-    ]
-    ulo = [min(c[i].floor() for c in u_corner_coords) - 1 for i in range(d)]
-    uhi = [max(c[i].floor() for c in u_corner_coords) + 1 for i in range(d)]
+    # Free tiles inside U, in lexicographic order, preferring contiguity
+    # with the block in 1-D.
     a_set = set(a_tiles)
-    free = [
-        j
-        for j in itertools.product(*[range(ulo[i], uhi[i] + 1) for i in range(d)])
-        if j not in a_set and strictly_inside_u(j)
-    ]
+    free = [j for j in map(tuple, (np.argwhere(inside) + ulo).tolist()) if j not in a_set]
     if d == 1:
         right = sorted(j for j in free if j[0] > hi_j[0])
         left = sorted((j for j in free if j[0] < lo_j[0]), reverse=True)
         free = right + left
-    else:
-        free = sorted(free)
 
     remaining = gamma - mes_a
     k_full = (remaining * tile_vol.inverse()).floor()

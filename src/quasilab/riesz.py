@@ -13,6 +13,7 @@ reports carry the thresholds and ranges they used.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -71,12 +72,12 @@ class Enumeration:
         return int(self.block_sizes().max())
 
 
-def enumerate_blocks(points: PointSet, s0_anchor: int = 0) -> Enumeration:
+def enumerate_blocks(points: PointSet) -> Enumeration:
     """Enumerate a block-tagged 1-D point set as lambda_j.
 
     The block index is the last provenance entry.  Empty blocks inside the
     generated range are allowed (the ramp stays flat there); the range must
-    contain 0 so the anchor s_0 = s0_anchor is meaningful.
+    contain 0 so the anchor s_0 = 0 is meaningful.
     """
     if points.dim != 1:
         raise PreconditionError("enumeration needs a 1-D point set")
@@ -94,7 +95,7 @@ def enumerate_blocks(points: PointSet, s0_anchor: int = 0) -> Enumeration:
     s = np.zeros(n_hi - n_lo + 2, dtype=np.int64)
     s[1:] = np.cumsum(sizes)
     ranks = np.arange(len(values), dtype=np.int64) - s[blocks - n_lo]
-    s += s0_anchor - s[-n_lo]  # force s_0 = anchor
+    s -= s[-n_lo]  # force s_0 = 0
     js = np.arange(s[0], s[0] + len(values), dtype=np.int64)
     return Enumeration(js, values, blocks, ranks, n_lo, n_hi, s)
 
@@ -185,6 +186,10 @@ class AvdoninVerdict:
     @property
     def satisfied(self) -> bool:
         return self.satisfied_at is not None
+
+    def as_dict(self) -> dict:
+        """The JSON form: every field, k_range as a list."""
+        return {**dataclasses.asdict(self), "k_range": list(self.k_range)}
 
 
 def avdonin_check(
@@ -385,7 +390,6 @@ class DualityReport:
     translate: Optional[list[float]] = None
 
     def as_dict(self) -> dict:
-        v = self.dual_verdict
         return {
             "alpha": self.alpha,
             "beta": self.beta,
@@ -399,16 +403,7 @@ class DualityReport:
             "translate": self.translate,
             "primal_trace": self.primal.as_dict(),
             "dual_trace": self.dual.as_dict(),
-            "dual_verdict": {
-                "satisfied_at": v.satisfied_at,
-                "sup_deviation": v.sup_deviation,
-                "threshold": v.threshold,
-                "margin": v.margin,
-                "c_hat": v.c_hat,
-                "n_max": v.n_max,
-                "k_range": list(v.k_range),
-                "separation": v.separation,
-            },
+            "dual_verdict": self.dual_verdict.as_dict(),
         }
 
 

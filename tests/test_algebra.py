@@ -81,6 +81,23 @@ def test_embedding_consistency_enforced():
         )
 
 
+@pytest.mark.parametrize("rad", ["100000007", "1000000000000000"])
+def test_embedding_tolerance_scales_with_magnitude(rad):
+    # fl(sqrt r)^2 misses r by rounding, far beyond 1e-9 at these sizes
+    spec = AlgebraSpec.from_text(f"basis w1 = sqrt {rad}")
+    w1 = spec.basis_element("w1")
+    assert w1 * w1 == spec.from_rational(int(rad))
+
+
+@pytest.mark.parametrize("text", [
+    "basis w1 = sqrt 100000007\nproduct w1 w1 = 100000008",  # off by 1 in 1e8
+    "basis w1 = value 1.5\nproduct w1 w1 = 2.25000001",  # off by 1e-8 in 2.25
+])
+def test_embedding_still_refuses_wrong_tables(text):
+    with pytest.raises(PreconditionError, match="inconsistent with the numeric embedding"):
+        AlgebraSpec.from_text(text)
+
+
 def test_mismatched_specs_rejected(sqrt2, sqrt23):
     a = sqrt2.basis_element("w1")
     b = sqrt23.basis_element("w2")

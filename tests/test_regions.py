@@ -1,10 +1,15 @@
+import itertools
 import math
+import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
 
-from quasilab import regions
+from quasilab import cli, regions
+from quasilab.algebra import admissible_decomposition, mat_inverse, mat_vec
 from quasilab.dynamics import orbit_hits
 from quasilab.errors import PreconditionError, SearchExhaustedError
 from quasilab.modelset import periodic_points, special_quasicrystal
@@ -291,6 +296,179 @@ def test_construct_brs_between_preconditions(sqrt2):
         construct_brs_between([w1], poking_k, u, w1 - 1, 0.05)
 
 
+GAP_U = "(0,9/20) U (1/2,1)"
+
+
+def _probes_in(region, den, n):
+    """The rationals x/den, 0 <= x < n, that lie in a 1-D region (exact)."""
+    spec = region.spec
+    idx, shift = region.membership.translates(
+        (spec.zero(),), [(spec.from_rational(Fraction(1, den)),)], np.arange(n)[:, None])
+    return [Fraction(int(i), den) for i in idx[shift[:, 0] == 0]]
+
+
+def test_construct_brs_between_keeps_tiles_inside_one_piece_of_u(sqrt2):
+    # at epsilon 0.5 the one tile meeting K is [w1 - 1, 2 w1 - 2), with one
+    # corner in each piece of U: it crosses the gap [9/20, 1/2]
+    w1 = sqrt2.basis_element("w1")
+    k = parse_region_literal(sqrt2, "[21/50,43/100]", allow_closed=True)
+    u = parse_region_literal(sqrt2, GAP_U, allow_closed=True)
+    with pytest.raises(SearchExhaustedError, match="a tile meeting K leaves the interior of U"):
+        construct_brs_between([w1], k, u, w1 - 1, 0.5)
+    s = construct_brs_between([w1], k, u, w1 - 1, 0.05)
+    probes = _probes_in(s, 2000, 2000)
+    assert len(probes) > 500
+    assert all(0 < x < Fraction(9, 20) or Fraction(1, 2) < x < 1 for x in probes)
+
+
+def test_construct_brs_between_takes_k_piece_by_piece(sqrt2):
+    # K = [2/5, 3/5] lies in the closure of no single piece of U: it bridges the gap
+    w1 = sqrt2.basis_element("w1")
+    k = parse_region_literal(sqrt2, "[2/5,3/5]", allow_closed=True)
+    u = parse_region_literal(sqrt2, GAP_U, allow_closed=True)
+    for eps in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
+        with pytest.raises(PreconditionError, match="K is not contained in U"):
+            construct_brs_between([w1], k, u, w1 - 1, eps)
+
+
+def test_brs_make_refuses_k_across_pieces_of_u(tmp_path, capsys):
+    rc = cli.main(["brs-make", "--alpha", "w1", "--gamma", "w1 - 1",
+                   "--K", "[2/5,3/5]", "--U", GAP_U, "--epsilon", "0.2",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_PRECONDITION
+    assert "K is not contained in U" in capsys.readouterr().err
+    assert not (tmp_path / "brs_region.txt").exists()
+
+
+def _reference_between(alpha, k, u, gamma, epsilon, tile_bound, fit_bound=2):
+    """construct_brs_between with every tile corner decided on its own, exactly,
+    in the unit coordinates of each piece of U."""
+    d = k.dim
+    if admissible_decomposition(alpha, gamma) is None:
+        raise PreconditionError("target measure is not an integer combination of 1, alpha_i")
+    if not ((gamma - k.volume()).sign() > 0 and (u.volume() - gamma).sign() > 0):
+        raise PreconditionError("need mes K < gamma < mes U")
+    if not all(any(all(up.contains(c, closure=True) for c in p.corners()) for up in u.pieces)
+               for p in k.pieces):
+        raise PreconditionError("K is not contained in U")
+    chosen = regions._tile_edges(alpha, epsilon, tile_bound)
+    edges = tuple(tuple(v[i] for _, v in chosen) for i in range(d))
+    inv = mat_inverse(edges)
+    tile_vol = Piece(edges[0], edges).volume()
+    zero = gamma.spec.zero()
+
+    def tile(j):
+        off = tuple(sum((edges[i][a] * int(j[a]) for a in range(d)), zero) for i in range(d))
+        return Piece(off, edges, tuple(w for w, _ in chosen))
+
+    def inside(j):
+        corners = [tile([a + e for a, e in zip(j, eps)]).offset
+                   for eps in itertools.product((0, 1), repeat=d)]
+        return any(all(0 < t < 1 for x in corners for t in up.unit_coords(x)) for up in u.pieces)
+
+    def cover(region, pad):
+        coords = [mat_vec(inv, list(c)) for p in region.pieces for c in p.corners()]
+        return [range(min(c[i].floor() for c in coords) - pad,
+                      max(c[i].floor() for c in coords) + pad + 1) for i in range(d)]
+
+    a_tiles = list(itertools.product(*cover(k, 0)))
+    if not all(inside(j) for j in a_tiles):
+        raise SearchExhaustedError(
+            "a tile meeting K leaves the interior of U; retry with a smaller epsilon")
+    mes_a = tile_vol * len(a_tiles)
+    if (gamma - mes_a).sign() < 0:
+        raise SearchExhaustedError(
+            "tiles covering K already exceed the target measure; retry with a smaller epsilon")
+    free = [j for j in itertools.product(*cover(u, 1)) if j not in set(a_tiles) and inside(j)]
+    if d == 1:
+        free = (sorted(j for j in free if j > a_tiles[-1])
+                + sorted((j for j in free if j < a_tiles[0]), reverse=True))
+    remaining = gamma - mes_a
+    k_full = (remaining * tile_vol.inverse()).floor()
+    residual = remaining - tile_vol * k_full
+    needed = k_full + (0 if residual == 0 else 1)
+    if needed > len(free):
+        raise SearchExhaustedError(
+            f"not enough free tiles inside U ({len(free)} available, {needed} needed); "
+            "retry with a smaller epsilon or a larger U")
+    pieces = [tile(j) for j in a_tiles + free[:k_full]]
+    if residual != 0:
+        host = tile(free[k_full]).offset
+        for cand in regions.measure_candidates(alpha, residual, fit_bound):
+            cp = cand.pieces[0]
+            coords = [mat_vec(inv, list(c)) for c in cp.corners()]
+            mins = [min(c[i] for c in coords) for i in range(d)]
+            if any((max(c[i] for c in coords) - mins[i] - 1).sign() > 0 for i in range(d)):
+                continue
+            if d == 1 and free[k_full] < a_tiles[0]:  # flush right in a left tile
+                off = (host[0] + edges[0][0] - cp.edges[0][0],)
+            else:
+                off = tuple(host[i] - sum((edges[i][a] * mins[a] for a in range(d)), zero)
+                            for i in range(d))
+            pieces.append(Piece(off, cp.edges, cp.witnesses))
+            break
+        else:
+            raise SearchExhaustedError(
+                "residual fitting search exhausted; retry with a larger fit bound or "
+                "smaller epsilon")
+    return RegionSet(d, pieces)
+
+
+def _between_corpus(sqrt2, sqrt23):
+    """Seeded inputs with single-piece U: 1-D intervals over Q(sqrt 2), 2-D boxes
+    over Q(sqrt 2, sqrt 3) (epsilon 0.9, tile volume 6 - 3 w1 - w2)."""
+    r = random.Random(15)
+    w1 = sqrt2.basis_element("w1")
+    gammas = [w1 - 1, 2 - w1, 3 * w1 - 4, 3 - 2 * w1, 5 * w1 - 7]
+    for _ in range(30):
+        den = r.choice([10, 20, 50, 100])
+        u0 = r.randint(-den, den // 2)
+        u1 = u0 + r.randint(den // 2, 2 * den)
+        k0 = u0 if r.random() < 0.2 else r.randint(u0, u1 - den // 10 - 1)
+        k1 = r.randint(k0 + 1, k0 + den // 10)
+        u = f"{r.choice('[(')}{Fraction(u0, den)},{Fraction(u1, den)}{r.choice('])')}"
+        yield ([w1], parse_region_literal(sqrt2, f"[{Fraction(k0, den)},{Fraction(k1, den)}]",
+                                          allow_closed=True),
+               parse_region_literal(sqrt2, u, allow_closed=True),
+               r.choice(gammas), r.choice([0.02, 0.05, 0.1, 0.3]), r.choice([50, 200]))
+    v1, v2 = sqrt23.basis_element("w1"), sqrt23.basis_element("w2")
+    tile_vol = 6 - 3 * v1 - v2
+    for _ in range(2):
+        lo = [Fraction(r.randint(0, 10), 10) for _ in range(2)]
+        hi = [x + Fraction(r.randint(1, 2), 10) for x in lo]
+        yield ([v1, v2], box_region(sqrt23, lo, hi),
+               box_region(sqrt23, [x - Fraction(1, 2) for x in lo], [x + Fraction(1, 2) for x in hi]),
+               r.choice([12 * tile_vol, 20 * tile_vol, 10 - 4 * v1 - 2 * v2]), 0.9, 500)
+
+
+def test_construct_brs_between_matches_per_corner_reference(sqrt2, sqrt23):
+    def outcome(f, *args):
+        try:
+            return region_to_text(f(*args))
+        except (PreconditionError, SearchExhaustedError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    seen = set()
+    for args in _between_corpus(sqrt2, sqrt23):
+        got = outcome(construct_brs_between, *args)
+        assert got == outcome(_reference_between, *args)
+        seen.add(got if got.endswith(" epsilon") or "Error: " in got[:30] else "ok")
+    assert "ok" in seen and len(seen) >= 4  # successes and several refusals
+
+
+def test_construct_brs_between_large_u_is_fast(sqrt23):
+    # U spans about 19,000 tiles; each tile corner is one kernel row per unit cube
+    w1, w2 = sqrt23.basis_element("w1"), sqrt23.basis_element("w2")
+    k = box_region(sqrt23, ["0.9", "0.9"], ["1.1", "1.1"])
+    u = box_region(sqrt23, [-10, -10], [12, 12])
+    gamma = 12 * (6 - 3 * w1 - w2)
+    t0 = time.perf_counter()
+    s = construct_brs_between([w1, w2], k, u, gamma, 0.9, tile_bound=500)
+    assert time.perf_counter() - t0 < 5.0
+    assert s.volume() == gamma and len(s.pieces) == 12
+    assert all(s.contains(c, closure=True) for c in k.pieces[0].corners())
+
+
 def test_volume_additivity_of_certificates(sqrt2, rng):
     # source and target volumes of a valid certificate are exactly equal
     w1 = sqrt2.basis_element("w1")
@@ -325,6 +503,77 @@ def test_overlap_detection(sqrt2):
     c = interval(sqrt2.one(), sqrt2.parse("2"))
     assert check_disjoint(union(a, b)) == [(0, 1)]
     assert check_disjoint(union(a, c)) == []
+
+
+def _rational_piece(spec, offset, edges):
+    q = spec.from_rational
+    return Piece(tuple(q(Fraction(v)) for v in offset),
+                 tuple(tuple(q(Fraction(v)) for v in row) for row in edges))
+
+
+def test_check_disjoint_is_exact_on_sheared_pieces(sqrt2):
+    # unit cells sheared by the edge (1, 1), shifted along x; no edge is axis-aligned
+    def cell(x0):
+        return RegionSet(2, [_rational_piece(sqrt2, (x0, 0), ((1, 1), (0, 1)))])
+
+    strip = union(cell(0), cell(1 - Fraction(1, 10**10)))  # overlap 1e-10 wide
+    assert check_disjoint(strip) == [(0, 1)]
+    assert check_disjoint(union(cell(0), cell(1))) == []  # the cells only touch
+
+
+def _clipped_area(p, q):
+    """Exact area of the intersection of two 2-D pieces with rational entries:
+    p's corner polygon clipped by the four half-planes of q."""
+    def vec(v):
+        return [c.coeffs[0] for c in v]
+
+    o_p, o_q = vec(p.offset), vec(q.offset)
+    e = [vec(col) for col in p.edge_columns()]
+    poly = [(o_p[0] + a * e[0][0] + b * e[1][0], o_p[1] + a * e[0][1] + b * e[1][1])
+            for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    for row in q.inverse:
+        r = vec(row)
+        for f in (lambda x: r[0] * (x[0] - o_q[0]) + r[1] * (x[1] - o_q[1]),
+                  lambda x: 1 - r[0] * (x[0] - o_q[0]) - r[1] * (x[1] - o_q[1])):
+            out = []
+            for a, b in zip(poly, poly[1:] + poly[:1]):
+                fa, fb = f(a), f(b)
+                if fa >= 0:
+                    out.append(a)
+                if fa * fb < 0:
+                    t = fa / (fa - fb)
+                    out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+            poly = out
+    return abs(sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(poly, poly[1:] + poly[:1]))) / 2
+
+
+def test_check_disjoint_matches_exact_clipping(sqrt2):
+    # random sheared pairs with small rational data: many overlap, many touch
+    r = random.Random(7)
+    verdicts = []
+    for _ in range(150):
+        pieces = []
+        for _ in range(2):
+            while True:
+                e = [[Fraction(r.randint(-4, 4), 2) for _ in range(2)] for _ in range(2)]
+                if e[0][0] * e[1][1] != e[0][1] * e[1][0] and (e[0][1] or e[1][0]):
+                    break
+            pieces.append(_rational_piece(sqrt2, [Fraction(r.randint(-4, 4), 2)] * 2, e))
+        overlap = check_disjoint(RegionSet(2, pieces)) == [(0, 1)]
+        assert overlap == (_clipped_area(*pieces) > 0)
+        verdicts.append(overlap)
+    assert 20 < sum(verdicts) < 130
+
+
+def test_check_disjoint_uses_edge_cross_products_in_3d(sqrt2):
+    # no face normal of either piece separates them; the cross product of an
+    # edge of each does, with a gap
+    p = _rational_piece(sqrt2, (0, 0, 0), ((0, 2, -2), (-2, -2, -2), (0, 0, 1)))
+    q = _rational_piece(sqrt2, (-1, -1, 0), ((1, -1, -2), (2, 0, -2), (2, -1, -1)))
+    assert check_disjoint(RegionSet(3, [p, q])) == []
+    moved = _rational_piece(sqrt2, (1, -3, Fraction(1, 2)),  # q centred on p's centre
+                            ((1, -1, -2), (2, 0, -2), (2, -1, -1)))
+    assert check_disjoint(RegionSet(3, [p, moved])) == [(0, 1)]
 
 
 def _kernel_batches(sqrt2, sqrt23, block):
