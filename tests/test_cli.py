@@ -306,6 +306,16 @@ def test_brs_make_between(tmp_path):
     assert made.volume() == spec.basis_element("w1") - 1
 
 
+def test_brs_make_refuses_k_across_pieces_of_u(tmp_path, capsys):
+    # K = [2/5, 3/5] bridges the gap of U: it lies in the closure of no one piece
+    rc = run_cli("brs-make", "--alpha", "w1", "--gamma", "w1 - 1",
+                 "--K", "[2/5,3/5]", "--U", "(0,9/20) U (1/2,1)", "--epsilon", "0.2",
+                 "--out", str(tmp_path))
+    assert rc == cli.EXIT_PRECONDITION
+    assert "K is not contained in U" in capsys.readouterr().err
+    assert not (tmp_path / "brs_region.txt").exists()
+
+
 def test_duality_config_run(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(_DUALITY_CFG + f"outdir = {tmp_path / 'dout'}\n")

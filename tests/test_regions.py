@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from quasilab import cli, regions
+from quasilab import regions
 from quasilab.algebra import admissible_decomposition, mat_inverse, mat_vec
 from quasilab.dynamics import orbit_hits
 from quasilab.errors import PreconditionError, SearchExhaustedError
@@ -329,15 +329,6 @@ def test_construct_brs_between_takes_k_piece_by_piece(sqrt2):
     for eps in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7):
         with pytest.raises(PreconditionError, match="K is not contained in U"):
             construct_brs_between([w1], k, u, w1 - 1, eps)
-
-
-def test_brs_make_refuses_k_across_pieces_of_u(tmp_path, capsys):
-    rc = cli.main(["brs-make", "--alpha", "w1", "--gamma", "w1 - 1",
-                   "--K", "[2/5,3/5]", "--U", GAP_U, "--epsilon", "0.2",
-                   "--out", str(tmp_path)])
-    assert rc == cli.EXIT_PRECONDITION
-    assert "K is not contained in U" in capsys.readouterr().err
-    assert not (tmp_path / "brs_region.txt").exists()
 
 
 def _reference_between(alpha, k, u, gamma, epsilon, tile_bound, fit_bound=2):
