@@ -15,14 +15,16 @@ a value such as ``2*w1 - w2`` unequal to 0 by its coefficients while its
 exact sign is 0.  A sqrt radicand's
 numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
 
-Exact decisions (:meth:`QValue.sign`, :meth:`QValue.floor`) take one of
-two routes.  A value whose nonzero terms all carry sqrt descriptors is
-written as ``sum_r B_r*sqrt(r) / D`` over Python ints with each ``r``
-squarefree, and its sign comes from the norm tower (:func:`_tower_sign`),
-exactly and at any magnitude; its floor is closed form with ``math.isqrt``
-for at most one root and brackets the float guess with signs otherwise.
-A value with a ``value``-declared basis element is decided by its float
-outside a fixed guard band, or refused.
+Exact decisions (:meth:`AlgebraSpec.sign_of`, :meth:`AlgebraSpec.floor_of`)
+take a value as integer coefficient numerators over one positive
+denominator (:func:`integer_form`), the form that :meth:`QValue.sign`,
+:meth:`QValue.floor` and the batch kernels share.  A value whose nonzero
+terms all carry sqrt descriptors is written as ``sum_r B_r*sqrt(r) / D``
+over Python ints with each ``r`` squarefree, and its sign comes from the
+norm tower (:func:`_tower_sign`), exactly and at any magnitude; its floor
+is read off ``math.isqrt`` bounds and brackets with signs only when they
+straddle an integer.  A value with a ``value``-declared basis element is
+decided by its float outside a fixed guard band, or refused.
 """
 
 from __future__ import annotations
@@ -207,20 +209,22 @@ class AlgebraSpec:
                 sq[0] = r
                 self._products[(i, i)] = tuple(sq)
         self._check_embedding()
-        self._surds: tuple[Optional[tuple[int, int, int]], ...] = tuple(
-            None if rad is None else _surd(rad) for rad in self.radicands
-        )
+        surds = [None if rad is None else _surd(rad) for rad in self.radicands]
         roots: dict[int, int] = {}
         for i in range(1, k):
-            if self._surds[i] is not None:
-                j = roots.setdefault(self._surds[i][2], i)
+            if surds[i] is not None:
+                j = roots.setdefault(surds[i][2], i)
                 if j != i:
                     raise PreconditionError(
                         f"'basis {self.names[j]} = sqrt {self.radicands[j]}' and "
                         f"'basis {self.names[i]} = sqrt {self.radicands[i]}' "
-                        f"declare the same squarefree root sqrt {self._surds[i][2]}: "
+                        f"declare the same squarefree root sqrt {surds[i][2]}: "
                         "the basis must be independent over Q"
                     )
+        # per element, (r, m) with w_l * _qden = m * sqrt(r); None for a value-declared one
+        self._qden = math.lcm(*(s[1] for s in surds if s is not None))
+        self._roots = tuple(None if s is None else (s[2], s[0] * (self._qden // s[1]))
+                            for s in surds)
 
     @property
     def dim(self) -> int:
@@ -253,6 +257,76 @@ class AlgebraSpec:
             raise PreconditionError(
                 f"product {self.names[i]}*{self.names[j]} is not declared"
             ) from None
+
+    # -- exact decisions on integer numerators ---------------------------------
+
+    def _tower_terms(self, nums: Sequence[int]) -> Optional[dict[int, int]]:
+        """{r: B} with sum(n_l * w_l) * _qden = sum(B * sqrt(r)), r squarefree and
+        every B nonzero; None when a ``value``-declared element has n_l != 0."""
+        terms: dict[int, int] = {}
+        for n, root in zip(nums, self._roots):
+            if n:
+                if root is None:
+                    return None
+                r, m = root
+                terms[r] = terms.get(r, 0) + n * m
+        return {r: b for r, b in terms.items() if b}
+
+    def sign_of(self, nums: Sequence[int], den: int = 1) -> int:
+        """Exact sign of sum(n_l * w_l) / den, for integers n_l and den > 0.
+
+        With sqrt descriptors throughout it is the norm tower's over the
+        integer terms (:func:`_tower_sign`).  A value with a ``value``-declared
+        element is decided by its float (``float(QValue)``'s rule) only
+        outside a 1e-9 guard band.
+        """
+        terms = self._tower_terms(nums)
+        if terms is not None:
+            return _tower_sign(terms)
+        f = math.fsum(n / den * x for n, x in zip(nums, self.numerics) if n)
+        if abs(f) > EMBED_TOL:
+            return 1 if f > 0 else -1
+        value = QValue(self, tuple(Fraction(n, den) for n in nums))
+        raise SignUndecidableError(
+            f"|{value}| ~ {f} is inside the 1e-9 guard band and has no exact "
+            "descriptor; declare the basis element via sqrt to decide"
+        )
+
+    def floor_of(self, nums: Sequence[int], den: int = 1) -> int:
+        """Exact floor of sum(n_l * w_l) / den, for integers n_l and den > 0.
+
+        With sqrt descriptors the value is (A + sum_r B_r sqrt(r)) / T over
+        ints, and B sqrt(r) lies strictly between consecutive integers from
+        math.isqrt(B^2 r) (r > 1 is squarefree): the floor lies between the
+        floors of the bounds of the sum, equal for at most one root.  With a
+        ``value``-declared element it starts from the float's floor, and steps
+        of 1, 2, 4, ... bracket it.  Bisection with sign_of() closes the bracket.
+        """
+
+        def at_least(m: int) -> bool:
+            return self.sign_of([nums[0] - m * den, *nums[1:]], den) >= 0
+
+        terms = self._tower_terms(nums)
+        if terms is None:  # probes g + 1, 2, 4, ... or g - 1, 2, 4, ... from the guess g
+            g = math.floor(math.fsum(n / den * x for n, x in zip(nums, self.numerics) if n))
+            step = 1
+            if at_least(g):
+                while at_least(g + step):
+                    step *= 2
+                lo, hi = g + step // 2, g + step - 1
+            else:
+                while not at_least(g - step):
+                    step *= 2
+                lo, hi = g - step, g - step // 2 - 1
+        else:  # value * total is low, or in (low, low + len(terms)); ~i is -i - 1
+            total = den * self._qden
+            low = terms.pop(1, 0) + sum(math.isqrt(b * b * r) if b > 0 else ~math.isqrt(b * b * r)
+                                        for r, b in terms.items())
+            lo, hi = low // total, (low + max(len(terms) - 1, 0)) // total
+        while lo < hi:  # lo <= value < hi + 1
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if at_least(mid) else (lo, mid - 1)
+        return lo
 
     # -- value constructors -------------------------------------------------
 
@@ -452,6 +526,13 @@ def lift_to(spec: AlgebraSpec, x: "QValue") -> "QValue":
     )
 
 
+def integer_form(values: Sequence["QValue"]) -> tuple[list[list[int]], int]:
+    """Coefficient numerators of each value over one positive denominator den,
+    the lcm of every coefficient's: value = sum(n_l * w_l for each l) / den."""
+    den = math.lcm(*(c.denominator for v in values for c in v.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in v.coeffs] for v in values], den
+
+
 class QValue:
     """Immutable element of an :class:`AlgebraSpec`.
 
@@ -601,45 +682,10 @@ class QValue:
             float(c) * x for c, x in zip(self.coeffs, self.spec.numerics) if c != 0
         )
 
-    def _terms(self) -> Optional[tuple[dict[int, int], int]]:
-        """(terms, D) over ints with self = sum(B * sqrt(r) for r, B in terms) / D.
-
-        Each r is squarefree, square radicands join the rational part r = 1,
-        every B is nonzero and D > 0; None when a ``value``-declared basis
-        element contributes.
-        """
-        parts = []
-        for c, surd in zip(self.coeffs, self.spec._surds):
-            if c:
-                if surd is None:
-                    return None
-                s, q, r = surd
-                parts.append((c.numerator * s, c.denominator * q, r))
-        den = math.lcm(*(q for _, q, _ in parts))
-        terms: dict[int, int] = {}
-        for b, q, r in parts:
-            terms[r] = terms.get(r, 0) + b * (den // q)
-        return {r: b for r, b in terms.items() if b}, den
-
     def sign(self) -> int:
-        """Exact sign: -1, 0 or 1.
-
-        A value whose terms all carry sqrt descriptors is decided by the
-        norm tower over its integer terms (:func:`_tower_sign`); for one
-        root that is the closed form sign(A) or sign(B) when they agree,
-        else sign(A) * sign(A^2 - B^2 r).  A value with a ``value``-declared
-        basis element is decided by its float only outside a 1e-9 guard band.
-        """
-        form = self._terms()
-        if form is not None:
-            return _tower_sign(form[0])
-        f = float(self)
-        if abs(f) > EMBED_TOL:
-            return 1 if f > 0 else -1
-        raise SignUndecidableError(
-            f"|{self}| ~ {f} is inside the 1e-9 guard band and has no exact "
-            "descriptor; declare the basis element via sqrt to decide"
-        )
+        """Exact sign: -1, 0 or 1 (:meth:`AlgebraSpec.sign_of` on its integer form)."""
+        nums, den = integer_form((self,))
+        return self.spec.sign_of(nums[0], den)
 
     def __lt__(self, other) -> bool:
         o = self._coerce(other)
@@ -657,50 +703,9 @@ class QValue:
         return not self < other
 
     def floor(self) -> int:
-        """Exact floor.
-
-        A value (A + B*sqrt(r))/D with at most one root takes the closed
-        form floor(X / D) with X = A + isqrt(B^2 r) for B >= 0 and
-        X = A - isqrt(B^2 r) - 1 for B < 0 (B^2 r is not a square, as r > 1
-        is squarefree).  Other values start from a guess: for two or more
-        roots, (A + sum of sign(B) isqrt(B^2 r)) // D, within a few units at
-        any magnitude; with a ``value``-declared element, the float's floor.
-        Steps of 1, 2, 4, ... away from it bracket the floor between
-        lo <= self and hi > self, then bisection closes the bracket, so a
-        guess off by d costs O(log d) sign() calls.
-        """
-        form = self._terms()
-        if form is None:
-            guess = math.floor(float(self))
-        else:
-            terms, den = form
-            a = terms.pop(1, 0)
-            if len(terms) <= 1:
-                r, b = next(iter(terms.items()), (1, 0))
-                root = math.isqrt(b * b * r)
-                return (a + root if b >= 0 else a - root - 1) // den
-            guess = (a + sum(math.isqrt(b * b * r) * (1 if b > 0 else -1)
-                             for r, b in terms.items())) // den
-        step = 1
-        if (self - guess).sign() >= 0:
-            lo = guess
-            while (self - (guess + step)).sign() >= 0:
-                lo = guess + step
-                step *= 2
-            hi = guess + step
-        else:
-            hi = guess
-            while (self - (guess - step)).sign() < 0:
-                hi = guess - step
-                step *= 2
-            lo = guess - step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - mid).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        """Exact floor (:meth:`AlgebraSpec.floor_of` on its integer form)."""
+        nums, den = integer_form((self,))
+        return self.spec.floor_of(nums[0], den)
 
     def frac(self) -> "QValue":
         """Exact fractional part, in [0, 1)."""

@@ -279,7 +279,7 @@ def _cmd_brs_make(args) -> int:
     else:
         made = regions.realize_measure(alpha, gamma, args.search_bound)
     out = outdir / "brs_region.txt"
-    out.write_text(regions.region_to_text(made))
+    out.write_text(regions.region_to_text(riesz.require_disjoint(made)))
     print(f"wrote {out} (volume = {made.volume()}, {len(made.pieces)} pieces)")
     return EXIT_OK
 

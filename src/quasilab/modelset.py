@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import QValue, lift_to
+from .algebra import QValue, integer_form, lift_to
 from .errors import PreconditionError
 from .lattice import Lattice, check_special_form, lift_special
 from .regions import RegionSet, interval
@@ -188,11 +188,9 @@ def _affine_points(
     """
     spec = next((v.spec for row in mat for v in row if not v.is_rational()),
                 mat[0][0].spec)
-    mat = [[lift_to(spec, v) for v in row] for row in mat]
-    den = math.lcm(*(c.denominator for row in mat for v in row for c in v.coeffs))
+    nums, den = integer_form([lift_to(spec, v) for row in mat for v in row])
     # per coordinate, per basis element: the numerators over the provenance
-    cols = [[[int(v.coeffs[l] * den) for v in row] for l in range(spec.dim)]
-            for row in mat]
+    cols = np.array(nums, dtype=object).reshape(len(mat), -1, spec.dim).transpose(0, 2, 1).tolist()
     coords, exact = _affine_floats(cols, den, spec.numerics, prov)
     for i in np.flatnonzero(exact).tolist():
         c = prov[i].tolist()

@@ -24,6 +24,7 @@ from .algebra import (
     QValue,
     admissible_decomposition,
     exact_det,
+    integer_form,
     lift_to,
     mat_adjugate,
     mat_inverse,
@@ -63,20 +64,8 @@ class Piece:
         return -det if det.sign() < 0 else det
 
     def corners(self) -> list[tuple[QValue, ...]]:
-        d = self.dim
-        out = []
-        for eps in itertools.product((0, 1), repeat=d):
-            out.append(
-                tuple(
-                    self.offset[i]
-                    + sum(
-                        (self.edges[i][j] * eps[j] for j in range(d) if eps[j]),
-                        self.spec.zero(),
-                    )
-                    for i in range(d)
-                )
-            )
-        return out
+        return [tuple(o + v for o, v in zip(self.offset, mat_vec(self.edges, eps)))
+                for eps in itertools.product((0, 1), repeat=self.dim)]
 
     def edge_columns(self) -> list[tuple[QValue, ...]]:
         d = self.dim
@@ -87,14 +76,16 @@ class Piece:
         """Exact inverse of the edge matrix: point to unit coordinates."""
         return tuple(tuple(row) for row in mat_inverse(self.edges))
 
-    def unit_coords(self, x: Sequence[QValue]) -> list[QValue]:
-        """Exact coordinates of x in the piece's frame: x = offset + edges @ t."""
-        return mat_vec(self.inverse, [xi - oi for xi, oi in zip(x, self.offset)])
+    def frame(self, base: Sequence[QValue], gens: Sequence[Sequence[QValue]]):
+        """The batch base + c @ gens in unit coordinates t, x = offset + edges @ t:
+        the base inverse @ (base - offset) and the generators inverse @ g."""
+        return (mat_vec(self.inverse, [b - o for b, o in zip(base, self.offset)]),
+                [mat_vec(self.inverse, list(g)) for g in gens])
 
     def contains(self, x: Sequence[QValue], closure: bool = False) -> bool:
         """Exact membership of a point; half-open unless ``closure``."""
         top = 0 if closure else -1  # the largest sign of t - 1 allowed
-        return all(ti.sign() >= 0 and (ti - 1).sign() <= top for ti in self.unit_coords(x))
+        return all(ti.sign() >= 0 and (ti - 1).sign() <= top for ti in self.frame(x, [])[0])
 
 
 def _vec_text(v: Sequence[QValue]) -> str:
@@ -213,15 +204,16 @@ class Membership:
     float decision is trusted only outside a guard band around every face;
     the band bounds the float error from the batch's own magnitudes (the
     coefficients times the generators, the base, the piece corners and
-    the norm of the piece's inverse).  Inside the band the point is
-    recomputed exactly in the algebra, so semi-closed boundary hits are
-    decided, not guessed.  One-dimensional pieces count integer translates
-    in closed form, ceil/floor of the endpoints minus x, with two exact
-    floor() calls per piece as the fallback.
+    the norm of the piece's inverse).  Inside the band the point is decided
+    exactly by the algebra's sign and floor rules on integer numerators, so
+    semi-closed boundary hits are decided, not guessed; where floats cannot
+    place x at all, it is placed by the exact floor of 2^52 x.  One-dimensional
+    pieces count integer translates in closed form, ceil/floor of the
+    endpoints minus x, with two exact floors per piece as the fallback.
     """
 
     def __init__(self, region: RegionSet) -> None:
-        self.dim = region.dim
+        self.dim, self.spec = region.dim, region.spec
         if self.dim == 1:
             self._pieces = [(a, b, lc, float(a), float(b), _mag(a) + _mag(b))
                             for a, b, lc in region.intervals()]
@@ -242,7 +234,11 @@ class Membership:
         """(first row, xf, x_err, exact) per block of _BLOCK coefficient rows.
 
         The int64 refusal is decided on the whole batch; a block's error bound
-        comes from its own coefficients, valid for its points and usually tighter."""
+        comes from its own coefficients, valid for its points and usually tighter.
+        exact(key, make, idx, shifts) gives den times the batch make(base, gens)
+        at the block's rows idx (the shifts as trailing coefficients), and den:
+        the batch's integer numerators over one den are taken on first use, so a
+        point's are a dot product in Python ints (int64 overflows at |c| ~ 1e15)."""
         c = np.asarray(coeffs, dtype=np.int64)
         base_mag = max(_mag(v) for v in base)
         gen_mags = [max(_mag(v) for v in g) for g in gens]
@@ -259,24 +255,23 @@ class Membership:
             raise PreconditionError("point magnitudes beyond the int64 range")
         gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
         base_f = np.array([float(v) for v in base])
+        forms = {}
+
+        def exact(c, key, make, idx, shifts=None):
+            if key not in forms:
+                b, g = make(base, gens)
+                nums, den = integer_form(list(b) + [v for vec in g for v in vec])
+                forms[key] = np.array(nums, dtype=object).reshape(len(g) + 1, len(b), -1), den
+            nums, den = forms[key]
+            rows = c[idx] if shifts is None else np.column_stack([c[idx], shifts])
+            return (nums[0] + np.tensordot(rows.astype(object), nums[1:], 1)).tolist(), den
+
         for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
             cb = c[start:start + _BLOCK]
             # each coordinate is a float sum of len(gens) + 1 rounded terms
             x_err = (len(gens) + 4) * _EPS * scale(cb)
             xf = base_f + cb.astype(np.float64) @ gens_f
-            yield start, xf, x_err, self._exact(base, gens, cb)
-
-    def _exact(self, base, gens, c):
-        """Point i of the batch, base + c[i] @ gens, rebuilt in the algebra (cached)."""
-
-        @functools.cache
-        def exact(i: int) -> tuple[QValue, ...]:
-            return tuple(
-                sum((g[a] * int(ci) for g, ci in zip(gens, c[i])), base[a])
-                for a in range(self.dim)
-            )
-
-        return exact
+            yield start, xf, x_err, functools.partial(exact, cb)
 
     def _ranges_1d(self, xf, x_err, exact) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per piece, the integer translates k of each point, lo <= k < hi."""
@@ -284,7 +279,7 @@ class Membership:
         xmax = np.abs(x).max(initial=0.0)
         y, r = np.empty_like(x), np.empty_like(x)
         out = []
-        for a, b, left_closed, af, bf, span in self._pieces:
+        for p, (a, b, left_closed, af, bf, span) in enumerate(self._pieces):
             guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
             # y = e - x is near an integer when d = |y - rnd(y)|, in [0, 1),
             # is below guard or above 1 - guard.  d is exact unless |y| < 1,
@@ -298,12 +293,13 @@ class Membership:
                 d = np.subtract(r, y, out=y) if left_closed else np.subtract(y, r, out=y)
                 flag |= (d < guard) | (d > 1 - guard)
             lo, hi = ends
-            for i in np.flatnonzero(flag):
-                xq = exact(int(i))[0]
-                if left_closed:  # [a, b): ceil(a - x) <= k < ceil(b - x)
-                    lo[i], hi[i] = -(xq - a).floor(), -(xq - b).floor()
-                else:  # (a, b]: floor(a - x) < k <= floor(b - x)
-                    lo[i], hi[i] = (a - xq).floor(), (b - xq).floor()
+            flagged = np.flatnonzero(flag)
+            if len(flagged):  # [a, b): ceil(e - x) = -floor(x - e); (a, b]: floor(e - x)
+                s = 1 if left_closed else -1
+                nums, den = exact(p, lambda base, gens: ([(base[0] - e) * s for e in (a, b)],
+                                                         [[g[0] * s] * 2 for g in gens]), flagged)
+                for i, ends_i in zip(flagged, nums):
+                    lo[i], hi[i] = (-s * self.spec.floor_of(y, den) for y in ends_i)
             if not left_closed:
                 lo, hi = lo + 1, hi + 1
             out.append((lo, hi))
@@ -311,15 +307,18 @@ class Membership:
 
     def _hits(self, xf, x_err, exact) -> tuple[np.ndarray, np.ndarray]:
         """(point index, integer shift) per piece a shifted point lands in."""
-        d = self.dim
+        d, sign = self.dim, self.spec.sign_of
         anchor = np.zeros(xf.shape, dtype=np.int64)
         if x_err >= 0.25:  # floats no longer place x: use x - floor(x) in [0, 1)^d
-            anchor = np.array([[v.floor() for v in exact(i)] for i in range(len(xf))],
-                              dtype=np.int64).reshape(xf.shape)
-            xf, x_err = np.full(xf.shape, 0.5), 0.5
+            nums, den = exact("x", lambda base, gens: (base, gens), slice(None))
+            fine = np.array([[self.spec.floor_of([n << 52 for n in v], den) for v in row]
+                             for row in nums], dtype=object).reshape(xf.shape)
+            anchor = (fine >> 52).astype(np.int64)
+            # x - anchor lies in [f, f + 1) * 2^-52, f the low 52 bits: xf is the middle
+            xf, x_err = ((fine & (2**52 - 1)).astype(np.float64) + 0.5) * 2.0**-52, 2.0**-53
         xmax = np.abs(xf).max(initial=0.0)
         idx_all, k_all = [], []
-        for piece, inv_f, off_f, lo_f, hi_f, ext, norm in self._pieces:
+        for p, (piece, inv_f, off_f, lo_f, hi_f, ext, norm) in enumerate(self._pieces):
             # error of x + k - offset, and of its image in unit coordinates
             y_err = 2 * x_err + 4 * _EPS * (xmax + ext + 1)
             guard = 2 * norm * (y_err + (d + 4) * _EPS * (ext + 1))
@@ -328,10 +327,13 @@ class Membership:
             t = (xf[idx] + kf - off_f) @ inv_f.T
             k = kf - anchor[idx]
             inside = np.all((t >= guard) & (t <= 1 - guard), axis=1)
-            unsure = ~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1)
-            for j in np.flatnonzero(unsure):
-                x = exact(int(idx[j]))
-                inside[j] = piece.contains([xi + int(ki) for xi, ki in zip(x, k[j])])
+            unsure = np.flatnonzero(~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1))
+            if len(unsure):
+                # den * t of x + k, with k the coefficients of the unit shifts; t in [0, 1)^d
+                nums, den = exact(p, lambda base, gens: piece.frame(
+                    base, [*gens, *np.eye(d, dtype=int).tolist()]), idx[unsure], k[unsure])
+                inside[unsure] = [all(sign(ti, den) >= 0 and sign([ti[0] - den, *ti[1:]], den) < 0
+                                      for ti in tp) for tp in nums]
             idx_all.append(idx[inside])
             k_all.append(k[inside])
         return np.concatenate(idx_all), np.concatenate(k_all)
@@ -386,10 +388,7 @@ def union(*regions: RegionSet) -> RegionSet:
 
 def box_region(spec: AlgebraSpec, lows: Sequence, highs: Sequence) -> RegionSet:
     """Axis-aligned half-open box [lo_1,hi_1) x ... x [lo_d,hi_d)."""
-    lows = [lift_to(spec, v) if isinstance(v, QValue) else spec.from_rational(Fraction(v))
-            for v in lows]
-    highs = [lift_to(spec, v) if isinstance(v, QValue) else spec.from_rational(Fraction(v))
-             for v in highs]
+    lows, highs = _as_qpoint(spec, lows), _as_qpoint(spec, highs)
     d = len(lows)
     zero = spec.zero()
     edges = tuple(
@@ -770,7 +769,9 @@ def construct_brs_between(
     volume equals gamma exactly and every piece carries edge witnesses.
 
     K is treated through its closure and U through its interior, so the
-    result is safe for closed K and open U inputs.  Search exhaustion (no
+    result is safe for closed K and open U inputs.  Each piece of K must lie
+    in the closure of one piece of U; in 1-D, pieces of U that overlap or
+    abut at a point of U are joined first.  Search exhaustion (no
     small tile, not enough room, residual does not fit) is reported rather
     than silently accepting an approximate answer.
     """
@@ -784,6 +785,16 @@ def construct_brs_between(
         raise PreconditionError(
             "target measure is not an integer combination of 1, alpha_i"
         )
+    if d == 1:  # join the pieces of U, ordered by lo, as [lo, hi, whether hi lies in U]
+        joined: list[list] = []
+        for lo, hi, lc in sorted(region_u.intervals(), key=lambda v: v[0]):
+            if joined and ((lo - joined[-1][1]).sign() < 0
+                           or lo == joined[-1][1] and (lc or joined[-1][2])):
+                if (rise := (hi - joined[-1][1]).sign()) >= 0:
+                    joined[-1][1:] = hi, not lc or (rise == 0 and joined[-1][2])
+            else:
+                joined.append([lo, hi, not lc])
+        region_u = union(*(interval(lo, hi) for lo, hi, _ in joined))
     vol_k, vol_u = region_k.volume(), region_u.volume()
     if not ((gamma - vol_k).sign() > 0 and (vol_u - gamma).sign() > 0):
         raise PreconditionError("need mes K < gamma < mes U")
@@ -791,7 +802,8 @@ def construct_brs_between(
         corners = p.corners()
         if not any(all(up.contains(c, closure=True) for c in corners)
                    for up in region_u.pieces):
-            raise PreconditionError("K is not contained in U")
+            raise PreconditionError("K is not contained in U" + (
+                "" if d == 1 else ": each piece of K must lie in the closure of one piece of U"))
 
     chosen = _tile_edges(alpha, epsilon, tile_bound)
     witnesses = tuple(w for w, _ in chosen)
@@ -808,14 +820,7 @@ def construct_brs_between(
                 [max(c[i].floor() for c in coords) for i in range(d)])
 
     def tile_piece(j: Sequence[int]) -> Piece:
-        off = tuple(
-            sum(
-                (edges[i][axis] * int(j[axis]) for axis in range(1, d)),
-                edges[i][0] * int(j[0]),
-            )
-            for i in range(d)
-        )
-        return Piece(off, edges, witnesses)
+        return Piece(tuple(mat_vec(edges, [int(v) for v in j])), edges, witnesses)
 
     # Tiles meeting K: box cover of K's corners in tile coordinates.
     lo_j, hi_j = cover(region_k)
@@ -838,8 +843,7 @@ def construct_brs_between(
                                  tuple(tuple(-v for v in row) for row in cube.pieces[0].edges))])
     inside = np.zeros([n - 1 for n in shape], dtype=bool)
     for up in region_u.pieces:
-        base = mat_vec(up.inverse, [-o for o in up.offset])
-        gens = [mat_vec(up.inverse, list(col)) for col in cols]
+        base, gens = up.frame([spec.zero()] * d, cols)
         corner_in = np.ones(len(grid), dtype=bool)
         for unit in (cube, mirror):
             corner_in &= ~unit.membership.translates(base, gens, grid)[1].any(axis=1)
@@ -898,14 +902,7 @@ def construct_brs_between(
                 off0 = host.offset[0] + edges[0][0] - cp.edges[0][0]
                 placed = Piece((off0,), cp.edges, cp.witnesses)
             else:
-                offset = tuple(
-                    host.offset[i]
-                    - sum(
-                        (edges[i][j] * mins[j] for j in range(1, d)),
-                        edges[i][0] * mins[0],
-                    )
-                    for i in range(d)
-                )
+                offset = tuple(h - v for h, v in zip(host.offset, mat_vec(edges, mins)))
                 placed = Piece(offset, cp.edges, cp.witnesses)
             break
         if placed is None:

@@ -23,7 +23,7 @@ from .algebra import QValue, admissible_decomposition, lift_to
 from .errors import PreconditionError, QuasilabError
 from .lattice import make_special_lattice
 from .modelset import PointSet, dual_model_points, special_quasicrystal
-from .regions import RegionSet, ft_indicator
+from .regions import RegionSet, check_disjoint, ft_indicator
 
 __all__ = [
     "Enumeration",
@@ -33,6 +33,7 @@ __all__ = [
     "delta_and_means",
     "AvdoninVerdict",
     "avdonin_check",
+    "require_disjoint",
     "gram_matrix",
     "extreme_eigs",
     "BoundsTrace",
@@ -232,6 +233,27 @@ def avdonin_check(
     )
 
 
+def require_disjoint(region: RegionSet) -> RegionSet:
+    """The region, refused when two of its pieces overlap.
+
+    mes S and the Gram matrix sum over the pieces, so an overlap would be
+    counted twice (a multiplicity function, not L^2(S)).  Beyond 3-D the
+    separating-axis test of check_disjoint is not complete, so a region of
+    several pieces there is refused as undecided.
+    """
+    if region.dim > 3 and len(region.pieces) > 1:
+        raise PreconditionError(
+            f"disjointness not decided for the {len(region.pieces)} pieces of a "
+            f"{region.dim}-D region; mes S and the Gram matrix need disjoint pieces")
+    if pairs := check_disjoint(region):
+        i, j = pairs[0]
+        a, b = (RegionSet(region.dim, [region.pieces[k]]).describe() for k in (i, j))
+        raise PreconditionError(
+            f"pieces {i} ({a}) and {j} ({b}) of the region overlap; mes S and the "
+            "Gram matrix need disjoint pieces")
+    return region
+
+
 def gram_matrix(points, region: RegionSet) -> np.ndarray:
     """Gram matrix of the exponential system on the region.
 
@@ -248,6 +270,7 @@ def gram_matrix(points, region: RegionSet) -> np.ndarray:
     d = pts.shape[1]
     if d != region.dim:
         raise PreconditionError("point dimension does not match the region")
+    require_disjoint(region)
     return _from_upper(pts, lambda t: ft_indicator(region, t if d > 1 else t[:, 0]))
 
 
@@ -289,7 +312,8 @@ def _distinct_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
-    """A matrix with the spectrum of gram_matrix(pts, region).
+    """A matrix with the spectrum of gram_matrix(pts, region), which refuses
+    overlapping pieces (one piece is disjoint by itself).
 
     For one piece o + E[0,1)^d, G = D K D* with D = diag(exp(-2 pi i
     <lambda, o + E 1/2>)) unitary; the real symmetric K_jk = |det E|

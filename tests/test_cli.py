@@ -491,3 +491,51 @@ def test_json_outputs_are_deterministic(tmp_path):
                        "--N", "1000", "--J", "100", "--out", str(out)) == 0
         outs.append((out / "brs_test.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+OVERLAP = "[0,1/2) U [1/4,3/4)"  # volume() 1, measure 3/4
+OVERLAP_PAIR = "pieces 0 ([0,1/2)) and 1 ([1/4,3/4)) of the region overlap"
+
+
+def test_gram_bounds_and_duality_refuse_overlapping_pieces(tmp_path, capsys):
+    out = tmp_path / "ov"
+    assert run_cli("gen", "--alpha", "w1", "--beta", "1", "--window", "(-1,0]",
+                   "--range", "20", "--out", str(out)) == 0
+    for argv in (["gram"], ["bounds", "--radii", "5,10"]):
+        assert run_cli(*argv, "--points", str(out / "points.csv"), "--region", OVERLAP,
+                       "--out", str(out)) == cli.EXIT_PRECONDITION
+        assert OVERLAP_PAIR in capsys.readouterr().err
+    cfg = tmp_path / "ov.cfg"
+    cfg.write_text(_DUALITY_CFG.replace("[0,-1+1*w1) U [1,3-1*w1)", OVERLAP)
+                   + f"outdir = {tmp_path / 'dout'}\n")
+    assert run_cli("duality", "--config", str(cfg)) == cli.EXIT_PRECONDITION
+    assert OVERLAP_PAIR in capsys.readouterr().err
+    assert not (out / "gram.json").exists() and not (out / "bounds.csv").exists()
+    assert not (tmp_path / "dout" / "duality_report.json").exists()
+    # the orbit statistics count with multiplicity and keep running
+    assert run_cli("disc", "--set", OVERLAP, "--alpha", "w1", "--n", "100", "--out", str(out)) == 0
+    assert run_cli("brs-test", "--set", OVERLAP, "--alpha", "w1", "--N", "100", "--J", "10",
+                   "--out", str(out)) == 0
+
+
+def test_brs_make_refuses_overlapping_output(tmp_path, capsys, monkeypatch):
+    spec = parse_algebra("sqrt:2")
+    monkeypatch.setattr(cli.regions, "realize_measure",
+                        lambda *args: parse_region_literal(spec, OVERLAP))
+    assert run_cli("brs-make", "--alpha", "w1", "--gamma", "2 - 1*w1",
+                   "--out", str(tmp_path)) == cli.EXIT_PRECONDITION
+    assert OVERLAP_PAIR in capsys.readouterr().err
+    assert not (tmp_path / "brs_region.txt").exists()
+
+
+def test_gram_refuses_undecided_disjointness_beyond_3d(tmp_path, capsys):
+    spec = parse_algebra("sqrt:2")
+    pieces = [box_region(spec, [2 * i, 0, 0, 0], [2 * i + 1, 1, 1, 1]) for i in range(2)]
+    region = tmp_path / "r4.txt"
+    region.write_text(region_to_text(quasilab.regions.union(*pieces)))
+    pts = tmp_path / "p4.csv"
+    pts.write_text(PointSet(4, np.eye(4), np.eye(4, dtype=np.int64)).to_csv())
+    assert run_cli("gram", "--points", str(pts), "--region", f"@{region}",
+                   "--out", str(tmp_path)) == cli.EXIT_PRECONDITION
+    assert "disjointness not decided" in capsys.readouterr().err
+

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasilab.algebra import AlgebraSpec
+from quasilab.algebra import AlgebraSpec, QValue
 from quasilab import dynamics
 from quasilab.dynamics import (
     bmo_stat,
@@ -564,3 +564,48 @@ def test_counting_block_mode(sqrt2):
 def test_counting_block_mode_needs_provenance():
     with pytest.raises(PreconditionError, match="provenance"):
         counting_discrepancy(np.arange(10.0), 1.0, [0.5], block_mode=True)
+
+
+HUGE_BOX_K = 10**15
+
+
+def _huge_box(sqrt23):
+    alpha = (sqrt23.basis_element("w1"), sqrt23.basis_element("w2"))
+    return box_region(sqrt23, [0, 0], [alpha[0] - 1, alpha[1] - 1]), alpha
+
+
+def test_two_dim_box_orbit_at_1e15_against_isqrt_oracle(sqrt23):
+    # k (sqrt2, sqrt3) + m lies in [0, sqrt2 - 1) x [0, sqrt3 - 1) exactly when
+    # each axis does: ceil(-k sqrt r) <= m_r < ceil(sqrt r - 1 - k sqrt r)
+    box, alpha = _huge_box(sqrt23)
+    ks = range(HUGE_BOX_K, HUGE_BOX_K + 400)
+    want = [math.prod(floor_surd(0, k, r) - floor_surd(1, k - 1, r) for r in (2, 3)) for k in ks]
+    start = time.perf_counter()
+    got = orbit_hits(box, alpha, None, ks[0], ks[-1])
+    elapsed = time.perf_counter() - start
+    assert got.tolist() == want and sum(want) > 50
+    assert elapsed < 10.0
+
+
+def test_two_dim_exact_fallback_does_not_grow_with_the_batch(sqrt23, monkeypatch):
+    # x0 = -K alpha puts orbit point K on the box's corner, so every batch takes
+    # the exact fallback; its algebra products are per batch, never per point
+    calls = [0]
+    mul = QValue.__mul__
+
+    def counted(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    box, alpha = _huge_box(sqrt23)
+    x0 = tuple(-a * HUGE_BOX_K for a in alpha)
+    monkeypatch.setattr(QValue, "__mul__", counted)
+    monkeypatch.setattr(QValue, "__rmul__", counted)
+    counts = []
+    for n in (50, 400):
+        fresh = box_region(sqrt23, [0, 0], [alpha[0] - 1, alpha[1] - 1])
+        calls[0] = 0
+        chi = orbit_hits(fresh, alpha, x0, HUGE_BOX_K - n // 2, HUGE_BOX_K + n // 2 - 1)
+        assert chi[n // 2] == 1
+        counts.append(calls[0])
+    assert counts[0] == counts[1]

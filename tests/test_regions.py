@@ -7,11 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quasilab import regions
-from quasilab.algebra import admissible_decomposition, mat_inverse, mat_vec
+from quasilab.algebra import (
+    AlgebraSpec, QValue, admissible_decomposition, exact_det, mat_inverse, mat_vec,
+)
 from quasilab.dynamics import orbit_hits
-from quasilab.errors import PreconditionError, SearchExhaustedError
+from quasilab.errors import PreconditionError, SearchExhaustedError, SignUndecidableError
 from quasilab.modelset import periodic_points, special_quasicrystal
 from quasilab.regions import (
     Piece,
@@ -331,6 +335,28 @@ def test_construct_brs_between_takes_k_piece_by_piece(sqrt2):
             construct_brs_between([w1], k, u, w1 - 1, eps)
 
 
+def test_construct_brs_between_joins_abutting_pieces_of_u(sqrt2, sqrt23):
+    # 1/2 lies in U for the first two unions, which are [0, 1) with its interior
+    # (0, 1); the third leaves 1/2 out, so K = [2/5, 3/5] is not inside it
+    w1 = sqrt2.basis_element("w1")
+    k = parse_region_literal(sqrt2, "[2/5,3/5]", allow_closed=True)
+    whole = region_to_text(construct_brs_between(
+        [w1], k, parse_region_literal(sqrt2, "[0,1)"), w1 - 1, 0.05))
+    for lit in ("[0,1/2) U [1/2,1)", "(0,1/2] U (1/2,1]", "[1/2,1) U [0,1/2)"):
+        u = parse_region_literal(sqrt2, lit)
+        assert region_to_text(construct_brs_between([w1], k, u, w1 - 1, 0.05)) == whole
+    with pytest.raises(PreconditionError, match="K is not contained in U$"):
+        construct_brs_between([w1], k, parse_region_literal(sqrt2, "[0,1/2) U (1/2,1]"),
+                              w1 - 1, 0.05)
+    # in 2-D U is taken piece by piece, and the message says so
+    v = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    halves = union(box_region(sqrt23, [0, 0], [Fraction(1, 2), 1]),
+                   box_region(sqrt23, [Fraction(1, 2), 0], [1, 1]))
+    k2 = box_region(sqrt23, [Fraction(2, 5)] * 2, [Fraction(3, 5)] * 2)
+    with pytest.raises(PreconditionError, match="closure of one piece of U"):
+        construct_brs_between(v, k2, halves, sqrt23.parse("10 - 4*w1 - 2*w2"), 0.9)
+
+
 def _reference_between(alpha, k, u, gamma, epsilon, tile_bound, fit_bound=2):
     """construct_brs_between with every tile corner decided on its own, exactly,
     in the unit coordinates of each piece of U."""
@@ -355,7 +381,7 @@ def _reference_between(alpha, k, u, gamma, epsilon, tile_bound, fit_bound=2):
     def inside(j):
         corners = [tile([a + e for a, e in zip(j, eps)]).offset
                    for eps in itertools.product((0, 1), repeat=d)]
-        return any(all(0 < t < 1 for x in corners for t in up.unit_coords(x)) for up in u.pieces)
+        return any(all(0 < t < 1 for x in corners for t in up.frame(x, [])[0]) for up in u.pieces)
 
     def cover(region, pad):
         coords = [mat_vec(inv, list(c)) for p in region.pieces for c in p.corners()]
@@ -650,3 +676,65 @@ def test_membership_refuses_the_int64_minimum(sqrt2):
                  lambda: periodic_points([w1], window, [(-2**63, -2**63)])):
         with pytest.raises(PreconditionError, match="beyond the int64 range"):
             call()
+
+
+# a + b sqrt2 + c sqrt3 + e sqrt6 over a small denominator
+_SURD = st.tuples(*[st.integers(-1, 1)] * 4, st.integers(2, 4))
+_T = st.sampled_from([Fraction(v, 6) for v in range(-3, 10)])
+
+
+@settings(max_examples=60)
+@given(
+    dim=st.sampled_from([1, 2]),
+    offset=st.lists(_SURD, min_size=2, max_size=2),
+    edges=st.lists(_SURD, min_size=4, max_size=4),
+    alpha=st.lists(_SURD, min_size=2, max_size=2),
+    k0=st.builds(lambda e, u, sign: sign * (10**e + u), st.sampled_from(range(18)),
+                 st.integers(0, 10**6), st.sampled_from([1, -1])),
+    t=st.lists(_T, min_size=2, max_size=2),
+    face=st.sampled_from([None, (0, 0), (0, 1), (1, 0), (1, 1)]),
+)
+def test_membership_integer_path_matches_piece_contains(sqrt23, dim, offset, edges, alpha,
+                                                        k0, t, face):
+    # the orbit point k0 is offset + edges @ t, on a face of the piece when
+    # face = (axis, side) puts t[axis] = side; rows k0 and k0 + 1 at |k0| up to 1e17
+    def q(v):
+        return QValue(sqrt23, [Fraction(c, v[4]) for c in v[:4]])
+
+    e = tuple(tuple(q(edges[dim * i + j]) for j in range(dim)) for i in range(dim))
+    a = [q(v) for v in alpha[:dim]]
+    assume(exact_det(e) != 0 and any(v != 0 for v in a))
+    piece = Piece(tuple(q(v) for v in offset[:dim]), e)
+    t = list(t[:dim])
+    if face is not None and face[0] < dim:
+        t[face[0]] = Fraction(face[1])
+    point = [o + sum((e[i][j] * t[j] for j in range(dim)), sqrt23.zero())
+             for i, o in enumerate(piece.offset)]
+    x0 = tuple(p - ai * k0 for p, ai in zip(point, a))
+    rows = np.array([[k0], [k0 + 1]])
+    corners = np.array([[float(v) for v in c] for c in piece.corners()])
+    want = []
+    for i, k in enumerate(rows[:, 0].tolist()):
+        x = [xi + ai * k for xi, ai in zip(x0, a)]
+        shifts = [range(math.floor(corners[:, j].min()) - x[j].floor() - 1,
+                        math.ceil(corners[:, j].max()) - x[j].floor() + 1) for j in range(dim)]
+        want += [(i, *m) for m in itertools.product(*shifts)
+                 if piece.contains([xi + mi for xi, mi in zip(x, m)])]
+    kernel = RegionSet(dim, [piece]).membership
+    idx, shift = kernel.translates(x0, [a], rows)
+    assert [(i, *m) for i, m in zip(idx.tolist(), shift.tolist())] == want
+    assert kernel.count(x0, [a], rows).tolist() == [sum(w[0] == i for w in want) for i in range(2)]
+
+
+def test_membership_decides_value_elements_in_the_band_on_t():
+    # t = u - q with q the float after u: float(t) ~ -1.1e-16 is inside the 1e-9
+    # band of the sign rule, while den * t ~ -1 (den ~ 2^53) would lie outside it
+    spec = AlgebraSpec.from_text("basis u = value 0.7071067811865476\nproduct u u = 1/2")
+    u = spec.parse("u")
+    q = Fraction(math.nextafter(float(u), 1))
+    for dim in (1, 2):
+        region = box_region(spec, [0] * dim, [1] * dim)
+        x = (u - q,) + (spec.from_rational(Fraction(1, 2)),) * (dim - 1)
+        for decide in (region.pieces[0].contains, lambda x: multiplicity(region, x)):
+            with pytest.raises(SignUndecidableError):
+                decide(x)
