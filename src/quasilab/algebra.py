@@ -272,7 +272,7 @@ class AlgebraSpec:
                 terms[r] = terms.get(r, 0) + n * m
         return {r: b for r, b in terms.items() if b}
 
-    def sign_of(self, nums: Sequence[int], den: int = 1) -> int:
+    def sign_of(self, nums: Sequence[int], den: int) -> int:
         """Exact sign of sum(n_l * w_l) / den, for integers n_l and den > 0.
 
         With sqrt descriptors throughout it is the norm tower's over the
@@ -292,7 +292,7 @@ class AlgebraSpec:
             "descriptor; declare the basis element via sqrt to decide"
         )
 
-    def floor_of(self, nums: Sequence[int], den: int = 1) -> int:
+    def floor_of(self, nums: Sequence[int], den: int) -> int:
         """Exact floor of sum(n_l * w_l) / den, for integers n_l and den > 0.
 
         With sqrt descriptors the value is (A + sum_r B_r sqrt(r)) / T over

@@ -190,7 +190,8 @@ def _affine_points(
                 mat[0][0].spec)
     nums, den = integer_form([lift_to(spec, v) for row in mat for v in row])
     # per coordinate, per basis element: the numerators over the provenance
-    cols = np.array(nums, dtype=object).reshape(len(mat), -1, spec.dim).transpose(0, 2, 1).tolist()
+    rows = [nums[i:i + len(mat[0])] for i in range(0, len(nums), len(mat[0]))]
+    cols = [[[n[l] for n in row] for l in range(spec.dim)] for row in rows]
     coords, exact = _affine_floats(cols, den, spec.numerics, prov)
     for i in np.flatnonzero(exact).tolist():
         c = prov[i].tolist()

@@ -196,6 +196,14 @@ def _expand(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, k
 
 
+def _numerators(base: Sequence[QValue], gens: Sequence[Sequence[QValue]], rows: np.ndarray):
+    """(den * (base + r @ gens) per integer row r, den), from the map's integer
+    numerators over one den in Python ints (int64 overflows at |r| ~ 1e15)."""
+    nums, den = integer_form(list(base) + [v for g in gens for v in g])
+    nums = np.array(nums, dtype=object).reshape(len(gens) + 1, len(base), -1)
+    return (nums[0] + np.tensordot(rows.astype(object), nums[1:], 1)).tolist(), den
+
+
 class Membership:
     """Guarded float-then-exact membership of point batches in one region.
 
@@ -231,14 +239,10 @@ class Membership:
             ))
 
     def _blocks(self, base, gens, coeffs):
-        """(first row, xf, x_err, exact) per block of _BLOCK coefficient rows.
+        """(first row, rows, xf, x_err) per block of _BLOCK coefficient rows.
 
         The int64 refusal is decided on the whole batch; a block's error bound
-        comes from its own coefficients, valid for its points and usually tighter.
-        exact(key, make, idx, shifts) gives den times the batch make(base, gens)
-        at the block's rows idx (the shifts as trailing coefficients), and den:
-        the batch's integer numerators over one den are taken on first use, so a
-        point's are a dot product in Python ints (int64 overflows at |c| ~ 1e15)."""
+        comes from its own coefficients, valid for its points and usually tighter."""
         c = np.asarray(coeffs, dtype=np.int64)
         base_mag = max(_mag(v) for v in base)
         gen_mags = [max(_mag(v) for v in g) for g in gens]
@@ -255,31 +259,20 @@ class Membership:
             raise PreconditionError("point magnitudes beyond the int64 range")
         gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
         base_f = np.array([float(v) for v in base])
-        forms = {}
-
-        def exact(c, key, make, idx, shifts=None):
-            if key not in forms:
-                b, g = make(base, gens)
-                nums, den = integer_form(list(b) + [v for vec in g for v in vec])
-                forms[key] = np.array(nums, dtype=object).reshape(len(g) + 1, len(b), -1), den
-            nums, den = forms[key]
-            rows = c[idx] if shifts is None else np.column_stack([c[idx], shifts])
-            return (nums[0] + np.tensordot(rows.astype(object), nums[1:], 1)).tolist(), den
-
         for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
             cb = c[start:start + _BLOCK]
             # each coordinate is a float sum of len(gens) + 1 rounded terms
             x_err = (len(gens) + 4) * _EPS * scale(cb)
             xf = base_f + cb.astype(np.float64) @ gens_f
-            yield start, xf, x_err, functools.partial(exact, cb)
+            yield start, cb, xf, x_err
 
-    def _ranges_1d(self, xf, x_err, exact) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _ranges_1d(self, base, gens, c, xf, x_err) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per piece, the integer translates k of each point, lo <= k < hi."""
         x = xf[:, 0]
         xmax = np.abs(x).max(initial=0.0)
         y, r = np.empty_like(x), np.empty_like(x)
         out = []
-        for p, (a, b, left_closed, af, bf, span) in enumerate(self._pieces):
+        for a, b, left_closed, af, bf, span in self._pieces:
             guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
             # y = e - x is near an integer when d = |y - rnd(y)|, in [0, 1),
             # is below guard or above 1 - guard.  d is exact unless |y| < 1,
@@ -296,8 +289,8 @@ class Membership:
             flagged = np.flatnonzero(flag)
             if len(flagged):  # [a, b): ceil(e - x) = -floor(x - e); (a, b]: floor(e - x)
                 s = 1 if left_closed else -1
-                nums, den = exact(p, lambda base, gens: ([(base[0] - e) * s for e in (a, b)],
-                                                         [[g[0] * s] * 2 for g in gens]), flagged)
+                nums, den = _numerators([(base[0] - e) * s for e in (a, b)],
+                                        [[g[0] * s] * 2 for g in gens], c[flagged])
                 for i, ends_i in zip(flagged, nums):
                     lo[i], hi[i] = (-s * self.spec.floor_of(y, den) for y in ends_i)
             if not left_closed:
@@ -305,12 +298,12 @@ class Membership:
             out.append((lo, hi))
         return out
 
-    def _hits(self, xf, x_err, exact) -> tuple[np.ndarray, np.ndarray]:
+    def _hits(self, base, gens, c, xf, x_err) -> tuple[np.ndarray, np.ndarray]:
         """(point index, integer shift) per piece a shifted point lands in."""
         d, sign = self.dim, self.spec.sign_of
         anchor = np.zeros(xf.shape, dtype=np.int64)
         if x_err >= 0.25:  # floats no longer place x: use x - floor(x) in [0, 1)^d
-            nums, den = exact("x", lambda base, gens: (base, gens), slice(None))
+            nums, den = _numerators(base, gens, c)
             fine = np.array([[self.spec.floor_of([n << 52 for n in v], den) for v in row]
                              for row in nums], dtype=object).reshape(xf.shape)
             anchor = (fine >> 52).astype(np.int64)
@@ -318,7 +311,7 @@ class Membership:
             xf, x_err = ((fine & (2**52 - 1)).astype(np.float64) + 0.5) * 2.0**-52, 2.0**-53
         xmax = np.abs(xf).max(initial=0.0)
         idx_all, k_all = [], []
-        for p, (piece, inv_f, off_f, lo_f, hi_f, ext, norm) in enumerate(self._pieces):
+        for piece, inv_f, off_f, lo_f, hi_f, ext, norm in self._pieces:
             # error of x + k - offset, and of its image in unit coordinates
             y_err = 2 * x_err + 4 * _EPS * (xmax + ext + 1)
             guard = 2 * norm * (y_err + (d + 4) * _EPS * (ext + 1))
@@ -330,8 +323,8 @@ class Membership:
             unsure = np.flatnonzero(~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1))
             if len(unsure):
                 # den * t of x + k, with k the coefficients of the unit shifts; t in [0, 1)^d
-                nums, den = exact(p, lambda base, gens: piece.frame(
-                    base, [*gens, *np.eye(d, dtype=int).tolist()]), idx[unsure], k[unsure])
+                b, g = piece.frame(base, [*gens, *np.eye(d, dtype=int).tolist()])
+                nums, den = _numerators(b, g, np.column_stack([c[idx[unsure]], k[unsure]]))
                 inside[unsure] = [all(sign(ti, den) >= 0 and sign([ti[0] - den, *ti[1:]], den) < 0
                                       for ti in tp) for tp in nums]
             idx_all.append(idx[inside])
@@ -341,22 +334,23 @@ class Membership:
     def count(self, base, gens, coeffs) -> np.ndarray:
         """Per point, the number of (piece, integer shift) pairs that land."""
         out = []
-        for _, xf, x_err, exact in self._blocks(base, gens, coeffs):
+        for _, c, xf, x_err in self._blocks(base, gens, coeffs):
             if self.dim == 1:
-                out.append(sum(hi - lo for lo, hi in self._ranges_1d(xf, x_err, exact)))
+                out.append(sum(hi - lo for lo, hi in self._ranges_1d(base, gens, c, xf, x_err)))
             else:
-                out.append(np.bincount(self._hits(xf, x_err, exact)[0], minlength=len(xf)))
+                out.append(np.bincount(self._hits(base, gens, c, xf, x_err)[0],
+                                       minlength=len(xf)))
         return np.concatenate(out)
 
     def translates(self, base, gens, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct (point index, integer shift) with x + shift in the region."""
         out = []
-        for start, xf, x_err, exact in self._blocks(base, gens, coeffs):
+        for start, c, xf, x_err in self._blocks(base, gens, coeffs):
             if self.dim == 1:
                 pairs = [_expand(lo[:, None], (hi - lo)[:, None])
-                         for lo, hi in self._ranges_1d(xf, x_err, exact)]
+                         for lo, hi in self._ranges_1d(base, gens, c, xf, x_err)]
             else:
-                pairs = [self._hits(xf, x_err, exact)]
+                pairs = [self._hits(base, gens, c, xf, x_err)]
             rows = np.unique(np.concatenate([np.column_stack(p) for p in pairs]), axis=0)
             rows[:, 0] += start  # blocks are contiguous, so the rows stay sorted
             out.append(rows)
@@ -406,10 +400,11 @@ def parse_region_literal(
     Semi-closed brackets give the exact half-open piece; fully closed or
     open brackets are accepted only with ``allow_closed`` (for sets whose
     closure/interior semantics are applied by the consumer) and are
-    represented by the left-closed piece of the same endpoints.
+    represented by the left-closed piece of the same endpoints, so they may
+    share no endpoint with another piece: there they would decide a join.
     """
     parts = [p.strip() for p in text.replace("∪", " U ").split(" U ")]
-    regions = []
+    regions, loose = [], []
     for part in parts:
         if len(part) < 5 or part[0] not in "([" or part[-1] not in ")]":
             raise PreconditionError(f"bad interval literal: {part!r}")
@@ -421,12 +416,18 @@ def parse_region_literal(
         a, b = spec.parse(pieces[0]), spec.parse(pieces[1])
         if lopen == rclosed:  # "(a,b]" or "[a,b)"
             regions.append(interval(a, b, left_closed=not lopen))
+        elif not allow_closed:
+            raise PreconditionError(
+                f"window must be semi-closed ([a,b) or (a,b]): {part!r}"
+            )
         else:
-            if not allow_closed:
-                raise PreconditionError(
-                    f"window must be semi-closed ([a,b) or (a,b]): {part!r}"
-                )
+            loose.append((part, a, b))
             regions.append(interval(a, b, left_closed=True))
+    ends = [e for r in regions for e in r.intervals()[0][:2]]
+    for part, a, b in loose:
+        if ends.count(a) + ends.count(b) > 2:  # each matches itself once
+            raise PreconditionError(f"{part!r} shares an endpoint with another piece: "
+                                    "write intervals that touch semi-closed")
     return union(*regions)
 
 
@@ -785,16 +786,14 @@ def construct_brs_between(
         raise PreconditionError(
             "target measure is not an integer combination of 1, alpha_i"
         )
-    if d == 1:  # join the pieces of U, ordered by lo, as [lo, hi, whether hi lies in U]
+    if d == 1:  # join the pieces of U, in order of lo, that overlap or abut at a point of U
         joined: list[list] = []
-        for lo, hi, lc in sorted(region_u.intervals(), key=lambda v: v[0]):
-            if joined and ((lo - joined[-1][1]).sign() < 0
-                           or lo == joined[-1][1] and (lc or joined[-1][2])):
-                if (rise := (hi - joined[-1][1]).sign()) >= 0:
-                    joined[-1][1:] = hi, not lc or (rise == 0 and joined[-1][2])
+        for lo, hi, _ in sorted(region_u.intervals(), key=lambda v: v[0]):
+            if joined and (lo < joined[-1][1] or lo == joined[-1][1] and region_u.contains((lo,))):
+                joined[-1][1] = max(joined[-1][1], hi)
             else:
-                joined.append([lo, hi, not lc])
-        region_u = union(*(interval(lo, hi) for lo, hi, _ in joined))
+                joined.append([lo, hi])
+        region_u = union(*(interval(lo, hi) for lo, hi in joined))
     vol_k, vol_u = region_k.volume(), region_u.volume()
     if not ((gamma - vol_k).sign() > 0 and (vol_u - gamma).sign() > 0):
         raise PreconditionError("need mes K < gamma < mes U")

@@ -237,19 +237,17 @@ def require_disjoint(region: RegionSet) -> RegionSet:
     """The region, refused when two of its pieces overlap.
 
     mes S and the Gram matrix sum over the pieces, so an overlap would be
-    counted twice (a multiplicity function, not L^2(S)).  Beyond 3-D the
-    separating-axis test of check_disjoint is not complete, so a region of
-    several pieces there is refused as undecided.
+    counted twice (a multiplicity function, not L^2(S)).  A separating axis
+    proves a pair disjoint in every dimension; beyond 3-D the axes tried by
+    check_disjoint may miss one, so a pair it reports there may overlap.
     """
-    if region.dim > 3 and len(region.pieces) > 1:
-        raise PreconditionError(
-            f"disjointness not decided for the {len(region.pieces)} pieces of a "
-            f"{region.dim}-D region; mes S and the Gram matrix need disjoint pieces")
     if pairs := check_disjoint(region):
         i, j = pairs[0]
         a, b = (RegionSet(region.dim, [region.pieces[k]]).describe() for k in (i, j))
+        verdict = ("may overlap (disjointness not decided beyond 3-D)" if region.dim > 3
+                   else "of the region overlap")
         raise PreconditionError(
-            f"pieces {i} ({a}) and {j} ({b}) of the region overlap; mes S and the "
+            f"pieces {i} ({a}) and {j} ({b}) {verdict}; mes S and the "
             "Gram matrix need disjoint pieces")
     return region
 

@@ -316,6 +316,16 @@ def test_brs_make_refuses_k_across_pieces_of_u(tmp_path, capsys):
     assert not (tmp_path / "brs_region.txt").exists()
 
 
+def test_brs_make_refuses_open_pieces_of_u_that_touch(tmp_path, capsys):
+    # both literals leave 1/2 out of U, which K = [2/5, 3/5] covers
+    for u in ("[0,1/2) U (1/2,1)", "(0,1/2) U (1/2,1)"):
+        rc = run_cli("brs-make", "--alpha", "w1", "--gamma", "w1 - 1",
+                     "--K", "[2/5,3/5]", "--U", u, "--epsilon", "0.05", "--out", str(tmp_path))
+        assert rc == cli.EXIT_PRECONDITION
+        assert "shares an endpoint with" in capsys.readouterr().err
+        assert not (tmp_path / "brs_region.txt").exists()
+
+
 def test_duality_config_run(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(_DUALITY_CFG + f"outdir = {tmp_path / 'dout'}\n")
@@ -529,13 +539,16 @@ def test_brs_make_refuses_overlapping_output(tmp_path, capsys, monkeypatch):
 
 
 def test_gram_refuses_undecided_disjointness_beyond_3d(tmp_path, capsys):
+    # a face normal separates the 4-D boxes at shift 2; none separates them at 1/2
     spec = parse_algebra("sqrt:2")
-    pieces = [box_region(spec, [2 * i, 0, 0, 0], [2 * i + 1, 1, 1, 1]) for i in range(2)]
-    region = tmp_path / "r4.txt"
-    region.write_text(region_to_text(quasilab.regions.union(*pieces)))
     pts = tmp_path / "p4.csv"
     pts.write_text(PointSet(4, np.eye(4), np.eye(4, dtype=np.int64)).to_csv())
-    assert run_cli("gram", "--points", str(pts), "--region", f"@{region}",
-                   "--out", str(tmp_path)) == cli.EXIT_PRECONDITION
-    assert "disjointness not decided" in capsys.readouterr().err
+    for shift, rc in ((2, 0), (Fraction(1, 2), cli.EXIT_PRECONDITION)):
+        pieces = [box_region(spec, [shift * i, 0, 0, 0], [shift * i + 1, 1, 1, 1])
+                  for i in range(2)]
+        region = tmp_path / "r4.txt"
+        region.write_text(region_to_text(quasilab.regions.union(*pieces)))
+        assert run_cli("gram", "--points", str(pts), "--region", f"@{region}",
+                       "--out", str(tmp_path)) == rc
+    assert "may overlap (disjointness not decided beyond 3-D)" in capsys.readouterr().err
 

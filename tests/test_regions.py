@@ -348,6 +348,11 @@ def test_construct_brs_between_joins_abutting_pieces_of_u(sqrt2, sqrt23):
     with pytest.raises(PreconditionError, match="K is not contained in U$"):
         construct_brs_between([w1], k, parse_region_literal(sqrt2, "[0,1/2) U (1/2,1]"),
                               w1 - 1, 0.05)
+    # an open or closed literal is stored left-closed, which would put 1/2 in U
+    # here: it may not touch another piece
+    for lit in ("[0,1/2) U (1/2,1)", "(0,1/2) U (1/2,1)", "[0,1/2] U [1/2,1]"):
+        with pytest.raises(PreconditionError, match="shares an endpoint with"):
+            parse_region_literal(sqrt2, lit, allow_closed=True)
     # in 2-D U is taken piece by piece, and the message says so
     v = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
     halves = union(box_region(sqrt23, [0, 0], [Fraction(1, 2), 1]),
