@@ -733,19 +733,18 @@ class QValue:
 # -- exact linear algebra over the rationals ----------------------------------
 
 
-def solve_rational(
-    mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[str, Optional[list[Fraction]]]:
-    """Solve an exact rational linear system.
+def _eliminate(a: list[list[Fraction]]) -> list[int]:
+    """Gauss-Jordan elimination of the rows ``a`` in place, over every column.
 
-    Returns ``("unique", x)``, ``("none", None)`` or ``("many", x0)`` where
-    ``x0`` is one particular solution.
+    Returns the pivot columns; row r then has a 1 in column ``pivots[r]`` and
+    zeros there in every other row, and the rows past the pivots are zero.
     """
-    m, n = len(mat), len(mat[0]) if mat else 0
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    m = len(a)
     pivots: list[int] = []
-    row = 0
-    for col in range(n):
+    for col in range(len(a[0]) if a else 0):
+        row = len(pivots)
+        if row == m:
+            break
         piv = next((r for r in range(row, m) if a[r][col] != 0), None)
         if piv is None:
             continue
@@ -757,42 +756,32 @@ def solve_rational(
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[row])]
         pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n] != 0:
-            return "none", None
+    return pivots
+
+
+def solve_rational(
+    mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[str, Optional[list[Fraction]]]:
+    """Solve an exact rational linear system.
+
+    Returns ``("unique", x)``, ``("none", None)`` or ``("many", x0)`` where
+    ``x0`` is one particular solution.  A pivot in the right-hand side
+    column of the augmented matrix means no solution.
+    """
+    n = len(mat[0]) if mat else 0
+    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    pivots = _eliminate(a)
+    if pivots and pivots[-1] == n:
+        return "none", None
     x = [Fraction(0)] * n
     for r, col in enumerate(pivots):
         x[col] = a[r][n]
     return ("unique" if len(pivots) == n else "many"), x
 
 
-def rational_rank(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q of a list of coefficient vectors."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def coeff_rank(values: Sequence[QValue]) -> int:
     """Rank over Q of the coefficient vectors of the given values."""
-    return rational_rank([v.coeffs for v in values])
+    return len(_eliminate([list(v.coeffs) for v in values]))
 
 
 # -- membership in Z*alpha + Z^d ----------------------------------------------
@@ -843,11 +832,7 @@ def module_membership(
         return n, tuple(m)
 
     # All alpha coordinates rational: scan n modulo the lcm of denominators.
-    dens = [ai.coeffs[0].denominator for ai in alpha] or [1]
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // math.gcd(lcm, d)
-    for n in range(lcm):
+    for n in range(math.lcm(*(ai.coeffs[0].denominator for ai in alpha))):
         m = []
         ok = True
         for vi, ai in zip(v, alpha):
@@ -895,31 +880,31 @@ def admissible_decomposition(
 QMatrix = Sequence[Sequence[QValue]]
 
 
-def exact_det(mat: QMatrix) -> QValue:
-    """Exact determinant by cofactor expansion in the algebra."""
+def exact_det(mat: Sequence[Sequence]):
+    """Exact determinant by cofactor expansion along the first row.
+
+    The entries may lie in any exact ring: QValues or Python ints.  Zero
+    entries are skipped at every level, and a matrix with no nonzero term
+    gives ``mat[0][0] * 0``, the zero of its ring.
+    """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise PreconditionError("matrix must be square")
-    if n == 1:
+    return _cofactor(mat)
+
+
+def _cofactor(mat: Sequence[Sequence]):
+    if len(mat) == 1:
         return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     det = None
-    for j in range(n):
-        a = mat[0][j]
-        if all(c == 0 for c in a.coeffs):
+    for j, a in enumerate(mat[0]):
+        if a == 0:
             continue
-        minor = [
-            [mat[r][c] for c in range(n) if c != j] for r in range(1, n)
-        ]
-        term = a * exact_det(minor)
+        term = a * _cofactor([[*row[:j], *row[j + 1:]] for row in mat[1:]])
         if j % 2:
             term = -term
         det = term if det is None else det + term
-    if det is None:
-        spec = mat[0][0].spec
-        return spec.zero()
-    return det
+    return mat[0][0] * 0 if det is None else det
 
 
 def mat_identity(spec: AlgebraSpec, n: int) -> list[list[QValue]]:
@@ -952,10 +937,6 @@ def mat_transpose(a: QMatrix) -> list[list[QValue]]:
     return [list(col) for col in zip(*a)]
 
 
-def mat_scale(a: QMatrix, s: QValue) -> list[list[QValue]]:
-    return [[x * s for x in row] for row in a]
-
-
 def mat_adjugate(mat: QMatrix) -> list[list[QValue]]:
     n = len(mat)
     if n == 1:
@@ -980,7 +961,6 @@ def mat_adjugate(mat: QMatrix) -> list[list[QValue]]:
 
 def mat_inverse(mat: QMatrix) -> list[list[QValue]]:
     """Exact inverse via adjugate over determinant."""
-    det = exact_det(mat)
-    det_inv = det.inverse()
-    return mat_scale(mat_adjugate(mat), det_inv)
+    det_inv = exact_det(mat).inverse()
+    return [[x * det_inv for x in row] for row in mat_adjugate(mat)]
 

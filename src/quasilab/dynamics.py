@@ -147,16 +147,13 @@ def discrepancy_trace(
         raise PreconditionError("negative n requires two_sided=True")
     mes = float(region.volume())
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
-    values = np.zeros(len(ns), dtype=np.float64)
-    p, q = max(n_lo, 1), min(n_hi, -1)  # the first n > 0 and the last n < 0
-    if n_hi > 0:
-        chi = orbit_hits(region, alpha, x0, 0, n_hi - 1)
-        csum = np.cumsum(chi)
-        values[p - n_lo:] = csum[p - 1:] - ns[p - n_lo:] * mes
-    if n_lo < 0:
-        chi_neg = orbit_hits(region, alpha, x0, n_lo, -1)
-        csum_neg = np.cumsum(chi_neg[::-1])  # index t-1 = sum over k=-t..-1
-        values[:q + 1 - n_lo] = -csum_neg[-q - 1:-n_lo][::-1] - ns[:q + 1 - n_lo] * mes
+    # c[j] counts the hits over k_lo .. k_lo + j - 1, so c[n - k_lo] - c[-k_lo]
+    # is the count over 0..n-1 for n > 0 and minus the count over n..-1 for n < 0
+    k_lo, k_hi = min(n_lo, 0), max(n_hi, 0)
+    c = np.zeros(k_hi - k_lo + 1, dtype=np.int64)
+    if k_hi > k_lo:
+        np.cumsum(orbit_hits(region, alpha, x0, k_lo, k_hi - 1), out=c[1:])
+    values = (c[ns - k_lo] - c[-k_lo]) - ns * mes
     return DiscrepancyTrace(
         _alpha_desc(region, alpha), region.describe(), x0, ns, values, mes,
     )

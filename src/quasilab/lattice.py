@@ -236,17 +236,18 @@ def reduce_to_special(lat: Lattice) -> tuple[list[list[QValue]], QValue, Lattice
 
 
 def transform_pointset(points, a) -> "PointSet":
-    """Image of a point set under an invertible linear map (numeric)."""
+    """Image of a point set under an invertible linear map (numeric); singularity
+    is decided exactly, with float and int entries as their exact rationals."""
     from .modelset import PointSet
 
+    if exact_det([[v if isinstance(v, QValue) else Fraction(v) for v in row] for row in a]) == 0:
+        raise PreconditionError("transform matrix is singular")
     a_f = np.array(
         [[float(v) for v in row] for row in a]
         if not isinstance(a, np.ndarray)
         else a,
         dtype=float,
     )
-    if abs(np.linalg.det(a_f)) < 1e-14:
-        raise PreconditionError("transform matrix is singular")
     return PointSet(points.dim, points.coords @ a_f.T, points.provenance,
                     points.window)
 
@@ -258,8 +259,6 @@ def transform_region(region, m) -> "RegionSet":
     exact rationals); edge witnesses no longer apply after a general map
     and are dropped.
     """
-    from fractions import Fraction
-
     from .regions import Piece, RegionSet
 
     spec = region.spec

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -546,27 +545,23 @@ def _spiral(bound: int) -> list[int]:
     return out
 
 
-def _edge_candidates(
-    alpha: Sequence[QValue], bound: int
-) -> list[tuple[Witness, tuple[QValue, ...]]]:
-    d = len(alpha)
-    seq = _spiral(bound)
-    out = []
-    for tup in itertools.product(seq, repeat=d + 1):
-        if all(v == 0 for v in tup):
-            continue
-        n, m = tup[0], tup[1:]
-        out.append(((n, m), _combo_vector(alpha, n, m)))
-    return out
+def _det_coeffs(witnesses: Sequence[Witness], rows: Sequence[int]) -> Iterator[int]:
+    """Integer coefficients (c_0, c_1, ..) of the minor on ``rows`` of the edge
+    matrix whose column j is n_j*alpha + m_j: the minor is c_0 + sum_k c_k *
+    alpha_{rows[k - 1]}.
 
-
-def _float_det(cols: Sequence[Sequence[float]]) -> float:
-    """Determinant by cofactor expansion along the first column."""
-    if len(cols) == 1:
-        return cols[0][0]
-    rest = cols[1:]
-    return sum((-1) ** i * cols[0][i] * _float_det([c[:i] + c[i + 1:] for c in rest])
-               for i in range(len(cols)))
+    Row i of the matrix is alpha_i * n + M_i, with n the row of the n_j and
+    M_i the row of the m_j[i].  The determinant is multilinear in the rows,
+    and any two rows of the form alpha_i * n are proportional, so the minor
+    is det M_rows plus, per row i, alpha_i times det M_rows with row i
+    replaced by n.  The coefficients come lazily, so a caller may stop at
+    the first one it does not want.
+    """
+    n = [w[0] for w in witnesses]
+    m = [[w[1][i] for w in witnesses] for i in rows]
+    yield exact_det(m)
+    for k in range(len(m)):
+        yield exact_det([*m[:k], n, *m[k + 1:]])
 
 
 def measure_candidates(
@@ -577,39 +572,39 @@ def measure_candidates(
     Candidate edges enumerate integer data (n, m) with entries 0, 1, -1,
     2, -2, ... up to the bound, lexicographically; edge subsets are tried
     in the induced order and every emitted piece has |det| = gamma exactly.
-    The exact determinant is taken only where the float |det| is within
-    its error bound of |gamma|.
+    The determinant of edges n_j*alpha + m_j is an integer combination of
+    1, alpha_1..alpha_d (:func:`_det_coeffs`), and a subset is emitted when
+    its coefficients are +-(n0, n1, .., nd) with gamma = n0 + sum n_i alpha_i
+    (:func:`~quasilab.algebra.admissible_decomposition`): the decomposition
+    is unique, so 1, alpha_1..alpha_d are independent over Q and equal
+    coefficients are equal values.  Only an emitted piece is built in the
+    algebra.  A gamma with no decomposition yields nothing, and a dependent
+    alpha is refused with PreconditionError.
     """
     d = len(alpha)
-    if d == 1:
-        dec = admissible_decomposition(alpha, gamma)
-        if dec is not None:
-            n0, n1 = dec
-            spec = gamma.spec
-            yield RegionSet(
-                1, [Piece((spec.zero(),), ((gamma,),), ((n1, (n0,)),))]
-            )
+    dec = admissible_decomposition(alpha, gamma)
+    if dec is None:
         return
-    cands = _edge_candidates(alpha, search_bound)
-    cols_f = [[float(v) for v in col] for _, col in cands]
-    # the float determinant sums d! products of d entries, each entry within
-    # 2 eps of its _mag; the product of column _mag sums bounds every term
-    col_mag = [sum(_mag(v) for v in col) for _, col in cands]
-    gamma_f = abs(float(gamma))
-    gamma_err = 4 * _EPS * _mag(gamma)
-    det_err = 8 * math.factorial(d + 1) * _EPS
-    for combo in itertools.combinations(range(len(cands)), d):
-        guard = det_err * math.prod(col_mag[i] for i in combo) + gamma_err
-        if abs(abs(_float_det([cols_f[i] for i in combo])) - gamma_f) > guard:
-            continue
-        cols = [cands[i][1] for i in combo]
-        edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        det = exact_det(edges)
-        if det == gamma or det == -gamma:
-            spec = gamma.spec
-            zero = tuple(spec.zero() for _ in range(d))
-            witnesses = tuple(cands[i][0] for i in combo)
-            yield RegionSet(d, [Piece(zero, edges, witnesses)])
+    spec = gamma.spec
+    if d == 1:
+        n0, n1 = dec
+        yield RegionSet(
+            1, [Piece((spec.zero(),), ((gamma,),), ((n1, (n0,)),))]
+        )
+        return
+    zero = tuple(spec.zero() for _ in range(d))
+    cands = [(t[0], t[1:]) for t in itertools.product(_spiral(search_bound), repeat=d + 1)
+             if any(t)]
+    for combo in itertools.combinations(cands, d):
+        plus = minus = True  # whether the coefficients so far are those of +dec, -dec
+        for c, g in zip(_det_coeffs(combo, range(d)), dec):
+            plus, minus = plus and c == g, minus and c == -g
+            if not (plus or minus):
+                break
+        else:
+            cols = [_combo_vector(alpha, n, m) for n, m in combo]
+            edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+            yield RegionSet(d, [Piece(zero, edges, combo)])
 
 
 def realize_measure(
@@ -716,7 +711,10 @@ def _tile_edges(
 
     Scans n = 1..bound, rounding each coordinate of n*alpha to the nearest
     integer, and keeps the first d candidates (by |n|) that are short
-    enough and exactly independent.
+    enough and independent of those already kept.  With 1, alpha_1..alpha_d
+    independent over Q, which the caller's admissible decomposition proves,
+    a set of k edges is independent exactly when some k-row minor has a
+    nonzero coefficient vector (:func:`_det_coeffs`), decided on integers.
     """
     d = len(alpha)
     limit = epsilon / (2 * d) if d > 1 else epsilon
@@ -734,17 +732,10 @@ def _tile_edges(
             vec = (-vec[0],)
             n, m = -n, [-m[0]]
         trial = chosen + [((n, tuple(m)), vec)]
-        cols = [t[1] for t in trial]
-        if len(trial) == d:
-            sub = tuple(
-                tuple(cols[j][i] for j in range(len(trial))) for i in range(d)
-            )
-            if exact_det(sub) == 0:
-                continue
-        elif d > 1:
-            fm = np.array([[float(v) for v in col] for col in cols]).T
-            if np.linalg.matrix_rank(fm, tol=1e-12) < len(trial):
-                continue
+        wits = [w for w, _ in trial]
+        if not any(any(_det_coeffs(wits, rows))
+                   for rows in itertools.combinations(range(d), len(trial))):
+            continue
         chosen = trial
         if len(chosen) == d:
             return chosen

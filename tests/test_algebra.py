@@ -181,6 +181,20 @@ def test_det_multiplicative_random(sqrt23, rng):
         assert exact_det(mat_mul(a, b)) == exact_det(a) * exact_det(b)
 
 
+def test_det_of_int_and_singular_matrices(sqrt23):
+    # one cofactor expansion for every exact ring: Python ints stay ints, and a
+    # singular QValue matrix gives the QValue zero of its algebra
+    assert exact_det([[2, -1, 0], [1, 3, 4], [0, 5, -2]]) == -54
+    assert exact_det([[0, 0], [0, 0]]) == 0 and type(exact_det([[0, 0], [0, 0]])) is int
+    w1, w2 = sqrt23.basis_element("w1"), sqrt23.basis_element("w2")
+    zero = exact_det([[w1, w2, 1 + w1], [2 * w1, 2 * w2, 2 + 2 * w1], [w2, 3, w1 * w2]])
+    assert isinstance(zero, QValue) and zero.spec is sqrt23 and zero == sqrt23.zero()
+    zero = exact_det([[sqrt23.zero()] * 2] * 2)
+    assert isinstance(zero, QValue) and zero.coeffs == sqrt23.zero().coeffs
+    with pytest.raises(PreconditionError, match="square"):
+        exact_det([[1, 2], [3]])
+
+
 def test_inverse_and_zero_divisor(sqrt23):
     w1 = sqrt23.basis_element("w1")
     assert w1.inverse() * w1 == sqrt23.one()

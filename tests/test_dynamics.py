@@ -91,6 +91,16 @@ def test_trace_keeps_exact_x0(sqrt2, half, x0):
     assert tr.increments_consistent(half, a)
 
 
+def test_trace_negative_only_range_against_per_k_count(sqrt2, half):
+    # D_n for n < 0 is minus the hits over k = n..-1 minus n*mes; {k sqrt2} is
+    # in [0, 1/2) exactly when floor(2k sqrt2) = 2 floor(k sqrt2)
+    tr = discrepancy_trace(half, sqrt2.basis_element("w1"), 0, (-300, -100), two_sided=True)
+    hit = {k: int(floor_surd(0, 2 * k, 2) == 2 * floor_surd(0, k, 2)) for k in range(-300, 0)}
+    want = [-sum(hit[k] for k in range(n, 0)) - n * 0.5 for n in range(-300, -99)]
+    assert tr.ns.tolist() == list(range(-300, -99))
+    assert tr.values.tolist() == want
+
+
 def test_float_alpha_refused(half):
     with pytest.raises(PreconditionError, match="alpha must be exact"):
         orbit_hits(half, 1.4142, 0, 0, 5)

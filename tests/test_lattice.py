@@ -179,3 +179,19 @@ def test_transforms(sqrt2):
     assert half.volume() == sqrt2.parse("1/2")
     with pytest.raises(PreconditionError):
         transform_pointset(pts, np.array([[0.0]]))
+
+
+def test_transform_pointset_decides_singularity_exactly(sqrt2):
+    # float and int entries are their exact rationals: a tiny or nearly
+    # singular map is invertible, and a float-cancelling singular one is refused
+    from quasilab.modelset import PointSet
+
+    pts = PointSet(2, np.array([[1.0, 2.0], [3.0, 4.0]]), ((0, 0), (1, 1)))
+    tiny = transform_pointset(pts, np.diag([1e-8, 1e-8]))
+    assert np.array_equal(tiny.coords, pts.coords @ np.diag([1e-8, 1e-8]).T)
+    near = [[1, 1], [1, 1 + 1e-15]]
+    assert np.array_equal(transform_pointset(pts, near).coords, pts.coords @ np.array(near).T)
+    w1 = sqrt2.basis_element("w1")
+    for singular in ([[1e8, 1e8], [1, 1]], [[w1, 1], [2, w1]]):
+        with pytest.raises(PreconditionError, match="singular"):
+            transform_pointset(pts, singular)

@@ -176,6 +176,84 @@ def test_realize_measure_errors(sqrt23):
         realize_measure([w1, w2], sqrt23.parse("5*w1"), 1)
 
 
+_SQRT235 = AlgebraSpec.from_sqrt([2, 3, 5])
+
+
+@settings(max_examples=80)
+@given(d=st.integers(1, 3), data=st.data())
+def test_witness_minor_coefficients_match_exact_det(d, data):
+    # a minor of the edge matrix with columns n_j*alpha + m_j is the integer
+    # combination c_0 + sum_k c_k*alpha_{rows[k - 1]} that _det_coeffs returns
+    alpha = [_SQRT235.basis_element(f"w{i}") for i in range(1, d + 1)]
+    entry = st.integers(-3, 3)
+    wits = [(data.draw(entry), tuple(data.draw(entry) for _ in range(d))) for _ in range(d)]
+    k = data.draw(st.integers(1, d))
+    rows = sorted(data.draw(st.permutations(range(d)))[:k])
+    chosen = data.draw(st.permutations(range(d)))[:k]
+    cols = [tuple(alpha[i] * wits[j][0] + wits[j][1][i] for i in range(d)) for j in chosen]
+    coeffs = list(regions._det_coeffs([wits[j] for j in chosen], rows))
+    assert all(type(c) is int for c in coeffs) and len(coeffs) == k + 1
+    value = sum((c * a for c, a in zip(coeffs[1:], [alpha[i] for i in rows])),
+                _SQRT235.from_rational(coeffs[0]))
+    assert value == exact_det([[col[i] for col in cols] for i in rows])
+
+
+def _candidates_reference(alpha, gamma, bound):
+    """Every d-subset of the candidate edges, in order, whose exact determinant is +-gamma."""
+    d = len(alpha)
+    seq = [0] + [v for b in range(1, bound + 1) for v in (b, -b)]
+    cands = [(t[0], t[1:]) for t in itertools.product(seq, repeat=d + 1) if any(t)]
+    zero = tuple(gamma.spec.zero() for _ in range(d))
+    for combo in itertools.combinations(cands, d):
+        edges = tuple(tuple(alpha[i] * n + m[i] for n, m in combo) for i in range(d))
+        if exact_det(edges) in (gamma, -gamma):
+            yield region_to_text(RegionSet(d, [Piece(zero, edges, combo)]))
+
+
+@pytest.mark.parametrize("bound, gamma, first", [
+    (1, "w1", None), (1, "1", None), (1, "1 + w1 - w2", None), (1, "5*w1", None),
+    (2, "w1", 25), (2, "2 - w2", 25), (2, "1 + w1 + w2", 25),
+])
+def test_measure_candidates_order_and_completeness(sqrt23, bound, gamma, first):
+    # the integer-witness search emits exactly the brute-force hits, in order;
+    # at bound 1 the whole stream is compared, at bound 2 its first regions
+    alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
+    g = sqrt23.parse(gamma)
+    got = [region_to_text(r) for r in itertools.islice(
+        regions.measure_candidates(alpha, g, bound), first)]
+    want = list(itertools.islice(_candidates_reference(alpha, g, bound), first))
+    assert got == want and (gamma == "5*w1") == (got == [])
+
+
+def test_measure_candidates_refuses_a_dependent_alpha(sqrt23):
+    w1 = sqrt23.basis_element("w1")
+    with pytest.raises(PreconditionError, match="dependent"):
+        next(iter(regions.measure_candidates([w1, 2 * w1], w1, 1)))
+    assert list(regions.measure_candidates([w1, 2 * w1], sqrt23.basis_element("w2"), 1)) == []
+
+
+def test_realize_measure_three_dim():
+    alpha = [_SQRT235.basis_element(f"w{i}") for i in (1, 2, 3)]
+    gamma = _SQRT235.parse("1 + w1")
+    t0 = time.perf_counter()
+    r = realize_measure(alpha, gamma, 1)
+    assert time.perf_counter() - t0 < 5.0
+    piece = r.pieces[0]
+    assert piece.det() in (gamma, -gamma) and r.volume() == gamma
+    assert piece.edges == tuple(tuple(alpha[i] * n + m[i] for n, m in piece.witnesses)
+                                for i in range(3))
+
+
+@pytest.mark.parametrize("gens, epsilon, want", [
+    ([2, 3], 0.3, [41, 157]),  # n = 82 and 123 are short too: 2 and 3 times n = 41
+    ([2, 3, 5], 0.6, [123, 157, 343]),  # n = 280 is short too: the sum of 123 and 157
+])
+def test_tile_edges_skip_dependent_candidates(gens, epsilon, want):
+    spec = AlgebraSpec.from_sqrt(gens)
+    alpha = [spec.basis_element(f"w{i}") for i in range(1, len(gens) + 1)]
+    assert [n for (n, _), _ in regions._tile_edges(alpha, epsilon, 400)] == want
+
+
 def test_certificate_valid_pair(sqrt2):
     w1 = sqrt2.basis_element("w1")
     source = union(interval(sqrt2.zero(), w1 - 1),
