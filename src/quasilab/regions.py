@@ -195,11 +195,17 @@ def _expand(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, k
 
 
-def _numerators(base: Sequence[QValue], gens: Sequence[Sequence[QValue]], rows: np.ndarray):
-    """(den * (base + r @ gens) per integer row r, den), from the map's integer
-    numerators over one den in Python ints (int64 overflows at |r| ~ 1e15)."""
+def _form(base: Sequence[QValue], gens: Sequence[Sequence[QValue]]):
+    """The batch base + c @ gens over one den, taken once: (nums, den) with
+    nums[0] the base's and nums[1 + j] generator j's integer numerators."""
     nums, den = integer_form(list(base) + [v for g in gens for v in g])
-    nums = np.array(nums, dtype=object).reshape(len(gens) + 1, len(base), -1)
+    return np.array(nums, dtype=object).reshape(len(gens) + 1, len(base), -1), den
+
+
+def _numerators(form, rows: np.ndarray):
+    """(den * (base + r @ gens) per integer row r, den) from a batch's _form,
+    in Python ints (int64 overflows at |r| ~ 1e15)."""
+    nums, den = form
     return (nums[0] + np.tensordot(rows.astype(object), nums[1:], 1)).tolist(), den
 
 
@@ -207,14 +213,17 @@ class Membership:
     """Guarded float-then-exact membership of point batches in one region.
 
     A batch is the family x = base + c @ gens over integer rows c, with
-    exact base and generator vectors.  Points are placed in floats and a
-    float decision is trusted only outside a guard band around every face;
-    the band bounds the float error from the batch's own magnitudes (the
-    coefficients times the generators, the base, the piece corners and
-    the norm of the piece's inverse).  Inside the band the point is decided
-    exactly by the algebra's sign and floor rules on integer numerators, so
-    semi-closed boundary hits are decided, not guessed; where floats cannot
-    place x at all, it is placed by the exact floor of 2^52 x.  One-dimensional
+    exact base and generator vectors, taken in blocks of _BLOCK rows.  Since
+    membership of x + k depends on x only mod Z^d, each block is anchored
+    once, exactly, at its first row r0: fine = floor(2^52 x(r0)) by the
+    algebra's floor, A = fine >> 52, the points are placed in floats as
+    xf ~ x - A and their shifts are moved back by A.  A float decision is
+    trusted only outside a guard band around every face; the band bounds the
+    float error from the block's spread |c - r0|, the piece corners and the
+    norm of the piece's inverse, and a block whose spread leaves floats no
+    room is anchored at every row.  Inside the band a point is decided exactly
+    by the algebra's sign and floor rules on the integer numerators of x, so
+    semi-closed boundary hits are decided, not guessed.  One-dimensional
     pieces count integer translates in closed form, ceil/floor of the
     endpoints minus x, with two exact floors per piece as the fallback.
     """
@@ -222,7 +231,7 @@ class Membership:
     def __init__(self, region: RegionSet) -> None:
         self.dim, self.spec = region.dim, region.spec
         if self.dim == 1:
-            self._pieces = [(a, b, lc, float(a), float(b), _mag(a) + _mag(b))
+            self._pieces = [(integer_form([a, b]), lc, float(a), float(b), _mag(a) + _mag(b))
                             for a, b, lc in region.intervals()]
             return
         self._pieces = []
@@ -238,10 +247,8 @@ class Membership:
             ))
 
     def _blocks(self, base, gens, coeffs):
-        """(first row, rows, xf, x_err) per block of _BLOCK coefficient rows.
-
-        The int64 refusal is decided on the whole batch; a block's error bound
-        comes from its own coefficients, valid for its points and usually tighter."""
+        """(first row, anchors, decisions with shifts relative to the anchors) per block
+        of _BLOCK coefficient rows; the int64 refusal and integer forms are taken once."""
         c = np.asarray(coeffs, dtype=np.int64)
         base_mag = max(_mag(v) for v in base)
         gen_mags = [max(_mag(v) for v in g) for g in gens]
@@ -258,20 +265,40 @@ class Membership:
             raise PreconditionError("point magnitudes beyond the int64 range")
         gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
         base_f = np.array([float(v) for v in base])
+        form, eye = _form(base, gens), np.eye(self.dim, dtype=int).tolist()
+        frames = functools.cache(lambda i: _form(*self._pieces[i][0].frame(base, [*gens, *eye])))
+        decide, exact = (self._ranges_1d, form) if self.dim == 1 else (self._hits, frames)
+        unit = (len(gens) + 4) * _EPS  # xf sums len(gens) + 1 rounded terms
         for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
             cb = c[start:start + _BLOCK]
-            # each coordinate is a float sum of len(gens) + 1 rounded terms
-            x_err = (len(gens) + 4) * _EPS * scale(cb)
-            xf = base_f + cb.astype(np.float64) @ gens_f
-            yield start, cb, xf, x_err
+            span = [int(hi) - int(lo) for lo, hi in zip(cb.min(0), cb.max(0))] if len(cb) else []
+            rows, spread = cb[:1], sum(s * m for s, m in zip(span, gen_mags))
+            if not (unit * spread < 0.25 and max(span, default=0) < 2**53):
+                rows, spread = cb, 0  # floats leave no room, or c - r0 is inexact: anchor every row
+            # the middle of [fine, fine + 1) * 2^-52 is within 2^-53 of x(rows)
+            x_err = unit * (1 + spread) + 2.0**-53
+            if None in self.spec.radicands:  # no exact floor: x(rows)'s float, and its error
+                x_err += unit * scale(rows)
+                if not x_err < 0.25:
+                    raise PreconditionError("point magnitudes beyond float placement for "
+                                            "value-declared elements; declare them via sqrt")
+                fine = np.floor((base_f + rows @ gens_f) * 2.0**52)
+            else:
+                nums, den = _numerators(form, rows)
+                fine = [[self.spec.floor_of([n << 52 for n in v], den) for v in f] for f in nums]
+            fine = np.array([[int(v) for v in f] for f in fine], dtype=object).reshape(-1, self.dim)
+            anchor = np.broadcast_to((fine >> 52).astype(np.int64), (len(cb), self.dim))
+            delta = (cb - rows).astype(np.float64)  # np.dot: matmul is slow for one generator
+            xf = ((fine & (2**52 - 1)).astype(np.float64) + 0.5) * 2.0**-52 + np.dot(delta, gens_f)
+            yield start, anchor, decide(exact, cb, xf, anchor, x_err)
 
-    def _ranges_1d(self, base, gens, c, xf, x_err) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per piece, the integer translates k of each point, lo <= k < hi."""
+    def _ranges_1d(self, form, c, xf, anchor, x_err) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per piece, the integer translates k of each point, lo <= k - anchor < hi."""
         x = xf[:, 0]
         xmax = np.abs(x).max(initial=0.0)
         y, r = np.empty_like(x), np.empty_like(x)
         out = []
-        for a, b, left_closed, af, bf, span in self._pieces:
+        for (ends_n, de), left_closed, af, bf, span in self._pieces:
             guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
             # y = e - x is near an integer when d = |y - rnd(y)|, in [0, 1),
             # is below guard or above 1 - guard.  d is exact unless |y| < 1,
@@ -288,69 +315,51 @@ class Membership:
             flagged = np.flatnonzero(flag)
             if len(flagged):  # [a, b): ceil(e - x) = -floor(x - e); (a, b]: floor(e - x)
                 s = 1 if left_closed else -1
-                nums, den = _numerators([(base[0] - e) * s for e in (a, b)],
-                                        [[g[0] * s] * 2 for g in gens], c[flagged])
-                for i, ends_i in zip(flagged, nums):
-                    lo[i], hi[i] = (-s * self.spec.floor_of(y, den) for y in ends_i)
+                nums, den = _numerators(form, c[flagged])
+                for i, (n,) in zip(flagged, nums):  # x - e = (n * de - n_e * den) / (den * de)
+                    lo[i], hi[i] = (anchor[i, 0] - s * self.spec.floor_of(
+                        [s * (v * de - w * den) for v, w in zip(n, e)], den * de) for e in ends_n)
             if not left_closed:
                 lo, hi = lo + 1, hi + 1
             out.append((lo, hi))
         return out
 
-    def _hits(self, base, gens, c, xf, x_err) -> tuple[np.ndarray, np.ndarray]:
-        """(point index, integer shift) per piece a shifted point lands in."""
+    def _hits(self, frames, c, xf, anchor, x_err) -> tuple[np.ndarray, np.ndarray]:
+        """(point index, integer shift minus its anchor) per piece a shifted point lands in."""
         d, sign = self.dim, self.spec.sign_of
-        anchor = np.zeros(xf.shape, dtype=np.int64)
-        if x_err >= 0.25:  # floats no longer place x: use x - floor(x) in [0, 1)^d
-            nums, den = _numerators(base, gens, c)
-            fine = np.array([[self.spec.floor_of([n << 52 for n in v], den) for v in row]
-                             for row in nums], dtype=object).reshape(xf.shape)
-            anchor = (fine >> 52).astype(np.int64)
-            # x - anchor lies in [f, f + 1) * 2^-52, f the low 52 bits: xf is the middle
-            xf, x_err = ((fine & (2**52 - 1)).astype(np.float64) + 0.5) * 2.0**-52, 2.0**-53
         xmax = np.abs(xf).max(initial=0.0)
         idx_all, k_all = [], []
-        for piece, inv_f, off_f, lo_f, hi_f, ext, norm in self._pieces:
+        for j, (_, inv_f, off_f, lo_f, hi_f, ext, norm) in enumerate(self._pieces):
             # error of x + k - offset, and of its image in unit coordinates
             y_err = 2 * x_err + 4 * _EPS * (xmax + ext + 1)
             guard = 2 * norm * (y_err + (d + 4) * _EPS * (ext + 1))
             lo = np.floor(lo_f - xf - 2 * y_err).astype(np.int64)
             idx, kf = _expand(lo, np.floor(hi_f - xf + 2 * y_err).astype(np.int64) - lo + 1)
             t = (xf[idx] + kf - off_f) @ inv_f.T
-            k = kf - anchor[idx]
             inside = np.all((t >= guard) & (t <= 1 - guard), axis=1)
             unsure = np.flatnonzero(~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1))
             if len(unsure):
-                # den * t of x + k, with k the coefficients of the unit shifts; t in [0, 1)^d
-                b, g = piece.frame(base, [*gens, *np.eye(d, dtype=int).tolist()])
-                nums, den = _numerators(b, g, np.column_stack([c[idx[unsure]], k[unsure]]))
+                i = idx[unsure]  # den * t of x + k at the absolute shifts k; t in [0, 1)^d
+                nums, den = _numerators(frames(j), np.column_stack([c[i], kf[unsure] - anchor[i]]))
                 inside[unsure] = [all(sign(ti, den) >= 0 and sign([ti[0] - den, *ti[1:]], den) < 0
                                       for ti in tp) for tp in nums]
             idx_all.append(idx[inside])
-            k_all.append(k[inside])
+            k_all.append(kf[inside])
         return np.concatenate(idx_all), np.concatenate(k_all)
 
     def count(self, base, gens, coeffs) -> np.ndarray:
         """Per point, the number of (piece, integer shift) pairs that land."""
-        out = []
-        for _, c, xf, x_err in self._blocks(base, gens, coeffs):
-            if self.dim == 1:
-                out.append(sum(hi - lo for lo, hi in self._ranges_1d(base, gens, c, xf, x_err)))
-            else:
-                out.append(np.bincount(self._hits(base, gens, c, xf, x_err)[0],
-                                       minlength=len(xf)))
-        return np.concatenate(out)
+        return np.concatenate([np.bincount(got[0], minlength=len(a)) if self.dim > 1
+                               else sum(hi - lo for lo, hi in got)
+                               for _, a, got in self._blocks(base, gens, coeffs)])
 
     def translates(self, base, gens, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct (point index, integer shift) with x + shift in the region."""
         out = []
-        for start, c, xf, x_err in self._blocks(base, gens, coeffs):
-            if self.dim == 1:
-                pairs = [_expand(lo[:, None], (hi - lo)[:, None])
-                         for lo, hi in self._ranges_1d(base, gens, c, xf, x_err)]
-            else:
-                pairs = [self._hits(base, gens, c, xf, x_err)]
-            rows = np.unique(np.concatenate([np.column_stack(p) for p in pairs]), axis=0)
+        for start, a, got in self._blocks(base, gens, coeffs):
+            pairs = ([_expand(lo[:, None], (hi - lo)[:, None]) for lo, hi in got]
+                     if self.dim == 1 else [got])
+            rows = np.unique(np.vstack([np.column_stack([i, k - a[i]]) for i, k in pairs]), axis=0)
             rows[:, 0] += start  # blocks are contiguous, so the rows stay sorted
             out.append(rows)
         rows = np.concatenate(out)

@@ -23,7 +23,12 @@ from quasilab.lattice import (
     transform_pointset,
     transform_region,
 )
-from quasilab.modelset import dual_model_points, periodic_points, sequence_points
+from quasilab.modelset import (
+    dual_model_points,
+    periodic_points,
+    sequence_points,
+    special_quasicrystal,
+)
 from quasilab.regions import (
     box_region,
     construct_brs_between,
@@ -294,3 +299,32 @@ def test_criterion_12_periodic_density():
     report(12, "periodic density", ok,
            f"density {dens:.6f} vs {target:.6f} "
            f"(diff {abs(dens - target):.2e})", 10.0, time.time() - t0)
+
+
+def test_criterion_13_arithmetic_dichotomy_1d():
+    # the paper's dichotomy for alpha = sqrt2, beta = 1: over the window
+    # (1-sqrt2, 0], whose length is admissible, the BRS [0, sqrt2-1) keeps a
+    # lower Riesz bound; over (-1/2, 0], whose length is not, lambda_min falls
+    # for every region of measure 1/2, including one whose first piece is a BRS
+    t0 = time.time()
+    radii = [25.0, 50.0, 100.0, 200.0, 400.0]
+    cases = [("(1-1*w1,0]", "[0,-1+1*w1)"),
+             ("(1-1*w1,0]", "[0,1/4) U [1,-1/4+1*w1)"),
+             ("(-1/2,0]", "[0,1/2)"),
+             ("(-1/2,0]", "[0,1/4) U [1,5/4)"),
+             ("(-1/2,0]", "[0,-1+1*w1) U [2,7/2-1*w1)")]
+    lmins = []
+    for window, region in cases:
+        pts = special_quasicrystal([W1], [ONE], parse_region_literal(SQRT2, window),
+                                   [(-900, 900)]).restrict_box(400.0)
+        trace = riesz_bound_trace(pts, radii, parse_region_literal(SQRT2, region))
+        lmins.append([r[2] for r in trace.rows])
+    control = lmins[0][-1] >= 0.9 * lmins[0][0]
+    falls = [v[0] / v[-1] for v in lmins[2:]]
+    ok = control and all(f >= 10 for f in falls)
+    report(13, "arithmetic dichotomy (1-D)", ok,
+           "; ".join(f"{w} {r}: " + " -> ".join(f"{v:.2e}" for v in lm)
+                     for (w, r), lm in zip(cases, lmins))
+           + f"; BRS control moves {1 - lmins[0][-1] / lmins[0][0]:.0%}, inadmissible falls "
+           + ", ".join(f"{f:.0f}x" for f in falls),
+           10.0, time.time() - t0)

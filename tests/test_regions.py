@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from quasilab import regions
@@ -821,3 +822,155 @@ def test_membership_decides_value_elements_in_the_band_on_t():
         for decide in (region.pieces[0].contains, lambda x: multiplicity(region, x)):
             with pytest.raises(SignUndecidableError):
                 decide(x)
+
+
+def test_membership_places_value_elements_by_their_float():
+    # a value-declared element has no exact floor: 2^52 * 1.7320508075688772 is an
+    # integer, so a floor by the sign rule would raise in its 1e-9 band; the float
+    # places x instead, and where floats cannot place x the kernel refuses
+    spec = AlgebraSpec.from_text("basis u = value 1.7320508075688772\nproduct u u = 3")
+    u = spec.parse("u")
+    window = parse_region_literal(spec, "[0,2)")
+    assert [multiplicity(window, (u * m,)) for m in (1, 2)] == [2, 2]
+    ks = np.arange(10**6, 10**6 + 500)[:, None]
+    got = window.membership.count((u,), [(u,)], ks)
+    assert got.tolist() == [2] * len(ks)  # [0, 2) holds two translates of every point
+    with pytest.raises(PreconditionError, match="beyond float placement"):
+        window.membership.count((u,), [(u,)], ks + 10**15)
+
+
+def _floor_root(a: int, b: int, t: int, r: int) -> int:
+    """floor((a + b sqrt r) / t) for integers, t > 0 and squarefree r > 1, by isqrt alone:
+    floor(b sqrt r) is isqrt(b^2 r) or -isqrt(b^2 r) - 1, and the floor of the sum
+    divided by t is that of the floors."""
+    s = math.isqrt(b * b * r)
+    return (a + (s if b >= 0 else -s - 1)) // t
+
+
+_AXIS = st.tuples(st.integers(-6, 6), st.integers(-6, 6),  # x0 = (a + b sqrt r) / t
+                  st.integers(-6, 6), st.sampled_from([-3, -2, -1, 1, 2, 3]),  # irrational alpha
+                  st.integers(-6, 6), st.integers(-2, 2),  # lo
+                  st.integers(1, 4), st.integers(-1, 1))  # hi - lo, at most 3 in either unit
+
+
+# batches of 2^14 rows are slow to shrink: report the first failing one as drawn
+@settings(max_examples=20, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    dim=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["orbit", "far", "face", "empty", "nogens"]),
+    t=st.sampled_from([2, 6]),
+    axes=st.lists(_AXIS, min_size=2, max_size=2),
+    left_closed=st.booleans(),
+    shear=st.sampled_from([0, 0, 1, -5]),
+    k0=st.builds(lambda e, u, sign: sign * (10**e + u), st.sampled_from(range(18)),
+                 st.integers(0, 10**6), st.sampled_from([1, -1])),
+    extra=st.integers(1, 40),
+    face=st.tuples(st.integers(0, 1), st.booleans()),
+)
+def test_membership_anchored_blocks_match_isqrt_floors(sqrt23, dim, kind, t, axes, left_closed,
+                                                       shear, k0, extra, face):
+    # axis i of the box carries sqrt(r_i), r = (2, 3), so every coordinate of
+    # x0 + K * alpha is (a + b sqrt r_i) / t over integers and each axis's shifts
+    # are ceil/floor of endpoints minus x, taken with isqrt: absolute shifts at |K|
+    # up to 1e17, not shifts relative to a block anchor
+    roots, axes = (2, 3)[:dim], axes[:dim]
+    assume(all(dl * t + db * math.sqrt(r) > 0 for r, (*_, dl, db) in zip(roots, axes)))
+    left_closed = left_closed or dim == 2  # a 2-D box is half-open [lo, hi)
+
+    def q(a, b, r):
+        b = Fraction(b, t)
+        return QValue(sqrt23, [Fraction(a, t), b * (r == 2), b * (r == 3), 0])
+
+    x0 = [[a, b] for a, b, *_ in axes]
+    if kind in ("face", "nogens"):  # x0 on the lower or upper face of one axis
+        ax = face[0] % dim
+        la, lb, dl, db = axes[ax][4:]
+        x0[ax] = [la + dl * face[1], lb + db * face[1]]
+    lo = [q(la, lb, r) for r, (*_, la, lb, _, _) in zip(roots, axes)]
+    hi = [q(la + dl, lb + db, r) for r, (*_, la, lb, dl, db) in zip(roots, axes)]
+    alpha = tuple(q(aa, ba, r) for r, (_, _, aa, ba, *_) in zip(roots, axes))
+    base = tuple(q(a, b, r) for r, (a, b) in zip(roots, x0))
+    n = 64 + extra if kind == "face" else regions._BLOCK + extra  # else two blocks
+    ks = k0 + np.arange(n)
+    if kind == "far":  # one far row in the second block: its spread forces per-row anchors
+        ks[-extra] = -np.sign(k0) * 10**17
+    gens, rows, big_k = [alpha], ks[:, None], ks.tolist()
+    if kind == "face":  # every other row is (k, k): x0 + k alpha - k alpha = x0, on the face
+        # k steps by 1e11, so the terms of (c - r0) @ gens cancel with float errors ~1e-4
+        d = np.where(np.arange(n) % 2, np.arange(n) % 5 + 1, 0)
+        ks = k0 + np.arange(n) * 10**11
+        gens, rows = [alpha, tuple(-a for a in alpha)], np.column_stack([ks, ks + d])
+        big_k = (-d).tolist()
+    elif kind == "empty":
+        rows, big_k = np.zeros((0, 1), dtype=np.int64), []
+    elif kind == "nogens":  # multiplicity's call
+        gens, rows, big_k = [], np.zeros((1, 0), dtype=np.int64), [0]
+
+    if dim == 2 and shear:  # a sheared parallelepiped: sampled rows against Piece.contains
+        piece = Piece(tuple(lo), ((hi[0] - lo[0], sqrt23.from_rational(Fraction(shear, t))),
+                                  (sqrt23.zero(), hi[1] - lo[1])))
+        kernel = RegionSet(2, [piece]).membership
+        idx, shift = kernel.translates(base, gens, rows)
+        cnt = kernel.count(base, gens, rows)
+        got = {}
+        for i, m in zip(idx.tolist(), shift.tolist()):
+            got.setdefault(i, []).append(tuple(m))
+        corners = np.array([[float(v) for v in c] for c in piece.corners()])
+        sample = {0, 1, 2, regions._BLOCK - 1, regions._BLOCK, n - extra, n - 1}
+        for i in sorted(i for i in sample if i < len(big_k)):
+            x = [b + a * big_k[i] for b, a in zip(base, alpha)]
+            want = [m for m in itertools.product(*[range(
+                math.floor(corners[:, j].min()) - x[j].floor() - 1,
+                math.ceil(corners[:, j].max()) - x[j].floor() + 1) for j in range(2)])
+                if piece.contains([xj + mj for xj, mj in zip(x, m)])]
+            assert got.get(i, []) == want and cnt[i] == len(want)
+        return
+
+    region = interval(lo[0], hi[0], left_closed) if dim == 1 else box_region(sqrt23, lo, hi)
+    kernel = region.membership
+    per_axis = []
+    for r, (a, b, aa, ba, la, lb, dl, db), (xa, xb) in zip(roots, axes, x0):
+        a_k = [xa + aa * k for k in big_k]
+        b_k = [xb + ba * k for k in big_k]
+        if left_closed:  # lo <= x + m < hi: m from ceil(lo - x) = -floor(x - lo)
+            ends = [[-_floor_root(u - ea, v - eb, t, r) for u, v in zip(a_k, b_k)]
+                    for ea, eb in ((la, lb), (la + dl, lb + db))]
+        else:  # lo < x + m <= hi: m from floor(lo - x) + 1
+            ends = [[_floor_root(ea - u, eb - v, t, r) + 1 for u, v in zip(a_k, b_k)]
+                    for ea, eb in ((la, lb), (la + dl, lb + db))]
+        per_axis.append(list(zip(*ends)))
+    want = np.array([(i, *m) for i, spans in enumerate(zip(*per_axis))
+                     for m in itertools.product(*[range(s, e) for s, e in spans])],
+                    dtype=np.int64).reshape(-1, dim + 1)
+    idx, shift = kernel.translates(base, gens, rows)
+    assert np.array_equal(np.column_stack([idx, shift]), want)
+    assert np.array_equal(kernel.count(base, gens, rows),
+                          np.bincount(want[:, 0], minlength=len(big_k)))
+
+
+def test_membership_takes_exact_floors_per_block_not_per_point(sqrt2, sqrt23, monkeypatch):
+    # each orbit holds 16,384 points at a magnitude where floats cannot place x:
+    # at most d exact floors per block (its anchor) plus 2 per guarded 1-D point,
+    # where anchoring every point took 32,768
+    calls = []
+    floor_of = AlgebraSpec.floor_of
+    monkeypatch.setattr(AlgebraSpec, "floor_of",
+                        lambda self, nums, den: calls.append(den) or floor_of(self, nums, den))
+    n = 1 << 14
+    blocks = -(-n // regions._BLOCK)
+    w1 = sqrt2.basis_element("w1")
+    hits = orbit_hits(parse_region_literal(sqrt2, "[0,-1+1*w1)"), w1, 0, 10**17, 10**17 + n - 1)
+    # points within 1e-6 of an endpoint, from 50 digits: a superset of the guarded ones
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        r2 = decimal.Decimal(2).sqrt()
+        frac = [(k * r2) % 1 for k in range(10**17, 10**17 + n)]
+        near = sum(min(abs(f - e) for e in (0, 1, r2 - 1)) < decimal.Decimal("1e-6") for f in frac)
+        assert hits.tolist() == [int(f < r2 - 1) for f in frac]
+    assert len(calls) <= blocks + 2 * near
+    calls.clear()
+    v1, v2 = sqrt23.basis_element("w1"), sqrt23.basis_element("w2")
+    box = box_region(sqrt23, [0, 0], [v1 - 1, v2 - 1])
+    hits = orbit_hits(box, (v1, v2), (0, 0), 10**15, 10**15 + n - 1)
+    assert len(calls) <= 2 * blocks  # a guarded 2-D point is decided by signs alone
+    assert 0 < hits.sum() < n
