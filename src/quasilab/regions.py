@@ -316,7 +316,7 @@ class Membership:
             if len(flagged):  # [a, b): ceil(e - x) = -floor(x - e); (a, b]: floor(e - x)
                 s = 1 if left_closed else -1
                 nums, den = _numerators(form, c[flagged])
-                for i, (n,) in zip(flagged, nums):  # x - e = (n * de - n_e * den) / (den * de)
+                for i, (n,) in zip(flagged, nums):  # x - e is (n * de - e * den) / (den * de)
                     lo[i], hi[i] = (anchor[i, 0] - s * self.spec.floor_of(
                         [s * (v * de - w * den) for v, w in zip(n, e)], den * de) for e in ends_n)
             if not left_closed:
