@@ -196,42 +196,38 @@ def _expand(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _form(base: Sequence[QValue], gens: Sequence[Sequence[QValue]]):
-    """The batch base + c @ gens over one den, taken once: (nums, den) with
-    nums[0] the base's and nums[1 + j] generator j's integer numerators."""
+    """(nums, den): the integer numerators of base (nums[0]) and gens[j] (nums[1 + j])."""
     nums, den = integer_form(list(base) + [v for g in gens for v in g])
     return np.array(nums, dtype=object).reshape(len(gens) + 1, len(base), -1), den
 
 
 def _numerators(form, rows: np.ndarray):
-    """(den * (base + r @ gens) per integer row r, den) from a batch's _form,
-    in Python ints (int64 overflows at |r| ~ 1e15)."""
-    nums, den = form
-    return (nums[0] + np.tensordot(rows.astype(object), nums[1:], 1)).tolist(), den
+    """(den * (base + r @ gens) per integer row r, den) in Python ints, from a _form."""
+    return (form[0][0] + np.tensordot(rows.astype(object), form[0][1:], 1)).tolist(), form[1]
 
 
 class Membership:
     """Guarded float-then-exact membership of point batches in one region.
 
-    A batch is the family x = base + c @ gens over integer rows c, with
-    exact base and generator vectors, taken in blocks of _BLOCK rows.  Since
-    membership of x + k depends on x only mod Z^d, each block is anchored
-    once, exactly, at its first row r0: fine = floor(2^52 x(r0)) by the
-    algebra's floor, A = fine >> 52, the points are placed in floats as
-    xf ~ x - A and their shifts are moved back by A.  A float decision is
-    trusted only outside a guard band around every face; the band bounds the
-    float error from the block's spread |c - r0|, the piece corners and the
-    norm of the piece's inverse, and a block whose spread leaves floats no
-    room is anchored at every row.  Inside the band a point is decided exactly
-    by the algebra's sign and floor rules on the integer numerators of x, so
-    semi-closed boundary hits are decided, not guessed.  One-dimensional
-    pieces count integer translates in closed form, ceil/floor of the
-    endpoints minus x, with two exact floors per piece as the fallback.
+    A batch is the family x = base + c @ gens over integer rows c, lifted with
+    the region into one algebra and taken in blocks of _BLOCK rows.  Membership
+    of x + k depends on x only mod Z^d, so a block is anchored at its first row
+    r0 by fine = floor(2^52 x(r0)), A = fine >> 52: from x(r0)'s float where that
+    is within 2^-20, else by the algebra's exact floor.  Its points are placed in
+    floats as xf ~ x - A, and their shifts are moved back by A.  A float decision
+    is trusted only outside a guard band around every face, bounded from the
+    block's spread |c - r0|, the piece corners and the norm of the piece's
+    inverse; a block whose spread leaves floats no room is anchored at every row.
+    Inside the band a point is decided exactly, on the integer numerators of x.
+    1-D pieces count translates in closed form: ceil/floor of the ends minus x.
     """
 
     def __init__(self, region: RegionSet) -> None:
         self.dim, self.spec = region.dim, region.spec
+        values = (v for p in region.pieces for v in (*p.offset, *itertools.chain(*p.edges)))
+        self._irrational = [v for v in values if not v.is_rational()][:1]
         if self.dim == 1:
-            self._pieces = [(integer_form([a, b]), lc, float(a), float(b), _mag(a) + _mag(b))
+            self._pieces = [(a, b, lc, float(a), float(b), _mag(a) + _mag(b))
                             for a, b, lc in region.intervals()]
             return
         self._pieces = []
@@ -247,58 +243,64 @@ class Membership:
             ))
 
     def _blocks(self, base, gens, coeffs):
-        """(first row, anchors, decisions with shifts relative to the anchors) per block
-        of _BLOCK coefficient rows; the int64 refusal and integer forms are taken once."""
-        c = np.asarray(coeffs, dtype=np.int64)
-        base_mag = max(_mag(v) for v in base)
-        gen_mags = [max(_mag(v) for v in g) for g in gens]
+        """(first row, anchors, decisions with shifts relative to the anchors) per block."""
+        # one algebra for the region and the batch: the first with an irrational value
+        vals = itertools.chain(self._irrational, base, *gens)
+        spec = next((v.spec for v in vals if not v.is_rational()), self.spec)
+        lift = lambda vs: [lift_to(spec, v) for v in vs]  # noqa: E731
+        base, gens = lift(base), [lift(g) for g in gens]
+        c, form = np.asarray(coeffs, dtype=np.int64), None
+        mags = [max(_mag(v) for v in g) for g in (base, *gens)]
 
-        def scale(c) -> float:
+        def scale(c) -> float:  # column extremes as Python ints: abs(-2**63) overflows int64
             """Bound on the terms of every coordinate: |base| + sum_j max|c_j| * |g_j|."""
-            # column extremes as Python ints: abs(-2**63) overflows int64
-            return base_mag + sum(
-                max(-int(c[:, j].min(initial=0)), int(c[:, j].max(initial=0))) * m
-                for j, m in enumerate(gen_mags)
-            )
+            return mags[0] + sum(max(-int(c[:, j].min(initial=0)), int(c[:, j].max(initial=0)))
+                                 * m for j, m in enumerate(mags[1:]))
+
+        @functools.cache
+        def frame(i):
+            """The batch in piece i's unit coordinates; 1-D: s (x - a), s (x - b), s = ±1."""
+            if self.dim > 1:
+                b, g = self._pieces[i][0].frame(base, gens + np.eye(self.dim, dtype=int).tolist())
+                return _form(lift(b), [lift(r) for r in g])
+            s, (lo, hi) = 1 if self._pieces[i][2] else -1, lift(self._pieces[i][:2])
+            return _form([s * (base[0] - e) for e in (lo, hi)], [[s * g[0]] * 2 for g in gens])
 
         if not scale(c) < 2.0 ** 62:
             raise PreconditionError("point magnitudes beyond the int64 range")
         gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
         base_f = np.array([float(v) for v in base])
-        form, eye = _form(base, gens), np.eye(self.dim, dtype=int).tolist()
-        frames = functools.cache(lambda i: _form(*self._pieces[i][0].frame(base, [*gens, *eye])))
-        decide, exact = (self._ranges_1d, form) if self.dim == 1 else (self._hits, frames)
+        decide = functools.partial(self._ranges_1d if self.dim == 1 else self._hits, spec, frame)
         unit = (len(gens) + 4) * _EPS  # xf sums len(gens) + 1 rounded terms
         for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
             cb = c[start:start + _BLOCK]
             span = [int(hi) - int(lo) for lo, hi in zip(cb.min(0), cb.max(0))] if len(cb) else []
-            rows, spread = cb[:1], sum(s * m for s, m in zip(span, gen_mags))
-            if not (unit * spread < 0.25 and max(span, default=0) < 2**53):
+            rows, spread = cb[:1], sum(s * m for s, m in zip(span, mags[1:]))
+            if not (unit * spread < 0.125 and max(span, default=0) < 2**53):
                 rows, spread = cb, 0  # floats leave no room, or c - r0 is inexact: anchor every row
-            # the middle of [fine, fine + 1) * 2^-52 is within 2^-53 of x(rows)
-            x_err = unit * (1 + spread) + 2.0**-53
-            if None in self.spec.radicands:  # no exact floor: x(rows)'s float, and its error
-                x_err += unit * scale(rows)
-                if not x_err < 0.25:
-                    raise PreconditionError("point magnitudes beyond float placement for "
-                                            "value-declared elements; declare them via sqrt")
-                fine = np.floor((base_f + rows @ gens_f) * 2.0**52)
+            # the middle of [fine, fine + 1) * 2^-52 is within 2^-53 of x(rows), and x(rows)'s
+            # float within f_err: below 2^-20 that widens the band by less than a floor costs
+            x_err, f_err = unit * (1 + spread) + 2.0**-53, unit * scale(rows)
+            if f_err < 2.0**-20 or None in spec.radicands:  # value-declared: no exact floor
+                if not (x_err := x_err + f_err) < 0.25:  # below 1/4 if f_err < 2^-20
+                    raise PreconditionError("value-declared elements beyond float placement")
+                fine = np.floor((base_f + rows @ gens_f) * 2.0**52)  # integers, exact in floats
             else:
-                nums, den = _numerators(form, rows)
-                fine = [[self.spec.floor_of([n << 52 for n in v], den) for v in f] for f in nums]
-            fine = np.array([[int(v) for v in f] for f in fine], dtype=object).reshape(-1, self.dim)
-            anchor = np.broadcast_to((fine >> 52).astype(np.int64), (len(cb), self.dim))
-            delta = (cb - rows).astype(np.float64)  # np.dot: matmul is slow for one generator
-            xf = ((fine & (2**52 - 1)).astype(np.float64) + 0.5) * 2.0**-52 + np.dot(delta, gens_f)
-            yield start, anchor, decide(exact, cb, xf, anchor, x_err)
+                nums, den = _numerators(form := form or _form(base, gens), rows)
+                fine = [[spec.floor_of([n << 52 for n in v], den) for v in f] for f in nums]
+                fine = np.array(fine, dtype=object).reshape(-1, self.dim)
+            anchor = np.broadcast_to((fine // 2**52).astype(np.int64), (len(cb), self.dim))
+            xf = np.dot((cb - rows).astype(np.float64), gens_f)  # matmul is slow for one generator
+            xf += ((fine % 2**52).astype(np.float64) + 0.5) * 2.0**-52
+            yield start, anchor, decide(cb, xf, anchor, x_err)
 
-    def _ranges_1d(self, form, c, xf, anchor, x_err) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _ranges_1d(self, spec, frame, c, xf, anchor, x_err) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per piece, the integer translates k of each point, lo <= k - anchor < hi."""
         x = xf[:, 0]
         xmax = np.abs(x).max(initial=0.0)
         y, r = np.empty_like(x), np.empty_like(x)
         out = []
-        for (ends_n, de), left_closed, af, bf, span in self._pieces:
+        for j, (_, _, left_closed, af, bf, span) in enumerate(self._pieces):
             guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
             # y = e - x is near an integer when d = |y - rnd(y)|, in [0, 1),
             # is below guard or above 1 - guard.  d is exact unless |y| < 1,
@@ -315,18 +317,17 @@ class Membership:
             flagged = np.flatnonzero(flag)
             if len(flagged):  # [a, b): ceil(e - x) = -floor(x - e); (a, b]: floor(e - x)
                 s = 1 if left_closed else -1
-                nums, den = _numerators(form, c[flagged])
-                for i, (n,) in zip(flagged, nums):  # x - e is (n * de - e * den) / (den * de)
-                    lo[i], hi[i] = (anchor[i, 0] - s * self.spec.floor_of(
-                        [s * (v * de - w * den) for v, w in zip(n, e)], den * de) for e in ends_n)
+                nums, den = _numerators(frame(j), c[flagged])
+                for i, ends_i in zip(flagged, nums):
+                    lo[i], hi[i] = (anchor[i, 0] - s * spec.floor_of(y, den) for y in ends_i)
             if not left_closed:
                 lo, hi = lo + 1, hi + 1
             out.append((lo, hi))
         return out
 
-    def _hits(self, frames, c, xf, anchor, x_err) -> tuple[np.ndarray, np.ndarray]:
+    def _hits(self, spec, frame, c, xf, anchor, x_err) -> tuple[np.ndarray, np.ndarray]:
         """(point index, integer shift minus its anchor) per piece a shifted point lands in."""
-        d, sign = self.dim, self.spec.sign_of
+        d, sign = self.dim, spec.sign_of
         xmax = np.abs(xf).max(initial=0.0)
         idx_all, k_all = [], []
         for j, (_, inv_f, off_f, lo_f, hi_f, ext, norm) in enumerate(self._pieces):
@@ -340,7 +341,7 @@ class Membership:
             unsure = np.flatnonzero(~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1))
             if len(unsure):
                 i = idx[unsure]  # den * t of x + k at the absolute shifts k; t in [0, 1)^d
-                nums, den = _numerators(frames(j), np.column_stack([c[i], kf[unsure] - anchor[i]]))
+                nums, den = _numerators(frame(j), np.column_stack([c[i], kf[unsure] - anchor[i]]))
                 inside[unsure] = [all(sign(ti, den) >= 0 and sign([ti[0] - den, *ti[1:]], den) < 0
                                       for ti in tp) for tp in nums]
             idx_all.append(idx[inside])

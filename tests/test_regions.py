@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from quasilab import regions
 from quasilab.algebra import (
-    AlgebraSpec, QValue, admissible_decomposition, exact_det, mat_inverse, mat_vec,
+    RATIONAL, AlgebraSpec, QValue, admissible_decomposition, exact_det, mat_inverse, mat_vec,
 )
 from quasilab.dynamics import orbit_hits
-from quasilab.errors import PreconditionError, SearchExhaustedError, SignUndecidableError
+from quasilab.errors import (
+    AlgebraMismatchError, PreconditionError, SearchExhaustedError, SignUndecidableError,
+)
 from quasilab.modelset import periodic_points, special_quasicrystal
 from quasilab.regions import (
     Piece,
@@ -835,7 +837,7 @@ def test_membership_places_value_elements_by_their_float():
     ks = np.arange(10**6, 10**6 + 500)[:, None]
     got = window.membership.count((u,), [(u,)], ks)
     assert got.tolist() == [2] * len(ks)  # [0, 2) holds two translates of every point
-    with pytest.raises(PreconditionError, match="beyond float placement"):
+    with pytest.raises(PreconditionError, match="value-declared elements beyond float placement"):
         window.membership.count((u,), [(u,)], ks + 10**15)
 
 
@@ -974,3 +976,42 @@ def test_membership_takes_exact_floors_per_block_not_per_point(sqrt2, sqrt23, mo
     hits = orbit_hits(box, (v1, v2), (0, 0), 10**15, 10**15 + n - 1)
     assert len(calls) <= 2 * blocks  # a guarded 2-D point is decided by signs alone
     assert 0 < hits.sum() < n
+    calls.clear()  # at k < 2^14 floats place every anchor, and no point is guarded
+    hits = orbit_hits(box, (v1, v2), (0, 0), 0, n - 1)
+    assert calls == [] and 0 < hits.sum() < n
+
+
+def test_membership_lifts_region_and_batch_into_one_algebra(sqrt2, sqrt23):
+    # a rational window, as a window file without algebra lines loads, decides an
+    # irrational batch as the same window declared in the batch's algebra does: the
+    # anchors and the exact fallback must not drop the batch's irrational terms
+    alpha, beta = [sqrt2.parse("w1")], [sqrt2.one()]
+    for m0 in (0, 10**12, 10**17):
+        box = [(m0, m0 + 2000)]
+        got, want = (special_quasicrystal(alpha, beta, parse_region_literal(spec, "(-1/2,0]"), box)
+                     for spec in (RATIONAL, sqrt2))
+        assert len(got.coords) == len(want.coords) > 0
+        assert np.array_equal(got.provenance, want.provenance)
+    v1, v2 = sqrt23.basis_element("w1"), sqrt23.basis_element("w2")
+    base, ks = (sqrt23.zero(), sqrt23.parse("1/2")), np.arange(10**15, 10**15 + 2000)[:, None]
+    sheared = [RegionSet(2, [Piece((spec.parse("1/5"), spec.zero()),
+                                   ((spec.parse("1/2"), spec.parse("1/3")),
+                                    (spec.parse("1/4"), spec.parse("2/3"))))])
+               for spec in (RATIONAL, sqrt23)]
+    got, want = (r.membership.translates(base, [(v1, v2)], ks) for r in sheared)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want)) and len(got[0]) > 0
+    # sqrt 2 minus the float below it: about 1e-16 > 0, inside every guard band,
+    # so the exact fallback decides it, on both sides of the face at 0
+    t = v1 - Fraction(math.nextafter(math.sqrt(2), 0))
+    for dim in (1, 2):
+        for x, want in (((t,), 1), ((-t,), 0)):
+            x = x + (sqrt23.parse("1/6"),) * (dim - 1)
+            assert [box_region(spec, [0] * dim, ["1/2", "1/3"][:dim]).membership.count(
+                x, [], np.zeros((1, 0), dtype=np.int64)).tolist()
+                for spec in (RATIONAL, sqrt23)] == [[want], [want]]
+    window = parse_region_literal(sqrt2, "[0,-1+1*w1)")
+    third = RATIONAL.parse("1/3")  # a rational batch lifts into the window's algebra
+    assert window.membership.count((third,), [(RATIONAL.parse("1/7"),)],
+                                   np.arange(10)[:, None]).tolist() == [1, 0, 0, 0, 0, 1, 1, 1, 0, 0]
+    with pytest.raises(AlgebraMismatchError):  # sqrt(3) is not in Q(sqrt 2)
+        window.membership.count((third,), [(v2,)], np.arange(10)[:, None])
