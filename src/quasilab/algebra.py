@@ -24,7 +24,8 @@ over Python ints with each ``r`` squarefree, and its sign comes from the
 norm tower (:func:`_tower_sign`), exactly and at any magnitude; its floor
 is read off ``math.isqrt`` bounds and brackets with signs only when they
 straddle an integer.  A value with a ``value``-declared basis element is
-decided by its float outside a fixed guard band, or refused.
+decided by its float outside a guard band scaled by the magnitude of its
+terms, or refused.
 """
 
 from __future__ import annotations
@@ -278,17 +279,20 @@ class AlgebraSpec:
         With sqrt descriptors throughout it is the norm tower's over the
         integer terms (:func:`_tower_sign`).  A value with a ``value``-declared
         element is decided by its float (``float(QValue)``'s rule) only
-        outside a 1e-9 guard band.
+        outside a guard band of EMBED_TOL times the magnitude of its terms,
+        max(1, sum |n_l / den * x_l|), the scale ``_check_embedding`` uses.
         """
         terms = self._tower_terms(nums)
         if terms is not None:
             return _tower_sign(terms)
-        f = math.fsum(n / den * x for n, x in zip(nums, self.numerics) if n)
-        if abs(f) > EMBED_TOL:
+        parts = [n / den * x for n, x in zip(nums, self.numerics) if n]
+        f = math.fsum(parts)
+        band = EMBED_TOL * max(1.0, sum(abs(t) for t in parts))
+        if abs(f) > band:
             return 1 if f > 0 else -1
         value = QValue(self, tuple(Fraction(n, den) for n in nums))
         raise SignUndecidableError(
-            f"|{value}| ~ {f} is inside the 1e-9 guard band and has no exact "
+            f"|{value}| ~ {f} is inside the guard band {band:.3g} and has no exact "
             "descriptor; declare the basis element via sqrt to decide"
         )
 

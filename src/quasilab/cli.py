@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 precondition violation, 3 search exhaustion,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -445,6 +446,7 @@ def emit_plotdata(report: dict, kind: str, outdir: Path) -> list[Path]:
 # -- parser wiring ---------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="quasilab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

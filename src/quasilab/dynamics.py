@@ -153,7 +153,8 @@ def discrepancy_trace(
     c = np.zeros(k_hi - k_lo + 1, dtype=np.int64)
     if k_hi > k_lo:
         np.cumsum(orbit_hits(region, alpha, x0, k_lo, k_hi - 1), out=c[1:])
-    values = (c[ns - k_lo] - c[-k_lo]) - ns * mes
+    values = ns * mes
+    np.subtract(c[n_lo - k_lo:n_hi - k_lo + 1] - c[-k_lo], values, out=values)
     return DiscrepancyTrace(
         _alpha_desc(region, alpha), region.describe(), x0, ns, values, mes,
     )
@@ -175,16 +176,24 @@ class BrsStatistic:
 def _sliding_max(g: np.ndarray, w: int) -> np.ndarray:
     """out[i] = max g[max(0, i-w+1) .. i] for i = 0 .. len(g)+w-2.
 
-    Van Herk / Gil-Werman: pad with -inf, cut into blocks of w, and take
-    each window as a block suffix maximum joined with the next block's
-    prefix maximum, so the cost is O(len(g) + w) independent of w.
+    Van Herk / Gil-Werman on the window clamped to v = min(w, len(g)): pad
+    with -inf, cut into blocks of v, and take each window as a block suffix
+    maximum joined with the next block's prefix maximum.  A window longer
+    than g covers all of it at i = v-1 .. w-1, so the entries past v-1 of
+    that run repeat out[v-1] = max(g) (an empty run when w <= len(g)).  The
+    cost is O(len(g)) plus the output.
     """
-    m = len(g) + w - 1
-    tail = w - 1 + (-(m + w - 1)) % w
-    x = np.concatenate([np.full(w - 1, -np.inf), g, np.full(tail, -np.inf)]).reshape(-1, w)
+    v = min(w, len(g))
+    m = len(g) + v - 1
+    tail = v - 1 + (-(m + v - 1)) % v
+    x = np.concatenate([np.full(v - 1, -np.inf), g, np.full(tail, -np.inf)]).reshape(-1, v)
     pre = np.maximum.accumulate(x, axis=1).ravel()
     suf = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suf[:m], pre[w - 1:w - 1 + m])
+    out = np.empty(len(g) + w - 1)
+    np.maximum(suf[:v], pre[v - 1:2 * v - 1], out=out[:v])
+    out[v:w] = out[v - 1]
+    np.maximum(suf[v:m], pre[2 * v - 1:v - 1 + m], out=out[w:])
+    return out
 
 
 def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:

@@ -469,6 +469,23 @@ def test_sign_undecidable_without_descriptor():
         (u - 1).sign()  # inside the guard band, no sqrt descriptor
 
 
+def test_value_element_band_scales_with_its_terms():
+    # n*u - m with m = isqrt(3 n^2) is positive, but its float is the rounded
+    # difference of two terms near 8.9e15; a band of 1e-9 times the terms'
+    # magnitude refuses it where a fixed 1e-9 band read -1
+    spec = AlgebraSpec.from_text("basis u = value 1.7320508075688772\nproduct u u = 3")
+    n = 5150000000000045
+    m = math.isqrt(3 * n * n)
+    assert m == 8920061658979796
+    with pytest.raises(SignUndecidableError, match="guard band"):
+        spec.sign_of([-m, n], 1)
+    # terms whose magnitudes sum to at most 1 keep the 1e-9 band
+    assert spec.sign_of([-1, 0], 2) == -1
+    assert spec.sign_of([-1732050801, 10**9], 4 * 10**9) == 1  # about 1.6e-9 over 0.87
+    with pytest.raises(SignUndecidableError):
+        spec.sign_of([-17320508075, 10**10], 2 * 10**10)
+
+
 def test_parse_roundtrip(sqrt23):
     v = sqrt23.parse("3/2 + 1*w1 - 2*w2")
     assert sqrt23.parse(str(v)) == v

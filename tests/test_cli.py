@@ -411,6 +411,42 @@ def test_exit_codes(tmp_path):
     assert exc.value.code == 64
 
 
+def test_repeated_main_calls_write_what_lone_calls_write(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process, so no call may leave state behind
+    # for the next, a failed one or a store_true flag included
+    disc = ["disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "500"]
+    calls = [
+        [*disc, "--x0", "1/3"],
+        [*disc, "--alpha", "w9"],  # unknown basis name: exit 2
+        ["gen", "--alpha", "w1", "--beta", "1", "--window", "(-1,0]", "--range", "50"],
+        [*disc, "--two-sided"],
+        disc,
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    src = str(Path(quasilab.__file__).resolve().parent.parent)
+
+    def written(outdir: Path) -> dict:
+        return {p.name: p.read_bytes() for p in outdir.iterdir()} if outdir.exists() else {}
+
+    lone = []
+    for i, argv in enumerate(calls):
+        cwd = tmp_path / f"lone{i}"
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "quasilab.cli", *argv, "--out", f"o{i}"],
+                              capture_output=True, text=True, cwd=cwd,
+                              env={**os.environ, "PYTHONPATH": src})
+        lone.append((proc.returncode, proc.stdout, proc.stderr, written(cwd / f"o{i}")))
+    assert [rc for rc, *_ in lone] == [0, 2, 0, 0, 0]
+
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    for i, argv in enumerate(calls):
+        rc = cli.main([*argv, "--out", f"o{i}"])
+        out, err = capsys.readouterr()
+        assert (rc, out, err, written(here / f"o{i}")) == lone[i], argv
+
+
 def test_points_outside_int64_refused(tmp_path, capsys):
     points = tmp_path / "big.csv"
     points.write_text("# quasilab pointset v1 dim=1\n0.5,9223372036854775808,1\n")

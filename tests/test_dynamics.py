@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -99,6 +100,18 @@ def test_trace_negative_only_range_against_per_k_count(sqrt2, half):
     want = [-sum(hit[k] for k in range(n, 0)) - n * 0.5 for n in range(-300, -99)]
     assert tr.ns.tolist() == list(range(-300, -99))
     assert tr.values.tolist() == want
+
+
+@pytest.mark.parametrize("lo, hi, two_sided", [
+    (100, 300, False), (-150, 250, True), (-300, -100, True), (0, 0, False), (-1, -1, True),
+])
+def test_trace_sub_range_is_a_slice_of_a_wider_trace(sqrt2, half, lo, hi, two_sided):
+    # the counts are exact integers, so D_n does not depend on the range around n
+    a, x = sqrt2.basis_element("w1"), sqrt2.parse("1/3")
+    wide = discrepancy_trace(half, a, x, (-400, 400), two_sided=True)
+    tr = discrepancy_trace(half, a, x, (lo, hi), two_sided=two_sided)
+    assert tr.ns.tolist() == list(range(lo, hi + 1))
+    assert np.array_equal(tr.values, wide.values[lo + 400:hi + 401])
 
 
 def test_float_alpha_refused(half):
@@ -286,6 +299,39 @@ def test_brs_matches_deque_reference(sqrt2, half, hecke):
         for N, J in ((60, 40), (7, 5), (1, 0), (10, 10), (500, 300)):
             stat = brs_empirical(region, a, N, J)
             assert (stat.value, stat.argmax_n, stat.argmax_j) == _brs_reference(region, a, N, J)
+
+
+def test_brs_long_windows_match_deque_reference(sqrt2, half, hecke):
+    # N > 2J + 1: every window length reaches past all 2J + 1 starts, the
+    # benchmark's shape (N = 200,000 against J = 20,000)
+    a = sqrt2.basis_element("w1")
+    for region in (hecke, half):
+        for N, J in ((200, 30), (1000, 0), (5000, 400)):
+            stat = brs_empirical(region, a, N, J)
+            assert (stat.value, stat.argmax_n, stat.argmax_j) == _brs_reference(region, a, N, J)
+
+
+def test_sliding_max_against_brute_force():
+    rng = np.random.default_rng(7)
+    for n in range(1, 41):
+        g = rng.integers(-5, 6, n).astype(float)  # small integers, so windows tie
+        for w in range(1, 3 * n + 1):
+            want = np.array([g[max(0, i - w + 1):i + 1].max() for i in range(n + w - 1)])
+            assert np.array_equal(dynamics._sliding_max(g, w), want), (n, w)
+
+
+def test_sliding_max_allocates_about_its_output():
+    # a window far longer than g costs the output, not a -inf padding of 2w
+    g = np.arange(10.0)
+    w = 10**6
+    tracemalloc.start()
+    try:
+        out = dynamics._sliding_max(g, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(g) + w - 1 and out[-1] == 9.0
+    assert peak <= 4 * out.nbytes
 
 
 def test_brs_bounded_vs_growth(sqrt2, half, hecke):
