@@ -26,6 +26,18 @@ is read off ``math.isqrt`` bounds and brackets with signs only when they
 straddle an integer.  A value with a ``value``-declared basis element is
 decided by its float outside a guard band scaled by the magnitude of its
 terms, or refused.
+
+Values from different declarations meet by one rule, :func:`join`: a group
+of values (QValues, ints, Fractions) combines in the algebra of its first
+irrational value, else of its first QValue, else in ``RATIONAL``, and two
+algebras that both hold irrational values raise AlgebraMismatchError.
+Every entry that mixes inputs goes through it: the membership kernel
+(orbits, ``multiplicity`` and the point generators), ``RegionSet.spec`` and
+``translate``, ``interval``, ``box_region``, ``Lattice.spec``, the
+special-form lattice, ``transform_region``, ``make_certificate``,
+``construct_brs_between``, ``duality_experiment``,
+:func:`module_membership` and :func:`admissible_decomposition`; QValue
+arithmetic applies it to each pair.
 """
 
 from __future__ import annotations
@@ -513,21 +525,40 @@ def parse_algebra(literal: str) -> AlgebraSpec:
 RATIONAL = AlgebraSpec(["1"], [Fraction(1)], [1.0])
 
 
-def lift_to(spec: AlgebraSpec, x: "QValue") -> "QValue":
+def lift_to(spec: AlgebraSpec, x: "QValue | RationalLike | float") -> "QValue":
     """Re-express a value over a compatible algebra declaration.
 
-    Identical declarations transfer coefficientwise; rational values lift
-    into any algebra; anything else is a mismatch.
+    Rational values (and ints, Fractions and floats, as their exact
+    rationals) lift into any algebra; identical declarations transfer
+    coefficientwise; anything else is a mismatch.
     """
+    if not isinstance(x, QValue):
+        return spec.from_rational(x)
     if x.spec is spec:
         return x
-    if x.spec == spec:
-        return QValue(spec, x.coeffs)
     if x.is_rational():
         return spec.from_rational(x.coeffs[0])
+    if x.spec == spec:
+        return QValue(spec, x.coeffs)
     raise AlgebraMismatchError(
         "cannot combine values from different algebra declarations"
     )
+
+
+def join(*groups: Iterable) -> tuple[AlgebraSpec, list[list["QValue"]]]:
+    """The algebra in which groups of values combine, and each group lifted into it.
+
+    This is the library's one rule for mixing algebras.  The algebra is
+    that of the first value holding an irrational part (a nonzero
+    coefficient past the unit), else the first QValue's, else RATIONAL;
+    ints, Fractions and floats count as rationals.  An irrational value
+    from a second algebra raises AlgebraMismatchError.
+    """
+    groups = [list(g) for g in groups]
+    qvalues = [v for g in groups for v in g if isinstance(v, QValue)]
+    spec = next((v.spec for v in qvalues if not v.is_rational()),
+                qvalues[0].spec if qvalues else RATIONAL)
+    return spec, [[lift_to(spec, v) for v in g] for g in groups]
 
 
 def integer_form(values: Sequence["QValue"]) -> tuple[list[list[int]], int]:
@@ -561,16 +592,13 @@ class QValue:
     # -- coercion ------------------------------------------------------------
 
     def _coerce(self, other) -> "QValue":
+        # join's rule for a pair: other lifted into self's algebra, unless self
+        # is rational and other irrational in another, where the caller swaps roles
         if isinstance(other, QValue):
-            if other.spec is self.spec or other.spec == self.spec:
-                return lift_to(self.spec, other)
-            if other.is_rational():
-                return self.spec.from_rational(other.coeffs[0])
-            if self.is_rational():
-                return other  # handled by caller swapping roles
-            raise AlgebraMismatchError(
-                "cannot combine values from different algebra declarations"
-            )
+            if (other.spec is not self.spec and self.is_rational()
+                    and not other.is_rational()):
+                return other
+            return lift_to(self.spec, other)
         if isinstance(other, (int, Fraction)):
             return self.spec.from_rational(other)
         return NotImplemented  # type: ignore[return-value]
@@ -802,11 +830,7 @@ def module_membership(
     """
     if len(v) != len(alpha):
         raise PreconditionError("v and alpha must have the same length")
-    spec = next((x.spec for x in list(v) + list(alpha) if not x.is_rational()), None)
-    if spec is None:
-        spec = v[0].spec if v else RATIONAL
-    v = [lift_to(spec, x) for x in v]
-    alpha = [lift_to(spec, x) for x in alpha]
+    spec, (v, alpha) = join(v, alpha)
     k = spec.dim
 
     # Irrational coordinates (l >= 1) pin n: v_i^(l) = n * alpha_i^(l).
@@ -860,11 +884,8 @@ def admissible_decomposition(
     be linearly independent over Q (which the special-form rank check
     certifies).
     """
-    spec = gamma.spec if not gamma.is_rational() else (
-        next((a.spec for a in alpha if not a.is_rational()), gamma.spec)
-    )
-    gamma = lift_to(spec, gamma)
-    basis = [spec.one()] + [lift_to(spec, a) for a in alpha]
+    spec, ((gamma,), alpha) = join((gamma,), alpha)
+    basis = [spec.one()] + alpha
     mat = [[b.coeffs[l] for b in basis] for l in range(spec.dim)]
     status, sol = solve_rational(mat, list(gamma.coeffs))
     if status == "none":

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import QValue, lift_to
+from .algebra import QValue, join
 from .errors import PreconditionError
 from .modelset import PointSet
 from .regions import RegionSet
@@ -38,21 +38,14 @@ _BMO_BLOCK = 1 << 15
 _EPS = 2.0 ** -53  # unit roundoff of float64
 
 
-def _as_qvalue(spec, x) -> QValue:
-    if isinstance(x, QValue):
-        return lift_to(spec, x)
-    return spec.from_rational(Fraction(x))
-
-
 def _alpha_vector(region: RegionSet, alpha) -> tuple[QValue, ...]:
-    spec = region.spec
     if isinstance(alpha, (QValue, int, Fraction, float)):
         alpha = (alpha,)
     if any(isinstance(a, float) for a in alpha):
         raise PreconditionError(
             "alpha must be exact: a QValue, int or Fraction per coordinate, not a float"
         )
-    vec = tuple(_as_qvalue(spec, a) for a in alpha)
+    vec = tuple(join(region.values, alpha)[1][1])
     if len(vec) != region.dim:
         raise PreconditionError("alpha dimension does not match the region")
     return vec
@@ -64,12 +57,11 @@ def _alpha_desc(region: RegionSet, alpha) -> str:
 
 def _x0_vector(region: RegionSet, x0) -> tuple[QValue, ...]:
     """The start point as a vector: None is the zero vector, a scalar a 1-vector."""
-    spec = region.spec
     if x0 is None:
-        return tuple(spec.zero() for _ in range(region.dim))
-    if not isinstance(x0, (tuple, list, np.ndarray)):
+        x0 = (0,) * region.dim
+    elif not isinstance(x0, (tuple, list, np.ndarray)):
         x0 = (x0,)
-    vec = tuple(_as_qvalue(spec, v) for v in x0)
+    vec = tuple(join(region.values, x0)[1][1])
     if len(vec) != region.dim:
         raise PreconditionError("x0 dimension does not match the region")
     return vec

@@ -8,7 +8,6 @@ for point provenance.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ from .algebra import (
     QValue,
     coeff_rank,
     exact_det,
-    lift_to,
+    join,
     mat_inverse,
     mat_mul,
     mat_transpose,
@@ -29,7 +28,10 @@ from .errors import PreconditionError
 
 
 class Lattice:
-    """Lattice given by an exact basis matrix (columns are generators)."""
+    """Lattice given by an exact basis matrix (columns are generators).
+
+    ``spec`` is the :func:`~quasilab.algebra.join` of the basis entries.
+    """
 
     def __init__(self, dim_d: int, basis: QMatrix) -> None:
         n = dim_d + 1
@@ -40,12 +42,9 @@ class Lattice:
             raise PreconditionError("basis matrix is singular")
         self.dim_d = dim_d
         self.basis = tuple(tuple(row) for row in basis)
+        self.spec: AlgebraSpec = join(*self.basis)[0]
         self._det = det
         self._dual: Optional["Lattice"] = None
-
-    @property
-    def spec(self) -> AlgebraSpec:
-        return self.basis[0][0].spec
 
     @property
     def det(self) -> QValue:
@@ -95,14 +94,6 @@ def dual_lattice(lat: Lattice) -> Lattice:
     return lat.dual
 
 
-def lift_special(
-    alpha: Sequence[QValue], beta: Sequence[QValue]
-) -> tuple[AlgebraSpec, list[QValue], list[QValue]]:
-    """(spec, alpha, beta) lifted into the algebra of their first irrational entry."""
-    spec = next((v.spec for v in [*alpha, *beta] if not v.is_rational()), alpha[0].spec)
-    return spec, [lift_to(spec, a) for a in alpha], [lift_to(spec, b) for b in beta]
-
-
 def check_special_form(alpha: Sequence[QValue], beta: Sequence[QValue]) -> None:
     """Exact rank checks for the two independence conditions.
 
@@ -113,7 +104,7 @@ def check_special_form(alpha: Sequence[QValue], beta: Sequence[QValue]) -> None:
     d = len(alpha)
     if len(beta) != d or d == 0:
         raise PreconditionError("alpha and beta must be nonempty, equal length")
-    spec, alpha, beta = lift_special(alpha, beta)
+    spec, (alpha, beta) = join(alpha, beta)
     one = spec.one()
     if coeff_rank([one] + list(alpha)) != d + 1:
         raise PreconditionError(
@@ -143,7 +134,7 @@ def make_special_lattice(
     """
     check_special_form(alpha, beta)
     d = len(alpha)
-    spec, alpha, beta = lift_special(alpha, beta)
+    spec, (alpha, beta) = join(alpha, beta)
     one, zero = spec.one(), spec.zero()
 
     g = [[zero] * (d + 1) for _ in range(d + 1)]
@@ -240,7 +231,7 @@ def transform_pointset(points, a) -> "PointSet":
     is decided exactly, with float and int entries as their exact rationals."""
     from .modelset import PointSet
 
-    if exact_det([[v if isinstance(v, QValue) else Fraction(v) for v in row] for row in a]) == 0:
+    if exact_det(join(*a)[1]) == 0:
         raise PreconditionError("transform matrix is singular")
     a_f = np.array(
         [[float(v) for v in row] for row in a]
@@ -261,15 +252,8 @@ def transform_region(region, m) -> "RegionSet":
     """
     from .regions import Piece, RegionSet
 
-    spec = region.spec
     d = region.dim
-
-    def q(entry) -> QValue:
-        if isinstance(entry, QValue):
-            return lift_to(spec, entry)
-        return spec.from_rational(Fraction(entry))
-
-    mq = [[q(m[i][j]) for j in range(d)] for i in range(d)]
+    _, (_, *mq) = join(region.values, *([m[i][j] for j in range(d)] for i in range(d)))
     if exact_det(mq) == 0:
         raise PreconditionError("transform matrix is singular")
     pieces = []

@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import QValue, integer_form, lift_to
+from .algebra import QValue, integer_form, join
 from .errors import PreconditionError
-from .lattice import Lattice, check_special_form, lift_special
+from .lattice import Lattice, check_special_form
 from .regions import RegionSet, interval
 
 __all__ = [
@@ -186,9 +186,8 @@ def _affine_points(
     a row it cannot prove runs that rule on Python ints (no fixed-width
     overflow), so each coordinate is ``float`` of the exact value, bit for bit.
     """
-    spec = next((v.spec for row in mat for v in row if not v.is_rational()),
-                mat[0][0].spec)
-    nums, den = integer_form([lift_to(spec, v) for row in mat for v in row])
+    spec, (vals,) = join(v for row in mat for v in row)
+    nums, den = integer_form(vals)
     # per coordinate, per basis element: the numerators over the provenance
     rows = [nums[i:i + len(mat[0])] for i in range(0, len(nums), len(mat[0]))]
     cols = [[[n[l] for n in row] for l in range(spec.dim)] for row in rows]
@@ -317,7 +316,7 @@ def special_quasicrystal(
     d = len(alpha)
     if len(m_box) != d:
         raise PreconditionError(f"m box needs {d} coordinate ranges")
-    spec, alpha, beta = lift_special(alpha, beta)
+    spec, (alpha, beta) = join(alpha, beta)
     ms = _grid(m_box, "m box")
     idx, ns = window.membership.translates((spec.zero(),), [(-a,) for a in alpha], ms)
     one, zero = spec.one(), spec.zero()
@@ -344,16 +343,11 @@ def dual_model_points(
     d = len(alpha)
     if region.dim != d:
         raise PreconditionError("region dimension must match alpha")
-    spec = region.spec
-    alpha = [lift_to(spec, a) for a in alpha]
-    beta = [lift_to(spec, b) for b in beta]
     ns = _grid([n_range], "n range")
-    idx, ms = region.membership.translates(
-        tuple(spec.zero() for _ in range(d)), [tuple(alpha)], ns
-    )
+    idx, ms = region.membership.translates((0,) * d, [tuple(alpha)], ns)
     prov = np.column_stack([ms, ns[idx]])
     prov = prov[np.lexsort(prov.T[::-1])]
-    mat = [list(beta) + [sum((a * b for a, b in zip(alpha, beta)), spec.one())]]
+    mat = [list(beta) + [sum((a * b for a, b in zip(alpha, beta)), 1)]]
     return _affine_points(mat, prov, region.describe())
 
 
@@ -369,8 +363,7 @@ def sequence_points(
     floor(alpha^T m): provenance stores (m_1..m_d, floor(alpha^T m)).
     """
     check_special_form(alpha, beta)
-    spec = lift_special(alpha, beta)[0]
-    window = interval(spec.from_rational(-1), spec.zero(), left_closed=False)
+    window = interval(-1, 0, left_closed=False)
     pts = special_quasicrystal(alpha, beta, window, m_box)
     pts.window = "sequence"
     return pts
@@ -393,13 +386,10 @@ def periodic_points(
     length = window.volume()
     if not (length.sign() > 0 and (length - 1).sign() < 0):
         raise PreconditionError("window length must lie in (0, 1)")
-    spec = window.spec
     ns = _grid(n_box, "n box")
     # the count of integer translates of <n, alpha> into the window is
     # exactly the mod-1 membership indicator for sub-unit windows
-    chi = window.membership.count(
-        (spec.zero(),), [(lift_to(spec, a),) for a in alpha], ns
-    )
+    chi = window.membership.count((0,), [(a,) for a in alpha], ns)
     keep = ns[chi > 0]
     return PointSet(d, keep.astype(float), keep, window.describe())
 
@@ -413,13 +403,8 @@ def periodic_dual(
     d = len(alpha)
     if region.dim != d:
         raise PreconditionError("region dimension must match alpha")
-    spec = region.spec
     ms = _grid([m_range], "m range")
-    chi = region.membership.count(
-        tuple(spec.zero() for _ in range(d)),
-        [tuple(-lift_to(spec, a) for a in alpha)],
-        ms,
-    )
+    chi = region.membership.count((0,) * d, [tuple(-a for a in alpha)], ms)
     keep = ms[chi > 0]
     return PointSet(1, keep.astype(float), keep, region.describe())
 

@@ -13,17 +13,18 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
+    RATIONAL,
     AlgebraSpec,
     QValue,
     admissible_decomposition,
     exact_det,
     integer_form,
+    join,
     lift_to,
     mat_adjugate,
     mat_inverse,
@@ -50,10 +51,6 @@ class Piece:
     @property
     def dim(self) -> int:
         return len(self.offset)
-
-    @property
-    def spec(self) -> AlgebraSpec:
-        return self.offset[0].spec
 
     def det(self) -> QValue:
         return exact_det(self.edges)
@@ -92,7 +89,11 @@ def _vec_text(v: Sequence[QValue]) -> str:
 
 
 class RegionSet:
-    """Finite union of half-open parallelepiped pieces in R^d."""
+    """Finite union of half-open parallelepiped pieces in R^d.
+
+    ``values`` holds every exact entry, offsets then edge rows piece by
+    piece, and ``spec`` is their :func:`~quasilab.algebra.join`.
+    """
 
     def __init__(self, dim: int, pieces: Sequence[Piece]) -> None:
         if not pieces:
@@ -104,10 +105,8 @@ class RegionSet:
                 raise PreconditionError("degenerate piece (singular edges)")
         self.dim = dim
         self.pieces = tuple(pieces)
-
-    @property
-    def spec(self) -> AlgebraSpec:
-        return self.pieces[0].spec
+        self.values = tuple(v for p in self.pieces for v in (*p.offset, *itertools.chain(*p.edges)))
+        self.spec: AlgebraSpec = join(self.values)[0]
 
     def volume(self) -> QValue:
         total = self.pieces[0].volume()
@@ -116,7 +115,7 @@ class RegionSet:
         return total
 
     def translate(self, t: Sequence[QValue]) -> "RegionSet":
-        t = [lift_to(self.spec, v) for v in t]
+        t = join(self.values, t)[1][1]
         return RegionSet(
             self.dim,
             [
@@ -223,9 +222,7 @@ class Membership:
     """
 
     def __init__(self, region: RegionSet) -> None:
-        self.dim, self.spec = region.dim, region.spec
-        values = (v for p in region.pieces for v in (*p.offset, *itertools.chain(*p.edges)))
-        self._irrational = [v for v in values if not v.is_rational()][:1]
+        self.dim, self._values = region.dim, region.values
         if self.dim == 1:
             self._pieces = [(a, b, lc, float(a), float(b), _mag(a) + _mag(b))
                             for a, b, lc in region.intervals()]
@@ -244,11 +241,8 @@ class Membership:
 
     def _blocks(self, base, gens, coeffs):
         """(first row, anchors, decisions with shifts relative to the anchors) per block."""
-        # one algebra for the region and the batch: the first with an irrational value
-        vals = itertools.chain(self._irrational, base, *gens)
-        spec = next((v.spec for v in vals if not v.is_rational()), self.spec)
+        spec, (_, base, *gens) = join(self._values, base, *gens)
         lift = lambda vs: [lift_to(spec, v) for v in vs]  # noqa: E731
-        base, gens = lift(base), [lift(g) for g in gens]
         c, form = np.asarray(coeffs, dtype=np.int64), None
         mags = [max(_mag(v) for v in g) for g in (base, *gens)]
 
@@ -369,9 +363,7 @@ class Membership:
 
 def interval(a: QValue, b: QValue, left_closed: bool = True) -> RegionSet:
     """Semi-closed interval [a,b) or (a,b] with exact endpoints."""
-    spec = a.spec if not a.is_rational() else b.spec
-    a = lift_to(spec, a)
-    b = lift_to(spec, b)
+    a, b = join((a, b))[1][0]
     if (b - a).sign() <= 0:
         raise PreconditionError("interval endpoints must satisfy a < b")
     if left_closed:
@@ -390,8 +382,11 @@ def union(*regions: RegionSet) -> RegionSet:
 
 
 def box_region(spec: AlgebraSpec, lows: Sequence, highs: Sequence) -> RegionSet:
-    """Axis-aligned half-open box [lo_1,hi_1) x ... x [lo_d,hi_d)."""
-    lows, highs = _as_qpoint(spec, lows), _as_qpoint(spec, highs)
+    """Axis-aligned half-open box [lo_1,hi_1) x ... x [lo_d,hi_d).
+
+    The corners join with ``spec``, which holds them when they are rational.
+    """
+    lows, highs = join([spec.zero()], lows, highs)[1][1:]
     d = len(lows)
     zero = spec.zero()
     edges = tuple(
@@ -472,20 +467,9 @@ def ft_indicator(region: RegionSet, t) -> complex | np.ndarray:
     return out.reshape(t_arr.shape if d == 1 else t_arr.shape[:-1])
 
 
-def _as_qpoint(spec: AlgebraSpec, x: Sequence) -> tuple[QValue, ...]:
-    out = []
-    for xi in x:
-        if isinstance(xi, QValue):
-            out.append(lift_to(spec, xi))
-        else:
-            out.append(spec.from_rational(Fraction(xi)))
-    return tuple(out)
-
-
 def multiplicity(region: RegionSet, x: Sequence) -> int:
     """Number of integer translates of x landing in the region (exact)."""
-    point = _as_qpoint(region.spec, x)
-    return int(region.membership.count(point, [], np.zeros((1, 0)))[0])
+    return int(region.membership.count(x, [], np.zeros((1, 0)))[0])
 
 
 def check_disjoint(region: RegionSet) -> list[tuple[int, int]]:
@@ -674,11 +658,10 @@ def make_certificate(
     target: RegionSet,
     shifts: Sequence[Sequence[QValue]],
 ) -> EquidecompCertificate:
-    spec = source.spec
-    alpha = tuple(lift_to(spec, a) for a in alpha)
-    shifts_q = tuple(tuple(lift_to(spec, v) for v in s) for s in shifts)
-    witnesses = tuple(module_membership(s, alpha) for s in shifts_q)
-    return EquidecompCertificate(alpha, source, target, shifts_q, witnesses)
+    _, alpha, *shifts = join(source.values, alpha, *shifts)[1]
+    witnesses = tuple(module_membership(s, alpha) for s in shifts)
+    return EquidecompCertificate(tuple(alpha), source, target,
+                                 tuple(map(tuple, shifts)), witnesses)
 
 
 def verify_equidecomposition(cert: EquidecompCertificate) -> Verdict:
@@ -780,9 +763,7 @@ def construct_brs_between(
     d = region_k.dim
     if region_u.dim != d or len(alpha) != d:
         raise PreconditionError("dimension mismatch between K, U and alpha")
-    spec = region_u.spec
-    alpha = tuple(lift_to(spec, a) for a in alpha)
-    gamma = lift_to(spec, gamma)
+    spec, (_, _, alpha, (gamma,)) = join(region_u.values, region_k.values, alpha, (gamma,))
     if admissible_decomposition(alpha, gamma) is None:
         raise PreconditionError(
             "target measure is not an integer combination of 1, alpha_i"
@@ -952,14 +933,7 @@ def region_from_text(text: str) -> RegionSet:
             raise PreconditionError(f"bad region line: {raw!r}")
     if dim is None or not piece_lines:
         raise PreconditionError("region text needs dim and at least one piece")
-    spec = (
-        AlgebraSpec.from_text("\n".join(algebra_lines))
-        if algebra_lines
-        else None
-    )
-    from .algebra import RATIONAL
-
-    spec = spec or RATIONAL
+    spec = AlgebraSpec.from_text("\n".join(algebra_lines)) if algebra_lines else RATIONAL
     pieces = []
     for pl in piece_lines:
         fields = {}

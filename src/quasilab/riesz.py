@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import QValue, admissible_decomposition, lift_to
+from .algebra import QValue, admissible_decomposition, join
 from .errors import PreconditionError, QuasilabError
 from .lattice import make_special_lattice
 from .modelset import PointSet, dual_model_points, special_quasicrystal
@@ -447,14 +447,12 @@ def duality_experiment(
     A measure mismatch between the region and the window is a warning (the
     density necessary condition fails), not an error.
     """
-    gamma, _ = make_special_lattice(alpha, beta)
-    spec = gamma.spec
-    alpha = [lift_to(spec, a) for a in alpha]
-    beta = [lift_to(spec, b) for b in beta]
+    make_special_lattice(alpha, beta)
+    _, (alpha, beta) = join(alpha, beta)
     translate_f = None
     if translate is not None:
-        region = region.translate([lift_to(spec, t) for t in translate])
-        translate_f = [float(lift_to(spec, t)) for t in translate]
+        region = region.translate(translate)
+        translate_f = [float(t) for t in translate]
     length_q = window.volume()
     mes_q = region.volume()
     warning = None

@@ -338,6 +338,55 @@ def test_duality_config_run(tmp_path):
     assert rep["config_echo"]["alpha"] == "w1"
 
 
+def test_rational_region_file_runs_as_the_literal(tmp_path, capsys):
+    # a region file without algebra lines loads in the rational algebra and
+    # joins the orbit's Q(sqrt 2): every artifact is the literal's, byte for byte
+    (tmp_path / "half.txt").write_text("dim = 1\npiece offset = 0 | edges = 1/2\n")
+    written = {}
+    for name, region in (("literal", "[0,1/2)"), ("file", f"@{tmp_path / 'half.txt'}")):
+        out = tmp_path / name
+        assert run_cli("disc", "--set", region, "--alpha", "w1", "--n", "3000",
+                       "--out", str(out)) == 0
+        assert run_cli("brs-test", "--set", region, "--alpha", "w1", "--N", "2000",
+                       "--J", "200", "--out", str(out)) == 0
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("[duality]\nalgebra = sqrt:2\nalpha = w1\nbeta = 1\nwindow = (-1/2,0]\n"
+                       f"region = {region}\nradii = 8,16\nn_max = 16\nk_bound = 150\n"
+                       f"outdir = {out}\n")
+        assert run_cli("duality", "--config", str(cfg)) == 0
+        written[name] = [(out / f).read_bytes() for f in
+                         ("trace.csv", "brs_test.json", "primal_bounds.csv", "dual_bounds.csv")]
+    assert written["file"] == written["literal"]
+    # a region in Q(sqrt 3) holding sqrt 3 does not join an orbit of sqrt 2
+    (tmp_path / "root3.txt").write_text(region_to_text(
+        parse_region_literal(parse_algebra("sqrt:3"), "[0,-1+1*w1)")))
+    assert run_cli("disc", "--set", f"@{tmp_path / 'root3.txt'}", "--alpha", "w1",
+                   "--n", "100", "--out", str(tmp_path)) == 2
+    assert "different algebra declarations" in capsys.readouterr().err
+
+
+def test_duality_2d_box_pair(tmp_path):
+    # the paper's dichotomy in 2-D: alpha = beta = (sqrt2, sqrt3) over the
+    # admissible window (1-sqrt2, 0]; the box [0,sqrt2-1) x [0,1), a BRS, keeps
+    # its lower Riesz bound, and the box [0,1) x [0,sqrt2-1), not a BRS, loses it
+    s23 = parse_algebra("sqrt:2,3")
+    w1 = s23.basis_element("w1")
+    lmin = {}
+    for name, high in (("brs", [w1 - 1, 1]), ("other", [1, w1 - 1])):
+        (tmp_path / f"{name}.txt").write_text(region_to_text(box_region(s23, [0, 0], high)))
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("[duality]\nalgebra = sqrt:2,3\nalpha = w1,w2\nbeta = w1,w2\n"
+                       f"window = (1-1*w1,0]\nregion = @{tmp_path / name}.txt\n"
+                       f"radii = 4,8,16,24\noutdir = {tmp_path / name}\n")
+        assert run_cli("duality", "--config", str(cfg)) == 0
+        rep = json.loads((tmp_path / name / "duality_report.json").read_text())
+        lmin[name] = {row["R"]: row["lambda_min"] for row in rep["primal_trace"]["rows"]}
+    brs, other = lmin["brs"], lmin["other"]
+    assert brs[24] >= 10 * other[24]  # measured 27x
+    assert abs(brs[24] / brs[16] - 1) <= 0.1  # measured 3 %
+    assert other[16] >= 2 * other[24]  # measured 2.9x
+
+
 def _report_cfg(tmp_path) -> tuple[Path, Path]:
     outdir = tmp_path / "rep"
     cfg = tmp_path / "exp.cfg"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quasilab.algebra import QValue, exact_det, mat_mul
+from quasilab.algebra import RATIONAL, QValue, exact_det, mat_mul
 from quasilab.errors import PreconditionError
 from quasilab.lattice import (
     Lattice,
@@ -157,10 +157,15 @@ def test_lattice_point_evaluation(special_pair, sqrt2):
     assert gamma.point([1, 1]) == (w1, sqrt2.one() - w1)
 
 
-def test_text_roundtrip(special_pair):
+def test_text_roundtrip(special_pair, sqrt2):
     gamma, _ = special_pair
     again = lattice_from_text(lattice_to_text(gamma))
     assert again.basis == gamma.basis
+    # the algebra written is the join of the basis, not its first entry's
+    mixed = Lattice(1, [[RATIONAL.one(), sqrt2.basis_element("w1")],
+                        [RATIONAL.zero(), RATIONAL.one()]])
+    assert mixed.spec == sqrt2
+    assert lattice_from_text(lattice_to_text(mixed)).basis == mixed.basis
 
 
 def test_transforms(sqrt2):

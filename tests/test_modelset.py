@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quasilab import modelset
-from quasilab.algebra import lift_to
+from quasilab.algebra import join, lift_to
 from quasilab.dynamics import orbit_hits
 from quasilab.errors import PreconditionError
-from quasilab.lattice import Lattice, lift_special, make_special_lattice
+from quasilab.lattice import Lattice, make_special_lattice
 from quasilab.modelset import (
     PointSet,
     _csv_bytes,
@@ -395,7 +395,7 @@ def _cut_and_project_reference(gamma, window, search):
 
 def _special_reference(alpha, beta, window, m_box):
     d = len(alpha)
-    spec, alpha, beta = lift_special(alpha, beta)
+    spec, (alpha, beta) = join(alpha, beta)
     axes = [np.arange(lo, hi + 1) for lo, hi in m_box]
     ms = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
     idx, ns = window.membership.translates((spec.zero(),), [(-a,) for a in alpha], ms)
@@ -429,7 +429,7 @@ def _dual_reference(alpha, beta, region, n_range):
 
 def _sequence_reference(alpha, beta, m_box):
     d = len(alpha)
-    spec, alpha, beta = lift_special(alpha, beta)
+    spec, (alpha, beta) = join(alpha, beta)
     axes = [np.arange(lo, hi + 1) for lo, hi in m_box]
     pts = []
     for m in np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d).tolist():

@@ -1,5 +1,6 @@
 import decimal
 import itertools
+import json
 import math
 import random
 import time
@@ -15,11 +16,14 @@ from quasilab import regions
 from quasilab.algebra import (
     RATIONAL, AlgebraSpec, QValue, admissible_decomposition, exact_det, mat_inverse, mat_vec,
 )
-from quasilab.dynamics import orbit_hits
+from quasilab.dynamics import DiscrepancyTrace, brs_empirical, discrepancy_trace, orbit_hits
 from quasilab.errors import (
     AlgebraMismatchError, PreconditionError, SearchExhaustedError, SignUndecidableError,
 )
-from quasilab.modelset import periodic_points, special_quasicrystal
+from quasilab.lattice import transform_region
+from quasilab.modelset import (
+    PointSet, dual_model_points, periodic_dual, periodic_points, special_quasicrystal,
+)
 from quasilab.regions import (
     Piece,
     RegionSet,
@@ -38,6 +42,7 @@ from quasilab.regions import (
     union,
     verify_equidecomposition,
 )
+from quasilab.riesz import DualityReport, duality_experiment
 
 
 def quad_ft_box(lows, highs, t):
@@ -274,6 +279,17 @@ def test_certificate_identity(sqrt2):
     s = interval(sqrt2.zero(), w1 - 1)
     cert = make_certificate([w1], s, s, [[sqrt2.zero()]])
     assert verify_equidecomposition(cert).ok
+
+
+def test_certificate_takes_int_and_fraction_shifts(sqrt2):
+    # ints and Fractions are rationals: they lift into the regions' algebra
+    w1 = sqrt2.basis_element("w1")
+    s = interval(sqrt2.zero(), w1 - 1)
+    cert = make_certificate([w1], s, s.translate([1]), [[1]])
+    assert verify_equidecomposition(cert).ok and cert.witnesses == ((0, (1,)),)
+    half = Fraction(1, 2)
+    verdict = verify_equidecomposition(make_certificate([w1], s, s.translate([half]), [[half]]))
+    assert not verdict.ok and "Z*alpha" in verdict.reason
 
 
 def test_certificate_bad_shift_named(sqrt2):
@@ -598,6 +614,17 @@ def test_region_text_roundtrip(sqrt23):
     assert again.volume() == r.volume()
     assert again.pieces[0].witnesses == r.pieces[0].witnesses
     assert again.pieces[0].edges == r.pieces[0].edges
+
+
+def test_region_text_roundtrip_of_a_mixed_union(sqrt2):
+    # the region's algebra is the join of its pieces, so the rational piece
+    # does not decide which algebra lines are written
+    w1 = sqrt2.basis_element("w1")
+    r = union(interval(RATIONAL.zero(), RATIONAL.parse("1/2")), interval(sqrt2.one(), w1))
+    text = region_to_text(r)
+    assert r.spec == sqrt2 and text.startswith(sqrt2.to_text())
+    again = region_from_text(text)
+    assert region_to_text(again) == text and again.describe() == r.describe()
 
 
 def test_overlap_detection(sqrt2):
@@ -1015,3 +1042,58 @@ def test_membership_lifts_region_and_batch_into_one_algebra(sqrt2, sqrt23):
                                    np.arange(10)[:, None]).tolist() == [1, 0, 0, 0, 0, 1, 1, 1, 0, 0]
     with pytest.raises(AlgebraMismatchError):  # sqrt(3) is not in Q(sqrt 2)
         window.membership.count((third,), [(v2,)], np.arange(10)[:, None])
+
+
+def _answer(x):
+    """A comparable form of an entry's output: arrays by their bytes, text as written."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, PointSet):
+        return _answer(x.coords), _answer(x.provenance), x.window
+    if isinstance(x, DiscrepancyTrace):
+        return (x.alpha_desc, x.region_desc, [str(v) for v in x.x0],
+                _answer(x.ns), _answer(x.values), x.mes)
+    if isinstance(x, RegionSet):
+        return region_to_text(x), x.describe()
+    if isinstance(x, DualityReport):
+        return json.dumps(x.as_dict())
+    return x
+
+
+# every entry that decides a region against an orbit, a shift or a map, as
+# (region, alpha) -> answer; the region is 1-D and alpha a QValue
+_JOIN_ENTRIES = {
+    "orbit_hits": lambda r, a: orbit_hits(r, a, None, -50, 999),
+    "discrepancy_trace": lambda r, a: discrepancy_trace(r, a, None, (-20, 500), two_sided=True),
+    "brs_empirical": lambda r, a: brs_empirical(r, a, 500, 50),
+    "multiplicity": lambda r, a: [multiplicity(r, (a * k,)) for k in range(20)],
+    "membership.count": lambda r, a: r.membership.count(
+        (a.spec.zero(),), [(a,)], np.arange(100)[:, None]),
+    "translate": lambda r, a: r.translate([a]),
+    "dual_model_points": lambda r, a: dual_model_points([a], [a.spec.one()], r, (-50, 50)),
+    "periodic_points": lambda r, a: periodic_points([a], r, [(-50, 50)]),
+    "periodic_dual": lambda r, a: periodic_dual([a], r, (-50, 50)),
+    "special_quasicrystal": lambda r, a: special_quasicrystal(
+        [a], [a.spec.one()], r, [(-50, 50)]),
+    "duality_experiment": lambda r, a: duality_experiment(
+        [a], [a.spec.one()], parse_region_literal(a.spec, "(-1/2,0]"), r, [8, 16],
+        n_max=16, k_bound=150),
+    "transform_region": lambda r, a: transform_region(r, [[a]]),
+    "construct_brs_between": lambda r, a: construct_brs_between(
+        [a], parse_region_literal(a.spec, "[1/10,1/5)"), r, a.spec.parse("3 - 2*w1"), 0.05,
+        tile_bound=50),
+}
+
+
+@pytest.mark.parametrize("entry", list(_JOIN_ENTRIES))
+def test_rational_region_answers_as_the_declared_one(sqrt2, entry):
+    # a region file without algebra lines loads in the rational algebra; every
+    # entry joins it with sqrt 2 and answers as for the literal in Q(sqrt 2)
+    f = _JOIN_ENTRIES[entry]
+    w1 = sqrt2.basis_element("w1")
+    rational = region_from_text("dim = 1\npiece offset = 0 | edges = 1/2\n")
+    assert rational.spec == RATIONAL
+    assert _answer(f(rational, w1)) == _answer(f(parse_region_literal(sqrt2, "[0,1/2)"), w1))
+    # two algebras that both hold irrational values still do not combine
+    with pytest.raises(AlgebraMismatchError):
+        f(parse_region_literal(sqrt2, "[0,-1+1*w1)"), AlgebraSpec.from_sqrt([3]).basis_element("w1"))
