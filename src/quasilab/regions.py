@@ -524,8 +524,6 @@ def brs_parallelepiped(
         raise PreconditionError(f"need exactly {d} generators")
     cols = [_combo_vector(alpha, n, m) for n, m in generators]
     edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    if exact_det(edges) == 0:
-        raise PreconditionError("degenerate span: edge vectors are dependent")
     spec = cols[0][0].spec
     zero = tuple(spec.zero() for _ in range(d))
     witnesses = tuple((int(n), tuple(int(x) for x in m)) for n, m in generators)
@@ -561,41 +559,39 @@ def _det_coeffs(witnesses: Sequence[Witness], rows: Sequence[int]) -> Iterator[i
 def measure_candidates(
     alpha: Sequence[QValue], gamma: QValue, search_bound: int
 ) -> Iterable[RegionSet]:
-    """Deterministic stream of certified parallelepipeds of measure gamma.
+    """Deterministic stream of certified parallelepipeds of measure |gamma|.
 
-    Candidate edges enumerate integer data (n, m) with entries 0, 1, -1,
-    2, -2, ... up to the bound, lexicographically; edge subsets are tried
-    in the induced order and every emitted piece has |det| = gamma exactly.
-    The determinant of edges n_j*alpha + m_j is an integer combination of
-    1, alpha_1..alpha_d (:func:`_det_coeffs`), and a subset is emitted when
-    its coefficients are +-(n0, n1, .., nd) with gamma = n0 + sum n_i alpha_i
-    (:func:`~quasilab.algebra.admissible_decomposition`): the decomposition
-    is unique, so 1, alpha_1..alpha_d are independent over Q and equal
-    coefficients are equal values.  Only an emitted piece is built in the
-    algebra.  A gamma with no decomposition yields nothing, and a dependent
-    alpha is refused with PreconditionError.
+    Edges n_j*alpha + m_j enumerate integer (n, m) with entries 0, 1, -1, ..
+    up to the bound, lexicographically, and d-subsets come in the induced
+    order.  A subset is a hit when its minor coefficients c (:func:`_det_coeffs`)
+    are +-dec, gamma = dec_0 + sum dec_i*alpha_i (unique by
+    :func:`~quasilab.algebra.admissible_decomposition`).  With W the integer
+    matrix of columns (n_j, m_j), [W | w_j] has determinant 0, so n_j*c_0 =
+    sum_k c_k*m_j[k-1]: a hit's edges lie on the hyperplane n*dec_0 =
+    sum_k dec_k*m[k-1], the only candidates kept.  There c = lambda*dec, so a
+    subset is decided by one minor, |c_k| = |det W without row k| = |dec_k|
+    at the first nonzero dec_k.  Only a hit is built in the algebra.  A gamma
+    with no decomposition yields nothing; gamma = 0 or a dependent alpha is
+    refused with PreconditionError.
     """
     d = len(alpha)
     dec = admissible_decomposition(alpha, gamma)
     if dec is None:
         return
+    if not any(dec):
+        raise PreconditionError("measure must be nonzero")
     spec = gamma.spec
     if d == 1:
         n0, n1 = dec
-        yield RegionSet(
-            1, [Piece((spec.zero(),), ((gamma,),), ((n1, (n0,)),))]
-        )
+        yield RegionSet(1, [Piece((spec.zero(),), ((gamma,),), ((n1, (n0,)),))])
         return
     zero = tuple(spec.zero() for _ in range(d))
     cands = [(t[0], t[1:]) for t in itertools.product(_spiral(search_bound), repeat=d + 1)
-             if any(t)]
+             if any(t) and t[0] * dec[0] == sum(g * x for g, x in zip(dec[1:], t[1:]))]
+    k = next(i for i, g in enumerate(dec) if g)
     for combo in itertools.combinations(cands, d):
-        plus = minus = True  # whether the coefficients so far are those of +dec, -dec
-        for c, g in zip(_det_coeffs(combo, range(d)), dec):
-            plus, minus = plus and c == g, minus and c == -g
-            if not (plus or minus):
-                break
-        else:
+        w = [[n for n, _ in combo], *zip(*(m for _, m in combo))]
+        if abs(exact_det(w[:k] + w[k + 1:])) == abs(dec[k]):
             cols = [_combo_vector(alpha, n, m) for n, m in combo]
             edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
             yield RegionSet(d, [Piece(zero, edges, combo)])

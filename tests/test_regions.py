@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from quasilab import regions
 from quasilab.algebra import (
     RATIONAL, AlgebraSpec, QValue, admissible_decomposition, exact_det, mat_inverse, mat_vec,
+    parse_algebra,
 )
 from quasilab.dynamics import DiscrepancyTrace, brs_empirical, discrepancy_trace, orbit_hits
 from quasilab.errors import (
@@ -204,6 +205,11 @@ def test_witness_minor_coefficients_match_exact_det(d, data):
     value = sum((c * a for c, a in zip(coeffs[1:], [alpha[i] for i in rows])),
                 _SQRT235.from_rational(coeffs[0]))
     assert value == exact_det([[col[i] for col in cols] for i in rows])
+    # [W | w_j] repeats a column, W the rows n, m[rows] of the chosen witnesses:
+    # its zero determinant is the hyperplane measure_candidates filters on
+    for j in chosen:
+        n, m = wits[j]
+        assert n * coeffs[0] == sum(c * m[i] for c, i in zip(coeffs[1:], rows))
 
 
 def _candidates_reference(alpha, gamma, bound):
@@ -218,15 +224,17 @@ def _candidates_reference(alpha, gamma, bound):
             yield region_to_text(RegionSet(d, [Piece(zero, edges, combo)]))
 
 
-@pytest.mark.parametrize("bound, gamma, first", [
-    (1, "w1", None), (1, "1", None), (1, "1 + w1 - w2", None), (1, "5*w1", None),
-    (2, "w1", 25), (2, "2 - w2", 25), (2, "1 + w1 + w2", 25),
-])
-def test_measure_candidates_order_and_completeness(sqrt23, bound, gamma, first):
+@pytest.mark.parametrize("gens, bound, gamma, first", [
+    pytest.param("sqrt:2,3", b, g, f, id=f"{b}-{g}-{f}") for b, g, f in [
+        (1, "w1", None), (1, "1", None), (1, "1 + w1 - w2", None), (1, "5*w1", None),
+        (2, "w1", 25), (2, "2 - w2", 25), (2, "1 + w1 + w2", 25),
+    ]] + [("sqrt:2,3,5", 1, "w2", 10), ("sqrt:2,3,5", 1, "2 + w1 - w2", 10)])
+def test_measure_candidates_order_and_completeness(gens, bound, gamma, first):
     # the integer-witness search emits exactly the brute-force hits, in order;
-    # at bound 1 the whole stream is compared, at bound 2 its first regions
-    alpha = [sqrt23.basis_element("w1"), sqrt23.basis_element("w2")]
-    g = sqrt23.parse(gamma)
+    # in 2-D at bound 1 the whole stream is compared, else its first regions
+    spec = parse_algebra(gens)
+    alpha = [spec.basis_element(f"w{i}") for i in range(1, gens.count(",") + 2)]
+    g = spec.parse(gamma)
     got = [region_to_text(r) for r in itertools.islice(
         regions.measure_candidates(alpha, g, bound), first)]
     want = list(itertools.islice(_candidates_reference(alpha, g, bound), first))
@@ -234,10 +242,14 @@ def test_measure_candidates_order_and_completeness(sqrt23, bound, gamma, first):
 
 
 def test_measure_candidates_refuses_a_dependent_alpha(sqrt23):
-    w1 = sqrt23.basis_element("w1")
+    w1, w2 = sqrt23.basis_element("w1"), sqrt23.basis_element("w2")
     with pytest.raises(PreconditionError, match="dependent"):
         next(iter(regions.measure_candidates([w1, 2 * w1], w1, 1)))
-    assert list(regions.measure_candidates([w1, 2 * w1], sqrt23.basis_element("w2"), 1)) == []
+    assert list(regions.measure_candidates([w1, 2 * w1], w2, 1)) == []
+    for alpha in ([w1], [w1, w2]):  # gamma = 0 has the all-zero decomposition
+        with pytest.raises(PreconditionError, match="nonzero"):
+            next(iter(regions.measure_candidates(alpha, sqrt23.zero(), 1)))
+    assert next(iter(regions.measure_candidates([w1, w2], -w1, 1))).volume() == w1
 
 
 def test_realize_measure_three_dim():
