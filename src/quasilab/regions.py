@@ -583,7 +583,9 @@ def measure_candidates(
     spec = gamma.spec
     if d == 1:
         n0, n1 = dec
-        yield RegionSet(1, [Piece((spec.zero(),), ((gamma,),), ((n1, (n0,)),))])
+        yield RegionSet(
+            1, [Piece((spec.zero(),), ((gamma,),), ((n1, (n0,)),))]
+        )
         return
     zero = tuple(spec.zero() for _ in range(d))
     cands = [(t[0], t[1:]) for t in itertools.product(_spiral(search_bound), repeat=d + 1)
