@@ -38,6 +38,13 @@ special-form lattice, ``transform_region``, ``make_certificate``,
 ``construct_brs_between``, ``duality_experiment``,
 :func:`module_membership` and :func:`admissible_decomposition`; QValue
 arithmetic applies it to each pair.
+
+One exact elimination, :func:`_eliminate` (Gauss-Jordan), answers every
+linear question: solves and ranks over Q (:func:`solve_rational`,
+:func:`coeff_rank`, :meth:`QValue.inverse`, :func:`module_membership`,
+:func:`admissible_decomposition`) and inverses of QValue matrices
+(:func:`mat_inverse`); determinants are cofactor expansions
+(:func:`exact_det`).
 """
 
 from __future__ import annotations
@@ -460,20 +467,12 @@ class AlgebraSpec:
         The basis is closed under products, e.g. ``from_sqrt([2, 3])`` yields
         basis values ``1, sqrt2, sqrt3, sqrt6`` with a full product table.
         """
-        rads = {1}
+        rads = {1}  # the squarefree parts of every subset product of the generators
         for g in gens:
             if g < 2:
                 raise PreconditionError("sqrt generators must be >= 2")
-            rads.add(_squarefree_split(g)[1])
-        changed = True
-        while changed:
-            changed = False
-            for a in sorted(rads):
-                for b in sorted(rads):
-                    r = _squarefree_product(a, b)[1]
-                    if r not in rads:
-                        rads.add(r)
-                        changed = True
+            r = _squarefree_split(g)[1]
+            rads |= {_squarefree_product(r, a)[1] for a in rads}
         order = sorted(rads)
         names = ["1"] + [f"w{i}" for i in range(1, len(order))]
         radicands = [Fraction(r) for r in order]
@@ -668,6 +667,9 @@ class QValue:
             return NotImplemented
         return self * o.inverse()
 
+    def __rtruediv__(self, other) -> "QValue":
+        return other * self.inverse()
+
     def inverse(self) -> "QValue":
         """Multiplicative inverse via exact linear solve.
 
@@ -762,11 +764,13 @@ class QValue:
         return f"QValue({self})"
 
 
-# -- exact linear algebra over the rationals ----------------------------------
+# -- exact linear algebra: one elimination ------------------------------------
 
 
-def _eliminate(a: list[list[Fraction]]) -> list[int]:
+def _eliminate(a: list[list]) -> list[int]:
     """Gauss-Jordan elimination of the rows ``a`` in place, over every column.
+
+    The entries are Fractions or QValues (``1 / q`` is ``q.inverse()``).
 
     Returns the pivot columns; row r then has a 1 in column ``pivots[r]`` and
     zeros there in every other row, and the rows past the pivots are zero.
@@ -831,46 +835,18 @@ def module_membership(
     if len(v) != len(alpha):
         raise PreconditionError("v and alpha must have the same length")
     spec, (v, alpha) = join(v, alpha)
-    k = spec.dim
-
     # Irrational coordinates (l >= 1) pin n: v_i^(l) = n * alpha_i^(l).
-    n_val: Optional[Fraction] = None
-    for vi, ai in zip(v, alpha):
-        for l in range(1, k):
-            av, vv = ai.coeffs[l], vi.coeffs[l]
-            if av == 0:
-                if vv != 0:
-                    return None
-                continue
-            cand = vv / av
-            if n_val is None:
-                n_val = cand
-            elif n_val != cand:
-                return None
-    if n_val is not None:
-        if n_val.denominator != 1:
-            return None
-        n = int(n_val)
-        m = []
-        for vi, ai in zip(v, alpha):
-            mi = vi.coeffs[0] - n * ai.coeffs[0]
-            if mi.denominator != 1:
-                return None
-            m.append(int(mi))
-        return n, tuple(m)
-
-    # All alpha coordinates rational: scan n modulo the lcm of denominators.
-    for n in range(math.lcm(*(ai.coeffs[0].denominator for ai in alpha))):
-        m = []
-        ok = True
-        for vi, ai in zip(v, alpha):
-            mi = vi.coeffs[0] - n * ai.coeffs[0]
-            if mi.denominator != 1:
-                ok = False
-                break
-            m.append(int(mi))
-        if ok:
-            return n, tuple(m)
+    rows = [(ai.coeffs[l], vi.coeffs[l]) for vi, ai in zip(v, alpha) for l in range(1, spec.dim)]
+    status, sol = solve_rational([[a] for a, _ in rows], [b for _, b in rows])
+    if status == "none":
+        return None
+    # Without irrational parts, scan n modulo the lcm of alpha's denominators.
+    ns = sol if rows and status == "unique" else range(
+        math.lcm(*(ai.coeffs[0].denominator for ai in alpha)))
+    for n in ns:
+        m = [vi.coeffs[0] - n * ai.coeffs[0] for vi, ai in zip(v, alpha)]
+        if n.denominator == 1 and all(mi.denominator == 1 for mi in m):
+            return int(n), tuple(int(mi) for mi in m)
     return None
 
 
@@ -932,12 +908,6 @@ def _cofactor(mat: Sequence[Sequence]):
     return mat[0][0] * 0 if det is None else det
 
 
-def mat_identity(spec: AlgebraSpec, n: int) -> list[list[QValue]]:
-    return [
-        [spec.one() if i == j else spec.zero() for j in range(n)] for i in range(n)
-    ]
-
-
 def mat_mul(a: QMatrix, b: QMatrix) -> list[list[QValue]]:
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
@@ -962,30 +932,12 @@ def mat_transpose(a: QMatrix) -> list[list[QValue]]:
     return [list(col) for col in zip(*a)]
 
 
-def mat_adjugate(mat: QMatrix) -> list[list[QValue]]:
-    n = len(mat)
-    if n == 1:
-        spec = mat[0][0].spec
-        return [[spec.one()]]
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = exact_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof)
-        adj.append(row)
-    return adj
-
-
 def mat_inverse(mat: QMatrix) -> list[list[QValue]]:
-    """Exact inverse via adjugate over determinant."""
-    det_inv = exact_det(mat).inverse()
-    return [[x * det_inv for x in row] for row in mat_adjugate(mat)]
-
+    """Exact inverse by Gauss-Jordan elimination of [M | I] (:func:`_eliminate`)."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise PreconditionError("matrix must be square")
+    a = [[*row, *(Fraction(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    if _eliminate(a) != list(range(n)):
+        raise PreconditionError("matrix is not invertible in the declared algebra")
+    return [row[n:] for row in a]

@@ -201,16 +201,8 @@ def reduce_to_special(lat: Lattice) -> tuple[list[list[QValue]], QValue, Lattice
     gamma, _ = make_special_lattice(alpha, beta)
 
     a_primal = mat_transpose(a)
-    t_basis = [
-        [None] * (d + 1) for _ in range(d + 1)
-    ]  # T applied to the input basis, T = diag(a^T, B)
-    lb = lat.basis
-    top = mat_mul(a_primal, [[lb[i][j] for j in range(d + 1)] for i in range(d)])
-    for i in range(d):
-        for j in range(d + 1):
-            t_basis[i][j] = top[i][j]
-    for j in range(d + 1):
-        t_basis[d][j] = b_primal * lb[d][j]
+    # T applied to the input basis, T = diag(a^T, B)
+    t_basis = mat_mul(a_primal, lat.basis[:d]) + [[b_primal * v for v in lat.basis[d]]]
 
     change = mat_mul(mat_inverse(gamma.basis), t_basis)
     if not all(v.is_integer() for row in change for v in row):

@@ -26,7 +26,6 @@ from .algebra import (
     integer_form,
     join,
     lift_to,
-    mat_adjugate,
     mat_inverse,
     mat_vec,
     module_membership,
@@ -478,14 +477,14 @@ def check_disjoint(region: RegionSet) -> list[tuple[int, int]]:
     Separating-axis test: two parallelepipeds have disjoint interiors exactly
     when, on some axis, the projections of their corners meet in at most one
     point.  The axes are the face normals of both pieces (the rows of their
-    edge adjugates) and, in 3-D, the nonzero cross products of an edge of
+    edge inverses) and, in 3-D, the nonzero cross products of an edge of
     each; these suffice up to dimension 3, and beyond it a pair may be
     reported that does not overlap.  Projections are exact and compared by
     sign, so pieces that only touch are disjoint.
     """
     pieces = region.pieces
     corners = [p.corners() for p in pieces]
-    normals = [mat_adjugate(p.edges) for p in pieces]
+    normals = [list(p.inverse) for p in pieces]
 
     def separated(ax: Sequence[QValue], a: list, b: list) -> bool:
         pa, pb = ([sum((u * x for u, x in zip(ax[1:], c[1:])), ax[0] * c[0]) for c in cs]
@@ -788,18 +787,18 @@ def construct_brs_between(
     witnesses = tuple(w for w, _ in chosen)
     cols = [v for _, v in chosen]
     edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    inv = mat_inverse(edges)
-    det = exact_det(edges)
-    tile_vol = -det if det.sign() < 0 else det
+
+    def tile_piece(j: Sequence[int]) -> Piece:
+        return Piece(tuple(mat_vec(edges, [int(v) for v in j])), edges, witnesses)
+
+    tile = tile_piece([0] * d)
+    inv, tile_vol = tile.inverse, tile.volume()
 
     def cover(region: RegionSet) -> tuple[list[int], list[int]]:
         """Per axis, the least and the greatest tile index of a corner of the region."""
         coords = [mat_vec(inv, list(c)) for p in region.pieces for c in p.corners()]
         return ([min(c[i].floor() for c in coords) for i in range(d)],
                 [max(c[i].floor() for c in coords) for i in range(d)])
-
-    def tile_piece(j: Sequence[int]) -> Piece:
-        return Piece(tuple(mat_vec(edges, [int(v) for v in j])), edges, witnesses)
 
     # Tiles meeting K: box cover of K's corners in tile coordinates.
     lo_j, hi_j = cover(region_k)

@@ -2,13 +2,14 @@
 
 Block enumerations of one-dimensional model sets, perturbation sequences
 delta_j and their windowed means, the averaged-perturbation basis check on
-an interval, Gram matrices with closed-form entries (evaluated once per
-distinct float difference of the points, then gathered), and
+an interval, Gram matrices with closed-form entries (the complex entry
+once per distinct float difference of the points, then gathered), and
 extreme-eigenvalue traces over nested truncations (one matrix per trace,
 each truncation a leading submatrix; a one-piece region takes a real
-kernel with the Gram spectrum).  Verdicts here are evidence, not theorems:
-finite sections cannot certify infinite-dimensional basis properties, so
-reports carry the thresholds and ranges they used.
+kernel with the Gram spectrum, evaluated on every difference).  Verdicts
+here are evidence, not theorems: finite sections cannot certify
+infinite-dimensional basis properties, so reports carry the thresholds and
+ranges they used.
 """
 
 from __future__ import annotations
@@ -269,24 +270,26 @@ def gram_matrix(points, region: RegionSet) -> np.ndarray:
     if d != region.dim:
         raise PreconditionError("point dimension does not match the region")
     require_disjoint(region)
-    return _from_upper(pts, lambda t: ft_indicator(region, t if d > 1 else t[:, 0]))
+
+    def entry(t: np.ndarray) -> np.ndarray:
+        # once per distinct bit pattern, gathered back: a Meyer set's block has
+        # far fewer distinct differences than pairs, and each complex entry
+        # is an exponential sum over the pieces
+        distinct, inv = _distinct_rows(t)
+        return ft_indicator(region, distinct if d > 1 else distinct[:, 0])[inv]
+
+    return _from_upper(pts, entry)
 
 
 def _from_upper(pts: np.ndarray, entry) -> np.ndarray:
     """Matrix of entry(lambda_k - lambda_j) for j <= k, mirrored conjugate,
     built in row blocks of at most _GRAM_BLOCK entries (bounded temporaries).
-
-    Within a block, entry runs once per distinct bit pattern of the float
-    differences and is gathered back to every pair: each entry is entry of
-    its own difference, bit for bit.  A Meyer set's differences are
-    uniformly discrete, so a block has far fewer distinct ones than pairs.
-    """
+    entry maps the (pairs, d) differences of a block to their entries."""
     n = len(pts)
     rows, g = max(1, _GRAM_BLOCK // max(n, 1)), None
     for j0 in range(0, max(n, 1), rows):  # n = 0: one empty block sets the dtype
         j, k = (i + j0 for i in np.triu_indices(min(rows, n - j0), m=n - j0))
-        distinct, inv = _distinct_rows(pts[k] - pts[j])
-        vals = entry(distinct)[inv]
+        vals = entry(pts[k] - pts[j])
         if g is None:
             g = np.zeros((n, n), dtype=vals.dtype)
         g[j, k], g[k, j] = vals, np.conj(vals)  # mirror last: the diagonal is conj
@@ -321,6 +324,8 @@ def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
         return gram_matrix(pts, region)
     e_mat = np.array([[float(v) for v in row] for row in region.pieces[0].edges])
     vol = abs(float(region.pieces[0].det()))
+    # on every difference: the sinc product costs less than sorting a block's
+    # differences to evaluate each distinct one once, and gives the same bits
     return _from_upper(pts, lambda t: vol * np.prod(np.sinc(t @ e_mat), axis=1))
 
 

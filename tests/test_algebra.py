@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 import quasilab
 from quasilab.algebra import (
+    RATIONAL,
     AlgebraSpec,
     QValue,
     admissible_decomposition,
     exact_det,
-    mat_identity,
     mat_inverse,
     mat_mul,
     module_membership,
@@ -144,8 +144,6 @@ def test_membership_witness_roundtrip(sqrt23, rng):
 
 
 def test_membership_rational_alpha_scan():
-    from quasilab.algebra import RATIONAL
-
     half = RATIONAL.parse("1/2")
     v = RATIONAL.parse("3/2")
     n, m = module_membership([v], [half])
@@ -160,8 +158,12 @@ def test_admissible_decomposition(sqrt23):
     assert admissible_decomposition((w1,), sqrt23.parse("1/2")) is None
 
 
+def _identity(spec, n):
+    return [[spec.from_rational(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def test_det_identity(sqrt23):
-    assert exact_det(mat_identity(sqrt23, 3)) == sqrt23.one()
+    assert exact_det(_identity(sqrt23, 3)) == sqrt23.one()
 
 
 def test_det_two_by_two(sqrt23):
@@ -207,7 +209,133 @@ def test_inverse_and_zero_divisor(sqrt23):
 def test_matrix_inverse(sqrt23, rng):
     w1 = sqrt23.basis_element("w1")
     m = [[w1, sqrt23.one()], [sqrt23.one(), w1]]
-    assert mat_mul(m, mat_inverse(m)) == mat_identity(sqrt23, 2)
+    assert mat_mul(m, mat_inverse(m)) == _identity(sqrt23, 2)
+
+
+def _adjugate_inverse(mat):
+    # reference: the cofactor adjugate over the determinant
+    n = len(mat)
+    adj = [[(-1) ** (i + j) * exact_det([[mat[r][c] for c in range(n) if c != i]
+                                          for r in range(n) if r != j]) if n > 1 else 1
+            for j in range(n)] for i in range(n)]
+    det_inv = exact_det(mat).inverse()
+    return [[x * det_inv for x in row] for row in adj]
+
+
+@pytest.mark.parametrize("literal", ["rational", "sqrt:2,3"])
+def test_mat_inverse_matches_adjugate_reference(literal):
+    spec = RATIONAL if literal == "rational" else parse_algebra(literal)
+    rng = np.random.default_rng(22)
+
+    def entry():
+        return QValue(spec, tuple(Fraction(int(p), int(q)) for p, q in
+                                  zip(rng.integers(-2, 3, spec.dim), rng.integers(1, 3, spec.dim))))
+
+    refused = 0
+    for size in (1, 2, 3):
+        for _ in range(20):
+            m = [[entry() for _ in range(size)] for _ in range(size)]
+            if exact_det(m) == 0:
+                refused += 1
+                for inverse in (mat_inverse, _adjugate_inverse):
+                    with pytest.raises(PreconditionError):
+                        inverse(m)
+                continue
+            assert ([[x.coeffs for x in row] for row in mat_inverse(m)]
+                    == [[x.coeffs for x in row] for row in _adjugate_inverse(m)])
+    w = spec.basis_element(spec.names[-1])
+    singular = [[w, 1 + w, w], [2 * w, 2 + 2 * w, 3 * w], [w, 1 + w, 1]]
+    assert exact_det(singular) == 0
+    with pytest.raises(PreconditionError, match="not invertible"):
+        mat_inverse(singular)
+    with pytest.raises(PreconditionError, match="square"):
+        mat_inverse([[w, w]])
+    assert refused < 60
+
+
+def test_rational_over_qvalue_is_the_inverse(sqrt23):
+    v = sqrt23.parse("3 - 1*w1 + 2*w2")
+    assert (1 / v).coeffs == v.inverse().coeffs
+    assert (Fraction(3, 4) / v).coeffs == (v.inverse() * Fraction(3, 4)).coeffs
+    assert Fraction(3, 4) / v * v == Fraction(3, 4)
+    with pytest.raises(PreconditionError):
+        1 / sqrt23.zero()
+    with pytest.raises(TypeError):
+        1.5 / v
+
+
+def _membership_brute(v, alpha, n_box=6, m_box=20):
+    # every (n, m) with |n| <= n_box, |m_i| <= m_box and v = n*alpha + m, by
+    # QValue arithmetic, in increasing n
+    per_axis = [{n: m for n, rest in ((n, vi - ai * n) for n in range(-n_box, n_box + 1))
+                 for m in range(-m_box, m_box + 1) if rest == m} for vi, ai in zip(v, alpha)]
+    return [(n, tuple(axis[n] for axis in per_axis))
+            for n in sorted(set.intersection(*(set(axis) for axis in per_axis)))]
+
+
+@pytest.mark.parametrize("case", ["irrational", "rational alpha", "rational algebra"])
+def test_module_membership_against_brute_force(sqrt23, case):
+    rng = np.random.default_rng(23)
+    spec = RATIONAL if case == "rational algebra" else sqrt23
+    w1, w2 = sqrt23.basis_element("w1"), sqrt23.basis_element("w2")
+    for trial in range(12):
+        d = 1 + trial % 2
+        if case == "irrational":
+            alpha = [QValue(spec, tuple(Fraction(int(c), 2) for c in rng.integers(-2, 3, 4)))
+                     for _ in range(d)]
+        else:
+            alpha = [spec.from_rational(Fraction(int(rng.integers(-2, 3)), int(rng.integers(1, 4))))
+                     for _ in range(d)]
+        n0 = int(rng.integers(-3, 4))
+        v = [a * n0 + int(rng.integers(-3, 4)) for a in alpha]
+        variants = [v, [v[0] + Fraction(1, 2), *v[1:]]]  # v, and v off by 1/2
+        if case == "irrational":  # inconsistent irrational parts, and n = 1/2
+            variants += [[*v[:-1], v[-1] + w2 / 3], [a * Fraction(1, 2) + 1 for a in alpha]]
+        elif case == "rational alpha":  # an irrational v
+            variants.append([*v[:-1], v[-1] + w1])
+        for x in variants:
+            got, brute = module_membership(x, alpha), _membership_brute(x, alpha)
+            if all(a.is_rational() for a in alpha):  # the least n >= 0 with a witness
+                assert got == next(((n, m) for n, m in brute if n >= 0), None)
+            else:
+                assert [got] == brute or got is None and brute == []
+
+
+def _squarefree(n):
+    r, p = 1, 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        r, p = r * p ** (e % 2), p + 1
+    return r
+
+
+def _from_sqrt_reference(gens):
+    # the radicands closed under pairwise products up to squares by iterating
+    # to a fixed point, then the basis and its product table
+    rads = {1} | {_squarefree(g) for g in gens}
+    while new := {_squarefree(a * b) for a in rads for b in rads} - rads:
+        rads |= new
+    order = sorted(rads)
+    products = {}
+    for i in range(1, len(order)):
+        for j in range(i, len(order)):
+            r = _squarefree(order[i] * order[j])
+            coeffs = [Fraction(0)] * len(order)
+            coeffs[order.index(r)] = Fraction(math.isqrt(order[i] * order[j] // r))
+            products[(i, j)] = tuple(coeffs)
+    names = ["1"] + [f"w{i}" for i in range(1, len(order))]
+    return AlgebraSpec(names, [Fraction(r) for r in order], [math.sqrt(r) for r in order],
+                       products)
+
+
+@pytest.mark.parametrize("gens", [
+    [2], [2, 3], [3, 2], [2, 2], [8], [12, 3], [2, 3, 6], [6, 10, 15], [4, 2], [18, 50],
+    [9], [2, 3, 5, 7], [45, 20, 7],
+])
+def test_from_sqrt_matches_fixed_point_closure(gens):
+    assert AlgebraSpec.from_sqrt(gens)._key() == _from_sqrt_reference(gens)._key()
 
 
 def test_sign_and_floor(sqrt2):

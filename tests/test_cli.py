@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -637,3 +639,26 @@ def test_gram_refuses_undecided_disjointness_beyond_3d(tmp_path, capsys):
                        "--out", str(tmp_path)) == rc
     assert "may overlap (disjointness not decided beyond 3-D)" in capsys.readouterr().err
 
+
+
+def test_bench_tracer_finds_every_traced_name():
+    # bench/spans.py wraps quasilab's functions by name in traced runs
+    # (--trace 1): a renamed or deleted name fails here, not in the benchmark
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    for name in spans.MODULES:
+        importlib.import_module(f"quasilab.{name}")
+    from quasilab.algebra import QValue, mat_inverse
+    sign = QValue.__dict__["sign"]
+    tracer = spans.Tracer()
+    try:
+        tracer.install(quasilab)
+        w1 = parse_algebra("sqrt:2").basis_element("w1")
+        quasilab.algebra.mat_inverse([[w1]])
+        w1.sign()
+    finally:
+        tracer.uninstall()
+    assert [span[2] for span in tracer.spans] == ["algebra.mat_inverse", "algebra.sign"]
+    assert quasilab.algebra.mat_inverse is mat_inverse and QValue.__dict__["sign"] is sign

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from quasilab import riesz
+from quasilab.algebra import AlgebraSpec
 from quasilab.dynamics import brs_empirical
 from quasilab.errors import PreconditionError, QuasilabError
 from quasilab.lattice import transform_pointset, transform_region
@@ -341,13 +342,15 @@ def test_gram_row_blocks_are_bit_identical(sqrt2, sqrt23, monkeypatch, block):
         assert riesz._spectral_gram(pts.coords, region).tobytes() == kernel.tobytes()
 
 
-def _kernel_reference(pts, region):
-    # the real one-piece kernel on the whole upper triangle, then the mirror
+def _kernel_reference(pts, region, dedupe=False):
+    # the real one-piece kernel on the whole upper triangle (with dedupe, once
+    # per distinct difference and gathered back), then the mirror
     piece = region.pieces[0]
     e_mat = np.array([[float(v) for v in row] for row in piece.edges])
     iu = np.triu_indices(len(pts))
     t = pts.coords[iu[1]] - pts.coords[iu[0]]
-    vals = abs(float(piece.det())) * np.prod(np.sinc(t @ e_mat), axis=1)
+    t, inv = riesz._distinct_rows(t) if dedupe else (t, slice(None))
+    vals = abs(float(piece.det())) * np.prod(np.sinc(t @ e_mat), axis=1)[inv]
     k = np.zeros((len(pts), len(pts)))
     k[iu] = vals
     k[iu[1], iu[0]] = vals
@@ -374,6 +377,30 @@ def test_gram_entries_once_per_distinct_difference(sqrt2, sqrt23, monkeypatch):
     assert np.array_equal(gram_matrix(plane, box), _gram_reference(plane, box))
     assert np.array_equal(riesz._spectral_gram(plane.coords, box),
                           _kernel_reference(plane, box))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, None])
+def test_real_kernel_direct_matches_dedupe_bits(sqrt2, monkeypatch, rows):
+    # the real kernel evaluates every difference of a row block; its bits must
+    # be those of one evaluation per distinct difference, gathered back, for
+    # any number of rows per block (None: the whole triangle in one block)
+    s3 = AlgebraSpec.from_sqrt([2, 3, 5])
+    w1 = sqrt2.basis_element("w1")
+    a2 = [s3.basis_element("w1"), s3.basis_element("w2")]
+    a3 = [*a2, s3.basis_element("w3")]
+    cases = [
+        (special_quasicrystal([w1], [sqrt2.one()], parse_region_literal(sqrt2, "[0,1)"),
+                              [(-60, 60)]), parse_region_literal(sqrt2, "[0,-1+1*w1)")),
+        (sequence_points(a2, a2, [(-5, 5), (-5, 5)]),
+         brs_parallelepiped(a2, [(1, (-1, -1)), (1, (-2, -1))])),
+        (sequence_points(a3, a3, [(-2, 2)] * 3),
+         brs_parallelepiped(a3, [(1, (-1, -1, -2)), (1, (-2, -1, -2)), (1, (-1, -2, -3))])),
+    ]
+    for pts, region in cases:
+        n = len(pts)
+        monkeypatch.setattr(riesz, "_GRAM_BLOCK", n * (rows or n))
+        got = riesz._spectral_gram(pts.coords, region)
+        assert got.tobytes() == _kernel_reference(pts, region, dedupe=True).tobytes()
 
 
 def test_gram_covariance_scaling(sqrt2):
