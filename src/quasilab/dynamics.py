@@ -145,8 +145,10 @@ def discrepancy_trace(
     c = np.zeros(k_hi - k_lo + 1, dtype=np.int64)
     if k_hi > k_lo:
         np.cumsum(orbit_hits(region, alpha, x0, k_lo, k_hi - 1), out=c[1:])
+    counts = c[n_lo - k_lo:n_hi - k_lo + 1]
+    counts -= c[-k_lo]  # in place: c[-k_lo] is read out first
     values = ns * mes
-    np.subtract(c[n_lo - k_lo:n_hi - k_lo + 1] - c[-k_lo], values, out=values)
+    np.subtract(counts, values, out=values)
     return DiscrepancyTrace(
         _alpha_desc(region, alpha), region.describe(), x0, ns, values, mes,
     )
@@ -168,23 +170,27 @@ class BrsStatistic:
 def _sliding_max(g: np.ndarray, w: int) -> np.ndarray:
     """out[i] = max g[max(0, i-w+1) .. i] for i = 0 .. len(g)+w-2.
 
-    Van Herk / Gil-Werman on the window clamped to v = min(w, len(g)): pad
-    with -inf, cut into blocks of v, and take each window as a block suffix
-    maximum joined with the next block's prefix maximum.  A window longer
-    than g covers all of it at i = v-1 .. w-1, so the entries past v-1 of
-    that run repeat out[v-1] = max(g) (an empty run when w <= len(g)).  The
-    cost is O(len(g)) plus the output.
+    Van Herk / Gil-Werman on the window clamped to v = min(w, len(g)): cut g,
+    padded with -inf to a multiple of v, into blocks of v, and take each
+    window as a block suffix maximum joined with the next block's prefix
+    maximum.  Both are maximum scans along the blocks of the flat array, the
+    suffixes over its reversed view, so with v = len(g) they are the prefix
+    and suffix maxima of g itself.  out[i] for i < v is a prefix maximum; a
+    window longer than g covers all of it at i = v-1 .. w-1, so the entries
+    past v-1 of that run repeat out[v-1] = max(g) (an empty run when w <=
+    len(g)); a window whose next block is past the padding is a suffix
+    maximum alone.  The cost is O(len(g)) plus the output.
     """
-    v = min(w, len(g))
-    m = len(g) + v - 1
-    tail = v - 1 + (-(m + v - 1)) % v
-    x = np.concatenate([np.full(v - 1, -np.inf), g, np.full(tail, -np.inf)]).reshape(-1, v)
-    pre = np.maximum.accumulate(x, axis=1).ravel()
-    suf = np.maximum.accumulate(x[:, ::-1], axis=1)[:, ::-1].ravel()
-    out = np.empty(len(g) + w - 1)
-    np.maximum(suf[:v], pre[v - 1:2 * v - 1], out=out[:v])
+    n, v = len(g), min(w, len(g))
+    x = np.concatenate([g, np.full(-n % v, -np.inf)])
+    pre = np.maximum.accumulate(x.reshape(-1, v), axis=1).ravel()
+    suf = np.maximum.accumulate(x[::-1].reshape(-1, v), axis=1).ravel()[::-1]
+    t = len(x) - v  # windows from s = 1 .. t end in a block after s's
+    out = np.empty(n + w - 1)
+    out[:v] = pre[:v]
     out[v:w] = out[v - 1]
-    np.maximum(suf[v:m], pre[2 * v - 1:v - 1 + m], out=out[w:])
+    np.maximum(suf[1:t + 1], pre[v:], out=out[w:w + t])
+    out[w + t:] = suf[t + 1:n]
     return out
 
 

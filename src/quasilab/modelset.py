@@ -170,6 +170,8 @@ def _grid(box: Sequence[tuple[int, int]], what: str) -> np.ndarray:
     if any(lo > hi for lo, hi in box):
         raise PreconditionError(f"empty {what}: lo > hi")
     axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box]
+    if len(axes) == 1:  # the range itself, as a column
+        return axes[0][:, None]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
 
 

@@ -115,17 +115,8 @@ class RegionSet:
 
     def translate(self, t: Sequence[QValue]) -> "RegionSet":
         t = join(self.values, t)[1][1]
-        return RegionSet(
-            self.dim,
-            [
-                Piece(
-                    tuple(o + ti for o, ti in zip(p.offset, t)),
-                    p.edges,
-                    p.witnesses,
-                )
-                for p in self.pieces
-            ],
-        )
+        return RegionSet(self.dim, [Piece(tuple(o + ti for o, ti in zip(p.offset, t)), p.edges,
+                                          p.witnesses) for p in self.pieces])
 
     def contains(self, x: Sequence[QValue], closure: bool = False) -> bool:
         return any(p.contains(x, closure=closure) for p in self.pieces)
@@ -218,12 +209,15 @@ class Membership:
     inverse; a block whose spread leaves floats no room is anchored at every row.
     Inside the band a point is decided exactly, on the integer numerators of x.
     1-D pieces count translates in closed form: ceil/floor of the ends minus x.
+    Each call reuses one set of block buffers, and a count is written in place.
     """
 
     def __init__(self, region: RegionSet) -> None:
-        self.dim, self._values = region.dim, region.values
+        # join picks the same algebra for a batch with the region as with this one value
+        self.dim, self._rep = region.dim, next(
+            (v for v in region.values if not v.is_rational()), region.values[0])
         if self.dim == 1:
-            self._pieces = [(a, b, lc, float(a), float(b), _mag(a) + _mag(b))
+            self._pieces = [(a, b, lc, np.array([[float(a)], [float(b)]]), _mag(a) + _mag(b))
                             for a, b, lc in region.intervals()]
             return
         self._pieces = []
@@ -238,90 +232,115 @@ class Membership:
                 corners.min(axis=0), corners.max(axis=0), ext, norm,
             ))
 
-    def _blocks(self, base, gens, coeffs):
-        """(first row, anchors, decisions with shifts relative to the anchors) per block."""
-        spec, (_, base, *gens) = join(self._values, base, *gens)
+    def _blocks(self, base, gens, coeffs, cnt=None):
+        """(first row, anchors, decisions with shifts relative to the anchors) per block;
+        given cnt, the decisions write each point's count into it."""
+        spec, (_, base, *gens) = join([self._rep], base, *gens)
         lift = lambda vs: [lift_to(spec, v) for v in vs]  # noqa: E731
-        c, form = np.asarray(coeffs, dtype=np.int64), None
+        c, form, frames = np.asarray(coeffs, dtype=np.int64), None, {}
+        (n, k), d = c.shape, self.dim
         mags = [max(_mag(v) for v in g) for g in (base, *gens)]
 
-        def scale(c) -> float:  # column extremes as Python ints: abs(-2**63) overflows int64
+        def scale(lo, hi) -> float:  # column extremes as Python ints: abs(-2**63) overflows int64
             """Bound on the terms of every coordinate: |base| + sum_j max|c_j| * |g_j|."""
-            return mags[0] + sum(max(-int(c[:, j].min(initial=0)), int(c[:, j].max(initial=0)))
-                                 * m for j, m in enumerate(mags[1:]))
+            return mags[0] + sum(max(-a, b, 0) * m for a, b, m in zip(lo, hi, mags[1:]))
 
-        @functools.cache
         def frame(i):
             """The batch in piece i's unit coordinates; 1-D: s (x - a), s (x - b), s = ±1."""
-            if self.dim > 1:
-                b, g = self._pieces[i][0].frame(base, gens + np.eye(self.dim, dtype=int).tolist())
-                return _form(lift(b), [lift(r) for r in g])
-            s, (lo, hi) = 1 if self._pieces[i][2] else -1, lift(self._pieces[i][:2])
-            return _form([s * (base[0] - e) for e in (lo, hi)], [[s * g[0]] * 2 for g in gens])
+            if i not in frames and d > 1:
+                b, g = self._pieces[i][0].frame(base, gens + np.eye(d, dtype=int).tolist())
+                frames[i] = _form(lift(b), [lift(r) for r in g])
+            elif i not in frames:
+                s, (lo, hi) = 1 if self._pieces[i][2] else -1, lift(self._pieces[i][:2])
+                frames[i] = _form([s * (base[0] - e) for e in (lo, hi)],
+                                  [[s * g[0]] * 2 for g in gens])
+            return frames[i]
 
-        if not scale(c) < 2.0 ** 62:
+        starts = np.arange(0, max(n, 1), _BLOCK)  # an empty batch is one block
+        lows, highs = (f.reduceat(c, starts).tolist() if n else [[0] * k]
+                       for f in (np.minimum, np.maximum))  # per block, one pass each
+        if not scale([min(v) for v in zip(*lows)], [max(v) for v in zip(*highs)]) < 2.0**62:
             raise PreconditionError("point magnitudes beyond the int64 range")
-        gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, self.dim)
-        base_f = np.array([float(v) for v in base])
-        decide = functools.partial(self._ranges_1d if self.dim == 1 else self._hits, spec, frame)
-        unit = (len(gens) + 4) * _EPS  # xf sums len(gens) + 1 rounded terms
-        for start in range(0, max(len(c), 1), _BLOCK):  # an empty batch is one block
-            cb = c[start:start + _BLOCK]
-            span = [int(hi) - int(lo) for lo, hi in zip(cb.min(0), cb.max(0))] if len(cb) else []
-            rows, spread = cb[:1], sum(s * m for s, m in zip(span, mags[1:]))
+        gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, d)
+        base_f, g_abs = np.array([float(v) for v in base]), float(np.abs(gens_f).max(initial=0))
+
+        # per row of fine = floor(2^52 x): the anchor A = fine >> 52, and the middle of
+        # [fine, fine + 1) * 2^-52 minus A.  Every block's first row is placed by floats up
+        # front; past one generator one row per matmul, as a matmul's sums round by shape
+        split = lambda fine: ((fine // 2**52).astype(np.int64),  # noqa: E731
+                              ((fine % 2**52).astype(np.float64) + 0.5) * 2.0**-52)
+        first = split(np.floor((base_f + (c[::_BLOCK] @ gens_f if k < 2 else np.array(
+            [r @ gens_f for r in c[::_BLOCK, None]]).reshape(-1, d))) * 2.0**52))
+        dc, xb = np.empty((min(n, _BLOCK), k), np.int64), np.empty((min(n, _BLOCK), d))
+        decide = (functools.partial(self._ranges_1d, spec, frame, np.empty((4, len(xb))))
+                  if d == 1 else functools.partial(self._hits, spec, frame))
+        unit = (k + 4) * _EPS  # xf sums k + 1 rounded terms
+        for b, (start, lo, hi) in enumerate(zip(starts.tolist(), lows, highs)):
+            cb, span = c[start:start + _BLOCK], [h - l for l, h in zip(lo, hi)]
+            rows, ext, af = cb[:1], (cb[:1].tolist() or [lo]) * 2, [v[b:b + 1] for v in first]
+            dist = [max(h - r, r - l) for l, h, r in zip(lo, hi, ext[0])]  # max |c - r0|
+            spread = sum(s * m for s, m in zip(span, mags[1:]))
             if not (unit * spread < 0.125 and max(span, default=0) < 2**53):
-                rows, spread = cb, 0  # floats leave no room, or c - r0 is inexact: anchor every row
+                # floats leave no room, or c - r0 is inexact: anchor every row
+                rows, spread, dist, ext, af = cb, 0, [0] * k, (lo, hi), None
             # the middle of [fine, fine + 1) * 2^-52 is within 2^-53 of x(rows), and x(rows)'s
             # float within f_err: below 2^-20 that widens the band by less than a floor costs
-            x_err, f_err = unit * (1 + spread) + 2.0**-53, unit * scale(rows)
+            x_err, f_err = unit * (1 + spread) + 2.0**-53, unit * scale(*ext)
             if f_err < 2.0**-20 or None in spec.radicands:  # value-declared: no exact floor
                 if not (x_err := x_err + f_err) < 0.25:  # below 1/4 if f_err < 2^-20
                     raise PreconditionError("value-declared elements beyond float placement")
-                fine = np.floor((base_f + rows @ gens_f) * 2.0**52)  # integers, exact in floats
+                anchor, frac = af or split(np.floor((base_f + rows @ gens_f) * 2.0**52))
             else:
                 nums, den = _numerators(form := form or _form(base, gens), rows)
                 fine = [[spec.floor_of([n << 52 for n in v], den) for v in f] for f in nums]
-                fine = np.array(fine, dtype=object).reshape(-1, self.dim)
-            anchor = np.broadcast_to((fine // 2**52).astype(np.int64), (len(cb), self.dim))
-            xf = np.dot((cb - rows).astype(np.float64), gens_f)  # matmul is slow for one generator
-            xf += ((fine % 2**52).astype(np.float64) + 0.5) * 2.0**-52
-            yield start, anchor, decide(cb, xf, anchor, x_err)
+                anchor, frac = split(np.array(fine, dtype=object).reshape(-1, d))
+            anchor = anchor if len(anchor) == len(cb) else np.broadcast_to(anchor, (len(cb), d))
+            xf, dcb = xb[:len(cb)], np.subtract(cb, rows, out=dc[:len(cb)])
+            if k == d == 1:  # one product per point: in place, no BLAS call
+                np.copyto(xf, dcb)
+                xf *= gens_f
+            else:
+                np.dot(dcb.astype(np.float64), gens_f, out=xf)
+            xf += frac
+            # one generator or none: |xf| <= 1 + max|c - r0| |float(g)| up to two roundings
+            xmax = ((1 + 2 * unit) * (1 + sum(dist) * g_abs) if k < 2
+                    else np.abs(xf).max(initial=0.0))
+            yield start, anchor, decide(cb, xf, anchor, x_err, xmax,
+                                        None if cnt is None else cnt[start:start + len(cb)])
 
-    def _ranges_1d(self, spec, frame, c, xf, anchor, x_err) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per piece, the integer translates k of each point, lo <= k - anchor < hi."""
-        x = xf[:, 0]
-        xmax = np.abs(x).max(initial=0.0)
-        y, r = np.empty_like(x), np.empty_like(x)
-        out = []
-        for j, (_, _, left_closed, af, bf, span) in enumerate(self._pieces):
+    def _ranges_1d(self, spec, frame, buf, c, xf, anchor, x_err, xmax, cnt) -> list:
+        """Per piece, the integer translates k of each point, lo <= k - anchor < hi; given
+        cnt, their number per point instead, summed over the pieces into cnt."""
+        x, out = xf[:, 0], []
+        ys, rs = buf[:2, :len(x)], buf[2:, :len(x)]  # row 0 for the end a, row 1 for b
+        for j, (_, _, left_closed, ends_f, span) in enumerate(self._pieces):
             guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
             # y = e - x is near an integer when d = |y - rnd(y)|, in [0, 1),
             # is below guard or above 1 - guard.  d is exact unless |y| < 1,
             # where it and 1 - guard round by at most eps/2 each; the guard's
             # 4 eps is spare above the float error of y and covers both.
-            rnd = np.ceil if left_closed else np.floor
-            ends, flag = [], np.zeros(len(x), dtype=bool)
-            for e in (af, bf):
-                rnd(np.subtract(e, x, out=y), out=r)
-                ends.append(r.astype(np.int64))
-                d = np.subtract(r, y, out=y) if left_closed else np.subtract(y, r, out=y)
-                flag |= (d < guard) | (d > 1 - guard)
-            lo, hi = ends
-            flagged = np.flatnonzero(flag)
-            if len(flagged):  # [a, b): ceil(e - x) = -floor(x - e); (a, b]: floor(e - x)
-                s = 1 if left_closed else -1
+            rnd, s = (np.ceil, 1) if left_closed else (np.floor, -1)
+            rnd(np.subtract(ends_f, x, out=ys), out=rs)
+            np.subtract(rs, ys, out=ys) if left_closed else np.subtract(ys, rs, out=ys)
+            # outside the band rnd's floats are exact integers: the ends, or given cnt hi - lo
+            got = rs.astype(np.int64) if cnt is None else np.subtract(rs[1], rs[0], out=rs[1])
+            if ys.min(initial=1) < guard or ys.max(initial=0) > 1 - guard:  # rare: decide exactly
+                # [a, b): ceil(e - x) = -floor(x - e); (a, b]: floor(e - x)
+                flagged = np.flatnonzero(np.any((ys < guard) | (ys > 1 - guard), axis=0))
                 nums, den = _numerators(frame(j), c[flagged])
-                for i, ends_i in zip(flagged, nums):
-                    lo[i], hi[i] = (anchor[i, 0] - s * spec.floor_of(y, den) for y in ends_i)
-            if not left_closed:
-                lo, hi = lo + 1, hi + 1
-            out.append((lo, hi))
+                exact = np.array([[anchor[i, 0] - s * spec.floor_of(y, den) for y in ends_i]
+                                  for i, ends_i in zip(flagged, nums)], dtype=np.int64).T
+                got[..., flagged] = exact if cnt is None else exact[1] - exact[0]
+            if cnt is None:
+                out.append(got if left_closed else got + 1)
+            else:
+                np.add(cnt, got, out=cnt, casting="unsafe") if j else np.copyto(cnt, got, "unsafe")
         return out
 
-    def _hits(self, spec, frame, c, xf, anchor, x_err) -> tuple[np.ndarray, np.ndarray]:
-        """(point index, integer shift minus its anchor) per piece a shifted point lands in."""
+    def _hits(self, spec, frame, c, xf, anchor, x_err, xmax, cnt) -> tuple[np.ndarray, np.ndarray]:
+        """(point index, integer shift minus its anchor) per piece a shifted point lands in;
+        given cnt, the number per point is written into it."""
         d, sign = self.dim, spec.sign_of
-        xmax = np.abs(xf).max(initial=0.0)
         idx_all, k_all = [], []
         for j, (_, inv_f, off_f, lo_f, hi_f, ext, norm) in enumerate(self._pieces):
             # error of x + k - offset, and of its image in unit coordinates
@@ -339,13 +358,17 @@ class Membership:
                                       for ti in tp) for tp in nums]
             idx_all.append(idx[inside])
             k_all.append(kf[inside])
-        return np.concatenate(idx_all), np.concatenate(k_all)
+        idx = np.concatenate(idx_all)
+        if cnt is not None:
+            cnt[:] = np.bincount(idx, minlength=len(xf))
+        return idx, np.concatenate(k_all)
 
     def count(self, base, gens, coeffs) -> np.ndarray:
         """Per point, the number of (piece, integer shift) pairs that land."""
-        return np.concatenate([np.bincount(got[0], minlength=len(a)) if self.dim > 1
-                               else sum(hi - lo for lo, hi in got)
-                               for _, a, got in self._blocks(base, gens, coeffs)])
+        out = np.empty(len(coeffs), dtype=np.int64)
+        for _ in self._blocks(base, gens, coeffs, out):
+            pass
+        return out
 
     def translates(self, base, gens, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct (point index, integer shift) with x + shift in the region."""
@@ -372,12 +395,9 @@ def interval(a: QValue, b: QValue, left_closed: bool = True) -> RegionSet:
 
 def union(*regions: RegionSet) -> RegionSet:
     dim = regions[0].dim
-    pieces: list[Piece] = []
-    for r in regions:
-        if r.dim != dim:
-            raise PreconditionError("union of regions with different dimensions")
-        pieces.extend(r.pieces)
-    return RegionSet(dim, pieces)
+    if any(r.dim != dim for r in regions):
+        raise PreconditionError("union of regions with different dimensions")
+    return RegionSet(dim, [p for r in regions for p in r.pieces])
 
 
 def box_region(spec: AlgebraSpec, lows: Sequence, highs: Sequence) -> RegionSet:
@@ -386,12 +406,8 @@ def box_region(spec: AlgebraSpec, lows: Sequence, highs: Sequence) -> RegionSet:
     The corners join with ``spec``, which holds them when they are rational.
     """
     lows, highs = join([spec.zero()], lows, highs)[1][1:]
-    d = len(lows)
-    zero = spec.zero()
-    edges = tuple(
-        tuple((highs[i] - lows[i]) if i == j else zero for j in range(d))
-        for i in range(d)
-    )
+    d, zero = len(lows), spec.zero()
+    edges = tuple(tuple(highs[i] - lows[i] if i == j else zero for j in range(d)) for i in range(d))
     return RegionSet(d, [Piece(tuple(lows), edges)])
 
 
@@ -448,10 +464,7 @@ def ft_indicator(region: RegionSet, t) -> complex | np.ndarray:
     d = region.dim
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0 or (d > 1 and t_arr.ndim == 1)
-    if d == 1:
-        t_vec = t_arr.reshape(-1, 1)
-    else:
-        t_vec = t_arr.reshape(-1, d)
+    t_vec = t_arr.reshape(-1, d)
     out = np.zeros(t_vec.shape[0], dtype=complex)
     for p in region.pieces:
         off = np.array([float(v) for v in p.offset])
@@ -610,15 +623,11 @@ def realize_measure(
     if gamma.sign() <= 0:
         raise PreconditionError("measure must be positive")
     if admissible_decomposition(alpha, gamma) is None:
-        raise PreconditionError(
-            "measure is not an integer combination of 1, alpha_1..alpha_d"
-        )
+        raise PreconditionError("measure is not an integer combination of 1, alpha_1..alpha_d")
     for region in measure_candidates(alpha, gamma, search_bound):
         return region
-    raise SearchExhaustedError(
-        f"no parallelepiped of measure {gamma} found with coefficient "
-        f"bound {search_bound}"
-    )
+    raise SearchExhaustedError(f"no parallelepiped of measure {gamma} found with coefficient "
+                               f"bound {search_bound}")
 
 
 # -- equidecomposition certificates ---------------------------------------------
@@ -802,9 +811,7 @@ def construct_brs_between(
 
     # Tiles meeting K: box cover of K's corners in tile coordinates.
     lo_j, hi_j = cover(region_k)
-    a_tiles = sorted(itertools.product(*[
-        range(lo_j[i], hi_j[i] + 1) for i in range(d)
-    ]))
+    a_tiles = sorted(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lo_j, hi_j)]))
 
     # Tiles j inside U over a box cover of U: the tile is inside when its 2^d
     # corners edges @ (j + eps) lie in the interior of one piece of U.  In a
@@ -906,9 +913,7 @@ def region_to_text(region: RegionSet) -> str:
         rows = "; ".join(", ".join(str(v) for v in row) for row in p.edges)
         line = f"piece offset = {off} | edges = {rows}"
         if p.witnesses is not None:
-            wit = " / ".join(
-                f"{n}: " + ", ".join(str(x) for x in m) for n, m in p.witnesses
-            )
+            wit = " / ".join(f"{n}: " + ", ".join(str(x) for x in m) for n, m in p.witnesses)
             line += f" | witness = {wit}"
         lines.append(line)
     return "\n".join(lines) + "\n"
@@ -938,17 +943,10 @@ def region_from_text(text: str) -> RegionSet:
             key, _, val = chunk.partition("=")
             fields[key.strip()] = val.strip()
         offset = spec.parse_vector(fields["offset"])
-        edges = tuple(
-            spec.parse_vector(row) for row in fields["edges"].split(";")
-        )
+        edges = tuple(spec.parse_vector(row) for row in fields["edges"].split(";"))
         witnesses = None
         if "witness" in fields:
-            wit = []
-            for w in fields["witness"].split("/"):
-                n_s, _, m_s = w.partition(":")
-                wit.append(
-                    (int(n_s), tuple(int(x) for x in m_s.split(",")))
-                )
-            witnesses = tuple(wit)
+            parts = (w.partition(":") for w in fields["witness"].split("/"))
+            witnesses = tuple((int(n), tuple(int(x) for x in m.split(","))) for n, _, m in parts)
         pieces.append(Piece(offset, edges, witnesses))
     return RegionSet(dim, pieces)

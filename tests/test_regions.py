@@ -989,6 +989,54 @@ def test_membership_anchored_blocks_match_isqrt_floors(sqrt23, dim, kind, t, axe
                           np.bincount(want[:, 0], minlength=len(big_k)))
 
 
+_B = regions._BLOCK
+
+
+@pytest.mark.parametrize("n, k0, hit", [
+    (0, 10**17, 0), (_B - 1, 10**15, _B - 2), (_B, 0, 0), (_B, -10**17, _B - 1),
+    (_B + 1, 10**15, _B), (_B + 1, 10**17, _B - 1),
+])
+def test_membership_count_matches_isqrt_counts_at_block_edges(sqrt2, n, k0, hit):
+    # [0, 1/4) U (1/3, sqrt2 - 1]: a left- and a right-closed piece.  Row k of the batch
+    # is x = x0 + (k0 + k) sqrt2 with x0 = -(k0 + hit) sqrt2, so rows hit and hit + 1
+    # land exactly on the ends 0 and sqrt2 - 1 (mod 1): guarded points at a block's
+    # first or last row, reached through terms of size |k0| up to 1e17
+    w1 = sqrt2.basis_element("w1")
+    region = parse_region_literal(sqrt2, "[0,1/4) U (1/3,-1+1*w1]")
+    ks = k0 + np.arange(n, dtype=np.int64)[:, None]
+    got = region.membership.count((w1 * -(k0 + hit),), [(w1,)], ks)
+    # x = b sqrt2, b = k - hit: floor(x) - floor(x - 1/4) translates land in [0, 1/4),
+    # floor(sqrt2 - 1 - x) - floor(1/3 - x) in (1/3, sqrt2 - 1]
+    want = [_floor_root(0, b, 1, 2) - _floor_root(-1, 4 * b, 4, 2)
+            + _floor_root(-1, 1 - b, 1, 2) - _floor_root(1, -3 * b, 3, 2)
+            for b in range(-hit, n - hit)]
+    assert got.dtype == np.int64 and got.shape == (n,) and got.tolist() == want
+    assert want[hit:hit + 2] == [1, 1][:n - hit]  # the two endpoint rows count
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_membership_guard_bound_covers_the_measured_magnitude(sqrt2, monkeypatch, order):
+    # one generator: the 1-D guard takes max|xf| of a block as the bound
+    # 1 + max|c - r0| |g|, which may only widen the band over the measured value,
+    # and by at most about 1 (so the same points go exact)
+    seen, ranges = [], regions.Membership._ranges_1d
+
+    def spy(self, spec, frame, buf, c, xf, anchor, x_err, xmax, cnt):
+        seen.append((float(np.abs(xf).max(initial=0.0)), xmax))
+        return ranges(self, spec, frame, buf, c, xf, anchor, x_err, xmax, cnt)
+
+    monkeypatch.setattr(regions.Membership, "_ranges_1d", spy)
+    w1, rng = sqrt2.basis_element("w1"), np.random.default_rng(5)
+    region = parse_region_literal(sqrt2, "[0,-1+1*w1)")
+    for k0, alpha in ((0, w1), (10**6, 3 - w1 / 7), (-10**12, w1 - 1), (10**17, -w1)):
+        ks = k0 + np.arange(2 * _B + 99)
+        ks = {"ascending": ks, "descending": ks[::-1], "shuffled": rng.permutation(ks)}[order]
+        region.membership.count((sqrt2.zero(),), [(alpha,)], ks[:, None])
+    assert len(seen) == 12
+    for measured, xmax in seen:
+        assert measured <= xmax <= measured + 2 + 1e-12 * measured
+
+
 def test_membership_takes_exact_floors_per_block_not_per_point(sqrt2, sqrt23, monkeypatch):
     # each orbit holds 16,384 points at a magnitude where floats cannot place x:
     # at most d exact floors per block (its anchor) plus 2 per guarded 1-D point,
