@@ -115,8 +115,17 @@ class RegionSet:
 
     def translate(self, t: Sequence[QValue]) -> "RegionSet":
         t = join(self.values, t)[1][1]
-        return RegionSet(self.dim, [Piece(tuple(o + ti for o, ti in zip(p.offset, t)), p.edges,
-                                          p.witnesses) for p in self.pieces])
+        return RegionSet(
+            self.dim,
+            [
+                Piece(
+                    tuple(o + ti for o, ti in zip(p.offset, t)),
+                    p.edges,
+                    p.witnesses,
+                )
+                for p in self.pieces
+            ],
+        )
 
     def contains(self, x: Sequence[QValue], closure: bool = False) -> bool:
         return any(p.contains(x, closure=closure) for p in self.pieces)
@@ -262,34 +271,29 @@ class Membership:
         if not scale([min(v) for v in zip(*lows)], [max(v) for v in zip(*highs)]) < 2.0**62:
             raise PreconditionError("point magnitudes beyond the int64 range")
         gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, d)
-        base_f, g_abs = np.array([float(v) for v in base]), float(np.abs(gens_f).max(initial=0))
-
+        base_f = np.array([float(v) for v in base])
         # per row of fine = floor(2^52 x): the anchor A = fine >> 52, and the middle of
-        # [fine, fine + 1) * 2^-52 minus A.  Every block's first row is placed by floats up
-        # front; past one generator one row per matmul, as a matmul's sums round by shape
+        # [fine, fine + 1) * 2^-52 minus A
         split = lambda fine: ((fine // 2**52).astype(np.int64),  # noqa: E731
                               ((fine % 2**52).astype(np.float64) + 0.5) * 2.0**-52)
-        first = split(np.floor((base_f + (c[::_BLOCK] @ gens_f if k < 2 else np.array(
-            [r @ gens_f for r in c[::_BLOCK, None]]).reshape(-1, d))) * 2.0**52))
         dc, xb = np.empty((min(n, _BLOCK), k), np.int64), np.empty((min(n, _BLOCK), d))
         decide = (functools.partial(self._ranges_1d, spec, frame, np.empty((4, len(xb))))
                   if d == 1 else functools.partial(self._hits, spec, frame))
         unit = (k + 4) * _EPS  # xf sums k + 1 rounded terms
-        for b, (start, lo, hi) in enumerate(zip(starts.tolist(), lows, highs)):
+        for start, lo, hi in zip(starts.tolist(), lows, highs):
             cb, span = c[start:start + _BLOCK], [h - l for l, h in zip(lo, hi)]
-            rows, ext, af = cb[:1], (cb[:1].tolist() or [lo]) * 2, [v[b:b + 1] for v in first]
-            dist = [max(h - r, r - l) for l, h, r in zip(lo, hi, ext[0])]  # max |c - r0|
+            rows, ext = cb[:1], (cb[:1].tolist() or [lo]) * 2
             spread = sum(s * m for s, m in zip(span, mags[1:]))
             if not (unit * spread < 0.125 and max(span, default=0) < 2**53):
                 # floats leave no room, or c - r0 is inexact: anchor every row
-                rows, spread, dist, ext, af = cb, 0, [0] * k, (lo, hi), None
+                rows, spread, ext = cb, 0, (lo, hi)
             # the middle of [fine, fine + 1) * 2^-52 is within 2^-53 of x(rows), and x(rows)'s
             # float within f_err: below 2^-20 that widens the band by less than a floor costs
             x_err, f_err = unit * (1 + spread) + 2.0**-53, unit * scale(*ext)
             if f_err < 2.0**-20 or None in spec.radicands:  # value-declared: no exact floor
                 if not (x_err := x_err + f_err) < 0.25:  # below 1/4 if f_err < 2^-20
                     raise PreconditionError("value-declared elements beyond float placement")
-                anchor, frac = af or split(np.floor((base_f + rows @ gens_f) * 2.0**52))
+                anchor, frac = split(np.floor((base_f + rows @ gens_f) * 2.0**52))
             else:
                 nums, den = _numerators(form := form or _form(base, gens), rows)
                 fine = [[spec.floor_of([n << 52 for n in v], den) for v in f] for f in nums]
@@ -302,16 +306,14 @@ class Membership:
             else:
                 np.dot(dcb.astype(np.float64), gens_f, out=xf)
             xf += frac
-            # one generator or none: |xf| <= 1 + max|c - r0| |float(g)| up to two roundings
-            xmax = ((1 + 2 * unit) * (1 + sum(dist) * g_abs) if k < 2
-                    else np.abs(xf).max(initial=0.0))
-            yield start, anchor, decide(cb, xf, anchor, x_err, xmax,
+            yield start, anchor, decide(cb, xf, anchor, x_err,
                                         None if cnt is None else cnt[start:start + len(cb)])
 
-    def _ranges_1d(self, spec, frame, buf, c, xf, anchor, x_err, xmax, cnt) -> list:
+    def _ranges_1d(self, spec, frame, buf, c, xf, anchor, x_err, cnt) -> list:
         """Per piece, the integer translates k of each point, lo <= k - anchor < hi; given
         cnt, their number per point instead, summed over the pieces into cnt."""
         x, out = xf[:, 0], []
+        xmax = max(-x.min(initial=0.0), x.max(initial=0.0))  # max|x| with no temporary
         ys, rs = buf[:2, :len(x)], buf[2:, :len(x)]  # row 0 for the end a, row 1 for b
         for j, (_, _, left_closed, ends_f, span) in enumerate(self._pieces):
             guard = 2 * x_err + 4 * _EPS * (span + xmax + 1)
@@ -337,10 +339,11 @@ class Membership:
                 np.add(cnt, got, out=cnt, casting="unsafe") if j else np.copyto(cnt, got, "unsafe")
         return out
 
-    def _hits(self, spec, frame, c, xf, anchor, x_err, xmax, cnt) -> tuple[np.ndarray, np.ndarray]:
+    def _hits(self, spec, frame, c, xf, anchor, x_err, cnt) -> tuple[np.ndarray, np.ndarray]:
         """(point index, integer shift minus its anchor) per piece a shifted point lands in;
         given cnt, the number per point is written into it."""
         d, sign = self.dim, spec.sign_of
+        xmax = np.abs(xf).max(initial=0.0)
         idx_all, k_all = [], []
         for j, (_, inv_f, off_f, lo_f, hi_f, ext, norm) in enumerate(self._pieces):
             # error of x + k - offset, and of its image in unit coordinates
@@ -395,9 +398,12 @@ def interval(a: QValue, b: QValue, left_closed: bool = True) -> RegionSet:
 
 def union(*regions: RegionSet) -> RegionSet:
     dim = regions[0].dim
-    if any(r.dim != dim for r in regions):
-        raise PreconditionError("union of regions with different dimensions")
-    return RegionSet(dim, [p for r in regions for p in r.pieces])
+    pieces: list[Piece] = []
+    for r in regions:
+        if r.dim != dim:
+            raise PreconditionError("union of regions with different dimensions")
+        pieces.extend(r.pieces)
+    return RegionSet(dim, pieces)
 
 
 def box_region(spec: AlgebraSpec, lows: Sequence, highs: Sequence) -> RegionSet:
@@ -406,8 +412,12 @@ def box_region(spec: AlgebraSpec, lows: Sequence, highs: Sequence) -> RegionSet:
     The corners join with ``spec``, which holds them when they are rational.
     """
     lows, highs = join([spec.zero()], lows, highs)[1][1:]
-    d, zero = len(lows), spec.zero()
-    edges = tuple(tuple(highs[i] - lows[i] if i == j else zero for j in range(d)) for i in range(d))
+    d = len(lows)
+    zero = spec.zero()
+    edges = tuple(
+        tuple((highs[i] - lows[i]) if i == j else zero for j in range(d))
+        for i in range(d)
+    )
     return RegionSet(d, [Piece(tuple(lows), edges)])
 
 
@@ -464,7 +474,10 @@ def ft_indicator(region: RegionSet, t) -> complex | np.ndarray:
     d = region.dim
     t_arr = np.asarray(t, dtype=float)
     scalar = t_arr.ndim == 0 or (d > 1 and t_arr.ndim == 1)
-    t_vec = t_arr.reshape(-1, d)
+    if d == 1:
+        t_vec = t_arr.reshape(-1, 1)
+    else:
+        t_vec = t_arr.reshape(-1, d)
     out = np.zeros(t_vec.shape[0], dtype=complex)
     for p in region.pieces:
         off = np.array([float(v) for v in p.offset])
@@ -623,11 +636,15 @@ def realize_measure(
     if gamma.sign() <= 0:
         raise PreconditionError("measure must be positive")
     if admissible_decomposition(alpha, gamma) is None:
-        raise PreconditionError("measure is not an integer combination of 1, alpha_1..alpha_d")
+        raise PreconditionError(
+            "measure is not an integer combination of 1, alpha_1..alpha_d"
+        )
     for region in measure_candidates(alpha, gamma, search_bound):
         return region
-    raise SearchExhaustedError(f"no parallelepiped of measure {gamma} found with coefficient "
-                               f"bound {search_bound}")
+    raise SearchExhaustedError(
+        f"no parallelepiped of measure {gamma} found with coefficient "
+        f"bound {search_bound}"
+    )
 
 
 # -- equidecomposition certificates ---------------------------------------------
@@ -811,7 +828,9 @@ def construct_brs_between(
 
     # Tiles meeting K: box cover of K's corners in tile coordinates.
     lo_j, hi_j = cover(region_k)
-    a_tiles = sorted(itertools.product(*[range(lo, hi + 1) for lo, hi in zip(lo_j, hi_j)]))
+    a_tiles = sorted(itertools.product(*[
+        range(lo_j[i], hi_j[i] + 1) for i in range(d)
+    ]))
 
     # Tiles j inside U over a box cover of U: the tile is inside when its 2^d
     # corners edges @ (j + eps) lie in the interior of one piece of U.  In a
@@ -913,7 +932,9 @@ def region_to_text(region: RegionSet) -> str:
         rows = "; ".join(", ".join(str(v) for v in row) for row in p.edges)
         line = f"piece offset = {off} | edges = {rows}"
         if p.witnesses is not None:
-            wit = " / ".join(f"{n}: " + ", ".join(str(x) for x in m) for n, m in p.witnesses)
+            wit = " / ".join(
+                f"{n}: " + ", ".join(str(x) for x in m) for n, m in p.witnesses
+            )
             line += f" | witness = {wit}"
         lines.append(line)
     return "\n".join(lines) + "\n"
@@ -943,10 +964,17 @@ def region_from_text(text: str) -> RegionSet:
             key, _, val = chunk.partition("=")
             fields[key.strip()] = val.strip()
         offset = spec.parse_vector(fields["offset"])
-        edges = tuple(spec.parse_vector(row) for row in fields["edges"].split(";"))
+        edges = tuple(
+            spec.parse_vector(row) for row in fields["edges"].split(";")
+        )
         witnesses = None
         if "witness" in fields:
-            parts = (w.partition(":") for w in fields["witness"].split("/"))
-            witnesses = tuple((int(n), tuple(int(x) for x in m.split(","))) for n, _, m in parts)
+            wit = []
+            for w in fields["witness"].split("/"):
+                n_s, _, m_s = w.partition(":")
+                wit.append(
+                    (int(n_s), tuple(int(x) for x in m_s.split(",")))
+                )
+            witnesses = tuple(wit)
         pieces.append(Piece(offset, edges, witnesses))
     return RegionSet(dim, pieces)
