@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _get(c, key: str, default):

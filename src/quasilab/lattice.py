@@ -94,25 +94,46 @@ def dual_lattice(lat: Lattice) -> Lattice:
     return lat.dual
 
 
+def special_bases(
+    alpha: Sequence[QValue], beta: Sequence[QValue]
+) -> tuple[QMatrix, QMatrix]:
+    """The basis matrices of the special-form pair (Gamma, Gamma*), unchecked.
+
+    Generators (columns), for integer coordinates (m, n):
+
+        Gamma      m=e_i: (e_i + beta*alpha_i, -alpha_i)   n=1: (-beta, 1)
+        Gamma*     m=e_i: (e_i, beta_i)                    n=1: (alpha, 1+beta^T alpha)
+
+    The entries are joined into one algebra; neither the rank conditions
+    nor the pairing is checked (``make_special_lattice`` does both).
+    """
+    spec, (alpha, beta) = join(alpha, beta)
+    d, one, zero = len(alpha), spec.one(), spec.zero()
+    g = [[(one if i == j else zero) + beta[i] * alpha[j] for j in range(d)] + [-beta[i]]
+         for i in range(d)] + [[-a for a in alpha] + [one]]
+    gs = [[one if i == j else zero for j in range(d)] + [alpha[i]] for i in range(d)]
+    gs.append(list(beta) + [one + sum((b * a for b, a in zip(beta, alpha)), zero)])
+    return g, gs
+
+
 def check_special_form(alpha: Sequence[QValue], beta: Sequence[QValue]) -> None:
     """Exact rank checks for the two independence conditions.
 
-    Condition (i): the coefficient vectors of 1, alpha_1..alpha_d have full
-    rank over Q.  Condition (ii): the same for beta_1..beta_d together with
-    1 + beta^T alpha.  Raises naming the violated condition.
+    Condition (i): the coefficient vectors of 1, alpha_1..alpha_d (Gamma's
+    last row, up to sign) have full rank over Q.  Condition (ii): the same
+    for beta_1..beta_d together with 1 + beta^T alpha (Gamma*'s last row).
+    Raises naming the violated condition.
     """
     d = len(alpha)
     if len(beta) != d or d == 0:
         raise PreconditionError("alpha and beta must be nonempty, equal length")
-    spec, (alpha, beta) = join(alpha, beta)
-    one = spec.one()
-    if coeff_rank([one] + list(alpha)) != d + 1:
+    g, gs = special_bases(alpha, beta)
+    if coeff_rank(g[d]) != d + 1:
         raise PreconditionError(
             "condition (i) violated: 1, alpha_1..alpha_d are rationally "
             "dependent (coefficient rank < d+1)"
         )
-    bta = one + sum((b * a for b, a in zip(beta, alpha)), spec.zero())
-    if coeff_rank(list(beta) + [bta]) != d + 1:
+    if coeff_rank(gs[d]) != d + 1:
         raise PreconditionError(
             "condition (ii) violated: beta_1..beta_d, 1+beta^T alpha are "
             "rationally dependent (coefficient rank < d+1)"
@@ -122,40 +143,15 @@ def check_special_form(alpha: Sequence[QValue], beta: Sequence[QValue]) -> None:
 def make_special_lattice(
     alpha: Sequence[QValue], beta: Sequence[QValue]
 ) -> tuple[Lattice, Lattice]:
-    """Build the special-form lattice pair from direction data alpha, beta.
+    """Build the special-form lattice pair of ``special_bases(alpha, beta)``.
 
-    Generators (columns), for integer coordinates (m, n):
-
-        Gamma      m=e_i: (e_i + beta*alpha_i, -alpha_i)   n=1: (-beta, 1)
-        Gamma*     m=e_i: (e_i, beta_i)                    n=1: (alpha, 1+beta^T alpha)
-
-    The pair is validated exactly: det Gamma = +-1 and every generator
-    pairing is an exact integer.
+    The pair is validated exactly: the rank conditions of
+    ``check_special_form``, det Gamma = +-1 and every generator pairing an
+    exact integer.
     """
     check_special_form(alpha, beta)
     d = len(alpha)
-    spec, (alpha, beta) = join(alpha, beta)
-    one, zero = spec.one(), spec.zero()
-
-    g = [[zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d):
-        for j in range(d):
-            g[j][i] = (one if i == j else zero) + beta[j] * alpha[i]
-        g[d][i] = -alpha[i]
-    for j in range(d):
-        g[j][d] = -beta[j]
-    g[d][d] = one
-
-    gs = [[zero] * (d + 1) for _ in range(d + 1)]
-    bta = one + sum((b * a for b, a in zip(beta, alpha)), zero)
-    for i in range(d):
-        for j in range(d):
-            gs[j][i] = one if i == j else zero
-        gs[d][i] = beta[i]
-    for j in range(d):
-        gs[j][d] = alpha[j]
-    gs[d][d] = bta
-
+    g, gs = special_bases(alpha, beta)
     gamma = Lattice(d, g)
     gamma_star = Lattice(d, gs)
     det = gamma.det

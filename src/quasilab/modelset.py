@@ -7,14 +7,14 @@ Output order is the lexicographic order of that provenance.
 
 A point set stores float coordinates and provenance only.  The exact
 coordinates are ``Lattice.point`` of the provenance: the first d entries
-on the lattice Gamma for a quasicrystal (for the special-form generators,
-Gamma of ``make_special_lattice(alpha, beta)``), and entry d on Gamma* for
-a dual model point.  Float coordinates come from one integer affine map of
-the provenance per call (integer numerators over a common denominator)
-under ``float(QValue)``'s fsum rule, so they are bit-identical to ``float``
-of those exact values.  The map runs vectorized in int64 and float64, with
-TwoSum sums whose correct rounding is proven; a row that could overflow
-2^53 or whose rounding is not proven is redone in Python ints.
+on the lattice Gamma for a quasicrystal, and entry d on Gamma* for a dual
+model point (for the special-form generators, rows of the one builder
+``special_bases(alpha, beta)``).  Float coordinates come from one integer
+affine map of the provenance per call (integer numerators over a common
+denominator) under ``float(QValue)``'s fsum rule, so they are bit-identical
+to ``float`` of those exact values.  The map runs vectorized in int64 and
+float64, with TwoSum sums whose correct rounding is proven; a row that could
+overflow 2^53 or whose rounding is not proven is redone in Python ints.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import QValue, integer_form, join
 from .errors import PreconditionError
-from .lattice import Lattice, check_special_form
+from .lattice import Lattice, check_special_form, special_bases
 from .regions import RegionSet, interval
 
 __all__ = [
@@ -310,21 +310,19 @@ def special_quasicrystal(
     """Cut-and-project points of the special-form lattice over an m-box.
 
     For each m, the emitted n are the integer translates of -alpha^T m
-    that land in the window (p2 = n - alpha^T m), found by the window's
-    membership kernel; this is the same selection as cut_and_project with
-    a sufficient box.  An emitted point is x_i = m_i + beta_i (alpha^T m - n).
+    that land in the window (p2 = n - alpha^T m, the last row of Gamma's
+    basis at (m, n)), found by the window's membership kernel; this is the
+    same selection as cut_and_project with a sufficient box.  An emitted
+    point is x_i = m_i + beta_i (alpha^T m - n), the first d rows.
     """
     _window_check(window)
     d = len(alpha)
     if len(m_box) != d:
         raise PreconditionError(f"m box needs {d} coordinate ranges")
-    spec, (alpha, beta) = join(alpha, beta)
+    gamma = special_bases(alpha, beta)[0]
     ms = _grid(m_box, "m box")
-    idx, ns = window.membership.translates((spec.zero(),), [(-a,) for a in alpha], ms)
-    one, zero = spec.one(), spec.zero()
-    mat = [[(one if i == j else zero) + beta[i] * alpha[j] for j in range(d)]
-           + [-beta[i]] for i in range(d)]
-    return _affine_points(mat, np.column_stack([ms[idx], ns]), window.describe())
+    idx, ns = window.membership.translates((0,), [(v,) for v in gamma[d][:d]], ms)
+    return _affine_points(gamma[:d], np.column_stack([ms[idx], ns]), window.describe())
 
 
 def dual_model_points(
@@ -340,7 +338,7 @@ def dual_model_points(
     kernel finds), emits n + <n alpha + m, beta> with provenance
     (m_1..m_d, n); the block structure is recoverable from the last
     provenance entry; the point is n (1 + <alpha, beta>) + <m, beta>,
-    coordinate d of Gamma* at the provenance.
+    the last row of Gamma*'s basis at the provenance.
     """
     d = len(alpha)
     if region.dim != d:
@@ -349,8 +347,7 @@ def dual_model_points(
     idx, ms = region.membership.translates((0,) * d, [tuple(alpha)], ns)
     prov = np.column_stack([ms, ns[idx]])
     prov = prov[np.lexsort(prov.T[::-1])]
-    mat = [list(beta) + [sum((a * b for a, b in zip(alpha, beta)), 1)]]
-    return _affine_points(mat, prov, region.describe())
+    return _affine_points(special_bases(alpha, beta)[1][d:], prov, region.describe())
 
 
 def sequence_points(

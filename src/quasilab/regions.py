@@ -74,6 +74,8 @@ class Piece:
     def frame(self, base: Sequence[QValue], gens: Sequence[Sequence[QValue]]):
         """The batch base + c @ gens in unit coordinates t, x = offset + edges @ t:
         the base inverse @ (base - offset) and the generators inverse @ g."""
+        if len(base) != self.dim or any(len(g) != self.dim for g in gens):
+            raise PreconditionError(f"a vector of another length for a {self.dim}-D piece")
         return (mat_vec(self.inverse, [b - o for b, o in zip(base, self.offset)]),
                 [mat_vec(self.inverse, list(g)) for g in gens])
 
@@ -114,6 +116,8 @@ class RegionSet:
         return total
 
     def translate(self, t: Sequence[QValue]) -> "RegionSet":
+        if len(t) != self.dim:
+            raise PreconditionError(f"a translate of length {len(t)} for a {self.dim}-D region")
         t = join(self.values, t)[1][1]
         return RegionSet(
             self.dim,
@@ -244,10 +248,13 @@ class Membership:
     def _blocks(self, base, gens, coeffs, cnt=None):
         """(first row, anchors, decisions with shifts relative to the anchors) per block;
         given cnt, the decisions write each point's count into it."""
+        c, d = np.asarray(coeffs, dtype=np.int64), self.dim
+        if len(base) != d or any(len(g) != d for g in gens) or c.shape[1:] != (len(gens),):
+            raise PreconditionError(f"a batch in {d}-D takes a base and generators of length {d} "
+                                    "and one coefficient column per generator")
         spec, (_, base, *gens) = join([self._rep], base, *gens)
         lift = lambda vs: [lift_to(spec, v) for v in vs]  # noqa: E731
-        c, form, frames = np.asarray(coeffs, dtype=np.int64), None, {}
-        (n, k), d = c.shape, self.dim
+        (n, k), form, frames = c.shape, None, {}
         mags = [max(_mag(v) for v in g) for g in (base, *gens)]
 
         def scale(lo, hi) -> float:  # column extremes as Python ints: abs(-2**63) overflows int64

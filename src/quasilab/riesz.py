@@ -5,11 +5,11 @@ delta_j and their windowed means, the averaged-perturbation basis check on
 an interval, Gram matrices with closed-form entries (the complex entry
 once per distinct float difference of the points, then gathered), and
 extreme-eigenvalue traces over nested truncations (one matrix per trace,
-each truncation a leading submatrix; a one-piece region takes a real
-kernel with the Gram spectrum, evaluated on every difference).  Verdicts
-here are evidence, not theorems: finite sections cannot certify
-infinite-dimensional basis properties, so reports carry the thresholds and
-ranges they used.
+each truncation a leading submatrix that extreme_eigs checks and solves; a
+one-piece region takes a real kernel with the Gram spectrum, evaluated on
+every difference).  Verdicts here are evidence, not theorems: finite
+sections cannot certify infinite-dimensional basis properties, so reports
+carry the thresholds and ranges they used.
 """
 
 from __future__ import annotations
@@ -205,8 +205,10 @@ def avdonin_check(
     Finds the smallest window length N <= n_max whose windowed means of
     delta_j deviate from the empirical constant by strictly less than
     1/(4|I|) over all window starts in k_range.  Requires the underlying
-    sequence to be separated.
+    sequence to be separated, n_max >= 1 and a k_range that holds a window.
     """
+    if n_max < 1:
+        raise PreconditionError("n_max must be at least 1")
     lam = np.sort(deltas.lambdas)
     if len(lam) < 2:
         raise PreconditionError("need at least two points")
@@ -218,10 +220,11 @@ def avdonin_check(
         raise PreconditionError("interval length must be positive")
     threshold = 1.0 / (4.0 * length)
     c_hat = float(deltas.deltas.mean())
-    best_sup = float("inf")
     for N in range(1, n_max + 1):
         sup, count = _window_sup(deltas.deltas, deltas.js, N, k_range, c_hat)
         if count == 0:
+            if N == 1:
+                raise PreconditionError(f"k_range {tuple(k_range)} holds no window")
             break
         best_sup = sup
         if sup < threshold:
@@ -253,6 +256,15 @@ def require_disjoint(region: RegionSet) -> RegionSet:
     return region
 
 
+def _coords(points, region: RegionSet) -> np.ndarray:
+    """(n, d) floats of a PointSet or an array (a flat one holds 1-D points), d = region.dim."""
+    pts = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=float)
+    pts = pts.reshape(-1, 1) if pts.ndim == 1 else pts
+    if pts.ndim != 2 or pts.shape[1] != region.dim:
+        raise PreconditionError("point dimension does not match the region")
+    return pts
+
+
 def gram_matrix(points, region: RegionSet) -> np.ndarray:
     """Gram matrix of the exponential system on the region.
 
@@ -260,15 +272,7 @@ def gram_matrix(points, region: RegionSet) -> np.ndarray:
     mes S and the lower triangle is the conjugate mirror of the upper, so
     the result is Hermitian by construction.
     """
-    if isinstance(points, PointSet):
-        pts = points.coords
-    else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
-    d = pts.shape[1]
-    if d != region.dim:
-        raise PreconditionError("point dimension does not match the region")
+    pts, d = _coords(points, region), region.dim
     require_disjoint(region)
 
     def entry(t: np.ndarray) -> np.ndarray:
@@ -330,19 +334,12 @@ def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
 
 
 def extreme_eigs(g: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of an exactly Hermitian, complex or real, matrix (numpy)."""
-    _check_hermitian(g)
-    return _eig_ends(g)
-
-
-def _check_hermitian(g: np.ndarray) -> None:
+    """Extreme eigenvalues of a square, exactly Hermitian, complex or real
+    matrix (numpy); any other matrix is refused."""
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise PreconditionError("matrix must be square")
     if not np.array_equal(g, g.conj().T):
         raise PreconditionError("matrix is not exactly Hermitian")
-
-
-def _eig_ends(g: np.ndarray) -> tuple[float, float]:
     ev = np.linalg.eigvalsh(g)
     return float(ev[0]), float(ev[-1])
 
@@ -367,27 +364,28 @@ class BoundsTrace:
 
 
 def riesz_bound_trace(
-    points: PointSet, radii: Sequence[float], region: RegionSet
+    points, radii: Sequence[float], region: RegionSet
 ) -> BoundsTrace:
     """Extreme Gram eigenvalues over nested truncations [-R, R]^d.
 
-    One matrix (_spectral_gram) is built over the points sorted stably by
-    max-norm; each truncation is a leading principal submatrix of it.  The
-    matrix is checked exactly Hermitian once, and so is each section.
-    These interlace, so lambda_min must be nonincreasing and lambda_max
-    nondecreasing in R; this is asserted (with solver slack) on every trace.
+    The points, taken as gram_matrix takes them, are sorted stably by
+    max-norm and one matrix (_spectral_gram) is built over them; each
+    truncation is a leading principal submatrix, checked exactly Hermitian
+    and solved by extreme_eigs.  These interlace, so lambda_min must be
+    nonincreasing and lambda_max nondecreasing in R; this is asserted (with
+    solver slack) on every trace.
     """
+    pts = _coords(points, region)
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise PreconditionError("radii must be increasing")
-    norms = np.abs(points.coords).max(axis=1)
+    norms = np.abs(pts).max(axis=1)
     order = np.argsort(norms, kind="stable")
     sizes = np.searchsorted(norms[order], radii, side="right")
     if radii and sizes[0] == 0:
         raise PreconditionError(f"no points within radius {radii[0]}")
-    g = _spectral_gram(points.coords[order[: sizes.max(initial=0)]], region)
-    _check_hermitian(g)  # then so is every leading section
-    rows = [(float(r), int(n), *_eig_ends(g[:n, :n]))
+    g = _spectral_gram(pts[order[: sizes.max(initial=0)]], region)
+    rows = [(float(r), int(n), *extreme_eigs(g[:n, :n]))
             for r, n in zip(radii, sizes)]
     tol = 1e-9
     for (_, _, lo0, hi0), (_, _, lo1, hi1) in zip(rows, rows[1:]):

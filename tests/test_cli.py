@@ -26,6 +26,15 @@ def run_cli(*argv) -> int:
     return cli.main(list(argv))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_json(path: Path):
+    """An artifact parsed as strict JSON: NaN and Infinity are refused."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def test_gen_count_and_golden_file(tmp_path):
     out = tmp_path / "g"
     rc = run_cli("gen", "--alpha", "w1", "--beta", "1",
@@ -118,6 +127,7 @@ def test_json_bytes_pinned(tmp_path, argv, name, digest):
     if argv == ["report"]:
         argv = ["report", "--config", str(_report_cfg(tmp_path)[0])]
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    load_json(tmp_path / name)
     text = (tmp_path / name).read_text().replace(str(tmp_path), "OUT")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -156,7 +166,7 @@ def test_disc_wrapper_matches_library(tmp_path):
                            spec.basis_element("w1"), 0, (0, 500))
     got = np.array([float(r.split(",")[1]) for r in rows])
     assert np.array_equal(got, tr.values)
-    summary = json.loads((out / "disc_summary.json").read_text())
+    summary = load_json(out / "disc_summary.json")
     assert summary["max_abs"] == tr.max_abs
 
 
@@ -188,7 +198,7 @@ def test_disc_x0_decimals_are_exact_rationals(tmp_path, x0):
     tr = discrepancy_trace(parse_region_literal(spec, "[0,1/2)"),
                            spec.basis_element("w1"), Fraction(x0), (0, 200))
     assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
-    summary = json.loads((tmp_path / "disc_summary.json").read_text())
+    summary = load_json(tmp_path / "disc_summary.json")
     assert summary["x0"] == float(x0)
 
 
@@ -202,14 +212,14 @@ def test_disc_and_brs_test_take_a_vector_alpha(tmp_path):
     assert run_cli("disc", *flags, "--n", "10000", "--out", str(tmp_path)) == 0
     tr = discrepancy_trace(box, alpha, n_range=(0, 10_000))
     assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
-    summary = json.loads((tmp_path / "disc_summary.json").read_text())
+    summary = load_json(tmp_path / "disc_summary.json")
     assert summary["max_abs"] == tr.max_abs and abs(tr.max_abs - 0.586) < 5e-3
     assert summary["x0"] == [0.0, 0.0]
     assert run_cli("disc", *flags, "--n", "100", "--x0=1/2,w2 - 1", "--out", str(tmp_path)) == 0
     tr = discrepancy_trace(box, alpha, (spec.parse("1/2"), spec.parse("w2 - 1")), (0, 100))
     assert np.array_equal(_trace_rows(tmp_path / "trace.csv")[1], tr.values)
     assert run_cli("brs-test", *flags, "--N", "1000", "--J", "100", "--out", str(tmp_path)) == 0
-    stat = json.loads((tmp_path / "brs_test.json").read_text())
+    stat = load_json(tmp_path / "brs_test.json")
     want = brs_empirical(box, alpha, 1000, 100)
     assert (stat["max_abs"], stat["argmax_n"], stat["argmax_j"]) == (
         want.value, want.argmax_n, want.argmax_j)
@@ -254,7 +264,7 @@ def test_dual_and_enum_and_avdonin(tmp_path):
                    "--region", "[0,1)", "--n-range=-300:300",
                    "--n-max", "16", "--k-bound", "200",
                    "--out", str(out)) == 0
-    verdict = json.loads((out / "avdonin.json").read_text())
+    verdict = load_json(out / "avdonin.json")
     assert verdict["satisfied_at"] is not None
     assert verdict["threshold"] == 0.25
 
@@ -266,7 +276,7 @@ def test_gram_and_bounds(tmp_path):
                    "--out", str(out)) == 0
     assert run_cli("gram", "--points", str(out / "points.csv"),
                    "--region", "[0,1)", "--out", str(out)) == 0
-    g = json.loads((out / "gram.json").read_text())
+    g = load_json(out / "gram.json")
     assert g["size"] == 61
     assert 0 < g["lambda_min"] <= g["lambda_max"]
     assert run_cli("bounds", "--points", str(out / "points.csv"),
@@ -286,7 +296,7 @@ def test_periodic_and_brs_subcommands(tmp_path):
     assert abs(len(pts) / 2001 - (math.sqrt(2) - 1)) < 0.01
     assert run_cli("brs-test", "--set", "[0,-1+1*w1)", "--alpha", "w1",
                    "--N", "2000", "--J", "200", "--out", str(out)) == 0
-    stat = json.loads((out / "brs_test.json").read_text())
+    stat = load_json(out / "brs_test.json")
     assert stat["max_abs"] <= 1.001
     assert run_cli("brs-make", "--alpha", "w1", "--gamma", "2 - 1*w1",
                    "--out", str(out)) == 0
@@ -332,7 +342,7 @@ def test_duality_config_run(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(_DUALITY_CFG + f"outdir = {tmp_path / 'dout'}\n")
     assert run_cli("duality", "--config", str(cfg)) == 0
-    rep = json.loads((tmp_path / "dout" / "duality_report.json").read_text())
+    rep = load_json(tmp_path / "dout" / "duality_report.json")
     assert rep["version"] == "quasilab-report v1"
     assert rep["measures_match"] is True
     assert rep["dual_verdict"]["satisfied_at"] is not None
@@ -381,7 +391,7 @@ def test_duality_2d_box_pair(tmp_path):
                        f"window = (1-1*w1,0]\nregion = @{tmp_path / name}.txt\n"
                        f"radii = 4,8,16,24\noutdir = {tmp_path / name}\n")
         assert run_cli("duality", "--config", str(cfg)) == 0
-        rep = json.loads((tmp_path / name / "duality_report.json").read_text())
+        rep = load_json(tmp_path / name / "duality_report.json")
         lmin[name] = {row["R"]: row["lambda_min"] for row in rep["primal_trace"]["rows"]}
     brs, other = lmin["brs"], lmin["other"]
     assert brs[24] >= 10 * other[24]  # measured 27x
@@ -413,7 +423,7 @@ def _report_cfg(tmp_path) -> tuple[Path, Path]:
 def test_report_stages_and_plots(tmp_path):
     cfg, outdir = _report_cfg(tmp_path)
     assert run_cli("report", "--config", str(cfg)) == 0
-    rep = json.loads((outdir / "experiment_report.json").read_text())
+    rep = load_json(outdir / "experiment_report.json")
     assert set(rep["stages"]) == {"gen", "disc", "brs", "duality"}
     assert set(rep["stages"]["disc"]) == {"max_abs", "argmax_n", "mes", "trace_file"}
     assert set(rep["stages"]["brs"]) == {"max_abs", "argmax_n", "argmax_j", "N", "J"}
@@ -536,7 +546,7 @@ def test_two_dim_region_names(tmp_path):
         (tmp_path / "s.txt").write_text(region_to_text(region))
         assert run_cli("disc", "--algebra", "sqrt:2,3", "--set", f"@{tmp_path / 's.txt'}",
                        "--alpha", "w1,w2", "--n", "10", "--out", str(tmp_path)) == 0
-        assert json.loads((tmp_path / "disc_summary.json").read_text())["region"] == name
+        assert load_json(tmp_path / "disc_summary.json")["region"] == name
 
 
 @pytest.mark.parametrize("command, text, rc, section, key", [
@@ -554,7 +564,7 @@ def test_missing_config_key(tmp_path, capsys, command, text, rc, section, key):
     if key is not None:
         assert f"[{section}] needs a '{key}' key" in capsys.readouterr().err
     else:
-        rep = json.loads((tmp_path / "experiment_report.json").read_text())
+        rep = load_json(tmp_path / "experiment_report.json")
         assert rep["stages"]["gen"]["count"] == 201
 
 
@@ -571,7 +581,7 @@ def test_config_reads_files_like_flags(tmp_path):
         + f"outdir = {tmp_path / 'b'}\n")
     for name in ("a", "b"):
         assert run_cli("duality", "--config", str(tmp_path / f"{name}.cfg")) == 0
-    reports = [json.loads((tmp_path / name / "duality_report.json").read_text())
+    reports = [load_json(tmp_path / name / "duality_report.json")
                for name in ("a", "b")]
     for rep in reports:
         del rep["config_echo"]
@@ -587,7 +597,32 @@ def test_json_outputs_are_deterministic(tmp_path):
         assert run_cli("brs-test", "--set", "[0,-1+1*w1)", "--alpha", "w1",
                        "--N", "1000", "--J", "100", "--out", str(out)) == 0
         outs.append((out / "brs_test.json").read_bytes())
+        load_json(out / "brs_test.json")
     assert outs[0] == outs[1]
+
+
+def test_json_dump_refuses_nan_and_infinity(tmp_path):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._json_dump({"x": value}, tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_avdonin_and_duality_refuse_a_check_with_no_window(tmp_path, capsys):
+    # with no window there is no sup deviation to report, so nothing is written
+    avdonin = ["avdonin", "--alpha", "w1", "--beta", "1", "--region", "[0,1)",
+               "--n-range=-300:300", "--out", str(tmp_path / "av")]
+    for flags, msg in ((["--n-max", "0"], "n_max must be at least 1"),
+                       (["--k-bound", "-5"], "k_range (5, -5) holds no window")):
+        assert run_cli(*avdonin, *flags) == cli.EXIT_PRECONDITION
+        assert msg in capsys.readouterr().err
+        assert not (tmp_path / "av").exists()
+    cfg = tmp_path / "dual.cfg"
+    cfg.write_text(_DUALITY_CFG.replace("n_max = 16", "n_max = 0")
+                   + f"outdir = {tmp_path / 'dout'}\n")
+    assert run_cli("duality", "--config", str(cfg)) == cli.EXIT_PRECONDITION
+    assert "n_max must be at least 1" in capsys.readouterr().err
+    assert list((tmp_path / "dout").iterdir()) == []
 
 
 OVERLAP = "[0,1/2) U [1/4,3/4)"  # volume() 1, measure 3/4

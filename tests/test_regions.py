@@ -793,6 +793,23 @@ def test_membership_refusal_is_decided_on_the_whole_batch(sqrt2, monkeypatch, bl
             call(base, gens, c)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda s: parse_region_literal(s, "[0,1/2)").contains((Fraction(1, 4), 7)),
+     "another length for a 1-D piece"),
+    (lambda s: parse_region_literal(s, "[0,1/2)").translate((Fraction(1, 4), 9)),
+     "translate of length 2 for a 1-D region"),
+    (lambda s: multiplicity(box_region(s, [0, 0], [1, 1]), (Fraction(1, 4),)), "batch in 2-D"),
+    (lambda s: parse_region_literal(s, "[0,1/2)").membership.count(
+        (0,), [(s.basis_element("w1"),) * 2], np.zeros((3, 1), dtype=np.int64)), "batch in 1-D"),
+    (lambda s: parse_region_literal(s, "[0,1/2)").membership.count(
+        (0,), [(s.basis_element("w1"),)], np.zeros((3, 2), dtype=np.int64)), "batch in 1-D"),
+], ids=["contains", "translate", "multiplicity", "count_generator", "count_columns"])
+def test_wrong_dimension_refused(sqrt2, call, match):
+    # a length mismatch is refused, never truncated by zip or left to numpy
+    with pytest.raises(PreconditionError, match=match):
+        call(sqrt2)
+
+
 def test_membership_refuses_the_int64_minimum(sqrt2):
     # abs(-2**63) overflows int64, so the bound takes column extremes as Python ints
     w1 = sqrt2.basis_element("w1")

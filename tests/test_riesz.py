@@ -309,6 +309,22 @@ def test_bound_trace_refusals(sqrt2, unit_interval):
     with pytest.raises(PreconditionError, match="increasing"):
         riesz_bound_trace(pts, [5.0, 5.0], unit_interval)
     assert riesz_bound_trace(pts, [], unit_interval).rows == []
+    # 2-D points on a 1-D region, on the real one-piece kernel and the complex one
+    plane = PointSet(2, np.array([[0.5, 0.25], [-1.0, 2.0]]), ((0, 0), (1, 1)))
+    for region in (unit_interval, parse_region_literal(sqrt2, "[0,1/2) U [1,3/2)")):
+        for points in (plane, plane.coords):
+            with pytest.raises(PreconditionError, match="point dimension does not match"):
+                riesz_bound_trace(points, [1.0, 3.0], region)
+
+
+@pytest.mark.parametrize("region_text", ["[0,1)", "[0,-1+1*w1) U [1,3-1*w1)"])
+def test_bound_trace_solves_each_section_through_extreme_eigs(sqrt2, monkeypatch, region_text):
+    # the public solver checks and solves every section: one call per radius
+    pts = sequence_points([sqrt2.basis_element("w1")], [sqrt2.one()], [(-30, 30)])
+    solve, shapes = riesz.extreme_eigs, []
+    monkeypatch.setattr(riesz, "extreme_eigs", lambda g: shapes.append(g.shape) or solve(g))
+    trace = riesz_bound_trace(pts, [5.0, 10.0, 20.0], parse_region_literal(sqrt2, region_text))
+    assert shapes == [(n, n) for _, n, _, _ in trace.rows] and len(shapes) == 3
 
 
 def _gram_reference(pts, region):
