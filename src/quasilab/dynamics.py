@@ -262,6 +262,52 @@ def _scan_max(c: np.ndarray, means: np.ndarray, L: int, keep=None) -> float:
     return best
 
 
+def _few_valued_max(c: np.ndarray, cs: np.ndarray, values: np.ndarray,
+                    lengths: list[int]) -> float:
+    """Largest sum_v count_v(window) * |v - mean| / L over the windows of
+    each length, for a sequence c taking only the given sorted values.
+
+    The window starts run in chunks.  Per chunk, each value's prefix count
+    over the elements of the chunk's windows is taken once and serves every
+    length, whose total adds one term per value in value order, as a loop
+    over the lengths would.  The chunk is ``_BMO_BLOCK`` starts, or more
+    when a length L has min(L, n - L + 1) above that, so each value's counts
+    cost O(n) in all: a length longer than the chunk has all of its windows
+    in one chunk.  Memory is a total and a mean per length and start of the
+    chunk, plus one count buffer of chunk + max L entries.
+    """
+    n, top = len(c), lengths[-1]
+    chunk = max(_BMO_BLOCK, *(min(L, n - L + 1) for L in lengths))
+    value_idx = np.searchsorted(values, c)
+    hit = np.empty(chunk + top - 1, dtype=bool)
+    # float counts are exact integers (n < 2**53), and a float product skips
+    # the int64 cast that multiplying by an int count would take
+    count = np.zeros(chunk + top)
+    term, diff = np.empty(chunk), np.empty(chunk)
+    best = dict.fromkeys(lengths, 0.0)
+    for s in range(0, n - lengths[0] + 1, chunk):
+        # (L, starts in this chunk, their means, their totals) per live length
+        live = []
+        for L in lengths:
+            m = min(chunk, n - L + 1 - s)
+            if m > 0:
+                live.append((L, m, (cs[s + L:s + L + m] - cs[s:s + m]) / L, np.zeros(m)))
+        span = max(L + m - 1 for L, m, _, _ in live)
+        for k, v in enumerate(values):
+            np.equal(value_idx[s:s + span], k, out=hit[:span])
+            np.cumsum(hit[:span], out=count[1:span + 1])
+            for L, m, means, total in live:
+                t, d = term[:m], diff[:m]
+                np.subtract(v, means, out=t)
+                np.abs(t, out=t)
+                np.subtract(count[L:L + m], count[:m], out=d)
+                t *= d
+                total += t
+        for L, m, _, total in live:
+            best[L] = max(best[L], float(total.max()))
+    return max(b / L for L, b in best.items())
+
+
 def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
     """Max over the window family of mean absolute deviation from window mean.
 
@@ -270,8 +316,13 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
 
     A sequence with few distinct values V (a rational mes S puts D_n in
     (1/q)Z + const) takes, for each length L > |V|, the window sum
-    sum_v count_v(window) * |v - mean| from per-value prefix counts, at
-    O(n |V|) per length.  Other lengths scan the windows directly in
+    sum_v count_v(window) * |v - mean| from per-value prefix counts.  The
+    window starts run in chunks of 2^15 (more only for a length L with
+    min(L, n - L + 1) above that), and each chunk counts each value once
+    for all such lengths: O(n |V|) for the counts, plus O(n |V|) per length
+    for the sums.  Memory is two floats per length and chunk start plus one
+    count buffer of chunk + max L entries, never a |V| x n table.  Other
+    lengths scan the windows directly in
     blocks of about ``_BMO_BLOCK`` elements, at O(n L) per length, but
     only the windows that could raise the maximum.
 
@@ -301,24 +352,11 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
             )
     c = c - c.mean()  # translation-invariant; keeps cumsum well conditioned
     cs = np.concatenate([[0.0], np.cumsum(c)])
-    values, value_idx = np.unique(c, return_inverse=True)
-    best = 0.0
-    scan = []
-    for L in window_lengths:
-        if len(values) < L:
-            means = (cs[L:] - cs[:-L]) / L
-            total = np.zeros(len(means))
-            term = np.empty(len(means))
-            count = np.zeros(n + 1, dtype=np.int64)
-            for k, v in enumerate(values):
-                np.cumsum(value_idx == k, out=count[1:])
-                np.subtract(v, means, out=term)
-                np.abs(term, out=term)
-                term *= count[L:] - count[:-L]
-                total += term
-            best = max(best, float(total.max()) / L)
-        elif L not in scan:  # a repeated length has the same windows
-            scan.append(L)
+    values = np.unique(c)
+    few = sorted({L for L in window_lengths if len(values) < L})
+    best = _few_valued_max(c, cs, values, few) if few else 0.0
+    # a repeated length has the same windows
+    scan = list(dict.fromkeys(L for L in window_lengths if len(values) >= L))
     if not scan:
         return best
 

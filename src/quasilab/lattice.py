@@ -105,8 +105,11 @@ def special_bases(
         Gamma*     m=e_i: (e_i, beta_i)                    n=1: (alpha, 1+beta^T alpha)
 
     The entries are joined into one algebra; neither the rank conditions
-    nor the pairing is checked (``make_special_lattice`` does both).
+    nor the pairing is checked (``make_special_lattice`` does both), only
+    that alpha and beta have one common, nonzero length.
     """
+    if len(beta) != len(alpha) or len(alpha) == 0:
+        raise PreconditionError("alpha and beta must be nonempty, equal length")
     spec, (alpha, beta) = join(alpha, beta)
     d, one, zero = len(alpha), spec.one(), spec.zero()
     g = [[(one if i == j else zero) + beta[i] * alpha[j] for j in range(d)] + [-beta[i]]
@@ -124,10 +127,8 @@ def check_special_form(alpha: Sequence[QValue], beta: Sequence[QValue]) -> None:
     for beta_1..beta_d together with 1 + beta^T alpha (Gamma*'s last row).
     Raises naming the violated condition.
     """
-    d = len(alpha)
-    if len(beta) != d or d == 0:
-        raise PreconditionError("alpha and beta must be nonempty, equal length")
     g, gs = special_bases(alpha, beta)
+    d = len(alpha)
     if coeff_rank(g[d]) != d + 1:
         raise PreconditionError(
             "condition (i) violated: 1, alpha_1..alpha_d are rationally "

@@ -123,37 +123,63 @@ def _csv_bytes(header: str, columns: Sequence) -> bytes:
     A float column's cell is ``"%.17g" % v``, formatted once per distinct
     bit pattern (``-0.0`` and ``0.0`` stay apart, as do NaN payloads); any
     other column's is ``str(int(v))`` of an int64, its digits computed by
-    numpy.  The rows are the non-NUL bytes of one matrix of NUL-padded
-    fixed-width cells and separators: byte-identical to formatting each row
-    with an f-string.
+    numpy.  Each column's NUL-padded fixed-width cells, and a separator after
+    each, are written into one row matrix; the rows are its non-NUL bytes,
+    byte-identical to formatting each row with an f-string.
     """
     out = (header + "\n").encode()
     if not len(columns) or not len(columns[0]):
         return out
-    sep = np.full((len(columns[0]), 1), ord(","), dtype=np.uint8)
-    text = np.hstack([part for col in columns for part in (_cells(np.asarray(col)), sep)])
+    cells = [_cells(np.asarray(col)) for col in columns]
+    text = np.zeros((len(columns[0]), sum(w + 1 for w, _ in cells)), dtype=np.uint8)
+    lo = 0
+    for width, write in cells:
+        write(text[:, lo:lo + width])
+        text[:, lo + width] = ord(",")
+        lo += width + 1
     text[:, -1] = ord("\n")
     return out + text[text != 0].tobytes()
 
 
-def _cells(a: np.ndarray) -> np.ndarray:
-    """The text of each entry of a column as a row of NUL-padded bytes."""
+def _cells(a: np.ndarray):
+    """(width, write) for a column: write(out), called once, puts the text
+    of each entry into the rows of the (len(a), width) view out, NUL-padded,
+    on zeros."""
     if a.dtype.kind == "f":
         bits = np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
-        uniq, inv = np.unique(bits, return_inverse=True)
+        uniq = np.sort(bits)  # a sort: np.unique of int64 hashes, several times slower
+        uniq = uniq[np.concatenate([[True], uniq[1:] != uniq[:-1]])]
         distinct = len(uniq) == len(bits)  # then format in row order, no gather
         values = tuple((bits if distinct else uniq).view(np.float64).tolist())
         table = np.array(("%.17g " * len(values) % values).encode().split(), dtype=bytes)
-        cells = table.view(np.uint8).reshape(len(values), table.itemsize)
-        return cells if distinct else cells[inv]
+        table = table.view(np.uint8).reshape(len(values), table.itemsize)
+        if distinct:
+            return table.shape[1], lambda out: np.copyto(out, table)
+        rows = np.searchsorted(uniq, bits)
+        # one memcpy per row: both sides as rows of one void item each
+        return table.shape[1], lambda out: np.take(_rows(table), rows, out=_rows(out))
     mag = np.abs(a.astype(np.int64)).astype(np.uint64)  # |-2**63| wraps to 2**63
-    digits = len(str(mag.max()))
-    cells = np.zeros((len(a), digits + 1), dtype=np.uint8)
-    cells[a < 0, 0] = ord("-")
-    for col in range(digits, 0, -1):  # the units digit is written also for 0
-        cells[:, col] = np.where((mag > 0) | (col == digits), mag % 10 + ord("0"), 0)
-        mag //= 10
-    return cells
+    top = int(mag.max())
+    if top < 1 << 32:  # uint32 division is several times faster
+        mag = mag.astype(np.uint32)
+    digits = len(str(top))
+
+    def write(out: np.ndarray) -> None:
+        out[a < 0, 0] = ord("-")
+        rem, live = np.empty_like(mag), np.ones(len(mag), dtype=bool)
+        for col in range(digits, 0, -1):  # the units digit is written also for 0
+            np.divmod(mag, 10, out=(mag, rem))
+            rem += ord("0")
+            rem *= live  # NUL once the digits above were all 0
+            out[:, col] = rem
+            np.greater(mag, 0, out=live)
+
+    return digits + 1, write
+
+
+def _rows(m: np.ndarray) -> np.ndarray:
+    """The rows of a uint8 matrix with contiguous rows, as one void item each."""
+    return m.view(np.dtype((np.void, m.shape[1])))[:, 0]
 
 
 def _window_check(window: RegionSet) -> None:
@@ -343,11 +369,12 @@ def dual_model_points(
     d = len(alpha)
     if region.dim != d:
         raise PreconditionError("region dimension must match alpha")
+    gamma_star = special_bases(alpha, beta)[1]
     ns = _grid([n_range], "n range")
     idx, ms = region.membership.translates((0,) * d, [tuple(alpha)], ns)
     prov = np.column_stack([ms, ns[idx]])
     prov = prov[np.lexsort(prov.T[::-1])]
-    return _affine_points(special_bases(alpha, beta)[1][d:], prov, region.describe())
+    return _affine_points(gamma_star[d:], prov, region.describe())
 
 
 def sequence_points(

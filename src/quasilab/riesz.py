@@ -194,6 +194,14 @@ class AvdoninVerdict:
         return {**dataclasses.asdict(self), "k_range": list(self.k_range)}
 
 
+def _check_window_args(n_max: int, k_range: tuple[int, int]) -> None:
+    """Refuse an averaged-perturbation check that can hold no window."""
+    if n_max < 1:
+        raise PreconditionError("n_max must be at least 1")
+    if k_range[0] > k_range[1]:
+        raise PreconditionError(f"k_range {tuple(k_range)} holds no window")
+
+
 def avdonin_check(
     deltas: DeltaSequence,
     interval_length: Union[QValue, float],
@@ -207,8 +215,7 @@ def avdonin_check(
     1/(4|I|) over all window starts in k_range.  Requires the underlying
     sequence to be separated, n_max >= 1 and a k_range that holds a window.
     """
-    if n_max < 1:
-        raise PreconditionError("n_max must be at least 1")
+    _check_window_args(n_max, k_range)
     lam = np.sort(deltas.lambdas)
     if len(lam) < 2:
         raise PreconditionError("need at least two points")
@@ -450,6 +457,7 @@ def duality_experiment(
     A measure mismatch between the region and the window is a warning (the
     density necessary condition fails), not an error.
     """
+    _check_window_args(n_max, (-k_bound, k_bound))
     make_special_lattice(alpha, beta)
     _, (alpha, beta) = join(alpha, beta)
     translate_f = None

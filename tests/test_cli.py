@@ -523,6 +523,20 @@ def test_gen_box_outside_int64_refused(tmp_path, capsys):
     assert "beyond the int64 range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--algebra", "sqrt:2,3", "--alpha", "w1,w2", "--beta", "1"],
+    ["--alpha", "w1", "--beta", "1,1"],
+])
+def test_gen_refuses_alpha_and_beta_of_different_lengths(tmp_path, capsys, flags):
+    # two alphas and one beta ended in an IndexError; one alpha and two betas
+    # dropped the second beta and wrote 7 points
+    out = tmp_path / "out"
+    assert run_cli("gen", *flags, "--window", "(-1,0]", "--range", "3",
+                   "--out", str(out)) == cli.EXIT_PRECONDITION
+    assert "alpha and beta must be nonempty, equal length" in capsys.readouterr().err
+    assert not (out / "points.csv").exists()
+
+
 def test_algebra_file_with_a_repeated_root_refused(tmp_path, capsys):
     (tmp_path / "alg.txt").write_text("basis w1 = sqrt 2\nbasis w2 = sqrt 8\n")
     assert run_cli("gen", "--algebra", f"@{tmp_path / 'alg.txt'}", "--alpha", "w1",

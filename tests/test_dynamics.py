@@ -548,6 +548,50 @@ def test_bmo_bound_prunes_growth_trace(sqrt2, monkeypatch):
     assert sum(evaluated) <= 0.25 * sum((len(seq) - L + 1) * L for L in lengths)
 
 
+@pytest.mark.parametrize("n_values", range(1, 13))
+def test_bmo_few_valued_chunks_match_per_length_loop(n_values):
+    # the few-valued path counts each value once per chunk of window starts
+    # for every length; _bmo_scan_reference runs one count per value and
+    # length over the whole sequence, and the floats agree bit for bit
+    # below one chunk, at exactly one chunk of starts and over several
+    # chunks plus a partial one
+    chunk = dynamics._BMO_BLOCK
+    rng = np.random.default_rng(n_values)
+    pool = rng.choice(np.arange(-9, 10), size=n_values, replace=False) / 3
+    for n in (chunk // 3, chunk + n_values, 3 * chunk + 517):
+        seq = rng.choice(pool, size=n)
+        lengths = [L for L in (1, n_values + 1, chunk - 1, chunk, chunk + 1, n,
+                               n_values + 1) if L <= n]
+        assert bmo_stat(seq, lengths) == _bmo_scan_reference(seq, lengths)
+        short = [L for L in lengths if L < chunk]  # the chunk is _BMO_BLOCK here
+        assert bmo_stat(seq, short) == _bmo_scan_reference(seq, short)
+
+
+def test_bmo_few_valued_maximum_at_a_chunk_edge():
+    # zeros with one burst of alternating -1/3, 1/3 filling exactly the
+    # window of length L at start p: that window alone attains the maximum
+    # (1/3 for even L, less by 1/(3L^2) for odd L; other windows of length 5
+    # reach 4/15), so a chunk that loses its first or last start changes the
+    # float.  The length-5 windows fill two chunks and one start of a third.
+    chunk = dynamics._BMO_BLOCK
+    n = 2 * chunk + 5
+    for L in (5, 6, chunk - 1):
+        for p in sorted(p for p in {0, chunk - 1, chunk, 2 * chunk - 1, n - L} if p <= n - L):
+            seq = np.zeros(n)
+            seq[p:p + L] = np.resize([-1 / 3, 1 / 3], L)
+            got = bmo_stat(seq, sorted({5, L}))
+            assert got == _bmo_scan_reference(seq, sorted({5, L}))
+            assert abs(got - (1 / 3 if L % 2 == 0 else 1 / 3 - 1 / (3 * L * L))) <= 1e-12
+
+
+def test_bmo_rotation_rational_trace_matches_per_length_loop(sqrt2, half):
+    # the benchmark's bmo_rational input: D_n of [0,1/2) under sqrt2 from a
+    # rational start, n = 0..2^16, lengths 2^0..2^9
+    tr = discrepancy_trace(half, sqrt2.basis_element("w1"), Fraction(77, 256), (0, 1 << 16))
+    lengths = [1 << j for j in range(10)]
+    assert bmo_stat(tr.values, lengths) == _bmo_scan_reference(tr.values, lengths)
+
+
 def test_bmo_constant_zero():
     assert bmo_stat(np.full(64, 3.7), [1, 2, 4, 8]) == 0.0
 

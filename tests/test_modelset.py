@@ -334,6 +334,34 @@ def test_csv_bytes_zero_rows_and_signed_zeros():
     assert _csv_bytes("x", [np.array([0.0, -0.0, 0.0, -0.0])]) == b"x\n0\n-0\n0\n-0\n"
 
 
+_UINT32_EDGES = [2**32 - 1, 2**32, -(2**32 - 1), -2**32, 0, 9, 10, 2**63 - 1, -2**63]
+
+
+def test_csv_bytes_int_columns_at_the_uint32_switch():
+    # magnitudes below 2^32 take their digits in uint32, larger ones in uint64
+    below = [0, 9, 10, 2**32 - 1, -(2**32 - 1), 1, -1, 99, -100]
+    above = [0, 9, 10, 2**32, -2**32, 2**32 - 1, -(2**32 - 1), 11, -11]
+    cases = [[v] for v in _UINT32_EDGES] + [below, above, _UINT32_EDGES]
+    for vals in cases:
+        got = _csv_bytes("i", [np.array(vals, dtype=np.int64)])
+        assert got == _csv_reference("i", [(False, vals)])
+    columns = [(False, below), (False, above), (False, _UINT32_EDGES)]
+    arrays = [np.array(vals, dtype=np.int64) for _, vals in columns]
+    assert _csv_bytes("a,b,c", arrays) == _csv_reference("a,b,c", columns)
+
+
+def test_csv_bytes_few_valued_float_column_past_2_16_rows():
+    # a float column with four bit patterns over 70,001 rows, gathered from
+    # one formatted table, beside an int column that crosses 2^16
+    rng = np.random.default_rng(3)
+    pool = [-0.0, 0.0, _NAN_PAYLOAD, -1 / 3]
+    vals = [pool[i] for i in rng.integers(0, len(pool), size=70_001)]
+    ints = list(range(-3, 70_001 - 3))
+    columns = [(True, vals), (False, ints), (True, vals[::-1])]
+    arrays = [np.array(v, dtype=np.float64 if f else np.int64) for f, v in columns]
+    assert _csv_bytes("x,i,y", arrays) == _csv_reference("x,i,y", columns)
+
+
 def test_pointset_refuses_provenance_outside_int64():
     coords = [[0.5], [-0.0], [1e-320]]
     for bad in (2**63, -2**63 - 1, 10**30):

@@ -497,6 +497,27 @@ def test_duality_experiment_growth_regime(sqrt2):
     assert grow.value > stay.value
 
 
+def test_duality_experiment_refuses_a_check_with_no_window_first(sqrt2, monkeypatch):
+    # n_max < 1 and k_bound < 0 leave the averaged-perturbation check no
+    # window; they are refused before either point set or trace is built
+    calls = []
+    trace = riesz.riesz_bound_trace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(riesz, "riesz_bound_trace", counting)
+    w1 = sqrt2.basis_element("w1")
+    window = parse_region_literal(sqrt2, "(-1,0]")
+    region = parse_region_literal(sqrt2, "[0,-1+1*w1) U [1,3-1*w1)")
+    for kwargs, msg in (({"n_max": 0}, "n_max must be at least 1"),
+                        ({"k_bound": -5}, r"k_range \(5, -5\) holds no window")):
+        with pytest.raises(PreconditionError, match=msg):
+            duality_experiment([w1], [sqrt2.one()], window, region, [5.0, 10.0], **kwargs)
+    assert calls == []
+
+
 def test_duality_experiment_measure_mismatch_warns(sqrt2):
     w1 = sqrt2.basis_element("w1")
     window = parse_region_literal(sqrt2, "(-1,0]")
