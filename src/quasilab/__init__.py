@@ -13,10 +13,8 @@ from .algebra import (
 from .dynamics import (
     bmo_stat,
     brs_empirical,
-    counting_discrepancy,
     discrepancy_trace,
     orbit_hits,
-    orbit_transfer,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -27,7 +25,6 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
-    dual_lattice,
     make_special_lattice,
     reduce_to_special,
 )

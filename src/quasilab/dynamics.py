@@ -18,7 +18,6 @@ import numpy as np
 
 from .algebra import QValue, join
 from .errors import PreconditionError
-from .modelset import PointSet
 from .regions import RegionSet
 
 __all__ = [
@@ -27,9 +26,7 @@ __all__ = [
     "discrepancy_trace",
     "BrsStatistic",
     "brs_empirical",
-    "orbit_transfer",
     "bmo_stat",
-    "counting_discrepancy",
 ]
 
 
@@ -225,15 +222,6 @@ def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
     return BrsStatistic(best, t - s, s - J, N, J, mes, region.describe())
 
 
-def orbit_transfer(region: RegionSet, alpha, n_range: tuple[int, int]) -> DiscrepancyTrace:
-    """Transfer-function samples g(n*alpha), normalized by g(0) = 0.
-
-    g((n+1)alpha) = g(n alpha) + chi_S(n alpha) - mes S in both directions
-    is the two-sided discrepancy from the zero vector.
-    """
-    return discrepancy_trace(region, alpha, None, n_range, two_sided=True)
-
-
 def _scan_max(c: np.ndarray, means: np.ndarray, L: int, keep=None) -> float:
     """Largest computed sum_i |c_i - mean| / L over the windows in keep (all
     windows when None), in blocks of about ``_BMO_BLOCK`` elements.
@@ -404,30 +392,3 @@ def bmo_stat(seq: Sequence[float], window_lengths: Sequence[int]) -> float:
         best = max(best, _scan_max(c, means, L, None if 4 * len(keep) > len(means) else keep))
     return best
 
-
-def counting_discrepancy(
-    points: PointSet | Sequence[float],
-    density: float,
-    xs: Sequence[float],
-    block_mode: bool = False,
-) -> np.ndarray:
-    """d(Lambda, x) = n_Lambda(x) - density*x at the sample points.
-
-    points is a PointSet or an array-like of values.  The counting function
-    is normalized by n(0) = 0.  In block mode each block is collapsed to a
-    point mass of its size at its integer index, the last provenance column,
-    so block mode needs a PointSet.
-    """
-    if density <= 0:
-        raise PreconditionError("density must be positive")
-    if isinstance(points, PointSet):
-        vals = points.provenance[:, -1] if block_mode else points.coords
-    elif block_mode:
-        raise PreconditionError("block mode requires a PointSet with provenance")
-    else:
-        vals = points
-    vals = np.sort(np.asarray(vals, dtype=float).reshape(-1))
-    xs_arr = np.asarray(xs, dtype=float)
-    base = np.searchsorted(vals, 0.0, side="left")
-    n_of_x = np.searchsorted(vals, xs_arr, side="left") - base
-    return n_of_x - density * xs_arr

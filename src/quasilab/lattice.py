@@ -89,11 +89,6 @@ class Lattice:
         return f"Lattice(d={self.dim_d})"
 
 
-def dual_lattice(lat: Lattice) -> Lattice:
-    """Exact dual; errors if the determinant is not invertible in the algebra."""
-    return lat.dual
-
-
 def special_bases(
     alpha: Sequence[QValue], beta: Sequence[QValue]
 ) -> tuple[QMatrix, QMatrix]:

@@ -184,19 +184,6 @@ def _mag(v: QValue) -> float:
     return sum(abs(float(c) * x) for c, x in zip(v.coeffs, v.spec.numerics) if c)
 
 
-def _expand(lo: np.ndarray, cnt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (i, lo[i] + r) for every r in the integer box [0, cnt[i])."""
-    tot = np.prod(np.maximum(cnt, 0), axis=1)
-    idx = np.repeat(np.arange(len(lo)), tot)
-    r = np.arange(len(idx)) - np.repeat(np.cumsum(tot) - tot, tot)
-    k = np.empty((len(idx), lo.shape[1]), dtype=np.int64)
-    for a in reversed(range(lo.shape[1])):
-        c = cnt[idx, a]
-        k[:, a] = lo[idx, a] + r % c
-        r = r // c
-    return idx, k
-
-
 def _form(base: Sequence[QValue], gens: Sequence[Sequence[QValue]]):
     """(nums, den): the integer numerators of base (nums[0]) and gens[j] (nums[1 + j])."""
     nums, den = integer_form(list(base) + [v for g in gens for v in g])
@@ -222,6 +209,8 @@ class Membership:
     inverse; a block whose spread leaves floats no room is anchored at every row.
     Inside the band a point is decided exactly, on the integer numerators of x.
     1-D pieces count translates in closed form: ceil/floor of the ends minus x.
+    In d >= 2 each point is reduced once to a fixed unit cell, so one box of shifts
+    per piece, from its corner extremes, serves every point, tested as one array.
     Each call reuses one set of block buffers, and a count is written in place.
     """
 
@@ -246,8 +235,8 @@ class Membership:
             ))
 
     def _blocks(self, base, gens, coeffs, cnt=None):
-        """(first row, anchors, decisions with shifts relative to the anchors) per block;
-        given cnt, the decisions write each point's count into it."""
+        """(first row, anchors, per piece the (point index, shift minus its anchor) pairs of
+        the hits) per block; given cnt, the decisions write each point's count into it instead."""
         c, d = np.asarray(coeffs, dtype=np.int64), self.dim
         if len(base) != d or any(len(g) != d for g in gens) or c.shape[1:] != (len(gens),):
             raise PreconditionError(f"a batch in {d}-D takes a base and generators of length {d} "
@@ -284,8 +273,8 @@ class Membership:
         split = lambda fine: ((fine // 2**52).astype(np.int64),  # noqa: E731
                               ((fine % 2**52).astype(np.float64) + 0.5) * 2.0**-52)
         dc, xb = np.empty((min(n, _BLOCK), k), np.int64), np.empty((min(n, _BLOCK), d))
-        decide = (functools.partial(self._ranges_1d, spec, frame, np.empty((4, len(xb))))
-                  if d == 1 else functools.partial(self._hits, spec, frame))
+        decide = functools.partial(self._ranges_1d if d == 1 else self._hits, spec, frame,
+                                   np.empty((4, d * len(xb))))
         unit = (k + 4) * _EPS  # xf sums k + 1 rounded terms
         for start, lo, hi in zip(starts.tolist(), lows, highs):
             cb, span = c[start:start + _BLOCK], [h - l for l, h in zip(lo, hi)]
@@ -317,8 +306,8 @@ class Membership:
                                         None if cnt is None else cnt[start:start + len(cb)])
 
     def _ranges_1d(self, spec, frame, buf, c, xf, anchor, x_err, cnt) -> list:
-        """Per piece, the integer translates k of each point, lo <= k - anchor < hi; given
-        cnt, their number per point instead, summed over the pieces into cnt."""
+        """Per piece, the (point index, k - anchor) pairs of the integer translates k of each
+        point, lo <= k - anchor < hi; given cnt, their number per point, summed into cnt."""
         x, out = xf[:, 0], []
         xmax = max(-x.min(initial=0.0), x.max(initial=0.0))  # max|x| with no temporary
         ys, rs = buf[:2, :len(x)], buf[2:, :len(x)]  # row 0 for the end a, row 1 for b
@@ -340,38 +329,51 @@ class Membership:
                 exact = np.array([[anchor[i, 0] - s * spec.floor_of(y, den) for y in ends_i]
                                   for i, ends_i in zip(flagged, nums)], dtype=np.int64).T
                 got[..., flagged] = exact if cnt is None else exact[1] - exact[0]
-            if cnt is None:
-                out.append(got if left_closed else got + 1)
+            if cnt is None:  # the shifts lo + r below hi, r below the widest range
+                lo, hi = got if left_closed else got + 1
+                k = lo[:, None] + np.arange((hi - lo).max(initial=0))
+                out.append((np.nonzero(keep := k < hi[:, None])[0], k[keep][:, None]))
             else:
                 np.add(cnt, got, out=cnt, casting="unsafe") if j else np.copyto(cnt, got, "unsafe")
         return out
 
-    def _hits(self, spec, frame, c, xf, anchor, x_err, cnt) -> tuple[np.ndarray, np.ndarray]:
-        """(point index, integer shift minus its anchor) per piece a shifted point lands in;
+    def _hits(self, spec, frame, buf, c, xf, anchor, x_err, cnt) -> list:
+        """Per piece, the (point index, integer shift minus its anchor) pairs of its hits;
         given cnt, the number per point is written into it."""
-        d, sign = self.dim, spec.sign_of
+        (n, d), sign = xf.shape, spec.sign_of
+        kb, y, p = (b[:d * n].reshape(d, n) for b in buf[:3])  # axis by axis, as rows
         xmax = np.abs(xf).max(initial=0.0)
-        idx_all, k_all = [], []
+        # one reduction for every piece: y = x - A - kb in [-2 y_red, 1 - 2 y_red), up to the
+        # rounding of xf + 2 y_red; y + m lands at the shift m - kb from the anchor
+        y_red = 2 * x_err + 4 * _EPS * (xmax + max(ext for *_, ext, _ in self._pieces) + 1)
+        np.floor(np.add(xf.T, 2 * y_red, out=kb), out=kb)
+        np.subtract(xf.T, kb, out=y)
+        out = []
         for j, (_, inv_f, off_f, lo_f, hi_f, ext, norm) in enumerate(self._pieces):
             # error of x + k - offset, and of its image in unit coordinates
             y_err = 2 * x_err + 4 * _EPS * (xmax + ext + 1)
             guard = 2 * norm * (y_err + (d + 4) * _EPS * (ext + 1))
-            lo = np.floor(lo_f - xf - 2 * y_err).astype(np.int64)
-            idx, kf = _expand(lo, np.floor(hi_f - xf + 2 * y_err).astype(np.int64) - lo + 1)
-            t = (xf[idx] + kf - off_f) @ inv_f.T
-            inside = np.all((t >= guard) & (t <= 1 - guard), axis=1)
-            unsure = np.flatnonzero(~inside & ~np.any((t <= -guard) | (t >= 1 + guard), axis=1))
-            if len(unsure):
-                i = idx[unsure]  # den * t of x + k at the absolute shifts k; t in [0, 1)^d
-                nums, den = _numerators(frame(j), np.column_stack([c[i], kf[unsure] - anchor[i]]))
-                inside[unsure] = [all(sign(ti, den) >= 0 and sign([ti[0] - den, *ti[1:]], den) < 0
-                                      for ti in tp) for tp in nums]
-            idx_all.append(idx[inside])
-            k_all.append(kf[inside])
-        idx = np.concatenate(idx_all)
+            # one box of shifts for all points: y + m >= lo - 2 eps ext with y < 1 - 2 y_red + eps
+            # xmax / 2 gives m > lo - 1, so m >= floor(lo); likewise m <= hi + 4 y_red
+            box = np.floor([lo_f, hi_f + 4 * y_red]).astype(np.int64)
+            m = np.array(list(itertools.product(*map(range, box[0], box[1] + 1)))).reshape(-1, d)
+            # |t - 1/2| per axis, points x shifts, t = inv @ y + inv @ (m - off): by |y| <= 1,
+            # |m - off| <= 2 ext + 2 and norm ext >= 1/2, with 1/2 -+ guard its error is below
+            # norm (x_err + (2 d + 11) eps (ext + 1)) < guard, as y_err >= 2 x_err + 4 eps (ext + 1)
+            t = np.dot(inv_f, y, out=p)[:, :, None] + (inv_f @ (m - off_f).T - 0.5)[:, None]
+            q = np.abs(t, out=t).max(axis=0)
+            inside = q <= 0.5 - guard
+            i, s = np.nonzero(~inside & (q < 0.5 + guard))  # the pairs inside the band
+            if len(i):  # den * t of x + k at the absolute shifts k; t in [0, 1)^d
+                k = m[s] - kb[:, i].T.astype(np.int64) - anchor[i]
+                nums, den = _numerators(frame(j), np.column_stack([c[i], k]))
+                inside[i, s] = [all(sign(ti, den) >= 0 and sign([ti[0] - den, *ti[1:]], den) < 0
+                                    for ti in tp) for tp in nums]
+            i, s = np.nonzero(inside)
+            out.append((i, m[s] - kb[:, i].T.astype(np.int64)))
         if cnt is not None:
-            cnt[:] = np.bincount(idx, minlength=len(xf))
-        return idx, np.concatenate(k_all)
+            cnt[:] = np.bincount(np.concatenate([i for i, _ in out]), minlength=n)
+        return out
 
     def count(self, base, gens, coeffs) -> np.ndarray:
         """Per point, the number of (piece, integer shift) pairs that land."""
@@ -383,9 +385,7 @@ class Membership:
     def translates(self, base, gens, coeffs) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct (point index, integer shift) with x + shift in the region."""
         out = []
-        for start, a, got in self._blocks(base, gens, coeffs):
-            pairs = ([_expand(lo[:, None], (hi - lo)[:, None]) for lo, hi in got]
-                     if self.dim == 1 else [got])
+        for start, a, pairs in self._blocks(base, gens, coeffs):
             rows = np.unique(np.vstack([np.column_stack([i, k - a[i]]) for i, k in pairs]), axis=0)
             rows[:, 0] += start  # blocks are contiguous, so the rows stay sorted
             out.append(rows)

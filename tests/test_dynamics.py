@@ -16,13 +16,11 @@ from quasilab import dynamics
 from quasilab.dynamics import (
     bmo_stat,
     brs_empirical,
-    counting_discrepancy,
     discrepancy_trace,
     orbit_hits,
-    orbit_transfer,
 )
 from quasilab.errors import PreconditionError
-from quasilab.modelset import dual_model_points, sequence_points
+from quasilab.modelset import dual_model_points
 from quasilab.regions import (
     box_region,
     brs_parallelepiped,
@@ -173,7 +171,7 @@ def test_two_dim_brs_and_transfer(sqrt23):
     stat = brs_empirical(box, alpha, 2_000, 500)
     assert (stat.value, stat.argmax_n, stat.argmax_j) == _brs_reference(box, alpha, 2_000, 500)
     assert stat.value <= 1.0
-    g = orbit_transfer(box, alpha, (-500, 500))
+    g = discrepancy_trace(box, alpha, None, (-500, 500), two_sided=True)
     assert g.value_at(0) == 0.0 and g.max_abs <= 2 - math.sqrt(2) + 1e-12
 
 
@@ -355,8 +353,9 @@ def test_brs_certificate_pair_commonly_bounded(sqrt2):
 
 
 def test_transfer_matches_trace(sqrt2, hecke):
+    # the transfer function g(n alpha), g(0) = 0, is the two-sided trace from the zero vector
     a = sqrt2.basis_element("w1")
-    g = orbit_transfer(hecke, a, (-2000, 2000))
+    g = discrepancy_trace(hecke, a, None, (-2000, 2000), two_sided=True)
     tr = discrepancy_trace(hecke, a, 0, (-2000, 2000), two_sided=True)
     assert np.abs(g.values - tr.values).max() < 1e-9
     assert g.value_at(0) == 0.0
@@ -365,7 +364,7 @@ def test_transfer_matches_trace(sqrt2, hecke):
 
 def test_transfer_bounded_on_bounded_region(sqrt2, hecke):
     a = sqrt2.basis_element("w1")
-    g = orbit_transfer(hecke, a, (-100000, 100000))
+    g = discrepancy_trace(hecke, a, None, (-100000, 100000), two_sided=True)
     assert np.abs(g.values).max() <= 3.0
 
 
@@ -626,44 +625,6 @@ def test_bmo_refuses_non_finite(bad):
 def test_bmo_window_validation():
     with pytest.raises(PreconditionError):
         bmo_stat(np.arange(10.0), [11])
-
-
-def test_counting_integers():
-    d = counting_discrepancy(np.arange(-50, 51, dtype=float), 1.0,
-                             np.linspace(-40, 40, 801))
-    assert np.abs(d).max() <= 1.0
-
-
-def test_counting_example_sequence(sqrt2):
-    seq = sequence_points([sqrt2.basis_element("w1")], [sqrt2.one()],
-                          [(-120, 120)])
-    xs = np.linspace(-100, 100, 4001)
-    d = counting_discrepancy(seq, 1.0, xs)
-    assert np.abs(d).max() <= 2.0
-
-
-def test_counting_block_mode(sqrt2):
-    from quasilab.modelset import dual_model_points
-    from quasilab.regions import parse_region_literal
-
-    w1 = sqrt2.basis_element("w1")
-    region = parse_region_literal(sqrt2, "[0,-1+1*w1) U [1,3-1*w1)")
-    pts = dual_model_points([w1], [sqrt2.one()], region, (-80, 80))
-    xs = np.linspace(-60, 60, 2001)
-    plain = counting_discrepancy(pts, 1.0, xs)
-    block = counting_discrepancy(pts, 1.0, xs, block_mode=True)
-    lo, hi = region.bbox()
-    r_bound = max(abs(lo[0]), abs(hi[0]))
-    sizes = {}
-    for p in pts.provenance:
-        sizes[p[-1]] = sizes.get(p[-1], 0) + 1
-    bound = (2 * math.ceil(r_bound) + 1) * max(sizes.values())
-    assert np.abs(plain - block).max() <= bound
-
-
-def test_counting_block_mode_needs_provenance():
-    with pytest.raises(PreconditionError, match="provenance"):
-        counting_discrepancy(np.arange(10.0), 1.0, [0.5], block_mode=True)
 
 
 HUGE_BOX_K = 10**15

@@ -5,7 +5,6 @@ from quasilab.algebra import RATIONAL, QValue, exact_det, mat_mul
 from quasilab.errors import PreconditionError
 from quasilab.lattice import (
     Lattice,
-    dual_lattice,
     lattice_from_text,
     lattice_to_text,
     make_special_lattice,
@@ -60,13 +59,13 @@ def test_rank_checks_reject_dependent_data(sqrt2, sqrt23):
 
 def test_dual_lattice_identity(sqrt2):
     eye = Lattice(1, [[sqrt2.one(), sqrt2.zero()], [sqrt2.zero(), sqrt2.one()]])
-    assert dual_lattice(eye).basis == eye.basis
+    assert eye.dual.basis == eye.basis
 
 
 def test_dual_lattice_diagonal(sqrt2):
     lat = Lattice(1, [[sqrt2.from_rational(2), sqrt2.zero()],
                       [sqrt2.zero(), sqrt2.one()]])
-    dual = dual_lattice(lat)
+    dual = lat.dual
     assert dual.basis[0][0] == sqrt2.parse("1/2")
     assert dual.basis[1][1] == sqrt2.one()
 

@@ -1006,6 +1006,59 @@ def test_membership_anchored_blocks_match_isqrt_floors(sqrt23, dim, kind, t, axe
                           np.bincount(want[:, 0], minlength=len(big_k)))
 
 
+def _face_pieces(spec, dim):
+    """[0,1)^d, its mirror (0,1]^d and a sheared piece with an irrational edge entry."""
+    one, zero, w1 = spec.one(), spec.zero(), spec.basis_element("w1")
+    eye = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
+    shear = [row[:] for row in eye]
+    shear[0][1], shear[dim - 2][dim - 1] = spec.from_rational(Fraction(1, 3)), w1 - 1
+    return [Piece((zero,) * dim, tuple(map(tuple, eye))),
+            Piece((one,) * dim, tuple(tuple(-v for v in row) for row in eye)),
+            Piece((spec.from_rational(Fraction(-1, 5)), *(zero,) * (dim - 1)),
+                  tuple(map(tuple, shear)))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k0", [0, 10**15])
+def test_membership_decides_lattice_points_and_faces_of_shifted_copies(sqrt23, dim, k0):
+    # points p + j, p = offset + edges @ t with t in {0, 1/2, 1}^d (corners, faces, middles;
+    # for [0,1)^d the corners are lattice points) or t = 0 or 1 within 1e-16 on one axis,
+    # j a small integer vector: on faces of the shifted copies of the piece.  A row reads
+    # x = k alpha - k alpha + j + p at k = k0 + row % 5, so the block's float placement
+    # spans several unit cells (the reduction's kb is not 0) and anchors come from x's
+    # float at k0 = 0 and from exact floors at k0 = 1e15
+    spec, (w1, w2) = sqrt23, (sqrt23.basis_element(w) for w in ("w1", "w2"))
+    alpha = (w1, w2, w1 + w2)[:dim]
+    tiny = Fraction(1, 10**16)
+    ts = [list(t) for t in itertools.product(*[(0, Fraction(1, 2), 1)] * dim)]
+    ts += [[Fraction(1, 2)] * a + [side + sgn * tiny] + [Fraction(1, 2)] * (dim - 1 - a)
+           for a in range(dim) for side in (0, 1) for sgn in (1, -1)]
+    js = [(0,) * dim, (1,) * dim, (-3, 2, 5)[:dim], (4, -1, -2)[:dim]]
+    for piece in _face_pieces(spec, dim):
+        points = [[o + sum((piece.edges[i][a] * t[a] for a in range(dim)), spec.zero())
+                   for i, o in enumerate(piece.offset)] for t in ts]
+        gens = [alpha, tuple(-a for a in alpha)]
+        gens += [tuple(spec.one() if i == a else spec.zero() for i in range(dim))
+                 for a in range(dim)] + [tuple(p) for p in points]
+        rows = np.array([[k0 + r % 5, k0 + r % 5, *j, *(q == i for i in range(len(points)))]
+                         for r, (j, q) in enumerate(itertools.product(js, range(len(points))))],
+                        dtype=np.int64)
+        kernel = RegionSet(dim, [piece]).membership
+        idx, shift = kernel.translates((spec.zero(),) * dim, gens, rows)
+        cnt = kernel.count((spec.zero(),) * dim, gens, rows)
+        got = {}
+        for i, m in zip(idx.tolist(), shift.tolist()):
+            got.setdefault(i, []).append(tuple(m))
+        corners = np.array([[float(v) for v in c] for c in piece.corners()])
+        for i, (j, q) in enumerate(itertools.product(js, range(len(points)))):
+            x = [p + ja for p, ja in zip(points[q], j)]  # |x| < 10: float(x) within 1e-14
+            want = [m for m in itertools.product(*[range(
+                math.ceil(corners[:, a].min() - float(x[a]) - 1e-9),
+                math.floor(corners[:, a].max() - float(x[a]) + 1e-9) + 1) for a in range(dim)])
+                if piece.contains([xa + ma for xa, ma in zip(x, m)])]
+            assert got.get(i, []) == want and cnt[i] == len(want)
+
+
 _B = regions._BLOCK
 
 
