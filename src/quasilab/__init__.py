@@ -56,7 +56,6 @@ from .regions import (
 )
 from .riesz import (
     avdonin_check,
-    delta_and_means,
     duality_experiment,
     enumerate_blocks,
     extreme_eigs,

@@ -231,22 +231,15 @@ def _scan_max(c: np.ndarray, means: np.ndarray, L: int, keep=None) -> float:
     """
     view = np.lib.stride_tricks.sliding_window_view(c, L)
     rows = max(1, _BMO_BLOCK // L)
+    count = len(means) if keep is None else len(keep)
+    buf = np.empty((min(rows, count), L))
     best = 0.0
-    if keep is None:
-        buf = np.empty((rows, L))
-        for s in range(0, len(means), rows):
-            e = min(s + rows, len(means))
-            dev = buf[:e - s]
-            np.subtract(view[s:e], means[s:e, None], out=dev)
-            np.abs(dev, out=dev)
-            best = max(best, float(dev.sum(axis=1).max()) / L)
-    else:
-        for s in range(0, len(keep), rows):
-            idx = keep[s:s + rows]
-            dev = view[idx]
-            np.subtract(dev, means[idx, None], out=dev)
-            np.abs(dev, out=dev)
-            best = max(best, float(dev.sum(axis=1).max()) / L)
+    for s in range(0, count, rows):
+        idx = slice(s, s + rows) if keep is None else keep[s:s + rows]
+        dev = buf[:min(rows, count - s)]
+        np.subtract(view[idx], means[idx, None], out=dev)
+        np.abs(dev, out=dev)
+        best = max(best, float(dev.sum(axis=1).max()) / L)
     return best
 
 

@@ -1,15 +1,16 @@
 """Finite-section diagnostics for exponential systems.
 
 Block enumerations of one-dimensional model sets, perturbation sequences
-delta_j and their windowed means, the averaged-perturbation basis check on
-an interval, Gram matrices with closed-form entries (the complex entry
-once per distinct float difference of the points, then gathered), and
-extreme-eigenvalue traces over nested truncations (one matrix per trace,
-each truncation a leading submatrix that extreme_eigs checks and solves; a
-one-piece region takes a real kernel with the Gram spectrum, evaluated on
-every difference).  Verdicts here are evidence, not theorems: finite
-sections cannot certify infinite-dimensional basis properties, so reports
-carry the thresholds and ranges they used.
+delta_j, the averaged-perturbation basis check on an interval (one scan of
+the windowed means of delta_j, which refuses a window the sequence does not
+hold rather than dropping it), Gram matrices with closed-form entries (the
+complex entry once per distinct float difference of the points, then
+gathered), and extreme-eigenvalue traces over nested truncations (one
+matrix per trace, each truncation a leading submatrix that extreme_eigs
+checks and solves; a one-piece region takes a real kernel with the Gram
+spectrum, evaluated on every difference).  Verdicts here are evidence, not
+theorems: finite sections cannot certify infinite-dimensional basis
+properties, so reports carry the thresholds and ranges they used.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "Enumeration",
     "enumerate_blocks",
     "DeltaSequence",
-    "MeansTable",
-    "delta_and_means",
     "AvdoninVerdict",
     "avdonin_check",
     "require_disjoint",
@@ -116,62 +115,12 @@ class DeltaSequence:
         return float(np.abs(self.deltas).max())
 
 
-@dataclass(eq=False)
-class MeansTable:
-    """sup over window starts of |windowed mean of delta - c_hat| per N."""
-
-    c_hat: float
-    rows: list[tuple[int, float, int]]  # (N, sup deviation, windows examined)
-
-
 def delta_sequence(enum: Enumeration, mes_s: Union[QValue, float]) -> DeltaSequence:
     mes = float(mes_s)
     if mes <= 0:
         raise PreconditionError("mes S must be positive")
     deltas = enum.lambdas - enum.js / mes
     return DeltaSequence(enum.js, enum.lambdas, deltas, mes)
-
-
-def _window_sup(
-    deltas: np.ndarray, js: np.ndarray, N: int, k_range: tuple[int, int],
-    center: float,
-) -> tuple[float, int]:
-    """sup over k in k_range of |mean(delta_{k+1..k+N}) - center|."""
-    j_lo = int(js[0])
-    cs = np.concatenate([[0.0], np.cumsum(deltas)])
-    k_min = max(k_range[0], j_lo - 1)
-    k_max = min(k_range[1], int(js[-1]) - N)
-    if k_max < k_min:
-        return float("nan"), 0
-    ks = np.arange(k_min, k_max + 1, dtype=np.int64)
-    i0 = ks + 1 - j_lo
-    sums = cs[i0 + N] - cs[i0]
-    devs = np.abs(sums / N - center)
-    return float(devs.max()), len(ks)
-
-
-def delta_and_means(
-    enum: Enumeration,
-    mes_s: Union[QValue, float],
-    n_list: Sequence[int],
-    k_range: tuple[int, int],
-) -> tuple[DeltaSequence, MeansTable]:
-    """Perturbations delta_j plus the windowed-mean deviation table.
-
-    c_hat is the empirical mean of delta over the full generated range (the
-    estimator for the limiting average of the perturbations); each row
-    reports the sup over window starts k in k_range of the deviation of the
-    length-N windowed mean from c_hat.
-    """
-    ds = delta_sequence(enum, mes_s)
-    c_hat = float(ds.deltas.mean())
-    rows = []
-    for N in n_list:
-        if N < 1:
-            raise PreconditionError("window lengths must be positive")
-        sup, count = _window_sup(ds.deltas, ds.js, N, k_range, c_hat)
-        rows.append((int(N), sup, count))
-    return ds, MeansTable(c_hat, rows)
 
 
 @dataclass(frozen=True)
@@ -214,11 +163,20 @@ def avdonin_check(
     delta_j deviate from the empirical constant by strictly less than
     1/(4|I|) over all window starts in k_range.  Requires the underlying
     sequence to be separated, n_max >= 1 and a k_range that holds a window.
+    The window at start k holds delta_{k+1..k+N}; a start below the first
+    generated j, and the first N whose windows run past the last one, are
+    refused rather than scanned over fewer starts than k_range names.
     """
     _check_window_args(n_max, k_range)
     lam = np.sort(deltas.lambdas)
     if len(lam) < 2:
         raise PreconditionError("need at least two points")
+    j_lo, j_hi = int(deltas.js[0]), int(deltas.js[-1])
+    k_lo, k_hi = k_range
+    if k_lo + 1 < j_lo:
+        raise PreconditionError(
+            f"the window at k = {k_lo} starts at j = {k_lo + 1}, before the "
+            f"first generated j = {j_lo}")
     gap = float(np.diff(lam).min())
     if gap <= 0:
         raise PreconditionError("non-separated input: coincident points")
@@ -227,20 +185,20 @@ def avdonin_check(
         raise PreconditionError("interval length must be positive")
     threshold = 1.0 / (4.0 * length)
     c_hat = float(deltas.deltas.mean())
+    cs = np.concatenate([[0.0], np.cumsum(deltas.deltas)])
+    i0 = np.arange(k_lo, k_hi + 1, dtype=np.int64) + 1 - j_lo
     for N in range(1, n_max + 1):
-        sup, count = _window_sup(deltas.deltas, deltas.js, N, k_range, c_hat)
-        if count == 0:
-            if N == 1:
-                raise PreconditionError(f"k_range {tuple(k_range)} holds no window")
-            break
-        best_sup = sup
+        if k_hi + N > j_hi:
+            raise PreconditionError(
+                f"the window of length N = {N} at k = {k_hi} ends at j = "
+                f"{k_hi + N}, past the last generated j = {j_hi}")
+        sup = float(np.abs((cs[i0 + N] - cs[i0]) / N - c_hat).max())
         if sup < threshold:
-            return AvdoninVerdict(
-                N, sup, threshold, threshold - sup, c_hat, n_max, k_range, gap
-            )
+            break
+    else:
+        N = None
     return AvdoninVerdict(
-        None, best_sup, threshold, threshold - best_sup, c_hat, n_max,
-        k_range, gap,
+        N, sup, threshold, threshold - sup, c_hat, n_max, k_range, gap
     )
 
 
@@ -452,20 +410,23 @@ def duality_experiment(
     """Primal and dual finite-section traces for one special-form geometry.
 
     Generates the quasicrystal for the window and its one-dimensional dual
-    model set for the region, runs the eigenvalue trace on both sides, and
-    attaches the averaged-perturbation verdict for the dual enumeration.
+    model set for the region, checks the averaged-perturbation condition on
+    the dual enumeration, then runs the eigenvalue trace on both sides.
     A measure mismatch between the region and the window is a warning (the
     density necessary condition fails), not an error.
     """
     _check_window_args(n_max, (-k_bound, k_bound))
+    if not radii:
+        raise PreconditionError("radii must name at least one radius")
     make_special_lattice(alpha, beta)
     _, (alpha, beta) = join(alpha, beta)
     translate_f = None
     if translate is not None:
         region = region.translate(translate)
         translate_f = [float(t) for t in translate]
-    length_q = window.volume()
-    mes_q = region.volume()
+    # overlapping pieces would count twice in mes S and |I|, as in the traces
+    mes_q = require_disjoint(region).volume()
+    length_q = require_disjoint(window).volume()
     warning = None
     if length_q != mes_q:
         warning = (
@@ -475,29 +436,24 @@ def duality_experiment(
     admissible = admissible_decomposition(alpha, length_q) is not None
 
     r_max = max(radii)
-    d = len(alpha)
-    span = float(max(abs(float(b)) for b in beta)) * float(length_q) + 2.0
-    m_pad = int(np.ceil(r_max + span))
-    primal_pts = special_quasicrystal(
-        alpha, beta, window, [(-m_pad, m_pad)] * d
-    )
-    primal = riesz_bound_trace(primal_pts, radii, region)
-
+    beta_f = [abs(float(b)) for b in beta]
     lo, hi = region.bbox()
-    r_region = float(
-        sum(max(abs(l), abs(h)) * abs(float(b)) for l, h, b in zip(lo, hi, beta))
-    )
-    n_pad = int(np.ceil(r_max + r_region + 2))
-    # enough blocks that the j-windows of the interval check are never
-    # clamped: j grows like n * mes S
-    mes_f = max(float(mes_q), 0.05)
-    n_pad = max(n_pad, int(np.ceil((k_bound + n_max + r_region + 4) / mes_f)))
+    r_region = float(sum(max(abs(l), abs(h)) * b for l, h, b in zip(lo, hi, beta_f)))
+    # enough blocks for the points within r_max and for every j-window of
+    # the interval check: j grows like n * mes S
+    n_pad = max(int(np.ceil(r_max + r_region + 2)),
+                int(np.ceil((k_bound + n_max + r_region + 4) / float(mes_q))))
     dual_pts = dual_model_points(alpha, beta, region, (-n_pad, n_pad))
-    dual = riesz_bound_trace(dual_pts, radii, window)
-
-    enum = enumerate_blocks(dual_pts)
-    ds = delta_sequence(enum, mes_q)
+    ds = delta_sequence(enumerate_blocks(dual_pts), mes_q)
     verdict = avdonin_check(ds, length_q, n_max, (-k_bound, k_bound))
+
+    # a point is m - beta * p with p in the window
+    lo, hi = window.bbox()
+    span = max(beta_f) * max(abs(lo[0]), abs(hi[0])) + 2.0
+    m_pad = int(np.ceil(r_max + span))
+    primal_pts = special_quasicrystal(alpha, beta, window, [(-m_pad, m_pad)] * len(alpha))
+    primal = riesz_bound_trace(primal_pts, radii, region)
+    dual = riesz_bound_trace(dual_pts, radii, window)
 
     return DualityReport(
         [str(a) for a in alpha],

@@ -4,6 +4,8 @@ import importlib.util
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 import quasilab
-from quasilab import cli
+from quasilab import cli, riesz
 from quasilab.algebra import parse_algebra
 from quasilab.dynamics import brs_empirical, discrepancy_trace
 from quasilab.modelset import PointSet, special_quasicrystal
@@ -622,21 +624,29 @@ def test_json_dump_refuses_nan_and_infinity(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_avdonin_and_duality_refuse_a_check_with_no_window(tmp_path, capsys):
-    # with no window there is no sup deviation to report, so nothing is written
+def test_avdonin_and_duality_refuse_a_check_with_no_window(tmp_path, capsys, monkeypatch):
+    # with no window there is no sup deviation to report, so nothing is
+    # written; nor is one answered over fewer windows than it names (the
+    # default --k-bound 10000 asks for starts far outside j in [-300, 300])
     avdonin = ["avdonin", "--alpha", "w1", "--beta", "1", "--region", "[0,1)",
                "--n-range=-300:300", "--out", str(tmp_path / "av")]
     for flags, msg in ((["--n-max", "0"], "n_max must be at least 1"),
-                       (["--k-bound", "-5"], "k_range (5, -5) holds no window")):
+                       (["--k-bound", "-5"], "k_range (5, -5) holds no window"),
+                       ([], "the window at k = -10000 starts at j = -9999, before the "
+                            "first generated j = -300")):
         assert run_cli(*avdonin, *flags) == cli.EXIT_PRECONDITION
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "av").exists()
-    cfg = tmp_path / "dual.cfg"
-    cfg.write_text(_DUALITY_CFG.replace("n_max = 16", "n_max = 0")
-                   + f"outdir = {tmp_path / 'dout'}\n")
-    assert run_cli("duality", "--config", str(cfg)) == cli.EXIT_PRECONDITION
-    assert "n_max must be at least 1" in capsys.readouterr().err
-    assert list((tmp_path / "dout").iterdir()) == []
+    # refused before the special-lattice checks or any point set
+    calls = []
+    monkeypatch.setattr(riesz, "make_special_lattice", lambda *a: calls.append(a))
+    for old, new, msg in (("n_max = 16", "n_max = 0", "n_max must be at least 1"),
+                          ("radii = 8,16", "radii =", "radii must name at least one radius")):
+        cfg = tmp_path / "dual.cfg"
+        cfg.write_text(_DUALITY_CFG.replace(old, new) + f"outdir = {tmp_path / 'dout'}\n")
+        assert run_cli("duality", "--config", str(cfg)) == cli.EXIT_PRECONDITION
+        assert msg in capsys.readouterr().err
+        assert list((tmp_path / "dout").iterdir()) == [] and calls == []
 
 
 OVERLAP = "[0,1/2) U [1/4,3/4)"  # volume() 1, measure 3/4
@@ -711,3 +721,19 @@ def test_bench_tracer_finds_every_traced_name():
         tracer.uninstall()
     assert [span[2] for span in tracer.spans] == ["algebra.mat_inverse", "algebra.sign"]
     assert quasilab.algebra.mat_inverse is mat_inverse and QValue.__dict__["sign"] is sign
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    # every quasilab line of the README's CLI block, with exp.cfg taken from
+    # its first config block; the two big/ lines (about 4 s) are left out
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", text, re.S | re.M)
+    sh = next(body for lang, body in blocks if lang == "sh" and "quasilab " in body)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(next(body for _, body in blocks if body.startswith("[")))
+    lines = sh.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("quasilab ")]
+    assert len(commands) == 17
+    for argv in commands:
+        if not any(arg.startswith("big/") for arg in argv):
+            assert run_cli(*argv) == 0, argv

@@ -27,7 +27,6 @@ from quasilab.regions import (
 from quasilab.riesz import (
     DeltaSequence,
     avdonin_check,
-    delta_and_means,
     delta_sequence,
     duality_experiment,
     enumerate_blocks,
@@ -108,33 +107,34 @@ def test_delta_recomputable(example_enum, sqrt2):
 def test_delta_mean_near_half(sqrt2, unit_interval):
     pts = dual_model_points([sqrt2.basis_element("w1")], [sqrt2.one()],
                             unit_interval, (-10000, 10000))
-    enum = enumerate_blocks(pts)
-    ds, table = delta_and_means(enum, sqrt2.one(), [1], (-9000, 9000))
-    assert abs(table.c_hat - 0.5) < 0.01
+    ds = delta_sequence(enumerate_blocks(pts), sqrt2.one())
+    v = avdonin_check(ds, 1.0, 1, (-9000, 9000))
+    assert abs(v.c_hat - 0.5) < 0.01
+
+
+# an interval this long sets a threshold no window meets, so sup_deviation
+# is the deviation of the length-n_max windows
+NEVER = 1e12
 
 
 def test_delta_shift_invariance(example_enum, sqrt2):
-    ds, table = delta_and_means(example_enum, sqrt2.one(), [4, 16],
-                                (-200, 200))
+    ds = delta_sequence(example_enum, sqrt2.one())
     shifted = DeltaSequence(ds.js, ds.lambdas + 0.37, ds.deltas + 0.37, ds.mes)
-    enum2 = example_enum
-    # rebuild the table for the shifted sequence by hand
-    from quasilab.riesz import _window_sup
-
-    c2 = float(shifted.deltas.mean())
-    assert abs(c2 - (table.c_hat + 0.37)) < 1e-12
-    for (n, sup, cnt) in table.rows:
-        sup2, cnt2 = _window_sup(shifted.deltas, shifted.js, n, (-200, 200), c2)
-        assert abs(sup2 - sup) < 1e-9 and cnt2 == cnt
+    for n in (4, 16):
+        v = avdonin_check(ds, NEVER, n, (-200, 200))
+        v2 = avdonin_check(shifted, NEVER, n, (-200, 200))
+        assert v.satisfied_at is None and v2.satisfied_at is None
+        assert abs(v2.c_hat - (v.c_hat + 0.37)) < 1e-12
+        assert abs(v2.sup_deviation - v.sup_deviation) < 1e-9
 
 
 def test_means_window_of_length_one(example_enum, sqrt2):
-    ds, table = delta_and_means(example_enum, sqrt2.one(), [1], (-250, 250))
-    n, sup, _ = table.rows[0]
-    direct = np.abs(ds.deltas - table.c_hat)
+    ds = delta_sequence(example_enum, sqrt2.one())
+    v = avdonin_check(ds, 1.0, 1, (-250, 250))
+    direct = np.abs(ds.deltas - v.c_hat)
     js = ds.js
     mask = (js >= -249) & (js <= 251)
-    assert abs(sup - direct[mask].max()) < 1e-12
+    assert abs(v.sup_deviation - direct[mask].max()) < 1e-12
 
 
 def test_avdonin_kadec_degenerate():
@@ -169,6 +169,25 @@ def test_avdonin_rejects_coincident_points():
     ds = DeltaSequence(js, lam, lam - js, 1.0)
     with pytest.raises(PreconditionError, match="separated"):
         avdonin_check(ds, 1.0, 4, (0, 5))
+
+
+def test_avdonin_refuses_windows_the_sequence_does_not_hold():
+    js = np.arange(-200, 201)
+    deltas = 0.01 * js  # a drift: no windowed mean stays within 1/4 of c_hat
+    ds = DeltaSequence(js, js + deltas, deltas, 1.0)
+    v = avdonin_check(ds, 1.0, 100, (-100, 100))  # k + N <= 200 for every N
+    assert v.satisfied_at is None and v.k_range == (-100, 100)
+    with pytest.raises(PreconditionError,
+                       match="length N = 101 at k = 100 ends at j = 201, past the last "
+                             "generated j = 200"):
+        avdonin_check(ds, 1.0, 150, (-100, 100))
+    with pytest.raises(PreconditionError,
+                       match="k = -202 starts at j = -201, before the first generated j = -200"):
+        avdonin_check(ds, 1.0, 1, (-202, 100))
+    # a window length that passes before the sequence runs out still answers
+    alt = 0.3 * (-1.0) ** js
+    v = avdonin_check(DeltaSequence(js, js + alt, alt, 1.0), 1.0, 150, (-100, 100))
+    assert v.satisfied_at == 2
 
 
 def test_gram_orthonormal_identity(unit_interval):
@@ -516,6 +535,44 @@ def test_duality_experiment_refuses_a_check_with_no_window_first(sqrt2, monkeypa
         with pytest.raises(PreconditionError, match=msg):
             duality_experiment([w1], [sqrt2.one()], window, region, [5.0, 10.0], **kwargs)
     assert calls == []
+
+
+def test_duality_experiment_checks_every_window_before_the_traces(sqrt2, monkeypatch):
+    # mes S = 1/100: the dual range is padded by the measure itself, so the
+    # check gets every delta_j with |j| <= k_bound + n_max
+    w1 = sqrt2.basis_element("w1")
+    thin = parse_region_literal(sqrt2, "[0,1/100)")
+    seen, check = [], riesz.avdonin_check
+    monkeypatch.setattr(riesz, "avdonin_check", lambda ds, *a: seen.append(ds) or check(ds, *a))
+    rep = duality_experiment([w1], [sqrt2.one()], thin, thin, [10.0, 20.0],
+                             n_max=16, k_bound=2000)
+    assert rep.dual_verdict.k_range == (-2000, 2000)
+    assert seen[0].js[0] <= -2016 and seen[0].js[-1] >= 2016
+    # a refused check costs no trace
+    calls = []
+    monkeypatch.setattr(riesz, "riesz_bound_trace", lambda *a, **k: calls.append(a))
+
+    def refuse(*args):
+        raise PreconditionError("refused")
+
+    monkeypatch.setattr(riesz, "avdonin_check", refuse)
+    with pytest.raises(PreconditionError, match="refused"):
+        duality_experiment([w1], [sqrt2.one()], thin, thin, [10.0], n_max=4, k_bound=10)
+    assert calls == []
+
+
+@pytest.mark.parametrize("window", ["[5,6)", "[-6,-5)"])
+def test_duality_primal_reach_comes_from_the_window_endpoints(sqrt2, window):
+    # a point is m - beta * p with p in the window, so a window far from 0
+    # needs m up to R + |beta| max|p|, not R + |beta| |I|
+    w1 = sqrt2.basis_element("w1")
+    win = parse_region_literal(sqrt2, window)
+    region = parse_region_literal(sqrt2, "[0,1)")
+    rep = duality_experiment([w1], [sqrt2.one()], win, region, [10.0, 20.0],
+                             n_max=16, k_bound=300)
+    wide = special_quasicrystal([w1], [sqrt2.one()], win, [(-60, 60)])
+    norms = np.abs(wide.coords).max(axis=1)
+    assert [row[1] for row in rep.primal.rows] == [int((norms <= r).sum()) for r in (10, 20)]
 
 
 def test_duality_experiment_measure_mismatch_warns(sqrt2):
