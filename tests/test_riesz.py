@@ -564,7 +564,7 @@ def test_duality_experiment_checks_every_window_before_the_traces(sqrt2, monkeyp
 @pytest.mark.parametrize("window", ["[5,6)", "[-6,-5)"])
 def test_duality_primal_reach_comes_from_the_window_endpoints(sqrt2, window):
     # a point is m - beta * p with p in the window, so a window far from 0
-    # needs m up to R + |beta| max|p|, not R + |beta| |I|
+    # needs m up to R + |beta| max|p|
     w1 = sqrt2.basis_element("w1")
     win = parse_region_literal(sqrt2, window)
     region = parse_region_literal(sqrt2, "[0,1)")
