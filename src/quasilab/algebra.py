@@ -49,10 +49,11 @@ linear question: solves and ranks over Q (:func:`solve_rational`,
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AlgebraMismatchError,
@@ -66,7 +67,7 @@ RationalLike = int | Fraction
 
 _TERM_RE = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
-        (?P<num>\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
+        (?P<num>\d+/0*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?  # no n/0
         \s*(?:\*\s*)?(?P<name>[A-Za-z_][A-Za-z_0-9]*)?\s*$""",
     re.VERBOSE,
 )
@@ -425,40 +426,7 @@ class AlgebraSpec:
     @classmethod
     def from_text(cls, text: str) -> "AlgebraSpec":
         """Parse the line format ``basis w1 = sqrt 2`` / ``product w1 w2 = w3``."""
-        names = ["1"]
-        radicands: list[Optional[Fraction]] = [Fraction(1)]
-        numerics = [1.0]
-        product_lines: list[tuple[str, str, str]] = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split("=", 1)
-            if len(parts) != 2:
-                raise PreconditionError(f"bad algebra line: {raw!r}")
-            head, rhs = parts[0].split(), parts[1].strip()
-            if head[0] == "basis" and len(head) == 2:
-                names.append(head[1])
-                if rhs.startswith("sqrt"):
-                    radicands.append(Fraction(rhs[4:].strip()))
-                    numerics.append(math.sqrt(radicands[-1]))
-                elif rhs.startswith("value"):
-                    radicands.append(None)
-                    numerics.append(float(rhs[5:].strip()))
-                else:
-                    raise PreconditionError(f"bad basis declaration: {raw!r}")
-            elif head[0] == "product" and len(head) == 3:
-                product_lines.append((head[1], head[2], rhs))
-            else:
-                raise PreconditionError(f"bad algebra line: {raw!r}")
-        spec = cls(names, radicands, numerics)
-        if product_lines:
-            products = dict(spec._products)
-            for ni, nj, rhs in product_lines:
-                i, j = names.index(ni), names.index(nj)
-                products[(min(i, j), max(i, j))] = spec.parse(rhs).coeffs
-            spec = cls(names, radicands, numerics, products)
-        return spec
+        return read_declaration(text, {})[0]
 
     @classmethod
     def from_sqrt(cls, gens: Iterable[int]) -> "AlgebraSpec":
@@ -510,6 +478,64 @@ class AlgebraSpec:
 
     def __repr__(self) -> str:
         return f"AlgebraSpec({', '.join(self.names)})"
+
+
+def _assignment(rest: str, names: int) -> tuple[list[str], str]:
+    """The ``names`` words before the ``=`` of ``rest``, and the value after it."""
+    lhs, eq, rhs = rest.partition("=")
+    if not eq or len(lhs.split()) != names:
+        raise PreconditionError(f"expected {names} name(s), '=' and a value")
+    return lhs.split(), rhs.strip()
+
+
+def declared_int(spec: AlgebraSpec, rest: str) -> int:
+    """The ``d`` of a ``dim = d`` line."""
+    return int(_assignment(rest, 0)[1])
+
+
+def read_declaration(text: str, parsers: dict) -> tuple[AlgebraSpec, list[list]]:
+    """Read a declaration text: the algebra of its ``basis`` and ``product``
+    lines and, per keyword of ``parsers`` in order, ``parsers[keyword](spec,
+    rest)`` of its lines, ``rest`` being a line after its keyword.  ``#``
+    starts a comment.  An unknown keyword, or a line its reader refuses,
+    raises PreconditionError naming the line.
+    """
+    lines: dict[str, list] = {k: [] for k in ("basis", "product", *parsers)}
+    for n, raw in enumerate(text.splitlines(), 1):
+        key, rest = re.match(r"(\w*)\s*(.*)", raw.split("#", 1)[0].strip()).groups()
+        if key in lines:
+            lines[key].append((n, raw.strip(), rest))
+        elif key or rest:
+            raise PreconditionError(f"line {n} {raw.strip()!r}: a keyword is one of {list(lines)}")
+
+    def read(key: str, parse) -> Iterator:
+        for n, raw, rest in lines[key]:
+            try:
+                yield parse(rest)
+            except (PreconditionError, ValueError, ArithmeticError) as exc:
+                raise PreconditionError(f"line {n} {raw!r}: {exc}") from None
+
+    def basis(rest: str) -> tuple[str, Optional[Fraction], float]:
+        (name,), rhs = _assignment(rest, 1)
+        kind, _, num = rhs.partition(" ")
+        if kind == "sqrt":
+            return name, Fraction(num), math.sqrt(Fraction(num))
+        if kind == "value":
+            return name, None, float(num)
+        raise PreconditionError("a basis element is 'sqrt <rational>' or 'value <float>'")
+
+    names, radicands, numerics = zip(("1", Fraction(1), 1.0), *read("basis", basis))
+    spec = AlgebraSpec(names, radicands, numerics)
+
+    def product(rest: str) -> tuple[tuple[int, int], tuple[Fraction, ...]]:
+        (a, b), rhs = _assignment(rest, 2)
+        i, j = sorted(spec.basis_element(x).coeffs.index(1) for x in (a, b))  # checks each name
+        return (i, j), spec.parse(rhs).coeffs
+
+    products = dict(read("product", product))
+    if products:
+        spec = AlgebraSpec(names, radicands, numerics, {**spec._products, **products})
+    return spec, [list(read(k, functools.partial(f, spec))) for k, f in parsers.items()]
 
 
 def parse_algebra(literal: str) -> AlgebraSpec:

@@ -269,7 +269,7 @@ def _cmd_brs_make(args) -> int:
     gamma = spec.parse(args.gamma)
     outdir = _out_dir(args)
     if args.K or args.U:
-        if not (args.K and args.U and args.epsilon):
+        if not (args.K and args.U and args.epsilon is not None):
             raise PreconditionError("--between mode needs --K, --U and --epsilon")
         region_k = _load_region(spec, args.K, allow_closed=True)
         region_u = _load_region(spec, args.U, allow_closed=True)

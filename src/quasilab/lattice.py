@@ -17,12 +17,14 @@ from .algebra import (
     QMatrix,
     QValue,
     coeff_rank,
+    declared_int,
     exact_det,
     join,
     mat_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
+    read_declaration,
 )
 from .errors import PreconditionError
 
@@ -256,22 +258,9 @@ def lattice_to_text(lat: Lattice) -> str:
 
 
 def lattice_from_text(text: str) -> Lattice:
-    algebra_lines, dim_d, gens = [], None, []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(("basis", "product")):
-            algebra_lines.append(line)
-        elif line.startswith("dim_d"):
-            dim_d = int(line.split("=", 1)[1])
-        elif line.startswith("generator"):
-            gens.append(line[len("generator"):].strip())
-        else:
-            raise PreconditionError(f"bad lattice line: {raw!r}")
-    if dim_d is None or len(gens) != dim_d + 1:
-        raise PreconditionError("lattice text needs dim_d and d+1 generators")
-    spec = AlgebraSpec.from_text("\n".join(algebra_lines))
-    cols = [spec.parse_vector(g) for g in gens]
-    basis = [[cols[j][i] for j in range(dim_d + 1)] for i in range(dim_d + 1)]
-    return Lattice(dim_d, basis)
+    parsers = {"dim_d": declared_int, "generator": AlgebraSpec.parse_vector}
+    _, (dims, gens) = read_declaration(text, parsers)
+    d = dims[0] if len(dims) == 1 else 0
+    if d < 1 or len(gens) != d + 1 or any(len(g) != d + 1 for g in gens):
+        raise PreconditionError("a lattice needs one dim_d >= 1 and d+1 generators of d+1 entries")
+    return Lattice(d, [list(row) for row in zip(*gens)])

@@ -106,9 +106,10 @@ class PointSet:
     @classmethod
     def from_csv(cls, text: str) -> "PointSet":
         lines = [l for l in text.splitlines() if l.strip()]
-        if not lines or not lines[0].startswith("# quasilab pointset v1"):
-            raise PreconditionError("not a quasilab pointset file")
-        dim = int(lines[0].split("dim=")[1])
+        head = "# quasilab pointset v1 dim="
+        if not lines or not lines[0].startswith(head):
+            raise PreconditionError(f"not a quasilab pointset file: its header is not '{head}<d>'")
+        dim = int(lines[0][len(head):])
         coords, prov = [], []
         for line in lines[1:]:
             cells = line.split(",")
@@ -447,8 +448,8 @@ def density_estimate(
     if len(points) == 0:
         raise PreconditionError("empty point set")
     radii = list(window_radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise PreconditionError("radii must be increasing")
+    if not all(b > a for a, b in zip([0.0, *radii], radii)):  # also refuses NaN
+        raise PreconditionError(f"radii must be positive and increasing, not {radii}")
     out = []
     if points.dim == 1:
         vals = np.sort(points.values)

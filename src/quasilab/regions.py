@@ -18,10 +18,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .algebra import (
-    RATIONAL,
     AlgebraSpec,
     QValue,
     admissible_decomposition,
+    declared_int,
     exact_det,
     integer_form,
     join,
@@ -29,6 +29,7 @@ from .algebra import (
     mat_inverse,
     mat_vec,
     module_membership,
+    read_declaration,
 )
 from .errors import PreconditionError, SearchExhaustedError
 
@@ -419,6 +420,8 @@ def box_region(spec: AlgebraSpec, lows: Sequence, highs: Sequence) -> RegionSet:
     The corners join with ``spec``, which holds them when they are rational.
     """
     lows, highs = join([spec.zero()], lows, highs)[1][1:]
+    if any((hi - lo).sign() <= 0 for lo, hi in zip(lows, highs)):
+        raise PreconditionError("box corners must satisfy lo < hi on every axis")
     d = len(lows)
     zero = spec.zero()
     edges = tuple(
@@ -790,6 +793,8 @@ def construct_brs_between(
     small tile, not enough room, residual does not fit) is reported rather
     than silently accepting an approximate answer.
     """
+    if not 0 < epsilon < np.inf:
+        raise PreconditionError(f"epsilon must be a finite number > 0, not {epsilon}")
     d = region_k.dim
     if region_u.dim != d or len(alpha) != d:
         raise PreconditionError("dimension mismatch between K, U and alpha")
@@ -947,41 +952,22 @@ def region_to_text(region: RegionSet) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _piece_line(spec: AlgebraSpec, rest: str) -> Piece:
+    """``offset = v | edges = row; row | witness = n: m,... / ...`` of one piece."""
+    pairs = [chunk.partition("=") for chunk in rest.split("|")]
+    fields = {key.strip(): val.strip() for key, eq, val in pairs if eq}
+    if len(fields) != len(pairs) or fields.keys() - {"witness"} != {"offset", "edges"}:
+        raise PreconditionError("a piece has one offset, one edges and at most one witness field")
+    witnesses = None
+    if "witness" in fields:
+        wits = [w.partition(":") for w in fields["witness"].split("/")]
+        witnesses = tuple((int(n), tuple(int(x) for x in m.split(","))) for n, _, m in wits)
+    edges = tuple(spec.parse_vector(row) for row in fields["edges"].split(";"))
+    return Piece(spec.parse_vector(fields["offset"]), edges, witnesses)
+
+
 def region_from_text(text: str) -> RegionSet:
-    algebra_lines, dim, piece_lines = [], None, []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(("basis", "product")):
-            algebra_lines.append(line)
-        elif line.startswith("dim"):
-            dim = int(line.split("=", 1)[1])
-        elif line.startswith("piece"):
-            piece_lines.append(line[len("piece"):].strip())
-        else:
-            raise PreconditionError(f"bad region line: {raw!r}")
-    if dim is None or not piece_lines:
-        raise PreconditionError("region text needs dim and at least one piece")
-    spec = AlgebraSpec.from_text("\n".join(algebra_lines)) if algebra_lines else RATIONAL
-    pieces = []
-    for pl in piece_lines:
-        fields = {}
-        for chunk in pl.split("|"):
-            key, _, val = chunk.partition("=")
-            fields[key.strip()] = val.strip()
-        offset = spec.parse_vector(fields["offset"])
-        edges = tuple(
-            spec.parse_vector(row) for row in fields["edges"].split(";")
-        )
-        witnesses = None
-        if "witness" in fields:
-            wit = []
-            for w in fields["witness"].split("/"):
-                n_s, _, m_s = w.partition(":")
-                wit.append(
-                    (int(n_s), tuple(int(x) for x in m_s.split(",")))
-                )
-            witnesses = tuple(wit)
-        pieces.append(Piece(offset, edges, witnesses))
-    return RegionSet(dim, pieces)
+    _, (dims, pieces) = read_declaration(text, {"dim": declared_int, "piece": _piece_line})
+    if len(dims) != 1:
+        raise PreconditionError("a region needs one dim line")
+    return RegionSet(dims[0], pieces)

@@ -269,9 +269,6 @@ def _distinct_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a float matrix by bit pattern, and for each row
     the index of its distinct row (``-0.0`` and ``0.0`` stay apart)."""
     bits = np.ascontiguousarray(t).view(np.int64)
-    if bits.shape[1] == 1:
-        uniq, inv = np.unique(bits[:, 0], return_inverse=True)
-        return uniq.view(np.float64)[:, None], inv
     order = np.lexsort(bits.T[::-1])
     ranked = bits[order]
     new = np.ones(len(ranked), dtype=bool)

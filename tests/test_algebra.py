@@ -637,7 +637,7 @@ def test_parse_decimal_and_exponent_literals(sqrt2):
 
 def test_algebra_text_roundtrip(sqrt23):
     spec2 = parse_algebra(sqrt23.to_text())
-    assert spec2 == sqrt23
+    assert spec2 == sqrt23 and spec2.to_text() == sqrt23.to_text()
     assert parse_algebra("sqrt:2,3") == sqrt23
 
 

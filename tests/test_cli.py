@@ -548,6 +548,56 @@ def test_algebra_file_with_a_repeated_root_refused(tmp_path, capsys):
             "squarefree root sqrt 2" in capsys.readouterr().err)
 
 
+_DISC = ("disc", "--alpha", "w1", "--n", "10")
+
+
+@pytest.mark.parametrize("files, argv, named", [
+    # declaration files: every malformed line exits 2 and is named
+    ({"a.txt": " = sqrt 2\n"}, (*_DISC, "--algebra", "@a.txt", "--set", "[0,1/2)"),
+     "line 1 '= sqrt 2'"),
+    ({"a.txt": "basis w1 = sqrt 1/0\n"}, (*_DISC, "--algebra", "@a.txt", "--set", "[0,1/2)"),
+     "line 1 'basis w1 = sqrt 1/0'"),
+    ({"a.txt": "basis w1 sqrt 2\n"}, (*_DISC, "--algebra", "@a.txt", "--set", "[0,1/2)"),
+     "line 1 'basis w1 sqrt 2'"),
+    ({"r.txt": "basis w1 = sqrt 2\ndim = 1\npiece edges = 1/2\n"}, (*_DISC, "--set", "@r.txt"),
+     "line 3 'piece edges = 1/2'"),
+    ({"r.txt": "dimension = 1\npiece offset = 0 | edges = 1/2\n"}, (*_DISC, "--set", "@r.txt"),
+     "line 1 'dimension = 1'"),
+    ({"r.txt": "dim_d = 1\npiece offset = 0 | edges = 1/2\n"}, (*_DISC, "--set", "@r.txt"),
+     "line 1 'dim_d = 1'"),
+    ({"r.txt": "dim = 1\npiece offset = 0 | edges = 1/2 | colour = red  # a comment\n"},
+     (*_DISC, "--set", "@r.txt"), "line 2 'piece offset = 0 | edges = 1/2 | colour = red"),
+    ({"r.txt": "dim = 1\npiece offset = 0 | edges = 1/0\n"}, (*_DISC, "--set", "@r.txt"),
+     "line 2 'piece offset = 0 | edges = 1/0'"),
+    ({"r.txt": "dim = 1\ndim = 1\npiece offset = 0 | edges = 1/2\n"}, (*_DISC, "--set", "@r.txt"),
+     "one dim line"),
+    ({"r.txt": "piece offset = 0 | edges = 1/2\n"}, (*_DISC, "--set", "@r.txt"), "one dim line"),
+    # value literals and point-set headers
+    ({}, (*_DISC, "--set", "[0,1/0)"), "term '1/0'"),
+    ({}, ("gen", "--alpha", "1/0*w1", "--beta", "1", "--window", "(-1,0]"), "term '1/0*w1'"),
+    ({"p.csv": "# quasilab pointset v1\n0.5,0,1\n"},
+     ("gram", "--points", "p.csv", "--region", "[0,1)"), "header is not"),
+])
+def test_malformed_inputs_exit_2_naming_the_line(tmp_path, monkeypatch, capsys, files, argv, named):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*argv) == cli.EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+def test_brs_make_between_refuses_epsilon_before_the_tile_search(tmp_path, capsys, epsilon):
+    # 0 was taken for a missing flag, -1 ran out the tile search (exit 3), and
+    # nan and inf accepted any tile, then asked for a smaller epsilon
+    rc = run_cli("brs-make", "--alpha", "w1", "--gamma", "w1 - 1", "--K", "[1/10,2/5]",
+                 "--U", "(0,1)", f"--epsilon={epsilon}", "--out", str(tmp_path))
+    assert rc == cli.EXIT_PRECONDITION
+    assert "epsilon must be a finite number > 0" in capsys.readouterr().err
+    assert not (tmp_path / "brs_region.txt").exists()
+
+
 def test_two_dim_region_names(tmp_path):
     # each piece is written as offset + [0,1)*e_1 + [0,1)*e_2 over its edge columns
     spec = parse_algebra("sqrt:2,3")
@@ -737,3 +787,4 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     for argv in commands:
         if not any(arg.startswith("big/") for arg in argv):
             assert run_cli(*argv) == 0, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "out"]

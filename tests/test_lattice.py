@@ -159,12 +159,28 @@ def test_lattice_point_evaluation(special_pair, sqrt2):
 def test_text_roundtrip(special_pair, sqrt2):
     gamma, _ = special_pair
     again = lattice_from_text(lattice_to_text(gamma))
-    assert again.basis == gamma.basis
+    assert again.basis == gamma.basis and lattice_to_text(again) == lattice_to_text(gamma)
     # the algebra written is the join of the basis, not its first entry's
     mixed = Lattice(1, [[RATIONAL.one(), sqrt2.basis_element("w1")],
                         [RATIONAL.zero(), RATIONAL.one()]])
     assert mixed.spec == sqrt2
     assert lattice_from_text(lattice_to_text(mixed)).basis == mixed.basis
+
+
+@pytest.mark.parametrize("text, named", [
+    ("dim_d = 1\ngenerator 1, 0\ngenerator 0\n", "d+1 generators of d+1 entries"),
+    ("dim_d = 1\ngenerator 1, 0\ngenerator 0, 1, 5\n", "d+1 generators of d+1 entries"),
+    ("dim_d = 1\ndim_d = 1\ngenerator 1, 0\ngenerator 0, 1\n", "one dim_d >= 1"),
+    ("dim_d = -1\n", "one dim_d >= 1"),
+    ("dim = 1\ngenerator 1, 0\ngenerator 0, 1\n", "line 1 'dim = 1'"),
+    ("dim_d 1\ngenerator 1, 0\ngenerator 0, 1\n", "line 1 'dim_d 1'"),
+    ("dim_d = 1\ngenerator 1, 0\n# comment lines count\ngenerator 0, 1/0\n", "line 4 'generator 0, 1/0'"),
+])
+def test_lattice_text_refuses_malformed_lines(text, named):
+    # a third entry of a generator was dropped without a word
+    with pytest.raises(PreconditionError) as exc:
+        lattice_from_text(text)
+    assert named in str(exc.value)
 
 
 def test_transforms(sqrt2):

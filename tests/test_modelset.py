@@ -258,6 +258,15 @@ def test_density_integers(rng):
     assert separation(z) == 1.0
 
 
+@pytest.mark.parametrize("radii", [[-5.0, 10.0], [0.0, 10.0], [math.nan], [10.0, 5.0]])
+def test_density_refuses_radii_that_are_not_positive_and_increasing(radii):
+    # -5 gave lower 1.1 > upper -0.0, and 0 gave NaN
+    z = PointSet(1, np.arange(-600, 601, dtype=float).reshape(-1, 1),
+                 tuple((int(i),) for i in range(-600, 601)))
+    with pytest.raises(PreconditionError, match="radii must be positive and increasing"):
+        density_estimate(z, radii)
+
+
 def test_density_example_sequence(sqrt2):
     seq = sequence_points([sqrt2.basis_element("w1")], [sqrt2.one()],
                           [(-550, 550)])

@@ -639,6 +639,14 @@ def test_region_text_roundtrip_of_a_mixed_union(sqrt2):
     assert region_to_text(again) == text and again.describe() == r.describe()
 
 
+def test_box_region_refuses_an_axis_with_hi_not_above_lo(sqrt2, sqrt23):
+    # [1, 0) x [0, 1) was (1, 0) + [0,1)*(-1, 0) + [0,1)*(0, 1), that is (0,1] x [0,1)
+    for spec, lows, highs in ((sqrt23, [1, 0], [0, 1]), (sqrt2, [1], [0]),
+                              (sqrt23, [0, 1], [1, 1])):
+        with pytest.raises(PreconditionError, match="lo < hi on every axis"):
+            box_region(spec, lows, highs)
+
+
 def test_overlap_detection(sqrt2):
     a = interval(sqrt2.zero(), sqrt2.one())
     b = interval(sqrt2.parse("1/2"), sqrt2.parse("3/2"))
@@ -932,7 +940,7 @@ def test_membership_anchored_blocks_match_isqrt_floors(sqrt23, dim, kind, t, axe
     # are ceil/floor of endpoints minus x, taken with isqrt: absolute shifts at |K|
     # up to 1e17, not shifts relative to a block anchor
     roots, axes = (2, 3)[:dim], axes[:dim]
-    assume(all(dl * t + db * math.sqrt(r) > 0 for r, (*_, dl, db) in zip(roots, axes)))
+    assume(all(dl + db * math.sqrt(r) > 0 for r, (*_, dl, db) in zip(roots, axes)))  # hi > lo
     left_closed = left_closed or dim == 2  # a 2-D box is half-open [lo, hi)
 
     def q(a, b, r):

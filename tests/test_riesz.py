@@ -392,6 +392,14 @@ def _kernel_reference(pts, region, dedupe=False):
     return k
 
 
+def test_distinct_rows_of_one_column_match_np_unique(rng):
+    # the lexsort path serves d = 1 too: np.unique of the bit patterns is the reference
+    t = rng.choice([-0.0, 0.0, 1.5, -2.25, 3.0, np.nan], size=(500, 1))
+    distinct, inv = riesz._distinct_rows(t)
+    uniq, uinv = np.unique(t.view(np.int64)[:, 0], return_inverse=True)
+    assert np.array_equal(distinct.view(np.int64)[:, 0], uniq) and np.array_equal(inv, uinv)
+
+
 def test_gram_entries_once_per_distinct_difference(sqrt2, sqrt23, monkeypatch):
     w1 = sqrt2.basis_element("w1")
     primal = special_quasicrystal([w1], [sqrt2.one()], parse_region_literal(sqrt2, "[0,1)"),
