@@ -520,9 +520,9 @@ def read_declaration(text: str, parsers: dict) -> tuple[AlgebraSpec, list[list]]
         kind, _, num = rhs.partition(" ")
         if kind == "sqrt":
             return name, Fraction(num), math.sqrt(Fraction(num))
-        if kind == "value":
-            return name, None, float(num)
-        raise PreconditionError("a basis element is 'sqrt <rational>' or 'value <float>'")
+        if kind == "value" and math.isfinite(value := float(num)):
+            return name, None, value
+        raise PreconditionError("a basis element is 'sqrt <rational>' or 'value <finite float>'")
 
     names, radicands, numerics = zip(("1", Fraction(1), 1.0), *read("basis", basis))
     spec = AlgebraSpec(names, radicands, numerics)

@@ -154,16 +154,17 @@ def _disc(c, outdir: Path, n_lo=None, two_sided: bool = False) -> dict:
         n_lo = -n if two_sided else 0
     x0 = None if c.get("x0") is None else spec.parse_vector(c["x0"])
     trace = dynamics.discrepancy_trace(region, alpha, x0, (n_lo, n), two_sided=two_sided)
+    _write_csv(path := outdir / "trace.csv", "n,D_n", [trace.ns, trace.values])
     return {
         "max_abs": trace.max_abs,
         "argmax_n": trace.argmax_n,
-        "n_range": [int(trace.ns[0]), int(trace.ns[-1])],
+        "n_range": [n_lo, n],
         # a scalar in one dimension, as the 1-D artifacts have always had it
         "x0": float(trace.x0[0]) if len(trace.x0) == 1 else [float(v) for v in trace.x0],
         "mes": trace.mes,
         "region": trace.region_desc,
         "alpha": trace.alpha_desc,
-        "trace_file": str(_write_trace_csv(trace, outdir)),
+        "trace_file": str(path),
     }
 
 
@@ -289,7 +290,7 @@ def _cmd_enum(args) -> int:
     enum = riesz.enumerate_blocks(_dual_points(vars(args))[2])
     out = _out_dir(args) / "enum.csv"
     cols = [enum.js, enum.lambdas, enum.blocks, enum.ranks]
-    out.write_bytes(modelset._csv_bytes("j,lambda,block,rank", cols))
+    _write_csv(out, "j,lambda,block,rank", cols)
     print(f"wrote {out} ({len(enum.js)} points, blocks {enum.n_lo}..{enum.n_hi})")
     return EXIT_OK
 
@@ -348,15 +349,13 @@ def _write_points(pts: modelset.PointSet, path: Path) -> int:
     return EXIT_OK
 
 
-def _write_trace_csv(trace: dynamics.DiscrepancyTrace, outdir: Path) -> Path:
-    path = outdir / "trace.csv"
-    path.write_bytes(modelset._csv_bytes("n,D_n", [trace.ns, trace.values]))
-    return path
+def _write_csv(path: Path, header: str, columns) -> None:
+    with path.open("wb") as f:
+        f.writelines(modelset._csv_chunks(header, columns))
 
 
 def _write_bounds_csv(trace: riesz.BoundsTrace, path: Path) -> None:
-    header = "R,size,lambda_min,lambda_max"
-    path.write_bytes(modelset._csv_bytes(header, list(zip(*trace.rows))))
+    _write_csv(path, "R,size,lambda_min,lambda_max", list(zip(*trace.rows)))
 
 
 def _cmd_duality(args) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import QValue, join
 from .errors import PreconditionError
-from .regions import RegionSet
+from .regions import _BLOCK, RegionSet
 
 __all__ = [
     "orbit_hits",
@@ -32,6 +32,7 @@ __all__ = [
 
 # elements per block of the direct bmo_stat scan: the block buffer stays in cache
 _BMO_BLOCK = 1 << 15
+_ORBIT_CHUNK = 4 * _BLOCK  # orbit points per kernel call: whole blocks, decided as in one call
 _EPS = 2.0 ** -53  # unit roundoff of float64
 
 
@@ -46,10 +47,6 @@ def _alpha_vector(region: RegionSet, alpha) -> tuple[QValue, ...]:
     if len(vec) != region.dim:
         raise PreconditionError("alpha dimension does not match the region")
     return vec
-
-
-def _alpha_desc(region: RegionSet, alpha) -> str:
-    return ", ".join(str(a) for a in _alpha_vector(region, alpha))
 
 
 def _x0_vector(region: RegionSet, x0) -> tuple[QValue, ...]:
@@ -75,9 +72,16 @@ def orbit_hits(region: RegionSet, alpha, x0, k_lo: int, k_hi: int) -> np.ndarray
     """
     if k_hi < k_lo:
         raise PreconditionError("empty orbit range")
-    alpha_vec = _alpha_vector(region, alpha)
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
-    return region.membership.count(_x0_vector(region, x0), [alpha_vec], ks[:, None])
+    return _count_orbit(region, alpha, x0, k_lo, np.empty(k_hi - k_lo + 1, dtype=np.int64))
+
+
+def _count_orbit(region: RegionSet, alpha, x0, k_lo: int, out: np.ndarray) -> np.ndarray:
+    """out[i] = chi_S(x0 + (k_lo + i) alpha), counted chunk by chunk into out."""
+    alpha_vec, x0_vec = [_alpha_vector(region, alpha)], _x0_vector(region, x0)
+    for s in range(0, len(out), _ORBIT_CHUNK):  # one short k column per chunk
+        ks = np.arange(k_lo + s, k_lo + min(s + _ORBIT_CHUNK, len(out)), dtype=np.int64)
+        region.membership.count(x0_vec, alpha_vec, ks[:, None], out=out[s:s + len(ks)])
+    return out
 
 
 @dataclass(eq=False)
@@ -87,9 +91,14 @@ class DiscrepancyTrace:
     alpha_desc: str
     region_desc: str
     x0: tuple[QValue, ...]
-    ns: np.ndarray
+    n_lo: int
     values: np.ndarray
     mes: float
+
+    @property
+    def ns(self) -> np.ndarray:
+        """The n of each value, n_lo onwards, made on each read."""
+        return np.arange(self.n_lo, self.n_lo + len(self.values), dtype=np.int64)
 
     @property
     def max_abs(self) -> float:
@@ -97,17 +106,16 @@ class DiscrepancyTrace:
 
     @property
     def argmax_n(self) -> int:
-        return int(self.ns[int(np.abs(self.values).argmax())])
+        return self.n_lo + int(np.abs(self.values).argmax())
 
     def value_at(self, n: int) -> float:
-        idx = int(n - self.ns[0])
-        if not 0 <= idx < len(self.ns):
+        if not 0 <= n - self.n_lo < len(self.values):
             raise PreconditionError(f"n={n} outside the computed range")
-        return float(self.values[idx])
+        return float(self.values[n - self.n_lo])
 
     def increments_consistent(self, region: RegionSet, alpha) -> bool:
         """D_{n+1} - D_n = chi_S(x0 + n*alpha) - mes S on the whole range, to 1e-9."""
-        chi = orbit_hits(region, alpha, self.x0, int(self.ns[0]), int(self.ns[-1]) - 1)
+        chi = orbit_hits(region, alpha, self.x0, self.n_lo, self.n_lo + len(self.values) - 2)
         incs = np.diff(self.values)
         return bool(np.max(np.abs(incs - (chi - self.mes))) <= 1e-9)
 
@@ -134,20 +142,19 @@ def discrepancy_trace(
     x0 = _x0_vector(region, x0)
     if n_lo < 0 and not two_sided:
         raise PreconditionError("negative n requires two_sided=True")
-    mes = float(region.volume())
-    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    alpha, mes = _alpha_vector(region, alpha), float(region.volume())
     # c[j] counts the hits over k_lo .. k_lo + j - 1, so c[n - k_lo] - c[-k_lo]
     # is the count over 0..n-1 for n > 0 and minus the count over n..-1 for n < 0
     k_lo, k_hi = min(n_lo, 0), max(n_hi, 0)
     c = np.zeros(k_hi - k_lo + 1, dtype=np.int64)
-    if k_hi > k_lo:
-        np.cumsum(orbit_hits(region, alpha, x0, k_lo, k_hi - 1), out=c[1:])
+    np.cumsum(_count_orbit(region, alpha, x0, k_lo, c[1:]), out=c[1:])
     counts = c[n_lo - k_lo:n_hi - k_lo + 1]
     counts -= c[-k_lo]  # in place: c[-k_lo] is read out first
-    values = ns * mes
+    values = np.arange(n_lo, n_hi + 1, dtype=np.float64)  # n * mes as ns * mes, for |n| < 2^53
+    values *= mes
     np.subtract(counts, values, out=values)
     return DiscrepancyTrace(
-        _alpha_desc(region, alpha), region.describe(), x0, ns, values, mes,
+        ", ".join(map(str, alpha)), region.describe(), x0, int(n_lo), values, mes,
     )
 
 
@@ -205,15 +212,16 @@ def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
     if N <= 0 or J < 0:
         raise PreconditionError("N must be positive and J nonnegative")
     mes = float(region.volume())
-    chi = orbit_hits(region, alpha, None, -J + 1, J + N)
     # f[i] sums the orbit values k = -J + 1 .. -J + i minus i*mes, so the
     # prefix up to k = j is f-index j + J in [0, 2J]; up to j+n it is j + J + n.
-    f = np.concatenate([[0.0], np.cumsum(chi) - mes * np.arange(1, len(chi) + 1)])
+    f = np.zeros(N + 2 * J + 1)
+    f[1:] = np.cumsum(orbit_hits(region, alpha, None, -J + 1, J + N)) - mes * np.arange(1, len(f))
     starts = f[:2 * J + 1]
     ends = f[1:]  # t = 1 .. 2J + N; entry t - 1 of top/bottom covers s in [t-N, t-1]
     top = _sliding_max(starts, N)
     bottom = -_sliding_max(-starts, N)
-    cand = np.maximum(top - ends, ends - bottom)
+    cand = top - ends
+    np.maximum(cand, ends - bottom, out=cand)
     t = int(cand.argmax()) + 1
     best = cand[t - 1]
     ext = top[t - 1] if abs(f[t] - top[t - 1]) == best else bottom[t - 1]

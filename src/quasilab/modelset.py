@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class PointSet:
         """Header line, then one row ``x1,...,xd,prov...`` per point.
 
         Written by ``_csv_bytes``: ``"%.17g"`` of each distinct coordinate bit
-        pattern, formatted once, and ``str(int)`` of the provenance,
+        pattern, formatted once per chunk, and ``str(int)`` of the provenance,
         byte-identical to formatting the rows one by one."""
         header = f"# quasilab pointset v1 dim={self.dim}"
         return _csv_bytes(header, [*self.coords.T, *self.provenance.T]).decode()
@@ -119,27 +119,31 @@ class PointSet:
 
 
 def _csv_bytes(header: str, columns: Sequence) -> bytes:
-    """The header line, then one CSV row per index of the columns.
+    return b"".join(_csv_chunks(header, columns))
+
+
+def _csv_chunks(header: str, columns: Sequence) -> Iterator[bytes]:
+    """The header line, then one CSV row per index of the columns, in chunks.
 
     A float column's cell is ``"%.17g" % v``, formatted once per distinct
-    bit pattern (``-0.0`` and ``0.0`` stay apart, as do NaN payloads); any
-    other column's is ``str(int(v))`` of an int64, its digits computed by
-    numpy.  Each column's NUL-padded fixed-width cells, and a separator after
-    each, are written into one row matrix; the rows are its non-NUL bytes,
-    byte-identical to formatting each row with an f-string.
+    bit pattern of a chunk (``-0.0`` and ``0.0`` stay apart, as do NaN
+    payloads); any other column's is ``str(int(v))`` of an int64, its digits
+    computed by numpy.  Each column's NUL-padded fixed-width cells, and a
+    separator after each, are written into one row matrix per 2^14 rows; the
+    rows are its non-NUL bytes, byte-identical to f-strings row by row.
     """
-    out = (header + "\n").encode()
-    if not len(columns) or not len(columns[0]):
-        return out
-    cells = [_cells(np.asarray(col)) for col in columns]
-    text = np.zeros((len(columns[0]), sum(w + 1 for w, _ in cells)), dtype=np.uint8)
-    lo = 0
-    for width, write in cells:
-        write(text[:, lo:lo + width])
-        text[:, lo + width] = ord(",")
-        lo += width + 1
-    text[:, -1] = ord("\n")
-    return out + text[text != 0].tobytes()
+    yield (header + "\n").encode()
+    for start in range(0, len(columns[0]) if len(columns) else 0, 1 << 14):
+        cells = [_cells(np.asarray(col[start:start + (1 << 14)])) for col in columns]
+        text = np.zeros((min(len(columns[0]) - start, 1 << 14), sum(w + 1 for w, _ in cells)),
+                        dtype=np.uint8)
+        lo = 0
+        for width, write in cells:
+            write(text[:, lo:lo + width])
+            text[:, lo + width] = ord(",")
+            lo += width + 1
+        text[:, -1] = ord("\n")
+        yield text[text != 0].tobytes()
 
 
 def _cells(a: np.ndarray):
@@ -152,10 +156,12 @@ def _cells(a: np.ndarray):
         uniq = uniq[np.concatenate([[True], uniq[1:] != uniq[:-1]])]
         distinct = len(uniq) == len(bits)  # then format in row order, no gather
         values = tuple((bits if distinct else uniq).view(np.float64).tolist())
-        table = np.array(("%.17g " * len(values) % values).encode().split(), dtype=bytes)
-        table = table.view(np.uint8).reshape(len(values), table.itemsize)
+        # one padded text, no split: "%.17g" is at most 24 bytes (a sign, 17 digits, "." and e-308)
+        text = ("%-24.17g" * len(values) % values).encode().replace(b" ", b"\0")
+        table = np.frombuffer(text, dtype=np.uint8).reshape(len(values), 24)
         if distinct:
-            return table.shape[1], lambda out: np.copyto(out, table)
+            return 24, lambda out: np.copyto(out, table)
+        table = table[:, :np.count_nonzero(table, axis=1).max()]  # as wide as its widest text
         rows = np.searchsorted(uniq, bits)
         # one memcpy per row: both sides as rows of one void item each
         return table.shape[1], lambda out: np.take(_rows(table), rows, out=_rows(out))

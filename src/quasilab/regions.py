@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -268,11 +269,7 @@ class Membership:
         if not scale([min(v) for v in zip(*lows)], [max(v) for v in zip(*highs)]) < 2.0**62:
             raise PreconditionError("point magnitudes beyond the int64 range")
         gens_f = np.array([[float(v) for v in g] for g in gens]).reshape(-1, d)
-        base_f = np.array([float(v) for v in base])
-        # per row of fine = floor(2^52 x): the anchor A = fine >> 52, and the middle of
-        # [fine, fine + 1) * 2^-52 minus A
-        split = lambda fine: ((fine // 2**52).astype(np.int64),  # noqa: E731
-                              ((fine % 2**52).astype(np.float64) + 0.5) * 2.0**-52)
+        base_l, cols_l = [float(v) for v in base], gens_f.T.tolist()
         dc, xb = np.empty((min(n, _BLOCK), k), np.int64), np.empty((min(n, _BLOCK), d))
         decide = functools.partial(self._ranges_1d if d == 1 else self._hits, spec, frame,
                                    np.empty((4, d * len(xb))))
@@ -290,12 +287,18 @@ class Membership:
             if f_err < 2.0**-20 or None in spec.radicands:  # value-declared: no exact floor
                 if not (x_err := x_err + f_err) < 0.25:  # below 1/4 if f_err < 2^-20
                     raise PreconditionError("value-declared elements beyond float placement")
-                anchor, frac = split(np.floor((base_f + rows @ gens_f) * 2.0**52))
+                # in Python floats: numpy calls on the one-row arrays of most blocks cost more
+                fine = [[math.floor((b + sum(r * g for r, g in zip(row, col))) * 2.0**52)
+                         for b, col in zip(base_l, cols_l)] for row in rows.tolist()]
             else:
                 nums, den = _numerators(form := form or _form(base, gens), rows)
                 fine = [[spec.floor_of([n << 52 for n in v], den) for v in f] for f in nums]
-                anchor, frac = split(np.array(fine, dtype=object).reshape(-1, d))
-            anchor = anchor if len(anchor) == len(cb) else np.broadcast_to(anchor, (len(cb), d))
+            # per row of fine = floor(2^52 x): the anchor A = fine >> 52, and the middle of
+            # [fine, fine + 1) * 2^-52 minus A
+            anchor = np.array([[v >> 52 for v in f] for f in fine], dtype=np.int64).reshape(-1, d)
+            frac = np.array([[(v % 2**52 + 0.5) * 2.0**-52 for v in f] for f in fine]).reshape(-1, d)
+            if len(anchor) < len(cb):  # one anchor row, seen by every point: a zero-stride view
+                anchor = np.ndarray((len(cb), d), np.int64, anchor, strides=(0, 8))
             xf, dcb = xb[:len(cb)], np.subtract(cb, rows, out=dc[:len(cb)])
             if k == d == 1:  # one product per point: in place, no BLAS call
                 np.copyto(xf, dcb)
@@ -376,9 +379,11 @@ class Membership:
             cnt[:] = np.bincount(np.concatenate([i for i, _ in out]), minlength=n)
         return out
 
-    def count(self, base, gens, coeffs) -> np.ndarray:
-        """Per point, the number of (piece, integer shift) pairs that land."""
-        out = np.empty(len(coeffs), dtype=np.int64)
+    def count(self, base, gens, coeffs, out=None) -> np.ndarray:
+        """Per point, the number of (piece, integer shift) pairs that land, into out if given."""
+        out = np.empty(len(coeffs), dtype=np.int64) if out is None else out
+        if out.shape != (len(coeffs),) or out.dtype != np.int64:
+            raise PreconditionError("out takes one int64 entry per point")
         for _ in self._blocks(base, gens, coeffs, out):
             pass
         return out
@@ -958,12 +963,14 @@ def _piece_line(spec: AlgebraSpec, rest: str) -> Piece:
     fields = {key.strip(): val.strip() for key, eq, val in pairs if eq}
     if len(fields) != len(pairs) or fields.keys() - {"witness"} != {"offset", "edges"}:
         raise PreconditionError("a piece has one offset, one edges and at most one witness field")
-    witnesses = None
+    d, witnesses = len(offset := spec.parse_vector(fields["offset"])), None
     if "witness" in fields:
         wits = [w.partition(":") for w in fields["witness"].split("/")]
         witnesses = tuple((int(n), tuple(int(x) for x in m.split(","))) for n, _, m in wits)
+        if {len(witnesses), *(len(m) for _, m in witnesses)} != {d}:
+            raise PreconditionError(f"a {d}-D piece takes {d} witnesses 'n: m', each with {d} m")
     edges = tuple(spec.parse_vector(row) for row in fields["edges"].split(";"))
-    return Piece(spec.parse_vector(fields["offset"]), edges, witnesses)
+    return Piece(offset, edges, witnesses)
 
 
 def region_from_text(text: str) -> RegionSet:

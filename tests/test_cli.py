@@ -577,6 +577,13 @@ _DISC = ("disc", "--alpha", "w1", "--n", "10")
     ({}, ("gen", "--alpha", "1/0*w1", "--beta", "1", "--window", "(-1,0]"), "term '1/0*w1'"),
     ({"p.csv": "# quasilab pointset v1\n0.5,0,1\n"},
      ("gram", "--points", "p.csv", "--region", "[0,1)"), "header is not"),
+    # a value-declared element is a finite float: 1e400 overflows to inf
+    *(({"a.txt": f"basis w1 = value {v}\n"}, (*_DISC, "--algebra", "@a.txt", "--set", "[0,1/2)"),
+       f"line 1 'basis w1 = value {v}'") for v in ("1e400", "inf", "-inf", "nan")),
+    # a witness list holds d witnesses of d integers m each
+    *(({"r.txt": f"basis w1 = sqrt 2\ndim = 1\npiece offset = 0 | edges = 1/2 | witness = {w}\n"},
+       (*_DISC, "--set", "@r.txt"), f"line 3 'piece offset = 0 | edges = 1/2 | witness = {w}'")
+      for w in ("1: 1, 2", "1: 1 / 2: 3", "1:")),
 ])
 def test_malformed_inputs_exit_2_naming_the_line(tmp_path, monkeypatch, capsys, files, argv, named):
     monkeypatch.chdir(tmp_path)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasilab.algebra import AlgebraSpec, QValue
-from quasilab import dynamics
+from quasilab import dynamics, regions
 from quasilab.dynamics import (
     bmo_stat,
     brs_empirical,
@@ -330,6 +330,65 @@ def test_sliding_max_allocates_about_its_output():
         tracemalloc.stop()
     assert len(out) == len(g) + w - 1 and out[-1] == 9.0
     assert peak <= 4 * out.nbytes
+
+
+def _traced(call):
+    """call()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("n_range, two_sided", [((0, 1 << 20), False),
+                                                ((-(1 << 18), 1 << 18), True)])
+def test_trace_allocates_about_its_output(sqrt2, half, n_range, two_sided):
+    # the hits are counted into the prefix buffer and the values built in place:
+    # no orbit-length k or n column (4.1x the values with them)
+    tr, peak = _traced(lambda: discrepancy_trace(half, sqrt2.basis_element("w1"), sqrt2.parse("1/3"),
+                                                 n_range, two_sided=two_sided))
+    assert peak <= 2.25 * tr.values.nbytes
+    assert tr.ns.dtype == np.int64 and np.array_equal(tr.ns, np.arange(n_range[0], n_range[1] + 1))
+
+
+def test_orbit_hits_allocates_about_its_output(sqrt2, half):
+    # one short k column per chunk, not one for the orbit (2.1x the output with it)
+    hits, peak = _traced(lambda: orbit_hits(half, sqrt2.basis_element("w1"), 0, 0, (1 << 20) - 1))
+    assert len(hits) == 1 << 20 and peak <= 1.5 * hits.nbytes
+
+
+def test_brs_allocates_a_few_orbit_lengths(sqrt2, hecke):
+    N, J = 200_000, 20_000
+    _, peak = _traced(lambda: brs_empirical(hecke, sqrt2.basis_element("w1"), N, J))
+    assert peak <= 6 * 8 * (N + 2 * J)  # 7.0x with the orbit held to the end
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_orbit_chunks_match_per_point_multiplicity(sqrt2, monkeypatch, extra):
+    # blocks of 16 and chunks of 64 points: an orbit from k = 37, off a chunk boundary,
+    # of chunk - 1, chunk or chunk + 1 points; its points 63 and 64, the chunk's last
+    # and the next one's first, land on the ends 0 and sqrt2 - 1 (mod 1)
+    monkeypatch.setattr(regions, "_BLOCK", 16)
+    monkeypatch.setattr(dynamics, "_ORBIT_CHUNK", 64)
+    w1 = sqrt2.basis_element("w1")
+    region = parse_region_literal(sqrt2, "[0,1/4) U (1/3,-1+1*w1]")
+    k_lo = 37
+    x0, ks = w1 * -(k_lo + 63), range(k_lo, k_lo + 64 + extra)
+    want = [multiplicity(region, (x0 + w1 * k,)) for k in ks]
+    assert orbit_hits(region, w1, x0, ks[0], ks[-1]).tolist() == want
+    assert want[63:65] == [1, 1][:len(ks) - 63]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_orbit_chunks_match_one_kernel_call(sqrt2, hecke, extra):
+    # the kernel's own chunk: the counts are those of one call over the whole k column
+    w1, k_lo = sqrt2.basis_element("w1"), -12_345
+    ks = np.arange(k_lo, k_lo + dynamics._ORBIT_CHUNK + extra)
+    whole = hecke.membership.count((sqrt2.parse("1/3"),), [(w1,)], ks[:, None])
+    assert np.array_equal(orbit_hits(hecke, w1, sqrt2.parse("1/3"), k_lo, ks[-1]), whole)
 
 
 def test_brs_bounded_vs_growth(sqrt2, half, hecke):

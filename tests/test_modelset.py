@@ -15,6 +15,7 @@ from quasilab.lattice import Lattice, make_special_lattice
 from quasilab.modelset import (
     PointSet,
     _csv_bytes,
+    _csv_chunks,
     cut_and_project,
     density_estimate,
     dual_model_points,
@@ -369,6 +370,21 @@ def test_csv_bytes_few_valued_float_column_past_2_16_rows():
     columns = [(True, vals), (False, ints), (True, vals[::-1])]
     arrays = [np.array(v, dtype=np.float64 if f else np.int64) for f, v in columns]
     assert _csv_bytes("x,i,y", arrays) == _csv_reference("x,i,y", columns)
+
+
+def test_csv_chunks_differ_in_width_and_kind():
+    # chunks of 2^14 rows: the first holds distinct floats and small ints, the next
+    # repeats few floats beside a negative and the widest ints, the last is short
+    n = 2 * (1 << 14) + 5
+    rng = np.random.default_rng(5)
+    floats = np.concatenate([rng.random(1 << 14) * 10.0 ** rng.integers(-320, 300, 1 << 14),
+                             np.array([0.1, -2.5e-308, _NAN_PAYLOAD])[rng.integers(0, 3, n - (1 << 14))]])
+    ints = np.arange(n, dtype=np.int64) % 7
+    ints[1 << 14] = -5
+    ints[-3:] = [2**63 - 1, -2**63, -(10**18)]
+    columns = [(True, floats.tolist()), (False, ints.tolist())]
+    chunks = list(_csv_chunks("f,i", [floats, ints]))
+    assert len(chunks) == 4 and b"".join(chunks) == _csv_reference("f,i", columns)
 
 
 def test_pointset_refuses_provenance_outside_int64():

@@ -818,6 +818,17 @@ def test_wrong_dimension_refused(sqrt2, call, match):
         call(sqrt2)
 
 
+def test_membership_count_writes_into_out(sqrt2):
+    kernel = parse_region_literal(sqrt2, "[0,1/2)").membership
+    batch = ((sqrt2.zero(),), [(sqrt2.basis_element("w1"),)], np.arange(100)[:, None])
+    buf = np.full(102, -7, dtype=np.int64)
+    assert kernel.count(*batch, out=buf[1:-1]).base is buf
+    assert np.array_equal(buf[1:-1], kernel.count(*batch)) and buf[0] == buf[-1] == -7
+    for bad in (np.empty(99, np.int64), np.empty(100), np.empty((100, 1), np.int64)):
+        with pytest.raises(PreconditionError, match="out takes one int64 entry per point"):
+            kernel.count(*batch, out=bad)
+
+
 def test_membership_refuses_the_int64_minimum(sqrt2):
     # abs(-2**63) overflows int64, so the bound takes column extremes as Python ints
     w1 = sqrt2.basis_element("w1")
