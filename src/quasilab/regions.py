@@ -5,7 +5,8 @@ offset, with entries kept in the declared algebra, so volumes, corners and
 translation identities are exact.  In one dimension a piece with positive
 edge is the left-closed interval [o, o+e) and a piece with negative edge is
 the right-closed interval (o+e, o]; the half-open side is load-bearing for
-window conventions and is never approximated.
+window conventions and is never approximated.  Membership decides point batches;
+its hits come back once per (point, shift), sorted by distinct_rows (int64 rows).
 """
 
 from __future__ import annotations
@@ -195,6 +196,18 @@ def _form(base: Sequence[QValue], gens: Sequence[Sequence[QValue]]):
 def _numerators(form, rows: np.ndarray):
     """(den * (base + r @ gens) per integer row r, den) in Python ints, from a _form."""
     return (form[0][0] + np.tensordot(rows.astype(object), form[0][1:], 1)).tolist(), form[1]
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an int64 matrix in lexicographic order, and each row's index among
+    them: np.unique(rows, axis=0, return_inverse=True) in one sort of the rows, not of a void
+    view.  Tied rows are equal, so one column takes numpy's faster unstable argsort."""
+    order = np.argsort(rows[:, 0]) if rows.shape[1] == 1 else np.lexsort(rows.T[::-1])
+    ranked, new = rows[order], np.ones(len(rows), dtype=bool)  # zero rows: new[1:] is empty
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inv = np.empty(len(rows), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return ranked[new], inv
 
 
 class Membership:
@@ -392,7 +405,7 @@ class Membership:
         """Sorted distinct (point index, integer shift) with x + shift in the region."""
         out = []
         for start, a, pairs in self._blocks(base, gens, coeffs):
-            rows = np.unique(np.vstack([np.column_stack([i, k - a[i]]) for i, k in pairs]), axis=0)
+            rows = distinct_rows(np.vstack([np.column_stack([i, k - a[i]]) for i, k in pairs]))[0]
             rows[:, 0] += start  # blocks are contiguous, so the rows stay sorted
             out.append(rows)
         rows = np.concatenate(out)

@@ -4,8 +4,8 @@ Block enumerations of one-dimensional model sets, perturbation sequences
 delta_j, the averaged-perturbation basis check on an interval (one scan of
 the windowed means of delta_j, which refuses a window the sequence does not
 hold rather than dropping it), Gram matrices with closed-form entries (the
-complex entry once per distinct float difference of the points, then
-gathered), and extreme-eigenvalue traces over nested truncations (one
+complex entry once per bit pattern of a difference, by regions.distinct_rows,
+then gathered), and extreme-eigenvalue traces over nested truncations (one
 matrix per trace, each truncation a leading submatrix that extreme_eigs
 checks and solves; a one-piece region takes a real kernel with the Gram
 spectrum, evaluated on every difference).  Verdicts here are evidence, not
@@ -25,7 +25,7 @@ from .algebra import QValue, admissible_decomposition, join
 from .errors import PreconditionError, QuasilabError
 from .lattice import make_special_lattice
 from .modelset import PointSet, dual_model_points, special_quasicrystal
-from .regions import RegionSet, check_disjoint, ft_indicator
+from .regions import RegionSet, check_disjoint, distinct_rows, ft_indicator
 
 __all__ = [
     "Enumeration",
@@ -266,16 +266,9 @@ def _from_upper(pts: np.ndarray, entry) -> np.ndarray:
 
 
 def _distinct_rows(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a float matrix by bit pattern, and for each row
-    the index of its distinct row (``-0.0`` and ``0.0`` stay apart)."""
-    bits = np.ascontiguousarray(t).view(np.int64)
-    order = np.lexsort(bits.T[::-1])
-    ranked = bits[order]
-    new = np.ones(len(ranked), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inv = np.empty(len(ranked), dtype=np.intp)
-    inv[order] = np.cumsum(new) - 1
-    return t[order[new]], inv
+    """regions.distinct_rows of a float64 matrix by bit pattern (-0.0 and 0.0 stay apart)."""
+    distinct, inv = distinct_rows(np.ascontiguousarray(t).view(np.int64))
+    return distinct.view(np.float64), inv
 
 
 def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
@@ -298,8 +291,8 @@ def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
 def extreme_eigs(g: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of a square, exactly Hermitian, complex or real
     matrix (numpy); any other matrix is refused."""
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise PreconditionError("matrix must be square")
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
+        raise PreconditionError("matrix must be square and not empty")
     if not np.array_equal(g, g.conj().T):
         raise PreconditionError("matrix is not exactly Hermitian")
     ev = np.linalg.eigvalsh(g)
@@ -339,8 +332,8 @@ def riesz_bound_trace(
     """
     pts = _coords(points, region)
     radii = list(radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise PreconditionError("radii must be increasing")
+    if not np.isfinite(radii).all() or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise PreconditionError("radii must be finite and increasing")
     norms = np.abs(pts).max(axis=1)
     order = np.argsort(norms, kind="stable")
     sizes = np.searchsorted(norms[order], radii, side="right")
@@ -413,8 +406,8 @@ def duality_experiment(
     density necessary condition fails), not an error.
     """
     _check_window_args(n_max, (-k_bound, k_bound))
-    if not radii:
-        raise PreconditionError("radii must name at least one radius")
+    if not radii or not np.isfinite(radii).all():
+        raise PreconditionError("radii must name at least one radius, each finite")
     make_special_lattice(alpha, beta)
     _, (alpha, beta) = join(alpha, beta)
     translate_f = None

@@ -694,11 +694,14 @@ def test_avdonin_and_duality_refuse_a_check_with_no_window(tmp_path, capsys, mon
         assert run_cli(*avdonin, *flags) == cli.EXIT_PRECONDITION
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "av").exists()
-    # refused before the special-lattice checks or any point set
+    # refused before the special-lattice checks or any point set; NaN passed the
+    # order check into two bounds CSVs and inf overflowed the block count
     calls = []
     monkeypatch.setattr(riesz, "make_special_lattice", lambda *a: calls.append(a))
     for old, new, msg in (("n_max = 16", "n_max = 0", "n_max must be at least 1"),
-                          ("radii = 8,16", "radii =", "radii must name at least one radius")):
+                          ("radii = 8,16", "radii =", "radii must name at least one radius"),
+                          ("radii = 8,16", "radii = 8,nan", "at least one radius, each finite"),
+                          ("radii = 8,16", "radii = 8,inf", "at least one radius, each finite")):
         cfg = tmp_path / "dual.cfg"
         cfg.write_text(_DUALITY_CFG.replace(old, new) + f"outdir = {tmp_path / 'dout'}\n")
         assert run_cli("duality", "--config", str(cfg)) == cli.EXIT_PRECONDITION

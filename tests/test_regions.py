@@ -829,6 +829,55 @@ def test_membership_count_writes_into_out(sqrt2):
             kernel.count(*batch, out=bad)
 
 
+def test_distinct_rows_match_np_unique(rng):
+    # np.unique(axis=0) sorts the rows as int64 tuples: the reference for every shape
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    cases = [np.zeros((0, 2), np.int64), np.zeros((0, 1), np.int64)]
+    for n, k in ((1, 1), (300, 1), (1, 3), (300, 2), (300, 3), (300, 4)):
+        cases.append(rng.integers(bottom, top, size=(n, k), endpoint=True))
+        cases.append(rng.integers(-2, 3, size=(n, k)))  # heavy duplicates
+        cases.append(rng.choice([bottom, -top, -1, 0, 1, top], size=(n, k)))
+    for rows in cases:
+        distinct, inv = regions.distinct_rows(rows)
+        want, want_inv = np.unique(rows, axis=0, return_inverse=True)
+        assert distinct.dtype == np.int64 and distinct.shape == want.shape
+        assert np.array_equal(distinct, want) and np.array_equal(inv, want_inv.reshape(-1))
+        assert np.array_equal(distinct[inv], rows)
+
+
+def _translates_reference(region, xs):
+    """Per point x, the shifts s with x + s in the region, decided by exact
+    containment, after checking that their piece count is multiplicity(x)."""
+    out = []
+    for i, x in enumerate(xs):
+        lo = -math.floor(float(x)) - 2
+        hits = {s: sum(p.contains((x + s,)) for p in region.pieces) for s in range(lo, lo + 5)}
+        assert sum(hits.values()) == multiplicity(region, (x,))
+        out += [(i, s) for s, c in hits.items() if c]
+    return out
+
+
+@pytest.mark.parametrize("lit, ks", [
+    # blocks of 16: k = 985 and 1970 hit [0, 1/1000) (frac(k sqrt2) ~ 3.6e-4, 7.2e-4),
+    # the middle block k = 1..16 has no hit
+    ("[0,1/1000)", [*range(977, 993), *range(1, 17), *range(1962, 1978)]),
+    ("[0,1/2) U [1/4,3/4)", list(range(-30, 20))),  # a hit in both pieces is one shift
+], ids=["empty_middle_block", "overlapping_pieces"])
+def test_translates_returns_each_hit_once(sqrt2, monkeypatch, lit, ks):
+    monkeypatch.setattr(regions, "_BLOCK", 16)
+    w1, region = sqrt2.basis_element("w1"), parse_region_literal(sqrt2, lit)
+    base = sqrt2.parse("1/7") if "U" in lit else sqrt2.zero()
+    c = np.array(ks)[:, None]
+    idx, shifts = region.membership.translates((base,), [(w1,)], c)
+    got = list(zip(idx.tolist(), shifts[:, 0].tolist()))
+    assert got == _translates_reference(region, [base + w1 * k for k in ks])
+    counts = region.membership.count((base,), [(w1,)], c)
+    if "U" in lit:  # the overlap [1/4, 1/2) holds hits that count twice and come back once
+        assert (counts == 2).any() and len(got) < counts.sum()
+    else:
+        assert [counts[b:b + 16].sum() > 0 for b in (0, 16, 32)] == [True, False, True]
+
+
 def test_membership_refuses_the_int64_minimum(sqrt2):
     # abs(-2**63) overflows int64, so the bound takes column extremes as Python ints
     w1 = sqrt2.basis_element("w1")

@@ -221,6 +221,9 @@ def test_extreme_eigs_examples():
     assert abs(lo - 0.2) < 1e-12 and abs(hi - 5.0) < 1e-12
     with pytest.raises(PreconditionError, match="Hermitian"):
         extreme_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for empty in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):  # no extreme eigenvalue
+        with pytest.raises(PreconditionError, match="square and not empty"):
+            extreme_eigs(empty)
 
 
 def test_gram_positive_semidefinite(sqrt2, rng):
@@ -321,12 +324,18 @@ def test_trace_matches_reference_points_on_the_box_boundary(sqrt2, dim, region_t
     assert_trace_matches_reference(pts, [0, 1, 2, 5, 9], region)
 
 
-def test_bound_trace_refusals(sqrt2, unit_interval):
+def test_bound_trace_refusals(sqrt2, unit_interval, monkeypatch):
     pts = PointSet(1, np.array([[3.0], [-4.0]]), ((3,), (-4,)))
     with pytest.raises(PreconditionError, match="no points within radius 2.5"):
         riesz_bound_trace(pts, [2.5, 5.0], unit_interval)
     with pytest.raises(PreconditionError, match="increasing"):
         riesz_bound_trace(pts, [5.0, 5.0], unit_interval)
+    # NaN passes any order test, and inf takes every point: both refused before a matrix
+    monkeypatch.setattr(riesz, "_spectral_gram", lambda *a: pytest.fail("matrix built"))
+    for radii in ([1.0, math.nan], [math.nan], [5.0, math.inf], [-math.inf, 5.0]):
+        with pytest.raises(PreconditionError, match="radii must be finite"):
+            riesz_bound_trace(pts, radii, unit_interval)
+    monkeypatch.undo()
     assert riesz_bound_trace(pts, [], unit_interval).rows == []
     # 2-D points on a 1-D region, on the real one-piece kernel and the complex one
     plane = PointSet(2, np.array([[0.5, 0.25], [-1.0, 2.0]]), ((0, 0), (1, 1)))
@@ -398,6 +407,19 @@ def test_distinct_rows_of_one_column_match_np_unique(rng):
     distinct, inv = riesz._distinct_rows(t)
     uniq, uinv = np.unique(t.view(np.int64)[:, 0], return_inverse=True)
     assert np.array_equal(distinct.view(np.int64)[:, 0], uniq) and np.array_equal(inv, uinv)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_distinct_rows_keep_signed_zeros_and_nan_payloads_apart(rng, d):
+    # rows are told apart by bit pattern: -0.0 and 0.0, and NaNs of different payloads
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000 - 2**64],
+                    dtype=np.int64).view(np.float64)
+    t = rng.choice([-0.0, 0.0, 1.5, -2.25, *nans], size=(600, d))
+    distinct, inv = riesz._distinct_rows(t)
+    uniq, uinv = np.unique(t.view(np.int64), axis=0, return_inverse=True)
+    assert distinct.dtype == np.float64 and np.array_equal(distinct.view(np.int64), uniq)
+    assert np.array_equal(inv, uinv.reshape(-1))
+    assert distinct[inv].tobytes() == t.tobytes()
 
 
 def test_gram_entries_once_per_distinct_difference(sqrt2, sqrt23, monkeypatch):
