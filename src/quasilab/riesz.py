@@ -289,7 +289,7 @@ def _spectral_gram(pts: np.ndarray, region: RegionSet) -> np.ndarray:
 
 
 def extreme_eigs(g: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of a square, exactly Hermitian, complex or real
+    """Extreme eigenvalues of a non-empty square, exactly Hermitian, complex or real
     matrix (numpy); any other matrix is refused."""
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
         raise PreconditionError("matrix must be square and not empty")
