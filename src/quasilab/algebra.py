@@ -2,9 +2,13 @@
 
 A value is a rational linear combination of declared basis symbols
 ``w0 = 1, w1, ..., wk`` together with a product table expressing each
-``wi * wj`` back in the basis.  Coefficients are exact :class:`~fractions.Fraction`
-objects, so equality, membership in ``Z*alpha + Z^d`` and determinants are
-decidable, while a consistent floating-point embedding is kept for geometry.
+``wi * wj`` back in the basis.  A :class:`QValue` stores it in one integer
+form, numerators ``nums`` over one denominator ``den`` (den > 0 and
+gcd(den, *nums) = 1), so equality, membership in ``Z*alpha + Z^d`` and
+determinants are decidable on Python ints, while a consistent
+floating-point embedding is kept for geometry.  Each algebra keeps its
+product table as sparse integers over the lcm of its product coefficients'
+denominators, and a product sums integer terms with one gcd at the end.
 
 The declared rational independence of the basis values is an axiom, not
 something the code proves: the constructor checks that the numeric
@@ -16,9 +20,8 @@ exact sign is 0.  A sqrt radicand's
 numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
 
 Exact decisions (:meth:`AlgebraSpec.sign_of`, :meth:`AlgebraSpec.floor_of`)
-take a value as integer coefficient numerators over one positive
-denominator (:func:`integer_form`), the form that :meth:`QValue.sign`,
-:meth:`QValue.floor` and the batch kernels share.  A value whose nonzero
+take a value's integer form as it is stored; batches of values share one
+denominator through :func:`integer_form`.  A value whose nonzero
 terms all carry sqrt descriptors is written as ``sum_r B_r*sqrt(r) / D``
 over Python ints with each ``r`` squarefree, and its sign comes from the
 norm tower (:func:`_tower_sign`), exactly and at any magnitude; its floor
@@ -39,12 +42,11 @@ special-form lattice, ``transform_region``, ``make_certificate``,
 :func:`module_membership` and :func:`admissible_decomposition`; QValue
 arithmetic applies it to each pair.
 
-One exact elimination, :func:`_eliminate` (Gauss-Jordan), answers every
-linear question: solves and ranks over Q (:func:`solve_rational`,
-:func:`coeff_rank`, :meth:`QValue.inverse`, :func:`module_membership`,
-:func:`admissible_decomposition`) and inverses of QValue matrices
-(:func:`mat_inverse`); determinants are cofactor expansions
-(:func:`exact_det`).
+Linear questions over Q go through one fraction-free elimination of
+integer rows, :func:`_eliminate` (Bareiss): :meth:`QValue.inverse`,
+:func:`coeff_rank` and :func:`admissible_decomposition`.  Matrices over the
+algebra are inverted by Gauss-Jordan of [M | I] (:func:`mat_inverse`), and
+determinants are cofactor expansions (:func:`exact_det`).
 """
 
 from __future__ import annotations
@@ -226,9 +228,7 @@ class AlgebraSpec:
         for i in range(1, k):
             r = self.radicands[i]
             if (i, i) not in self._products and r is not None:
-                sq = [Fraction(0)] * k
-                sq[0] = r
-                self._products[(i, i)] = tuple(sq)
+                self._products[(i, i)] = (r, *[Fraction(0)] * (k - 1))
         self._check_embedding()
         surds = [None if rad is None else _surd(rad) for rad in self.radicands]
         roots: dict[int, int] = {}
@@ -246,6 +246,14 @@ class AlgebraSpec:
         self._qden = math.lcm(*(s[1] for s in surds if s is not None))
         self._roots = tuple(None if s is None else (s[2], s[0] * (self._qden // s[1]))
                             for s in surds)
+        # _table[i][j]: ((l, c), ...) with w_i * w_j = sum(c * w_l) / _T, T the lcm of the
+        # product coefficients' denominators, never empty; None for an undeclared product
+        self._T = T = math.lcm(*(c.denominator for cs in self._products.values() for c in cs))
+        self._table = [[((i + j, T),) if i * j == 0 else None for j in range(k)] for i in range(k)]
+        for (i, j), cs in self._products.items():
+            self._table[i][j] = self._table[j][i] = tuple(
+                (l, c.numerator * (T // c.denominator)) for l, c in enumerate(cs) if c) or ((0, 0),)
+        self._zeros = (0,) * (k - 1)
 
     @property
     def dim(self) -> int:
@@ -268,9 +276,7 @@ class AlgebraSpec:
 
     def product_coeffs(self, i: int, j: int) -> tuple[Fraction, ...]:
         if i == 0 or j == 0:
-            unit = [Fraction(0)] * self.dim
-            unit[max(i, j)] = Fraction(1)
-            return tuple(unit)
+            return tuple(Fraction(l == max(i, j)) for l in range(self.dim))
         key = (min(i, j), max(i, j))
         try:
             return self._products[key]
@@ -310,7 +316,7 @@ class AlgebraSpec:
         band = EMBED_TOL * max(1.0, sum(abs(t) for t in parts))
         if abs(f) > band:
             return 1 if f > 0 else -1
-        value = QValue(self, tuple(Fraction(n, den) for n in nums))
+        value = _value(self, nums, den)
         raise SignUndecidableError(
             f"|{value}| ~ {f} is inside the guard band {band:.3g} and has no exact "
             "descriptor; declare the basis element via sqrt to decide"
@@ -355,24 +361,21 @@ class AlgebraSpec:
     # -- value constructors -------------------------------------------------
 
     def zero(self) -> "QValue":
-        return QValue(self, (Fraction(0),) * self.dim)
+        return _new(self, (0, *self._zeros), 1)
 
     def one(self) -> "QValue":
         return self.from_rational(1)
 
     def from_rational(self, x: RationalLike | float | str) -> "QValue":
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[0] = Fraction(x)
-        return QValue(self, tuple(coeffs))
+        x = x if type(x) is int else Fraction(x)  # a numpy int keeps its type as a numerator
+        return _new(self, (int(x.numerator), *self._zeros), x.denominator)
 
     def basis_element(self, name: str) -> "QValue":
         try:
             idx = self.names.index(name)
         except ValueError:
             raise PreconditionError(f"unknown basis name {name!r}") from None
-        coeffs = [Fraction(0)] * self.dim
-        coeffs[idx] = Fraction(1)
-        return QValue(self, tuple(coeffs))
+        return _new(self, tuple(int(i == idx) for i in range(self.dim)), 1)
 
     def parse(self, text: str) -> "QValue":
         """Parse ``"3/2 + 1*w1 - 2*w2"``, ``"w1 - 1"`` or ``"1e-5"`` (numbers exact)."""
@@ -388,20 +391,16 @@ class AlgebraSpec:
             else:
                 cur += ch
         chunks.append(cur)
-        total = self.zero()
+        coeffs = [Fraction(0)] * self.dim
         for chunk in chunks:
             mobj = _TERM_RE.match(chunk)
             if not mobj or (mobj.group("num") is None and mobj.group("name") is None):
                 raise PreconditionError(f"cannot parse term {chunk!r} in {text!r}")
-            coef = Fraction(mobj.group("num")) if mobj.group("num") else Fraction(1)
-            if mobj.group("sign") == "-":
-                coef = -coef
+            coef = Fraction(mobj.group("num") or 1)
             name = mobj.group("name")
-            if name is None:
-                total = total + self.from_rational(coef)
-            else:
-                total = total + coef * self.basis_element(name)
-        return total
+            l = 0 if name is None else self.basis_element(name).nums.index(1)
+            coeffs[l] += -coef if mobj.group("sign") == "-" else coef
+        return QValue(self, coeffs)
 
     def parse_vector(self, text: str) -> tuple["QValue", ...]:
         return tuple(self.parse(part) for part in text.split(","))
@@ -409,13 +408,8 @@ class AlgebraSpec:
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = []
-        for i in range(1, self.dim):
-            r = self.radicands[i]
-            if r is not None:
-                lines.append(f"basis {self.names[i]} = sqrt {r}")
-            else:
-                lines.append(f"basis {self.names[i]} = value {self.numerics[i]!r}")
+        lines = [f"basis {n} = sqrt {r}" if r is not None else f"basis {n} = value {x!r}"
+                 for n, r, x in zip(self.names[1:], self.radicands[1:], self.numerics[1:])]
         for (i, j), coeffs in sorted(self._products.items()):
             if i == j and self.radicands[i] is not None:
                 continue  # derivable square
@@ -449,18 +443,11 @@ class AlgebraSpec:
         for i in range(1, len(order)):
             for j in range(i, len(order)):
                 s, r = _squarefree_product(order[i], order[j])
-                coeffs = [Fraction(0)] * len(order)
-                coeffs[order.index(r)] = Fraction(s)
-                products[(i, j)] = tuple(coeffs)
+                products[(i, j)] = tuple(Fraction(s if x == r else 0) for x in order)
         return cls(names, radicands, numerics, products)
 
     def _key(self):
-        return (
-            self.names,
-            self.radicands,
-            self.numerics,
-            tuple(sorted(self._products.items())),
-        )
+        return self.names, self.radicands, self.numerics, tuple(sorted(self._products.items()))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -529,7 +516,7 @@ def read_declaration(text: str, parsers: dict) -> tuple[AlgebraSpec, list[list]]
 
     def product(rest: str) -> tuple[tuple[int, int], tuple[Fraction, ...]]:
         (a, b), rhs = _assignment(rest, 2)
-        i, j = sorted(spec.basis_element(x).coeffs.index(1) for x in (a, b))  # checks each name
+        i, j = sorted(spec.basis_element(x).nums.index(1) for x in (a, b))  # checks each name
         return (i, j), spec.parse(rhs).coeffs
 
     products = dict(read("product", product))
@@ -562,9 +549,9 @@ def lift_to(spec: AlgebraSpec, x: "QValue | RationalLike | float") -> "QValue":
     if x.spec is spec:
         return x
     if x.is_rational():
-        return spec.from_rational(x.coeffs[0])
+        return _new(spec, (x.nums[0], *spec._zeros), x.den)
     if x.spec == spec:
-        return QValue(spec, x.coeffs)
+        return _new(spec, x.nums, x.den)
     raise AlgebraMismatchError(
         "cannot combine values from different algebra declarations"
     )
@@ -588,31 +575,40 @@ def join(*groups: Iterable) -> tuple[AlgebraSpec, list[list["QValue"]]]:
 
 def integer_form(values: Sequence["QValue"]) -> tuple[list[list[int]], int]:
     """Coefficient numerators of each value over one positive denominator den,
-    the lcm of every coefficient's: value = sum(n_l * w_l for each l) / den."""
-    den = math.lcm(*(c.denominator for v in values for c in v.coeffs))
-    return [[c.numerator * (den // c.denominator) for c in v.coeffs] for v in values], den
+    the lcm of the values' own: value = sum(n_l * w_l for each l) / den."""
+    den = math.lcm(*(v.den for v in values))
+    return [[n * (den // v.den) for n in v.nums] for v in values], den
 
 
 class QValue:
-    """Immutable element of an :class:`AlgebraSpec`.
+    """Immutable element of an :class:`AlgebraSpec`: sum(nums[l] * w_l) / den.
 
-    Equality is exact coefficient equality; comparisons go through
-    :meth:`sign`, which is exact whenever every contributing basis element
-    carries a sqrt descriptor (the norm tower over Python ints) and
+    The form is canonical, den > 0 and gcd(den, *nums) == 1, so equality is
+    equality of ``nums`` and ``den``.  ``QValue(spec, coeffs)`` takes rational
+    coefficients; ``coeffs`` gives them back as Fractions.  Comparisons go
+    through :meth:`sign`, which is exact whenever every contributing basis
+    element carries a sqrt descriptor (the norm tower over Python ints) and
     otherwise falls back to a guarded float test that refuses to decide
     inside the guard band.
     """
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "nums", "den")
 
-    def __init__(self, spec: AlgebraSpec, coeffs: Sequence[Fraction]) -> None:
+    def __init__(self, spec: AlgebraSpec, coeffs: Sequence[RationalLike]) -> None:
         if len(coeffs) != spec.dim:
             raise PreconditionError("coefficient length mismatch")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        cs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))  # canonical: each c is in lowest terms
+        _set_spec(self, spec)
+        _set_nums(self, tuple(int(c.numerator) * (den // c.denominator) for c in cs))
+        _set_den(self, den)
 
     def __setattr__(self, *args) -> None:  # pragma: no cover
         raise AttributeError("QValue is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- coercion ------------------------------------------------------------
 
@@ -629,65 +625,64 @@ class QValue:
         return NotImplemented  # type: ignore[return-value]
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def is_integer(self) -> bool:
-        return self.is_rational() and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational()
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "QValue":
+        if type(other) is int:  # adding an integer keeps the form canonical
+            return _new(self.spec, (self.nums[0] + other * self.den, *self.nums[1:]), self.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if o.spec is not self.spec:
             return o + self  # self is rational, lift into o's algebra
-        return QValue(self.spec, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        return _value(self.spec, [x * b + y * a for x, y in zip(self.nums, o.nums)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QValue":
-        return QValue(self.spec, tuple(-c for c in self.coeffs))
+        return _new(self.spec, tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other) -> "QValue":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + -other
 
     def __rsub__(self, other) -> "QValue":
         return (-self) + other
 
     def __mul__(self, other) -> "QValue":
         if isinstance(other, (int, Fraction)):
-            return QValue(self.spec, tuple(c * other for c in self.coeffs))
+            p = other.numerator
+            return _value(self.spec, [n * p for n in self.nums], self.den * other.denominator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         if o.spec is not self.spec:
             return o * self
         spec = self.spec
-        out = [Fraction(0)] * spec.dim
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b == 0:
-                    continue
-                ab = a * b
-                for l, c in enumerate(spec.product_coeffs(i, j)):
-                    if c != 0:
-                        out[l] += ab * c
-        return QValue(spec, tuple(out))
+        out = [0] * spec.dim
+        for i, a in enumerate(self.nums):
+            if a:
+                row = spec._table[i]
+                for j, b in enumerate(o.nums):
+                    if b:
+                        ab = a * b
+                        for l, c in row[j] or spec.product_coeffs(i, j):  # raises if undeclared
+                            out[l] += ab * c
+        return _value(spec, out, self.den * o.den * spec._T)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QValue":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
+            if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return QValue(self.spec, tuple(c / f for c in self.coeffs))
+            q = other.denominator
+            return _value(self.spec, [n * q for n in self.nums], self.den * other.numerator)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -697,64 +692,55 @@ class QValue:
         return other * self.inverse()
 
     def inverse(self) -> "QValue":
-        """Multiplicative inverse via exact linear solve.
-
-        Fails cleanly when the value is a zero divisor in the algebra.
-        """
-        spec = self.spec
-        k = spec.dim
-        cols = []
-        for i in range(k):
-            e = [Fraction(0)] * k
-            e[i] = Fraction(1)
-            cols.append((QValue(spec, tuple(e)) * self).coeffs)
-        mat = [[cols[j][l] for j in range(k)] for l in range(k)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (k - 1)
-        status, sol = solve_rational(mat, rhs)
-        if status != "unique":
+        """Multiplicative inverse, by one fraction-free elimination (:func:`_eliminate`)
+        of the integer multiplication matrix; a zero divisor is refused."""
+        spec, k = self.spec, self.spec.dim
+        # column j: the numerators of w_j * self over den * T; the last column is e_0
+        a = [[0] * k + [int(l == 0)] for l in range(k)]
+        for i, n in enumerate(self.nums):
+            if n:
+                for j in range(k):
+                    for l, c in spec._table[i][j] or spec.product_coeffs(j, i):  # w_j * self
+                        a[l][j] += n * c
+        if _eliminate(a) != list(range(k)):
             raise PreconditionError(
                 "value is not invertible in the declared algebra"
             )
-        return QValue(spec, tuple(sol))
+        scale = self.den * spec._T
+        return _value(spec, [row[k] * scale for row in a], a[0][0])
 
     # -- comparisons and embedding --------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.nums[0] == other.numerator and self.den == other.denominator
+                    and self.is_rational())
         if isinstance(other, QValue):
             if other.spec is self.spec or other.spec == self.spec:
-                return self.coeffs == other.coeffs
-            return (
-                self.is_rational()
-                and other.is_rational()
-                and self.coeffs[0] == other.coeffs[0]
-            )
+                return self.nums == other.nums and self.den == other.den
+            return (self.is_rational() and other.is_rational()
+                    and self.nums[0] == other.nums[0] and self.den == other.den)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.spec, self.coeffs))
+        if self.is_rational():  # the hash of the equal int or Fraction
+            return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
+        return hash((self.spec, self.nums, self.den))
 
     def __float__(self) -> float:
-        return math.fsum(
-            float(c) * x for c, x in zip(self.coeffs, self.spec.numerics) if c != 0
-        )
+        # int / int is correctly rounded, as float(Fraction) is
+        den = self.den
+        return math.fsum(n / den * x for n, x in zip(self.nums, self.spec.numerics) if n)
 
     def sign(self) -> int:
-        """Exact sign: -1, 0 or 1 (:meth:`AlgebraSpec.sign_of` on its integer form)."""
-        nums, den = integer_form((self,))
-        return self.spec.sign_of(nums[0], den)
+        """Exact sign: -1, 0 or 1 (:meth:`AlgebraSpec.sign_of`)."""
+        return self.spec.sign_of(self.nums, self.den)
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
-        diff = self - o
-        return diff.sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other) -> bool:
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other) -> bool:
         return not self <= other
@@ -763,87 +749,80 @@ class QValue:
         return not self < other
 
     def floor(self) -> int:
-        """Exact floor (:meth:`AlgebraSpec.floor_of` on its integer form)."""
-        nums, den = integer_form((self,))
-        return self.spec.floor_of(nums[0], den)
+        """Exact floor (:meth:`AlgebraSpec.floor_of`)."""
+        return self.spec.floor_of(self.nums, self.den)
 
     def frac(self) -> "QValue":
         """Exact fractional part, in [0, 1)."""
         return self - self.floor()
 
     def __str__(self) -> str:
-        terms = []
+        out = ""
         for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            body = str(abs(c)) if i == 0 else f"{abs(c)}*{self.spec.names[i]}"
-            terms.append((c < 0, body))
-        if not terms:
-            return "0"
-        neg, body = terms[0]
-        out = ("-" if neg else "") + body
-        for neg, body in terms[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+            if c:
+                sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+                out += sign + (f"{abs(c)}*{self.spec.names[i]}" if i else str(abs(c)))
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"QValue({self})"
 
 
-# -- exact linear algebra: one elimination ------------------------------------
+_alloc = object.__new__
+_set_spec, _set_nums, _set_den = QValue.spec.__set__, QValue.nums.__set__, QValue.den.__set__
 
 
-def _eliminate(a: list[list]) -> list[int]:
-    """Gauss-Jordan elimination of the rows ``a`` in place, over every column.
+def _new(spec: AlgebraSpec, nums: tuple, den: int) -> QValue:
+    """The QValue sum(nums[l] * w_l) / den of a form that is already canonical."""
+    v = _alloc(QValue)
+    _set_spec(v, spec)
+    _set_nums(v, nums)
+    _set_den(v, den)
+    return v
 
-    The entries are Fractions or QValues (``1 / q`` is ``q.inverse()``).
 
-    Returns the pivot columns; row r then has a 1 in column ``pivots[r]`` and
-    zeros there in every other row, and the rows past the pivots are zero.
+def _value(spec: AlgebraSpec, nums: Sequence[int], den: int) -> QValue:
+    """The QValue sum(nums[l] * w_l) / den, den != 0, in canonical form."""
+    g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+    return _new(spec, tuple(n // g for n in nums) if g != 1 else tuple(nums), den // g)
+
+
+# -- exact linear algebra over Q: one fraction-free elimination ----------------
+
+
+def _eliminate(a: list[list[int]]) -> list[int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the integer rows ``a``
+    in place, over every column.
+
+    Each step multiplies the other rows by the pivot, subtracts the pivot row
+    and divides by the previous pivot; every entry stays a minor of the input,
+    so the division is exact.  Returns the pivot columns; row r then holds the
+    same value D != 0 in column ``pivots[r]`` and zeros there in every other
+    row, and the rows past the pivots are zero.
     """
-    m = len(a)
+    m, prev = len(a), 1
     pivots: list[int] = []
     for col in range(len(a[0]) if a else 0):
         row = len(pivots)
         if row == m:
             break
-        piv = next((r for r in range(row, m) if a[r][col] != 0), None)
+        piv = next((r for r in range(row, m) if a[r][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
+        top, p = a[row], a[row][col]
         for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+            f = a[r][col]
+            if r != row and (f or p != prev):
+                a[r] = [(p * v - f * w) // prev for v, w in zip(a[r], top)]
+        prev = p
         pivots.append(col)
     return pivots
 
 
-def solve_rational(
-    mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> tuple[str, Optional[list[Fraction]]]:
-    """Solve an exact rational linear system.
-
-    Returns ``("unique", x)``, ``("none", None)`` or ``("many", x0)`` where
-    ``x0`` is one particular solution.  A pivot in the right-hand side
-    column of the augmented matrix means no solution.
-    """
-    n = len(mat[0]) if mat else 0
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    pivots = _eliminate(a)
-    if pivots and pivots[-1] == n:
-        return "none", None
-    x = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        x[col] = a[r][n]
-    return ("unique" if len(pivots) == n else "many"), x
-
-
 def coeff_rank(values: Sequence[QValue]) -> int:
     """Rank over Q of the coefficient vectors of the given values."""
-    return len(_eliminate([list(v.coeffs) for v in values]))
+    return len(_eliminate([list(v.nums) for v in values]))
 
 
 # -- membership in Z*alpha + Z^d ----------------------------------------------
@@ -855,24 +834,29 @@ def module_membership(
     """Decide whether ``v = n*alpha + m`` for integers n and m in Z^d.
 
     Returns the witness ``(n, m)`` or ``None``.  The decision is exact
-    rational linear algebra on the coefficient vectors; absence is a valid
+    integer arithmetic on the coefficient numerators; absence is a valid
     answer, not an error.
     """
     if len(v) != len(alpha):
         raise PreconditionError("v and alpha must have the same length")
     spec, (v, alpha) = join(v, alpha)
+    nums, den = integer_form([*v, *alpha])
+    vn, an = nums[:len(v)], nums[len(v):]
     # Irrational coordinates (l >= 1) pin n: v_i^(l) = n * alpha_i^(l).
-    rows = [(ai.coeffs[l], vi.coeffs[l]) for vi, ai in zip(v, alpha) for l in range(1, spec.dim)]
-    status, sol = solve_rational([[a] for a, _ in rows], [b for _, b in rows])
-    if status == "none":
+    pairs = [(a[l], b[l]) for b, a in zip(vn, an) for l in range(1, spec.dim)]
+    a0, b0 = next(((a, b) for a, b in pairs if a), (0, 0))
+    if a0 == 0:  # nothing pins n: scan it over a period of the integrality of m
+        if any(b for _, b in pairs):
+            return None
+        ns = range(math.lcm(*(den // math.gcd(den, a[0]) for a in an)))
+    elif b0 % a0 or any(b * a0 != b0 * a for a, b in pairs):
         return None
-    # Without irrational parts, scan n modulo the lcm of alpha's denominators.
-    ns = sol if rows and status == "unique" else range(
-        math.lcm(*(ai.coeffs[0].denominator for ai in alpha)))
+    else:
+        ns = [b0 // a0]
     for n in ns:
-        m = [vi.coeffs[0] - n * ai.coeffs[0] for vi, ai in zip(v, alpha)]
-        if n.denominator == 1 and all(mi.denominator == 1 for mi in m):
-            return int(n), tuple(int(mi) for mi in m)
+        m = [b[0] - n * a[0] for b, a in zip(vn, an)]
+        if all(x % den == 0 for x in m):
+            return n, tuple(x // den for x in m)
     return None
 
 
@@ -887,19 +871,20 @@ def admissible_decomposition(
     certifies).
     """
     spec, ((gamma,), alpha) = join((gamma,), alpha)
-    basis = [spec.one()] + alpha
-    mat = [[b.coeffs[l] for b in basis] for l in range(spec.dim)]
-    status, sol = solve_rational(mat, list(gamma.coeffs))
-    if status == "none":
+    (g, *an), den = integer_form([gamma, *alpha])
+    n = len(an) + 1  # the columns are 1 = den / den, alpha_1..alpha_d, and then gamma
+    a = [[den * (l == 0), *(x[l] for x in an), g[l]] for l in range(spec.dim)]
+    pivots = _eliminate(a)
+    if pivots and pivots[-1] == n:
         return None
-    if status == "many":
+    if len(pivots) < n:
         raise PreconditionError(
             "1, alpha_1..alpha_d are rationally dependent; decomposition "
             "is not unique"
         )
-    if any(c.denominator != 1 for c in sol):
+    if any(row[n] % row[r] for r, row in enumerate(a[:n])):
         return None
-    return tuple(int(c) for c in sol)
+    return tuple(row[n] // row[r] for r, row in enumerate(a[:n]))
 
 
 # -- small exact matrices ------------------------------------------------------
@@ -935,19 +920,9 @@ def _cofactor(mat: Sequence[Sequence]):
 
 
 def mat_mul(a: QMatrix, b: QMatrix) -> list[list[QValue]]:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
+    if len(a[0]) != len(b):
         raise PreconditionError("matrix shape mismatch")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for l in range(1, k):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def mat_vec(a: QMatrix, v: Sequence[QValue]) -> list[QValue]:
@@ -959,11 +934,20 @@ def mat_transpose(a: QMatrix) -> list[list[QValue]]:
 
 
 def mat_inverse(mat: QMatrix) -> list[list[QValue]]:
-    """Exact inverse by Gauss-Jordan elimination of [M | I] (:func:`_eliminate`)."""
+    """Exact inverse by Gauss-Jordan elimination of [M | I] over the algebra."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise PreconditionError("matrix must be square")
-    a = [[*row, *(Fraction(i == j) for j in range(n))] for i, row in enumerate(mat)]
-    if _eliminate(a) != list(range(n)):
-        raise PreconditionError("matrix is not invertible in the declared algebra")
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise PreconditionError("matrix is not invertible in the declared algebra")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        top = a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f != 0:
+                a[r] = [v - f * w for v, w in zip(a[r], top)]
     return [row[n:] for row in a]

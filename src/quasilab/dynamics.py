@@ -108,17 +108,6 @@ class DiscrepancyTrace:
     def argmax_n(self) -> int:
         return self.n_lo + int(np.abs(self.values).argmax())
 
-    def value_at(self, n: int) -> float:
-        if not 0 <= n - self.n_lo < len(self.values):
-            raise PreconditionError(f"n={n} outside the computed range")
-        return float(self.values[n - self.n_lo])
-
-    def increments_consistent(self, region: RegionSet, alpha) -> bool:
-        """D_{n+1} - D_n = chi_S(x0 + n*alpha) - mes S on the whole range, to 1e-9."""
-        chi = orbit_hits(region, alpha, self.x0, self.n_lo, self.n_lo + len(self.values) - 2)
-        incs = np.diff(self.values)
-        return bool(np.max(np.abs(incs - (chi - self.mes))) <= 1e-9)
-
 
 def discrepancy_trace(
     region: RegionSet,

@@ -184,7 +184,7 @@ _BLOCK = 1 << 14
 
 def _mag(v: QValue) -> float:
     """Sum of |coefficient * basis value|: float(v) is within 2*eps*_mag(v)."""
-    return sum(abs(float(c) * x) for c, x in zip(v.coeffs, v.spec.numerics) if c)
+    return sum(abs(n / v.den * x) for n, x in zip(v.nums, v.spec.numerics) if n)
 
 
 def _form(base: Sequence[QValue], gens: Sequence[Sequence[QValue]]):

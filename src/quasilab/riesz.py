@@ -63,15 +63,6 @@ class Enumeration:
     n_hi: int
     s: np.ndarray  # s[n - n_lo] = s_n for n in [n_lo, n_hi + 1]
 
-    def s_of(self, n: int) -> int:
-        return int(self.s[n - self.n_lo])
-
-    def block_sizes(self) -> np.ndarray:
-        return np.diff(self.s)
-
-    def max_block_size(self) -> int:
-        return int(self.block_sizes().max())
-
 
 def enumerate_blocks(points: PointSet) -> Enumeration:
     """Enumerate a block-tagged 1-D point set as lambda_j.
@@ -109,10 +100,6 @@ class DeltaSequence:
     lambdas: np.ndarray
     deltas: np.ndarray
     mes: float
-
-    @property
-    def sup_abs(self) -> float:
-        return float(np.abs(self.deltas).max())
 
 
 def delta_sequence(enum: Enumeration, mes_s: Union[QValue, float]) -> DeltaSequence:
@@ -406,8 +393,9 @@ def duality_experiment(
     density necessary condition fails), not an error.
     """
     _check_window_args(n_max, (-k_bound, k_bound))
-    if not radii or not np.isfinite(radii).all():
-        raise PreconditionError("radii must name at least one radius, each finite")
+    if (not radii or not np.isfinite(radii).all()
+            or any(b <= a for a, b in zip(radii, radii[1:]))):
+        raise PreconditionError("radii must name at least one radius, each finite, in increasing order")
     make_special_lattice(alpha, beta)
     _, (alpha, beta) = join(alpha, beta)
     translate_f = None

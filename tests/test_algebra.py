@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasilab
@@ -204,6 +204,15 @@ def test_inverse_and_zero_divisor(sqrt23):
     assert v * v.inverse() == sqrt23.one()
     with pytest.raises(PreconditionError):
         sqrt23.zero().inverse()
+    # e^2 = e: e and e - 1 are zero divisors, 1 + e is a unit
+    idem = AlgebraSpec.from_text("basis e = value 1.0\nproduct e e = e")
+    e = idem.basis_element("e")
+    assert (1 + e) * (1 + e).inverse() == 1 and (1 + e).inverse() == 1 - e / 2
+    for z in (e, e - 1, idem.zero()):
+        with pytest.raises(PreconditionError, match="value is not invertible in the declared algebra"):
+            z.inverse()
+    with pytest.raises(PreconditionError, match="not invertible"):
+        mat_inverse([[e]])
 
 
 def test_matrix_inverse(sqrt23, rng):
@@ -364,16 +373,24 @@ def test_sign_and_floor(sqrt2):
 @given(
     a=st.integers(-10**17, 10**17),
     b=st.integers(-10**17, 10**17),
+    q=st.integers(1, 10**6),
     near=st.booleans(),
 )
-def test_floor_against_isqrt_oracle(sqrt2, a, b, near):
-    # near: a cancels b*sqrt2 to within a few units, where the float guess
-    # of a value with ~1e17 coefficients is off by tens
+def test_floor_against_isqrt_oracle(sqrt2, a, b, q, near):
+    # x = a/q + b*sqrt2; near: a/q cancels b*sqrt2 to within a few units of 1/q,
+    # where the float guess of a value with ~1e17 coefficients is off by tens
+    big = 2 * b * b * q * q  # (q * b * sqrt2)^2
+    root = math.isqrt(big)
     if near:
-        a = -math.isqrt(2 * b * b) * (1 if b >= 0 else -1) + a % 7 - 3
-    s = math.isqrt(2 * b * b)
-    want = a + s if b >= 0 else a - s - 1
-    assert (a + b * sqrt2.basis_element("w1")).floor() == want
+        a = -root * (1 if b >= 0 else -1) + a % 7 - 3
+    x = sqrt2.from_rational(Fraction(a, q)) + b * sqrt2.basis_element("w1")
+    floor_s = root if b >= 0 else -root - (root * root != big)  # floor(q * b * sqrt2)
+    assert x.floor() == (a + floor_s) // q
+    if a * b >= 0:  # q * x = a + s, s = q * b * sqrt2: opposite signs compare a^2 with s^2
+        want = (a > 0) - (a < 0) or (b > 0) - (b < 0)
+    else:
+        want = ((a > 0) - (a < 0)) * ((a * a > big) - (a * a < big))
+    assert x.sign() == want
 
 
 # sqrt(p/q) declared as text: squarefree, not squarefree, rational, a square
@@ -585,6 +602,9 @@ def test_scalar_product_matches_table(sqrt23, rng):
         for k in (0, 1, -3, Fraction(5, 7), 10**20):
             assert (x * k).coeffs == (x * sqrt23.from_rational(k)).coeffs
             assert (k * x).coeffs == (x * k).coeffs
+    # numpy ints become Python ints: a product past 2^63 does not wrap
+    big = sqrt23.from_rational(np.int64(2**62)) + QValue(sqrt23, [np.int64(0), np.int64(2**62), 0, 0])
+    assert all(type(n) is int for n in big.nums) and (big * big).nums == (3 * 2**124, 2**125, 0, 0)
 
 
 def test_sign_undecidable_without_descriptor():
@@ -593,7 +613,7 @@ def test_sign_undecidable_without_descriptor():
         {(1, 1): (Fraction(1), Fraction(0))},
     )
     u = spec.basis_element("u")
-    with pytest.raises(SignUndecidableError):
+    with pytest.raises(SignUndecidableError, match=r"\|-1 \+ 1\*u\| ~ 1.000000082740371e-10 is inside the guard band 2e-09"):
         (u - 1).sign()  # inside the guard band, no sqrt descriptor
 
 
@@ -657,3 +677,75 @@ def test_undeclared_product_rejected():
     spec = AlgebraSpec.from_text("basis w1 = sqrt 2\nbasis w2 = sqrt 3\n")
     with pytest.raises(PreconditionError, match="not declared"):
         _ = spec.basis_element("w1") * spec.basis_element("w2")
+    # only the products that need w1*w2 are refused
+    w1, w2 = spec.basis_element("w1"), spec.basis_element("w2")
+    assert (w1 + 3) * (w1 - 3) == -7 and (w1 + w2) * 5 == 5 * w1 + 5 * w2
+    with pytest.raises(PreconditionError, match=r"product w1\*w2 is not declared"):
+        _ = (w1 + 1) * (w2 + 1)
+    with pytest.raises(PreconditionError, match=r"product w2\*w1 is not declared"):
+        w1.inverse()  # its multiplication matrix holds w2*w1
+
+
+# -- the integer form against a Fraction-tuple reference -----------------------
+
+_FORM_SPECS = {
+    "sqrt:2": parse_algebra("sqrt:2"),
+    "sqrt:2,3": parse_algebra("sqrt:2,3"),
+    "sqrt:2,3,5": parse_algebra("sqrt:2,3,5"),
+    # w1 = golden ratio / 2: a product coefficient with denominator 4
+    "value": AlgebraSpec.from_text(
+        "basis w1 = value 0.8090169943749475\nproduct w1 w1 = 1/4 + 1/2*w1"),
+}
+_COEFF = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**6)) | st.integers(-3, 3)
+
+
+def _ref_mul(spec, a, b):
+    """The product of two Fraction coefficient tuples, term by term from product_coeffs."""
+    out = [Fraction(0)] * spec.dim
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                for l, c in enumerate(spec.product_coeffs(i, j)):
+                    out[l] += x * y * c
+    return tuple(out)
+
+
+def _ref_str(spec, coeffs):
+    """The text of a value as its Fraction coefficients print it."""
+    terms = [(c < 0, str(abs(c)) if i == 0 else f"{abs(c)}*{spec.names[i]}")
+             for i, c in enumerate(coeffs) if c != 0]
+    if not terms:
+        return "0"
+    out = ("-" if terms[0][0] else "") + terms[0][1]
+    return out + "".join((" - " if neg else " + ") + body for neg, body in terms[1:])
+
+
+@settings(max_examples=150)
+@given(name=st.sampled_from(sorted(_FORM_SPECS)), data=st.data())
+def test_integer_form_matches_fraction_reference(name, data):
+    spec = _FORM_SPECS[name]
+    ca, cb = (tuple(Fraction(c) for c in data.draw(st.lists(_COEFF, min_size=spec.dim,
+                                                            max_size=spec.dim)))
+              for _ in range(2))
+    a, b = QValue(spec, ca), QValue(spec, cb)
+    assert a.coeffs == ca and b.coeffs == cb
+    assert a.den > 0 and math.gcd(a.den, *a.nums) == 1
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+    assert (a * b).coeffs == _ref_mul(spec, ca, cb)
+    k = data.draw(_COEFF)
+    assert (a * k).coeffs == tuple(x * k for x in ca) == (k * a).coeffs
+    assert (a + int(k)).coeffs == (ca[0] + int(k), *ca[1:])
+    if any(cb):  # every algebra here is a field: only 0 has no inverse
+        assert _ref_mul(spec, cb, b.inverse().coeffs) == (1,) + (0,) * (spec.dim - 1)
+        assert (a / b).coeffs == _ref_mul(spec, ca, b.inverse().coeffs)
+    # float: the fsum of float(c) * x, bit for bit; text: as the coefficients print
+    assert float(a).hex() == math.fsum(float(c) * x for c, x in zip(ca, spec.numerics) if c).hex()
+    assert str(a) == _ref_str(spec, ca)
+    # a rational value equals, and hashes as, its int or Fraction
+    r = QValue(spec, (ca[0],) + (0,) * (spec.dim - 1))
+    assert r == ca[0] and hash(r) == hash(ca[0]) and r.is_rational()
+    assert (r == int(ca[0])) == (ca[0].denominator == 1)
+    if ca[0].denominator == 1:
+        assert hash(r) == hash(int(ca[0])) and r.is_integer()
+    assert (a == ca[0]) == (not any(ca[1:]))

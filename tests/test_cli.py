@@ -695,13 +695,21 @@ def test_avdonin_and_duality_refuse_a_check_with_no_window(tmp_path, capsys, mon
         assert msg in capsys.readouterr().err
         assert not (tmp_path / "av").exists()
     # refused before the special-lattice checks or any point set; NaN passed the
-    # order check into two bounds CSVs and inf overflowed the block count
+    # order check into two bounds CSVs, inf overflowed the block count, and
+    # decreasing radii were refused only after every point set was built
     calls = []
     monkeypatch.setattr(riesz, "make_special_lattice", lambda *a: calls.append(a))
+
+    def generated(*args, **kwargs):
+        raise AssertionError("a point set or check ran before the radii were refused")
+
+    for name in ("dual_model_points", "avdonin_check", "special_quasicrystal"):
+        monkeypatch.setattr(riesz, name, generated)
     for old, new, msg in (("n_max = 16", "n_max = 0", "n_max must be at least 1"),
                           ("radii = 8,16", "radii =", "radii must name at least one radius"),
                           ("radii = 8,16", "radii = 8,nan", "at least one radius, each finite"),
-                          ("radii = 8,16", "radii = 8,inf", "at least one radius, each finite")):
+                          ("radii = 8,16", "radii = 8,inf", "at least one radius, each finite"),
+                          ("radii = 8,16", "radii = 400,200", "each finite, in increasing order")):
         cfg = tmp_path / "dual.cfg"
         cfg.write_text(_DUALITY_CFG.replace(old, new) + f"outdir = {tmp_path / 'dout'}\n")
         assert run_cli("duality", "--config", str(cfg)) == cli.EXIT_PRECONDITION

@@ -49,9 +49,9 @@ def example_enum(sqrt2, unit_interval):
 
 
 def test_enumeration_singleton_blocks(example_enum):
-    assert example_enum.max_block_size() == 1
+    assert np.diff(example_enum.s).max() == 1
     for n in range(example_enum.n_lo, example_enum.n_hi + 1):
-        assert example_enum.s_of(n) == n
+        assert example_enum.s[n - example_enum.n_lo] == n
     assert np.allclose(
         example_enum.lambdas,
         example_enum.js + np.mod(example_enum.js * math.sqrt(2), 1.0),
@@ -65,12 +65,12 @@ def test_enumeration_empty_blocks_allowed(sqrt2):
     region = interval(sqrt2.zero(), sqrt2.parse("1/10"))
     pts = dual_model_points([w1], [sqrt2.one()], region, (-60, 60))
     enum = enumerate_blocks(pts)
-    sizes = enum.block_sizes()
+    sizes = np.diff(enum.s)
     assert (sizes == 0).any()
     assert sizes.sum() == len(pts)
     # block membership: every lambda_j with s_n <= j < s_{n+1} is block n
     for j, b in zip(enum.js, enum.blocks):
-        assert enum.s_of(int(b)) <= j < enum.s_of(int(b) + 1)
+        assert enum.s[b - enum.n_lo] <= j < enum.s[b - enum.n_lo + 1]
 
 
 def test_enumeration_orders_blocks_ascending(sqrt2):
@@ -78,9 +78,9 @@ def test_enumeration_orders_blocks_ascending(sqrt2):
     region = parse_region_literal(sqrt2, "[0,-1+1*w1) U [1,3-1*w1)")
     pts = dual_model_points([w1], [sqrt2.one()], region, (-50, 50))
     enum = enumerate_blocks(pts)
-    assert enum.max_block_size() == 2
+    assert np.diff(enum.s).max() == 2
     for n in range(enum.n_lo, enum.n_hi + 1):
-        lo, hi = enum.s_of(n), enum.s_of(n + 1)
+        lo, hi = enum.s[n - enum.n_lo], enum.s[n - enum.n_lo + 1]
         vals = enum.lambdas[(enum.js >= lo) & (enum.js < hi)]
         assert np.all(np.diff(vals) >= 0)
 
@@ -511,8 +511,8 @@ def test_delta_three_term_bound(sqrt2):
     r_data = float(np.abs(pts.values - np.array([p[-1] for p in pts.provenance])).max())
     ns = np.arange(enum.n_lo, enum.n_hi + 2)
     ramp_dev = float(np.abs(enum.s - ns * mes).max())
-    bound = r_data + ramp_dev / mes + enum.max_block_size() / mes
-    assert ds.sup_abs <= bound + 1e-9
+    bound = r_data + ramp_dev / mes + np.diff(enum.s).max() / mes
+    assert np.abs(ds.deltas).max() <= bound + 1e-9
 
 
 def test_duality_experiment_basis_regime(sqrt2):
