@@ -3,7 +3,9 @@
 Every generator takes an explicit search range (reproducibility over
 convenience) and tags each point with the integer data (m_1..m_d, n) of
 the lattice point that produced it, one row of an int64 provenance matrix.
-Output order is the lexicographic order of that provenance.
+Output order is the lexicographic order of that provenance.  The lattice
+generators share one selection: one membership-kernel call over a grid of all
+but the free coordinates, which come back as integer translates into the window.
 
 A point set stores float coordinates and provenance only.  The exact
 coordinates are ``Lattice.point`` of the provenance: the first d entries
@@ -26,9 +28,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import QValue, integer_form, join
+from .algebra import QValue, integer_form, join, lift_to
 from .errors import PreconditionError
-from .lattice import Lattice, check_special_form, special_bases
+from .lattice import Lattice, check_special_form, special_bases, transform_region
 from .regions import RegionSet, interval
 
 __all__ = [
@@ -194,18 +196,16 @@ def _window_check(window: RegionSet) -> None:
         raise PreconditionError("window must be one-dimensional")
 
 
-def _grid(box: Sequence[tuple[int, int]], what: str) -> np.ndarray:
-    """Integer points of an inclusive box, one per row, in lexicographic order.
-
-    Every generator's boxes and ranges come through here, so lo > hi on any
-    axis is refused the same way everywhere.
-    """
-    if any(lo > hi for lo, hi in box):
+def _grid(box: Sequence, what: str, free: Sequence[int] = ()) -> np.ndarray:
+    """Integer points of an inclusive box without its free axes, one per row, in lexicographic
+    order.  lo > hi on any axis is refused (a free axis may be None, unbounded), the same way
+    for every generator's boxes and ranges."""
+    if any(r[0] > r[1] for r in box if r is not None):
         raise PreconditionError(f"empty {what}: lo > hi")
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box]
+    axes = [np.arange(r[0], r[1] + 1, dtype=np.int64) for i, r in enumerate(box) if i not in free]
     if len(axes) == 1:  # the range itself, as a column
         return axes[0][:, None]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _affine_points(
@@ -310,6 +310,20 @@ def _sum2(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, np.isfinite(s) & ((slack == 0) | (np.abs(t) + 2 * slack < half_gap))
 
 
+def _select(window, gens, box, free, mat, text, what) -> PointSet:
+    """Points mat @ c in lexicographic order of c, from one kernel call: the columns of c outside
+    free run over _grid's grid of box, and those in free are the integer translates of (the
+    others) @ gens into the window, trimmed to their ranges in box (None: unbounded)."""
+    rest, coeffs = [i for i in range(len(box)) if i not in free], _grid(box, what, free)
+    lo, hi = np.array([(-2**63, 2**63 - 1) if box[j] is None else box[j] for j in free]).T
+    idx, shift = window.membership.translates((0,) * window.dim, gens, coeffs)
+    prov = np.column_stack([coeffs[idx], shift])[:, np.argsort(rest + free)]
+    prov = prov[((lo <= shift) & (shift <= hi)).all(axis=1)]
+    if free[0] < len(rest):  # the kernel's order, (others, free), is not lexicographic
+        prov = prov[np.lexsort(prov.T[::-1])]
+    return _affine_points(mat, prov, text)
+
+
 def cut_and_project(
     gamma: Lattice,
     window: RegionSet,
@@ -317,21 +331,22 @@ def cut_and_project(
 ) -> PointSet:
     """All lattice points in the search box whose last coordinate is in the window.
 
-    The search box gives inclusive integer ranges for the generator
-    coordinates (m_1..m_d, n); membership of p2(gamma) in the semi-closed
-    window goes through the window's membership kernel, which is exact at
-    the window endpoints.  An emitted point is the basis rows @ provenance.
+    The search box gives inclusive ranges for the coordinates c = (m_1..m_d, n).  With e
+    the last basis row, p2 = e @ c is in the window I exactly when c_j is an integer translate
+    of (e @ c - e_j c_j) / e_j into I / e_j (closed side flipped if e_j < 0): one kernel call
+    over a grid of d coordinates.  e_j != 0 with the largest |e_j| times c_j's range width
+    gives the fewest translates per grid row.  A point is the basis rows @ provenance.
     """
     _window_check(window)
     d = gamma.dim_d
     if len(search) != d + 1:
         raise PreconditionError(f"search box needs {d + 1} coordinate ranges")
-    coeffs = _grid(search, "search box")
-    idx, shift = window.membership.translates(
-        (gamma.spec.zero(),), [(v,) for v in gamma.basis[d]], coeffs
-    )
-    return _affine_points(gamma.basis[:d], coeffs[idx[shift[:, 0] == 0]],
-                          window.describe())
+    e = [lift_to(gamma.spec, v) for v in gamma.basis[d]]
+    j = max((i for i in range(d + 1) if e[i] != 0),
+            key=lambda i: abs(float(e[i])) * (search[i][1] - search[i][0] + 1))
+    gens = [(v / e[j],) for v in e[:j] + e[j + 1:]]
+    return _select(transform_region(window, [[1 / e[j]]]), gens, search, [j], gamma.basis[:d],
+                   window.describe(), "search box")
 
 
 def special_quasicrystal(
@@ -344,18 +359,17 @@ def special_quasicrystal(
 
     For each m, the emitted n are the integer translates of -alpha^T m
     that land in the window (p2 = n - alpha^T m, the last row of Gamma's
-    basis at (m, n)), found by the window's membership kernel; this is the
-    same selection as cut_and_project with a sufficient box.  An emitted
-    point is x_i = m_i + beta_i (alpha^T m - n), the first d rows.
+    basis at (m, n)): cut_and_project's selection with n solved for, whose
+    e = 1 leaves the window as it is, and n unbounded.  An emitted point is
+    x_i = m_i + beta_i (alpha^T m - n), the first d rows.
     """
     _window_check(window)
     d = len(alpha)
     if len(m_box) != d:
         raise PreconditionError(f"m box needs {d} coordinate ranges")
     gamma = special_bases(alpha, beta)[0]
-    ms = _grid(m_box, "m box")
-    idx, ns = window.membership.translates((0,), [(v,) for v in gamma[d][:d]], ms)
-    return _affine_points(gamma[:d], np.column_stack([ms[idx], ns]), window.describe())
+    return _select(window, [(v,) for v in gamma[d][:d]], [*m_box, None], [d], gamma[:d],
+                   window.describe(), "m box")
 
 
 def dual_model_points(
@@ -367,21 +381,17 @@ def dual_model_points(
     """One-dimensional dual model set of a special-form lattice.
 
     For each n in range and each integer m with n*alpha + m in S (the m
-    are the integer translates of n*alpha that the region's membership
-    kernel finds), emits n + <n alpha + m, beta> with provenance
-    (m_1..m_d, n); the block structure is recoverable from the last
-    provenance entry; the point is n (1 + <alpha, beta>) + <m, beta>,
-    the last row of Gamma*'s basis at the provenance.
+    are the integer translates of n*alpha that _select finds over the grid
+    of n), emits n + <n alpha + m, beta> with provenance (m_1..m_d, n); the
+    block structure is recoverable from the last provenance entry; the point
+    is n (1 + <alpha, beta>) + <m, beta>, the last row of Gamma*'s basis at
+    the provenance.
     """
     d = len(alpha)
     if region.dim != d:
         raise PreconditionError("region dimension must match alpha")
-    gamma_star = special_bases(alpha, beta)[1]
-    ns = _grid([n_range], "n range")
-    idx, ms = region.membership.translates((0,) * d, [tuple(alpha)], ns)
-    prov = np.column_stack([ms, ns[idx]])
-    prov = prov[np.lexsort(prov.T[::-1])]
-    return _affine_points(gamma_star[d:], prov, region.describe())
+    return _select(region, [tuple(alpha)], [None] * d + [n_range], list(range(d)),
+                   special_bases(alpha, beta)[1][d:], region.describe(), "n range")
 
 
 def sequence_points(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from quasilab import modelset
@@ -25,7 +25,7 @@ from quasilab.modelset import (
     sequence_points,
     special_quasicrystal,
 )
-from quasilab.regions import box_region, interval, parse_region_literal
+from quasilab.regions import Membership, box_region, interval, parse_region_literal, union
 
 
 def frac_oracle(x: float) -> float:
@@ -79,6 +79,23 @@ def test_cut_and_project_boundary_conventions(sqrt2, gamma):
     assert len(pts_incl) == 1
     assert_provenance(pts_incl.provenance, [(0, 0)])
     assert len(pts_excl) == 0
+    # ...and the same when the coordinate solved for has e < 0, which flips
+    # the scaled window's closed side, or the basis entries are ints.  Over
+    # c = (0, n), p2 = e_n n steps through both ends of each window.
+    w1 = sqrt2.basis_element("w1")
+    cases = [
+        (Lattice(1, [[1, w1], [w1, -2]]), "[-2,0)", [(0, 1)]),  # p2 = -2 n
+        (Lattice(1, [[1, w1], [w1, -2]]), "(-2,0]", [(0, 0)]),
+        (Lattice(1, [[2, 1], [1, -3]]), "(-3,0]", [(0, 0)]),  # p2 = -3 n
+        (Lattice(1, [[2, 1], [1, -3]]), "[-3,0)", [(0, 1)]),
+        (Lattice(1, [[1, 0], [w1, 2]]), "[0,2)", [(0, 0)]),  # p2 = 2 n
+        (Lattice(1, [[1, 0], [w1, 2]]), "(0,2]", [(0, 1)]),
+    ]
+    for lat, text, want in cases:
+        window = parse_region_literal(sqrt2, text)
+        pts = cut_and_project(lat, window, [(0, 0), (-3, 3)])
+        assert_provenance(pts.provenance, want)
+        assert_same_points(pts, _cut_and_project_reference(lat, window, [(0, 0), (-3, 3)]))
 
 
 def test_cut_and_project_count_matches_window_density(sqrt2, window_neg1_0):
@@ -558,14 +575,118 @@ def test_special_matches_reference_two_dim(sqrt23):
                            _sequence_reference([w1, w2], beta, box))
 
 
-def test_cut_and_project_matches_reference_general_lattice(sqrt2):
-    p = sqrt2.parse
-    gamma = Lattice(1, [[p("1/2 + 1/3*w1"), p("3")], [p("1*w1"), p("1 - 1*w1")]])
-    window = parse_region_literal(sqrt2, "[-3/2,2)")
-    search = [(-30, 30), (-40, 40)]
+def test_cut_and_project_matches_reference_general_lattice(sqrt2, sqrt23):
+    p, q = sqrt2.parse, sqrt23.parse
+    special = make_special_lattice([sqrt2.basis_element("w1")], [sqrt2.one()])[0]
+    two = sqrt2.from_rational(2)
+    cases = [
+        (Lattice(1, [[p("1/2 + 1/3*w1"), p("3")], [p("1*w1"), p("1 - 1*w1")]]),
+         "[-3/2,2)", [(-30, 30), (-40, 40)], 100),
+        # criterion 3's lattice: the special one with its first row doubled,
+        # one point per m
+        (Lattice(1, [[v * two for v in special.basis[0]], list(special.basis[1])]),
+         "(-1,0]", [(-30, 30), (-50, 50)], 60),
+        (Lattice(2, [[q("1"), q("1*w1"), q("1/2")], [q("1*w2"), q("1"), q("1")],
+                     [q("1/3"), q("-1*w1"), q("1 + 1*w3")]]),
+         "(-1,1] U [3/2,2)", [(-6, 6), (-7, 7), (-8, 8)], 100),
+    ]
+    for gamma, text, search, least in cases:
+        window = parse_region_literal(gamma.spec, text)
+        got = cut_and_project(gamma, window, search)
+        assert len(got) > least
+        assert_same_points(got, _cut_and_project_reference(gamma, window, search))
+
+
+_E_SCALES = [Fraction(1, 1000), Fraction(1, 7), Fraction(1, 2), 1, Fraction(5, 3), 4, 10]
+
+
+@st.composite
+def _general_lattices(draw, specs):
+    # a d = 1 or 2 basis of ints, Fractions and QValues, some of its last-row
+    # entries zero and the others e with either sign and 1/1000 <= |e| <= 10
+    spec = draw(st.sampled_from(specs))
+    d = draw(st.integers(1, 2))
+    units = [spec.one()] + [spec.basis_element(f"w{i}") for i in range(1, spec.dim)]
+    small = st.fractions(-3, 3, max_denominator=4)
+
+    def entry(last):
+        kind = draw(st.sampled_from(["int", "fraction", "qvalue"]))
+        if last and draw(st.integers(0, 3)) == 0:
+            return {"int": 0, "fraction": Fraction(0), "qvalue": spec.zero()}[kind]
+        if last:
+            scale = draw(st.sampled_from(_E_SCALES if kind != "int" else [1, 4, 10]))
+            v = scale * draw(st.sampled_from([-1, 1]))
+            v = v * draw(st.sampled_from(units)) if kind == "qvalue" else v
+            assume(Fraction(1, 1000) <= abs(float(v)) <= 10)
+            return Fraction(v) if kind == "fraction" else v
+        if kind == "int":
+            return draw(st.integers(-3, 3))
+        if kind == "fraction":
+            return draw(small)
+        return draw(small) + draw(small) * draw(st.sampled_from(units))
+
+    basis = [[entry(i == d) for _ in range(d + 1)] for i in range(d + 1)]
+    try:
+        gamma = Lattice(d, basis)
+    except PreconditionError:  # singular
+        assume(False)
+    width = 12 if d == 1 else 5
+    search = [(lo, lo + draw(st.integers(2, width)))
+              for lo in draw(st.lists(st.integers(-6, 1), min_size=d + 1, max_size=d + 1))]
+    pieces = []
+    for _ in range(draw(st.integers(1, 2))):
+        # around p2 of a box point, often exactly at one end of the piece
+        length = draw(st.fractions(Fraction(1, 4), 3, max_denominator=4))
+        p2 = gamma.point([draw(st.integers(lo, hi)) for lo, hi in search])[d]
+        start = lift_to(spec, p2) - draw(st.one_of(st.sampled_from([0, length]),
+                                                   st.fractions(0, length, max_denominator=8)))
+        pieces.append(interval(start, start + length, left_closed=draw(st.booleans())))
+    return gamma, union(*pieces), search
+
+
+@given(data=st.data())
+def test_cut_and_project_matches_grid_reference(sqrt2, sqrt23, data):
+    # the one d-coordinate selection against the (d+1)-dimensional grid it
+    # replaced: the same provenance, coordinate bytes and window text
+    gamma, window, search = data.draw(_general_lattices([sqrt2, sqrt23]))
     got = cut_and_project(gamma, window, search)
-    assert len(got) > 100
     assert_same_points(got, _cut_and_project_reference(gamma, window, search))
+    assert got.window == window.describe()
+
+
+def test_cut_and_project_kernel_sees_one_face(sqrt2, monkeypatch):
+    # work bound: one kernel call over a grid of d coordinates, not the
+    # (d+1)-dimensional box (4,001 x 5,661 cells on the first lattice)
+    seen = []
+    translates = Membership.translates
+
+    def spy(self, base, gens, coeffs):
+        seen.append(len(coeffs))
+        return translates(self, base, gens, coeffs)
+
+    w1 = sqrt2.basis_element("w1")
+    window = parse_region_literal(sqrt2, "[0,1)")
+    special = special_quasicrystal([w1], [sqrt2.one()], window, [(-2000, 2000)])
+    gamma = make_special_lattice([w1], [sqrt2.one()])[0]
+    monkeypatch.setattr(Membership, "translates", spy)
+    got = cut_and_project(gamma, window, [(-2000, 2000), (-2830, 2830)])
+    assert len(seen) == 1 and seen[0] <= 5661
+    assert len(got) == 4001
+    assert_same_points(got, special)
+    # e = 1/1000 on n: solving for n would list ~1000 n per m of 1,001; m is
+    # solved for instead, over the smaller face of 81 n
+    seen.clear()
+    lat = Lattice(1, [[1, 0], [w1, Fraction(1, 1000)]])
+    search = [(-500, 500), (-40, 40)]
+    got = cut_and_project(lat, window, search)
+    assert len(seen) == 1 and seen[0] <= 81
+    assert len(got) > 0
+    assert_same_points(got, _cut_and_project_reference(lat, window, search))
+    # here n is solved for (1/1000 * 10,001 > sqrt2 * 2), so the kernel sees
+    # m sqrt2 / (1/1000) ~ 1.4e20 at m = 10^17, past its int64 bound: the box
+    # is refused, not answered, though the grid kept below the bound
+    with pytest.raises(PreconditionError, match="int64"):
+        cut_and_project(lat, window, [(10**17, 10**17 + 1), (0, 10**4)])
 
 
 def test_generators_empty_range(sqrt2, sqrt23):
@@ -611,6 +732,8 @@ def test_generators_refuse_reversed_ranges(sqrt2, sqrt23):
         lambda: sequence_points([w1], [sqrt2.one()], [(1, 0)]),
         lambda: periodic_points([w1], parse_region_literal(sqrt2, "[0,1/2)"), [(1, 0)]),
         lambda: cut_and_project(gamma, window, [(0, 0), (1, 0)]),
+        # e_m = 0, so n is the coordinate solved for, and its range is reversed
+        lambda: cut_and_project(Lattice(1, [[1, w1], [0, 1]]), window, [(-3, 3), (1, 0)]),
         lambda: dual_model_points(v, v, box23, (1, 0)),
         lambda: periodic_dual(v, box23, (1, 0)),
     ]
