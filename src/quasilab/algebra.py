@@ -21,14 +21,13 @@ numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
 
 Exact decisions (:meth:`AlgebraSpec.sign_of`, :meth:`AlgebraSpec.floor_of`)
 take a value's integer form as it is stored; batches of values share one
-denominator through :func:`integer_form`.  A value whose nonzero
-terms all carry sqrt descriptors is written as ``sum_r B_r*sqrt(r) / D``
-over Python ints with each ``r`` squarefree, and its sign comes from the
-norm tower (:func:`_tower_sign`), exactly and at any magnitude; its floor
-is read off ``math.isqrt`` bounds and brackets with signs only when they
-straddle an integer.  A value with a ``value``-declared basis element is
-decided by its float outside a guard band scaled by the magnitude of its
-terms, or refused.
+denominator through :func:`integer_form`.  A value whose nonzero terms all
+carry sqrt descriptors is ``sum_r B_r*sqrt(r) / D`` over Python ints, each
+``r`` squarefree, and its sign comes from the norm tower (:func:`_tower_sign`),
+exactly at any magnitude.  A value with a ``value``-declared element is
+decided by its float outside a guard band scaled by its terms, or refused.
+Every floor is one bisection with signs, over ``math.isqrt`` bounds of the
+terms or over [g - 1, g + 1] around the float's floor g.
 
 Values from different declarations meet by one rule, :func:`join`: a group
 of values (QValues, ints, Fractions) combines in the algebra of its first
@@ -325,29 +324,22 @@ class AlgebraSpec:
     def floor_of(self, nums: Sequence[int], den: int) -> int:
         """Exact floor of sum(n_l * w_l) / den, for integers n_l and den > 0.
 
-        With sqrt descriptors the value is (A + sum_r B_r sqrt(r)) / T over
-        ints, and B sqrt(r) lies strictly between consecutive integers from
-        math.isqrt(B^2 r) (r > 1 is squarefree): the floor lies between the
-        floors of the bounds of the sum, equal for at most one root.  With a
-        ``value``-declared element it starts from the float's floor, and steps
-        of 1, 2, 4, ... bracket it.  Bisection with sign_of() closes the bracket.
+        One bisection with sign_of() closes a bracket.  With sqrt descriptors the
+        value is (A + sum_r B_r sqrt(r)) / T over ints, and B sqrt(r) lies strictly
+        between consecutive integers from math.isqrt(B^2 r) (r > 1 is squarefree):
+        the bracket is the floors of the bounds of the sum, equal for at most one
+        root.  With a ``value``-declared element it is [g - 1, g + 1] around g =
+        q + floor(float(rest)), q = nums[0] // den exact, so it probes g, then g + 1.
         """
 
         def at_least(m: int) -> bool:
             return self.sign_of([nums[0] - m * den, *nums[1:]], den) >= 0
 
         terms = self._tower_terms(nums)
-        if terms is None:  # probes g + 1, 2, 4, ... or g - 1, 2, 4, ... from the guess g
-            g = math.floor(math.fsum(n / den * x for n, x in zip(nums, self.numerics) if n))
-            step = 1
-            if at_least(g):
-                while at_least(g + step):
-                    step *= 2
-                lo, hi = g + step // 2, g + step - 1
-            else:
-                while not at_least(g - step):
-                    step *= 2
-                lo, hi = g - step, g - step // 2 - 1
+        if terms is None:  # sign_of's band dwarfs the float's error: g is the floor or refused
+            q, r = divmod(nums[0], den)
+            g = q + math.floor(float(_value(self, (r, *nums[1:]), den)))
+            lo, hi = g - 1, g + 1
         else:  # value * total is low, or in (low, low + len(terms)); ~i is -i - 1
             total = den * self._qden
             low = terms.pop(1, 0) + sum(math.isqrt(b * b * r) if b > 0 else ~math.isqrt(b * b * r)

@@ -120,8 +120,9 @@ def read_config(path: str) -> dict[str, _Section]:
     return out
 
 
-def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", ".") or ".")
+def _out_dir(args, c=None) -> Path:
+    """The output directory, made if missing: the config's outdir key, else --out, else '.'."""
+    out = Path((c or {}).get("outdir", getattr(args, "out", ".") or "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -361,8 +362,7 @@ def _write_bounds_csv(trace: riesz.BoundsTrace, path: Path) -> None:
 def _cmd_duality(args) -> int:
     cfg = read_config(args.config)
     section = cfg.get("duality", cfg.get("default", _Section("duality")))
-    outdir = Path(section.get("outdir", getattr(args, "out", ".") or "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args, section)
     result = _duality(section, outdir)
     result["config_echo"] = section
     result["version"] = REPORT_VERSION
@@ -377,12 +377,10 @@ def _cmd_report(args) -> int:
         if not args.source:
             raise PreconditionError("--plot needs --from REPORT.json")
         report = json.loads(Path(args.source).read_text())
-        outdir = _out_dir(args)
-        emit_plotdata(report, args.plot, outdir)
+        emit_plotdata(report, args.plot, _out_dir(args))
         return EXIT_OK
     cfg = read_config(args.config)
-    outdir = Path(cfg.get("experiment", {}).get("outdir", getattr(args, "out", ".") or "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args, cfg.get("experiment"))
     stages: dict = {}
     report = {"version": REPORT_VERSION, "config_echo": cfg, "stages": stages}
     if "gen" in cfg:
@@ -576,10 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SearchExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH
-    except (PreconditionError, QuasilabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:  # malformed numeric flag values
+    except (QuasilabError, ValueError) as exc:  # a ValueError: a malformed numeric flag value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

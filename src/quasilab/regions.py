@@ -43,12 +43,19 @@ class Piece:
     """One half-open parallelepiped: offset + edges @ [0,1)^d.
 
     ``edges`` is a d x d matrix whose columns are the edge vectors.
-    ``witnesses`` optionally certifies each edge as n*alpha + m.
+    ``witnesses`` optionally certifies each edge as n*alpha + m.  The piece
+    owns the witness shape, d witnesses (n, m) with d integers m each, so
+    every construction refuses another shape, the region reader's included.
     """
 
     offset: tuple[QValue, ...]
     edges: tuple[tuple[QValue, ...], ...]
     witnesses: Optional[tuple[Witness, ...]] = None
+
+    def __post_init__(self) -> None:
+        d, wits = self.dim, self.witnesses
+        if wits is not None and {len(wits), *(len(m) for _, m in wits)} != {d}:
+            raise PreconditionError(f"a {d}-D piece takes {d} witnesses 'n: m', each with {d} m")
 
     @property
     def dim(self) -> int:
@@ -568,19 +575,20 @@ def _combo_vector(
     return tuple(a * n + int(mi) for a, mi in zip(alpha, m))
 
 
-def brs_parallelepiped(
-    alpha: Sequence[QValue], generators: Sequence[Witness]
-) -> RegionSet:
-    """Parallelepiped spanned by edges n_i*alpha + m_i, certified per edge."""
-    d = len(alpha)
-    if len(generators) != d:
-        raise PreconditionError(f"need exactly {d} generators")
-    cols = [_combo_vector(alpha, n, m) for n, m in generators]
-    edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    spec = cols[0][0].spec
-    zero = tuple(spec.zero() for _ in range(d))
-    witnesses = tuple((int(n), tuple(int(x) for x in m)) for n, m in generators)
-    return RegionSet(d, [Piece(zero, edges, witnesses)])
+def _witnessed_piece(alpha: Sequence[QValue], witnesses: Sequence[Witness],
+                     offset: Optional[tuple] = None) -> Piece:
+    """The piece offset + edges @ [0,1)^d whose column j is n_j*alpha + m_j,
+    certified by the witnesses (n_j, m_j); the offset defaults to the origin.
+    Every witnessed parallelepiped is built here, and Piece checks the shape."""
+    witnesses = tuple((int(n), tuple(map(int, m))) for n, m in witnesses)
+    edges = tuple(zip(*[_combo_vector(alpha, n, m) for n, m in witnesses]))  # the transpose
+    return Piece(offset or tuple(a.spec.zero() for a in alpha), edges, witnesses)
+
+
+def brs_parallelepiped(alpha: Sequence[QValue], generators: Sequence[Witness]) -> RegionSet:
+    """Parallelepiped spanned by edges n_i*alpha + m_i, certified per edge
+    (:func:`_witnessed_piece`); d generators of d integers m each."""
+    return RegionSet(len(alpha), [_witnessed_piece(alpha, generators)])
 
 
 def _spiral(bound: int) -> list[int]:
@@ -623,7 +631,8 @@ def measure_candidates(
     sum_k c_k*m_j[k-1]: a hit's edges lie on the hyperplane n*dec_0 =
     sum_k dec_k*m[k-1], the only candidates kept.  There c = lambda*dec, so a
     subset is decided by one minor, |c_k| = |det W without row k| = |dec_k|
-    at the first nonzero dec_k.  Only a hit is built in the algebra.  A gamma
+    at the first nonzero dec_k.  Only a hit is built in the algebra, by
+    :func:`_witnessed_piece`, the builder of every witnessed piece.  A gamma
     with no decomposition yields nothing; gamma = 0 or a dependent alpha is
     refused with PreconditionError.
     """
@@ -633,23 +642,16 @@ def measure_candidates(
         return
     if not any(dec):
         raise PreconditionError("measure must be nonzero")
-    spec = gamma.spec
-    if d == 1:
-        n0, n1 = dec
-        yield RegionSet(
-            1, [Piece((spec.zero(),), ((gamma,),), ((n1, (n0,)),))]
-        )
+    if d == 1:  # the edge dec_1*alpha + dec_0 is gamma
+        yield RegionSet(1, [_witnessed_piece(alpha, [(dec[1], dec[:1])])])
         return
-    zero = tuple(spec.zero() for _ in range(d))
     cands = [(t[0], t[1:]) for t in itertools.product(_spiral(search_bound), repeat=d + 1)
              if any(t) and t[0] * dec[0] == sum(g * x for g, x in zip(dec[1:], t[1:]))]
     k = next(i for i, g in enumerate(dec) if g)
     for combo in itertools.combinations(cands, d):
         w = [[n for n, _ in combo], *zip(*(m for _, m in combo))]
         if abs(exact_det(w[:k] + w[k + 1:])) == abs(dec[k]):
-            cols = [_combo_vector(alpha, n, m) for n, m in combo]
-            edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-            yield RegionSet(d, [Piece(zero, edges, combo)])
+            yield RegionSet(d, [_witnessed_piece(alpha, combo)])
 
 
 def realize_measure(
@@ -716,7 +718,8 @@ def make_certificate(
 
 
 def verify_equidecomposition(cert: EquidecompCertificate) -> Verdict:
-    """Check all certificate invariants exactly; report the first violation."""
+    """Check all certificate invariants exactly; report the first violation.
+    Equal piece counts and equal edge matrices piece by piece make the volumes equal."""
     ns, nt = len(cert.source.pieces), len(cert.target.pieces)
     if ns != nt or len(cert.shifts) != ns or len(cert.witnesses) != ns:
         return Verdict(False, f"piece/shift counts differ: {ns} vs {nt} vs "
@@ -734,14 +737,9 @@ def verify_equidecomposition(cert: EquidecompCertificate) -> Verdict:
                 False,
                 f"piece {i}: translation {_vec_text(shift)} is not in Z*alpha + Z^d",
             )
-        n, m = wit
-        rebuilt = _combo_vector(cert.alpha, n, m)
-        if tuple(rebuilt) != tuple(shift):
+        if _combo_vector(cert.alpha, *wit) != tuple(shift):
             return Verdict(False, f"piece {i}: stored witness does not "
                                   f"reproduce the shift")
-    src_vol, tgt_vol = cert.source.volume(), cert.target.volume()
-    if src_vol != tgt_vol:
-        return Verdict(False, f"volumes differ: {src_vol} vs {tgt_vol}")
     return Verdict(True)
 
 
@@ -839,16 +837,12 @@ def construct_brs_between(
             raise PreconditionError("K is not contained in U" + (
                 "" if d == 1 else ": each piece of K must lie in the closure of one piece of U"))
 
-    chosen = _tile_edges(alpha, epsilon, tile_bound)
-    witnesses = tuple(w for w, _ in chosen)
-    cols = [v for _, v in chosen]
-    edges = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    witnesses = [w for w, _ in _tile_edges(alpha, epsilon, tile_bound)]
+    tile = _witnessed_piece(alpha, witnesses)
+    edges, cols, inv, tile_vol = tile.edges, tile.edge_columns(), tile.inverse, tile.volume()
 
     def tile_piece(j: Sequence[int]) -> Piece:
-        return Piece(tuple(mat_vec(edges, [int(v) for v in j])), edges, witnesses)
-
-    tile = tile_piece([0] * d)
-    inv, tile_vol = tile.inverse, tile.volume()
+        return _witnessed_piece(alpha, witnesses, tuple(mat_vec(edges, [int(v) for v in j])))
 
     def cover(region: RegionSet) -> tuple[list[int], list[int]]:
         """Per axis, the least and the greatest tile index of a corner of the region."""
@@ -933,11 +927,10 @@ def construct_brs_between(
             if d == 1 and free[k_full][0] < lo_j[0]:
                 # extending left: park the residual flush with the tile's
                 # right end so the 1-D union stays an interval
-                off0 = host.offset[0] + edges[0][0] - cp.edges[0][0]
-                placed = Piece((off0,), cp.edges, cp.witnesses)
+                offset = (host.offset[0] + edges[0][0] - cp.edges[0][0],)
             else:
                 offset = tuple(h - v for h, v in zip(host.offset, mat_vec(edges, mins)))
-                placed = Piece(offset, cp.edges, cp.witnesses)
+            placed = _witnessed_piece(alpha, cp.witnesses, offset)
             break
         if placed is None:
             raise SearchExhaustedError(
@@ -976,12 +969,10 @@ def _piece_line(spec: AlgebraSpec, rest: str) -> Piece:
     fields = {key.strip(): val.strip() for key, eq, val in pairs if eq}
     if len(fields) != len(pairs) or fields.keys() - {"witness"} != {"offset", "edges"}:
         raise PreconditionError("a piece has one offset, one edges and at most one witness field")
-    d, witnesses = len(offset := spec.parse_vector(fields["offset"])), None
+    offset, witnesses = spec.parse_vector(fields["offset"]), None
     if "witness" in fields:
         wits = [w.partition(":") for w in fields["witness"].split("/")]
         witnesses = tuple((int(n), tuple(int(x) for x in m.split(","))) for n, _, m in wits)
-        if {len(witnesses), *(len(m) for _, m in witnesses)} != {d}:
-            raise PreconditionError(f"a {d}-D piece takes {d} witnesses 'n: m', each with {d} m")
     edges = tuple(spec.parse_vector(row) for row in fields["edges"].split(";"))
     return Piece(offset, edges, witnesses)
 

@@ -634,6 +634,103 @@ def test_value_element_band_scales_with_its_terms():
         spec.sign_of([-17320508075, 10**10], 2 * 10**10)
 
 
+# two value-declared elements: every floor here is bracketed around the float
+_VALUE_SPEC = AlgebraSpec.from_text(
+    "basis u = value 0.7071067811865476\nbasis v = value 2.718281828459045")
+
+
+def _doubling_floor(spec, nums, den):
+    """Reference: the value-declared floor as a search from the float's floor g
+    of every term, stepping 1, 2, 4, ... up or down until a bracket holds."""
+
+    def at_least(m):
+        return spec.sign_of([nums[0] - m * den, *nums[1:]], den) >= 0
+
+    g = math.floor(math.fsum(n / den * x for n, x in zip(nums, spec.numerics) if n))
+    step = 1
+    if at_least(g):
+        while at_least(g + step):
+            step *= 2
+        lo, hi = g + step // 2, g + step - 1
+    else:
+        while not at_least(g - step):
+            step *= 2
+        lo, hi = g - step, g - step // 2 - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if at_least(mid) else (lo, mid - 1)
+    return lo
+
+
+def _outcome(floor, nums, den):
+    try:
+        return floor(_VALUE_SPEC, nums, den)
+    except SignUndecidableError:
+        return "refused"
+
+
+def test_value_floor_matches_the_doubling_search():
+    # magnitudes up to 1e12; every third value lies within 1e-10 of an
+    # integer k, above or below it: k + (s - round(s)) / den with den >= 1e10
+    # and s the value terms' numerator.  Answers and refusals must agree.
+    rng = np.random.default_rng(33)
+    x = [Fraction(v) for v in _VALUE_SPEC.numerics[1:]]
+    seen = {"answer": 0, "refused": 0, "near": 0}
+    for i in range(3000):
+        k = int(rng.uniform(-1, 1) * 10.0 ** rng.uniform(0, 12))
+        if i % 3 == 0:
+            den = int(rng.integers(10**10, 10**12))
+            n = [int(v) for v in rng.integers(-10**6, 10**6, 2)]
+            s = n[0] * x[0] + n[1] * x[1]
+            nums = [k * den - round(s), *n]
+            assert 0 < abs(k - (nums[0] + s) / den) < Fraction(1, 10**10)
+            seen["near"] += 1
+        else:
+            den = int(rng.integers(1, 10**6))
+            n = [int(rng.uniform(-1, 1) * 10.0 ** rng.uniform(0, 12) * den) for _ in range(2)]
+            nums = [k * den + int(rng.integers(-den, den)), *n]
+        want = _outcome(_doubling_floor, nums, den)
+        assert _outcome(AlgebraSpec.floor_of, nums, den) == want, (nums, den)
+        seen["refused" if want == "refused" else "answer"] += 1
+    assert seen["near"] == 1000 and min(seen.values()) > 300, seen
+
+
+def test_value_floor_probes_g_then_g_plus_one(monkeypatch):
+    probes = []
+    sign_of = AlgebraSpec.sign_of
+    monkeypatch.setattr(AlgebraSpec, "sign_of",
+                        lambda self, nums, den: probes.append(nums[0]) or sign_of(self, nums, den))
+    u = _VALUE_SPEC.basis_element("u")
+    assert (u + 10**12).floor() == 10**12  # 1e12 + 0.707...
+    assert probes == [0, -1]  # the numerators of value - g and value - (g + 1)
+
+
+def test_value_floor_just_below_and_just_above_an_integer():
+    # 1e-8 off 10^12 is decided: the band is 1e-9 of the terms of value - m
+    u = _VALUE_SPEC.basis_element("u")
+    tiny = u * Fraction(1, 70710678)  # about 1e-8
+    assert (10**12 - tiny).floor() == 10**12 - 1
+    assert (10**12 + tiny).floor() == 10**12
+    assert (5 - tiny).floor() == 4 and (-5 + tiny).floor() == -5
+
+
+def test_value_floor_refuses_inside_the_band():
+    u = _VALUE_SPEC.basis_element("u")
+    with pytest.raises(SignUndecidableError, match="guard band"):
+        (10**12 + u * Fraction(1, 7071067811)).floor()  # about 1e-10 above 10^12
+
+
+def test_value_floor_takes_the_integer_part_exactly():
+    # past 2^53 the float of 2^55 + 10 + u (u = 0.707...) is 2^55 + 8, so a
+    # bracket [g - 1, g + 1] around that float's floor would answer 2^55 + 9;
+    # the exact quotient q keeps g at the floor, as the doubling search finds it
+    u = _VALUE_SPEC.basis_element("u")
+    assert math.floor(float(2**55 + 10 + u)) == 2**55 + 8
+    for k in (2**55 + 10, 2**54 + 3, -(2**60) - 7):
+        for x, want in ((k + u, k), (k - u, k - 1), (k + u / 3, k)):
+            assert x.floor() == _doubling_floor(_VALUE_SPEC, x.nums, x.den) == want
+
+
 def test_parse_roundtrip(sqrt23):
     v = sqrt23.parse("3/2 + 1*w1 - 2*w2")
     assert sqrt23.parse(str(v)) == v

@@ -18,7 +18,7 @@ import quasilab
 from quasilab import cli, riesz
 from quasilab.algebra import parse_algebra
 from quasilab.dynamics import brs_empirical, discrepancy_trace
-from quasilab.modelset import PointSet, special_quasicrystal
+from quasilab.modelset import PointSet, periodic_dual, special_quasicrystal
 from quasilab.regions import (
     box_region, brs_parallelepiped, parse_region_literal, region_to_text,
 )
@@ -472,6 +472,46 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.run(["no-such-command"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["dual", "--alpha", "w1", "--beta", "1", "--region", "[0,1)", "--n-range=a:b"], 2,
+     "invalid literal for int()"),  # a ValueError
+    (["gram", "--points", "missing.csv", "--region", "[0,1)"], 66, "missing.csv"),  # an OSError
+    (["brs-make", "--alpha", "w1", "--gamma", "w1 - 1", "--K", "[1/10,2/5]"], 2,
+     "--between mode needs --K, --U and --epsilon"),
+    (["report"], 2, "report needs --config or --plot"),
+    (["report", "--plot", "discrepancy"], 2, "--plot needs --from REPORT.json"),
+    (["report", "--plot", "histogram", "--from", "rep.json"], 2, "unknown plot kind 'histogram'"),
+], ids=["value_error", "os_error", "between_k_alone", "report_bare", "plot_no_from",
+        "plot_kind"])
+def test_main_maps_refusals_to_exit_codes(tmp_path, monkeypatch, capsys, argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rep.json").write_text("{}")
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_gram_save_matrix_reads_back_as_the_gram_matrix(tmp_path):
+    assert run_cli("gen", "--alpha", "w1", "--beta", "1", "--window", "(-1,0]",
+                   "--range", "6", "--out", str(tmp_path)) == 0
+    assert run_cli("gram", "--points", str(tmp_path / "points.csv"), "--region", "[0,1)",
+                   "--save-matrix", "g.txt", "--out", str(tmp_path)) == 0
+    spec = parse_algebra("sqrt:2")
+    want = riesz.gram_matrix(PointSet.from_csv((tmp_path / "points.csv").read_text()),
+                             parse_region_literal(spec, "[0,1)"))
+    got = np.loadtxt(tmp_path / "g.txt").view(complex)
+    assert want.shape == (13, 13) and np.array_equal(got, want)
+
+
+def test_periodic_dual_region_matches_the_library(tmp_path):
+    assert run_cli("periodic", "--alpha", "w1", "--dual-region", "[0,1/2)",
+                   "--m-range=-40:40", "--out", str(tmp_path)) == 0
+    spec = parse_algebra("sqrt:2")
+    want = periodic_dual([spec.basis_element("w1")], parse_region_literal(spec, "[0,1/2)"),
+                         (-40, 40))
+    assert (tmp_path / "periodic_dual.csv").read_text() == want.to_csv() and len(want) > 10
 
 
 def test_repeated_main_calls_write_what_lone_calls_write(tmp_path, monkeypatch, capsys):

@@ -276,6 +276,16 @@ def test_density_integers(rng):
     assert separation(z) == 1.0
 
 
+def test_density_integer_grid_two_dim():
+    # Z^2 on [-20, 20]^2: every half-open window of integer side 2r holds (2r)^2 points
+    ij = np.indices((41, 41)).reshape(2, -1).T - 20
+    z2 = PointSet(2, ij.astype(float), ij)
+    assert density_estimate(z2, [1.5, 2.0, 5.0]) == [(1.5, 1.0, 1.0), (2.0, 1.0, 1.0),
+                                                     (5.0, 1.0, 1.0)]
+    with pytest.raises(PreconditionError, match="radius 20.0 too large"):
+        density_estimate(z2, [20.0])
+
+
 @pytest.mark.parametrize("radii", [[-5.0, 10.0], [0.0, 10.0], [math.nan], [10.0, 5.0]])
 def test_density_refuses_radii_that_are_not_positive_and_increasing(radii):
     # -5 gave lower 1.1 > upper -0.0, and 0 gave NaN

@@ -159,6 +159,29 @@ def test_brs_parallelepiped_two_dim(sqrt23):
         brs_parallelepiped([w1, w2], [(1, (0, 0)), (2, (0, 0))])
 
 
+@pytest.mark.parametrize("build", [
+    lambda w1: brs_parallelepiped([w1], [(1, (0, 5))]),
+    lambda w1: brs_parallelepiped([w1], [(1, ())]),
+    lambda w1: Piece((0,), ((w1,),), ((1, (0,)), (2, (1,)))),
+], ids=["two_m", "no_m", "two_witnesses"])
+def test_every_construction_refuses_a_wrong_witness_shape(sqrt2, build):
+    # the region reader's rule, kept by Piece: the first built a region whose
+    # text the reader refused, the second raised IndexError, and the third
+    # wrote back "witness = 1: 0 / 2: 1"
+    with pytest.raises(PreconditionError,
+                       match=r"^a 1-D piece takes 1 witnesses 'n: m', each with 1 m$"):
+        build(sqrt2.basis_element("w1"))
+
+
+def test_realize_measure_of_a_rational_gamma_writes_alphas_algebra(sqrt2):
+    # the edge is built from alpha and the witness, so the text declares
+    # alpha's algebra even for a gamma declared as a plain rational
+    r = realize_measure([sqrt2.basis_element("w1")], RATIONAL.from_rational(2))
+    text = region_to_text(r)
+    assert text == "basis w1 = sqrt 2\ndim = 1\npiece offset = 0 | edges = 2 | witness = 0: 2\n"
+    assert region_to_text(region_from_text(text)) == text
+
+
 def test_realize_measure_interval(sqrt2):
     r = realize_measure([sqrt2.basis_element("w1")], sqrt2.parse("2 - 1*w1"))
     lo, hi, lc = r.intervals()[0]
@@ -322,6 +345,23 @@ def test_certificate_mismatch_detected(sqrt2):
     cert = make_certificate([w1], source, target, [[sqrt2.zero()]])
     verdict = verify_equidecomposition(cert)
     assert not verdict.ok and "offset" in verdict.reason
+
+
+def test_certificate_refuses_unequal_counts_edges_and_a_wrong_witness(sqrt2):
+    w1, zero, one = sqrt2.basis_element("w1"), sqrt2.zero(), sqrt2.one()
+    s = interval(zero, w1 - 1)
+    two = union(s, interval(one, sqrt2.parse("3 - 1*w1")))
+    verdict = verify_equidecomposition(make_certificate([w1], two, s, [[zero], [zero]]))
+    assert verdict.reason == "piece/shift counts differ: 2 vs 1 vs 2 shifts"
+    half = interval(zero, sqrt2.parse("1/2"))
+    verdict = verify_equidecomposition(make_certificate([w1], s, half, [[zero]]))
+    assert verdict.reason == "piece 0: edge matrices differ"
+    # a certificate built by hand whose witness 0*alpha + 2 is not the shift 1
+    cert = regions.EquidecompCertificate((w1,), s, s.translate([1]), ((one,),), ((0, (2,)),))
+    verdict = verify_equidecomposition(cert)
+    assert verdict.reason == "piece 0: stored witness does not reproduce the shift"
+    assert verify_equidecomposition(
+        regions.EquidecompCertificate((w1,), s, s.translate([1]), ((one,),), ((0, (1,)),))).ok
 
 
 def test_construct_brs_between_interval(sqrt2):
