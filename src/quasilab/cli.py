@@ -52,6 +52,13 @@ def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+def _wrote(obj, path: Path, note: str = "") -> int:
+    """Write obj as JSON to path and say so, with note in parentheses."""
+    _json_dump(obj, path)
+    print(f"wrote {path} ({note})" if note else f"wrote {path}")
+    return EXIT_OK
+
+
 def _get(c, key: str, default):
     """c[key], or default when the key is absent or None (an unset flag)."""
     value = c.get(key)
@@ -67,6 +74,20 @@ def _load_region(spec: AlgebraSpec, text: str, allow_closed: bool = False):
     if text.startswith("@"):
         return regions.region_from_text(Path(text[1:]).read_text())
     return regions.parse_region_literal(spec, text, allow_closed=allow_closed)
+
+
+def _inputs(c, *keys) -> list:
+    """c's algebra, then each key's value read in it: alpha, beta and x0 as exact
+    vectors (an unset x0 as None), any other key as a region literal or @file."""
+    spec = _spec(c)
+    out: list = [spec]
+    for key in keys:
+        if key in ("alpha", "beta", "x0"):
+            text = c.get(key) if key == "x0" else c[key]
+            out.append(None if text is None else spec.parse_vector(text))
+        else:
+            out.append(_load_region(spec, c[key]))
+    return out
 
 
 def _load_points(path: str) -> modelset.PointSet:
@@ -133,10 +154,7 @@ def _out_dir(args, c=None) -> Path:
 
 
 def _gen(c, outdir: Path, box=None) -> tuple[modelset.PointSet, dict]:
-    spec = _spec(c)
-    alpha = spec.parse_vector(c["alpha"])
-    beta = spec.parse_vector(c["beta"])
-    window = _load_region(spec, c["window"])
+    _, alpha, beta, window = _inputs(c, "alpha", "beta", "window")
     if box is None:
         r = int(_get(c, "range", 100))
         box = [(-r, r)] * len(alpha)
@@ -147,13 +165,10 @@ def _gen(c, outdir: Path, box=None) -> tuple[modelset.PointSet, dict]:
 
 
 def _disc(c, outdir: Path, n_lo=None, two_sided: bool = False) -> dict:
-    spec = _spec(c)
-    region = _load_region(spec, c["set"])
-    alpha = spec.parse_vector(c["alpha"])
+    _, region, alpha, x0 = _inputs(c, "set", "alpha", "x0")
     n = int(c["n"])
     if n_lo is None:
         n_lo = -n if two_sided else 0
-    x0 = None if c.get("x0") is None else spec.parse_vector(c["x0"])
     trace = dynamics.discrepancy_trace(region, alpha, x0, (n_lo, n), two_sided=two_sided)
     _write_csv(path := outdir / "trace.csv", "n,D_n", [trace.ns, trace.values])
     return {
@@ -170,9 +185,7 @@ def _disc(c, outdir: Path, n_lo=None, two_sided: bool = False) -> dict:
 
 
 def _brs(c) -> dict:
-    spec = _spec(c)
-    region = _load_region(spec, c["set"])
-    alpha = spec.parse_vector(c["alpha"])
+    _, region, alpha = _inputs(c, "set", "alpha")
     stat = dynamics.brs_empirical(region, alpha, int(c["N"]), int(c["J"]))
     return {
         "max_abs": stat.value,
@@ -186,11 +199,7 @@ def _brs(c) -> dict:
 
 
 def _duality(c, outdir: Path) -> dict:
-    spec = _spec(c)
-    alpha = spec.parse_vector(c["alpha"])
-    beta = spec.parse_vector(c["beta"])
-    window = _load_region(spec, c["window"])
-    region = _load_region(spec, c["region"])
+    spec, alpha, beta, window, region = _inputs(c, "alpha", "beta", "window", "region")
     radii = _parse_radii(c.get("radii", "10,20"))
     translate = None
     if "seed" in c:
@@ -220,10 +229,7 @@ def _cmd_gen(args) -> int:
 
 
 def _dual_points(c) -> tuple[AlgebraSpec, regions.RegionSet, modelset.PointSet]:
-    spec = _spec(c)
-    alpha = spec.parse_vector(c["alpha"])
-    beta = spec.parse_vector(c["beta"])
-    region = _load_region(spec, c["region"])
+    spec, alpha, beta, region = _inputs(c, "alpha", "beta", "region")
     pts = modelset.dual_model_points(alpha, beta, region, _parse_range(c["n_range"]))
     return spec, region, pts
 
@@ -234,8 +240,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_periodic(args) -> int:
-    spec = _spec(vars(args))
-    alpha = spec.parse_vector(args.alpha)
+    spec, alpha = _inputs(vars(args), "alpha")
     outdir = _out_dir(args)
     if args.dual_region:
         region = _load_region(spec, args.dual_region)
@@ -259,15 +264,11 @@ def _cmd_disc(args) -> int:
 
 def _cmd_brs_test(args) -> int:
     summary = _brs(vars(args))
-    out = _out_dir(args) / "brs_test.json"
-    _json_dump(summary, out)
-    print(f"wrote {out} (statistic = {summary['max_abs']})")
-    return EXIT_OK
+    return _wrote(summary, _out_dir(args) / "brs_test.json", f"statistic = {summary['max_abs']}")
 
 
 def _cmd_brs_make(args) -> int:
-    spec = _spec(vars(args))
-    alpha = spec.parse_vector(args.alpha)
+    spec, alpha = _inputs(vars(args), "alpha")
     gamma = spec.parse(args.gamma)
     outdir = _out_dir(args)
     if args.K or args.U:
@@ -305,37 +306,29 @@ def _cmd_avdonin(args) -> int:
     verdict = riesz.avdonin_check(
         ds, length, args.n_max, (-args.k_bound, args.k_bound)
     )
-    out = _out_dir(args) / "avdonin.json"
-    _json_dump(
+    return _wrote(
         {**verdict.as_dict(), "region": region.describe(), "interval_length": float(length)},
-        out,
+        _out_dir(args) / "avdonin.json", f"satisfied_at = {verdict.satisfied_at}",
     )
-    print(f"wrote {out} (satisfied_at = {verdict.satisfied_at})")
-    return EXIT_OK
 
 
 def _cmd_gram(args) -> int:
-    spec = _spec(vars(args))
-    region = _load_region(spec, args.region)
+    region = _inputs(vars(args), "region")[1]
     pts = _load_points(args.points)
     g = riesz.gram_matrix(pts, region)
     lo, hi = riesz.extreme_eigs(g)
     outdir = _out_dir(args)
     if args.save_matrix:
         np.savetxt(outdir / args.save_matrix, g.view(float))
-    out = outdir / "gram.json"
-    _json_dump(
+    return _wrote(
         {"size": int(g.shape[0]), "lambda_min": lo, "lambda_max": hi,
          "region": region.describe()},
-        out,
+        outdir / "gram.json", f"lambda_min = {lo}",
     )
-    print(f"wrote {out} (lambda_min = {lo})")
-    return EXIT_OK
 
 
 def _cmd_bounds(args) -> int:
-    spec = _spec(vars(args))
-    region = _load_region(spec, args.region)
+    region = _inputs(vars(args), "region")[1]
     pts = _load_points(args.points)
     trace = riesz.riesz_bound_trace(pts, _parse_radii(args.radii), region)
     out = _out_dir(args) / "bounds.csv"
@@ -366,10 +359,7 @@ def _cmd_duality(args) -> int:
     result = _duality(section, outdir)
     result["config_echo"] = section
     result["version"] = REPORT_VERSION
-    out = outdir / "duality_report.json"
-    _json_dump(result, out)
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _wrote(result, outdir / "duality_report.json")
 
 
 def _cmd_report(args) -> int:
@@ -401,10 +391,7 @@ def _cmd_report(args) -> int:
         stages["brs"] = {k: s[k] for k in ("max_abs", "argmax_n", "argmax_j", "N", "J")}
     if "duality" in cfg:
         stages["duality"] = _duality(cfg["duality"], outdir)
-    out = outdir / "experiment_report.json"
-    _json_dump(report, out)
-    print(f"wrote {out}")
-    return EXIT_OK
+    return _wrote(report, outdir / "experiment_report.json")
 
 
 def emit_plotdata(report: dict, kind: str, outdir: Path) -> list[Path]:
@@ -448,57 +435,49 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="quasilab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, func):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--algebra", default=None,
                        help="algebra literal 'sqrt:2,3' or @file (default sqrt:2)")
         p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen", help="generate quasicrystal points")
-    common(p)
+    p = command("gen", "generate quasicrystal points", _cmd_gen)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--window", required=True, help="semi-closed interval literal")
     p.add_argument("--range", type=int, default=None, help="m box half-width")
     p.add_argument("--box", default=None, help="explicit box 'lo:hi;lo:hi'")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("dual", help="generate the dual 1-D model set")
-    common(p)
+    p = command("dual", "generate the dual 1-D model set", _cmd_dual)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--region", required=True, help="region literal or @file")
     p.add_argument("--n-range", required=True, help="'lo:hi'")
-    p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("periodic", help="periodic quasicrystal or its dual")
-    common(p)
+    p = command("periodic", "periodic quasicrystal or its dual", _cmd_periodic)
     p.add_argument("--alpha", required=True)
     p.add_argument("--window", default=None)
     p.add_argument("--range", type=int, default=1000)
     p.add_argument("--dual-region", default=None)
     p.add_argument("--m-range", default="-1000:1000")
-    p.set_defaults(func=_cmd_periodic)
 
-    p = sub.add_parser("disc", help="discrepancy trace")
-    common(p)
+    p = command("disc", "discrepancy trace", _cmd_disc)
     p.add_argument("--set", required=True, help="region literal or @file")
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-lo", type=int, default=None)
     p.add_argument("--x0", default=None, help="exact vector literal (default: zero)")
     p.add_argument("--two-sided", action="store_true")
-    p.set_defaults(func=_cmd_disc)
 
-    p = sub.add_parser("brs-test", help="double-indexed discrepancy statistic")
-    common(p)
+    p = command("brs-test", "double-indexed discrepancy statistic", _cmd_brs_test)
     p.add_argument("--set", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--J", type=int, required=True)
-    p.set_defaults(func=_cmd_brs_test)
 
-    p = sub.add_parser("brs-make", help="realize a measure / fit S between K and U")
-    common(p)
+    p = command("brs-make", "realize a measure / fit S between K and U", _cmd_brs_make)
     p.add_argument("--alpha", required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--search-bound", type=int, default=2)
@@ -507,18 +486,14 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--tile-bound", type=int, default=1000)
     p.add_argument("--fit-bound", type=int, default=2)
-    p.set_defaults(func=_cmd_brs_make)
 
-    p = sub.add_parser("enum", help="block enumeration of the dual model set")
-    common(p)
+    p = command("enum", "block enumeration of the dual model set", _cmd_enum)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--region", required=True)
     p.add_argument("--n-range", required=True)
-    p.set_defaults(func=_cmd_enum)
 
-    p = sub.add_parser("avdonin", help="averaged-perturbation interval check")
-    common(p)
+    p = command("avdonin", "averaged-perturbation interval check", _cmd_avdonin)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--region", required=True)
@@ -526,33 +501,24 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=128)
     p.add_argument("--k-bound", type=int, default=10000)
     p.add_argument("--n-range", required=True)
-    p.set_defaults(func=_cmd_avdonin)
 
-    p = sub.add_parser("gram", help="Gram matrix extreme eigenvalues")
-    common(p)
+    p = command("gram", "Gram matrix extreme eigenvalues", _cmd_gram)
     p.add_argument("--points", required=True, help="pointset CSV")
     p.add_argument("--region", required=True)
     p.add_argument("--save-matrix", default=None)
-    p.set_defaults(func=_cmd_gram)
 
-    p = sub.add_parser("bounds", help="eigenvalue trace over radii")
-    common(p)
+    p = command("bounds", "eigenvalue trace over radii", _cmd_bounds)
     p.add_argument("--points", required=True)
     p.add_argument("--region", required=True)
     p.add_argument("--radii", required=True)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("duality", help="paired primal/dual experiment")
-    common(p)
+    p = command("duality", "paired primal/dual experiment", _cmd_duality)
     p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_duality)
 
-    p = sub.add_parser("report", help="full experiment report / plot data")
-    common(p)
+    p = command("report", "full experiment report / plot data", _cmd_report)
     p.add_argument("--config", default=None)
     p.add_argument("--plot", default=None, help="series kind: discrepancy|bounds")
     p.add_argument("--from", dest="source", default=None)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
