@@ -13,11 +13,11 @@ denominators, and a product sums integer terms with one gcd at the end.
 The declared rational independence of the basis values is an axiom, not
 something the code proves: the constructor checks that the numeric
 embedding is consistent with the product table to within ``EMBED_TOL``
-relative to the magnitudes of the two sides, and refuses two sqrt elements
-with the same squarefree root (``sqrt 2`` and ``sqrt 8``), which would make
-a value such as ``2*w1 - w2`` unequal to 0 by its coefficients while its
-exact sign is 0.  A sqrt radicand's
-numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
+relative to the magnitudes of the two sides, that the unit embeds as 1.0,
+that a product of two sqrt elements is exact where its root is declared, and
+that no two sqrt elements share a squarefree root (``sqrt 2`` and ``sqrt 8``
+would make ``2*w1 - w2`` nonzero by its coefficients but of exact sign 0).  A
+sqrt radicand's numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
 
 Exact decisions (:meth:`AlgebraSpec.sign_of`, :meth:`AlgebraSpec.floor_of`)
 take a value's integer form as it is stored; batches of values share one
@@ -211,7 +211,7 @@ class AlgebraSpec:
                     )
                 numerics.append(math.sqrt(r))
         self.numerics = tuple(float(x) for x in numerics)
-        if abs(self.numerics[0] - 1.0) > EMBED_TOL:
+        if self.numerics[0] != 1.0:
             raise PreconditionError("unit element must embed as 1.0")
 
         self._products: dict[tuple[int, int], tuple[Fraction, ...]] = {}
@@ -245,6 +245,16 @@ class AlgebraSpec:
         self._qden = math.lcm(*(s[1] for s in surds if s is not None))
         self._roots = tuple(None if s is None else (s[2], s[0] * (self._qden // s[1]))
                             for s in surds)
+        # a declared product of two sqrt elements whose root is w0's or an element's is decided
+        for (i, j), coeffs in self._products.items():
+            if self._roots[i] and self._roots[j]:
+                (ri, mi), (rj, mj) = self._roots[i], self._roots[j]
+                g, r = _squarefree_product(ri, rj)  # w_i * w_j = mi * mj * g * sqrt(r) / _qden^2
+                l = 0 if r == 1 else roots.get(r)
+                if l is not None and (any(coeffs[:l] + coeffs[l + 1:])
+                                      or coeffs[l] * self._qden * self._roots[l][1] != mi * mj * g):
+                    raise PreconditionError(f"product {self.names[i]}*{self.names[j]} is not the "
+                                            "exact product of its sqrt elements")
         # _table[i][j]: ((l, c), ...) with w_i * w_j = sum(c * w_l) / _T, T the lcm of the
         # product coefficients' denominators, never empty; None for an undeclared product
         self._T = T = math.lcm(*(c.denominator for cs in self._products.values() for c in cs))

@@ -10,7 +10,7 @@ have one stage function.  A stage reads its inputs from a mapping, which is
 either ``vars(args)`` or a config section (the section keys are the flag
 names), runs the library call, writes the operation's data artifact and
 returns its summary.  Missing keys and unset flags take the same defaults,
-and a required key missing from a config section is a ``ConfigError``.
+and a missing required key or a section no command reads is a ``ConfigError``.
 
 Exit codes: 0 success, 2 precondition violation, 3 search exhaustion,
 64 usage error, 66 unreadable or incomplete config.
@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 precondition violation, 3 search exhaustion,
 from __future__ import annotations
 
 import argparse
+import difflib
 import functools
 import json
 import sys
@@ -107,6 +108,9 @@ class ConfigError(QuasilabError):
     pass
 
 
+_SECTIONS = ("default", "experiment", "gen", "disc", "brs", "duality")  # what commands read
+
+
 class _Section(dict):
     """One config section; a missing required key is a ConfigError."""
 
@@ -132,6 +136,10 @@ def read_config(path: str) -> dict[str, _Section]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
+            if section not in _SECTIONS:
+                near = difflib.get_close_matches(section, _SECTIONS, 1)
+                hint = f"; did you mean [{near[0]}]?" if near else ""
+                raise ConfigError(f"{path}:{lineno}: no command reads section [{section}]{hint}")
             out.setdefault(section, _Section(section))
             continue
         if "=" not in line:
@@ -356,9 +364,7 @@ def _cmd_duality(args) -> int:
     cfg = read_config(args.config)
     section = cfg.get("duality", cfg.get("default", _Section("duality")))
     outdir = _out_dir(args, section)
-    result = _duality(section, outdir)
-    result["config_echo"] = section
-    result["version"] = REPORT_VERSION
+    result = {**_duality(section, outdir), "config_echo": section, "version": REPORT_VERSION}
     return _wrote(result, outdir / "duality_report.json")
 
 

@@ -2,6 +2,7 @@ import functools
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -96,6 +97,43 @@ def test_embedding_tolerance_scales_with_magnitude(rad):
 def test_embedding_still_refuses_wrong_tables(text):
     with pytest.raises(PreconditionError, match="inconsistent with the numeric embedding"):
         AlgebraSpec.from_text(text)
+
+
+@pytest.mark.parametrize("text, product", [
+    # within EMBED_TOL of the floats, so only an exact check sees them;
+    # each once loaded and gave (w1*w2 - w3).sign() == 1 for a value that is 0
+    ("basis w1 = sqrt 2\nbasis w2 = sqrt 3\nbasis w3 = sqrt 6\n"
+     "product w1 w2 = w3 + 1/1000000000000", "w1*w2"),
+    ("basis w1 = sqrt 100000007\nproduct w1 w1 = 100000007 + 1/10000000000", "w1*w1"),
+    ("basis w1 = sqrt 1/3\nbasis w2 = sqrt 2\nbasis w3 = sqrt 6\nproduct w1 w2 = 1/3*w3\n"
+     "product w1 w3 = w2\nproduct w2 w3 = 6*w1 + 1/100000000000000", "w2*w3"),
+])
+def test_declared_sqrt_products_must_be_exact(text, product):
+    with pytest.raises(PreconditionError,
+                       match=rf"product {re.escape(product)} is not the exact product"):
+        AlgebraSpec.from_text(text)
+
+
+@pytest.mark.parametrize("text, left, right, product", [
+    ("sqrt:2,3,5", "w1", "w2", "w4"),
+    ("basis w1 = sqrt 2\nbasis w2 = sqrt 3\nbasis w3 = sqrt 6\nproduct w1 w2 = w3\n"
+     "product w1 w3 = 2*w2\nproduct w2 w3 = 3*w1", "w1", "w3", "2*w2"),
+    ("basis w1 = sqrt 2\nbasis w2 = sqrt 3\nbasis w3 = sqrt 24\nproduct w1 w2 = 1/2*w3",
+     "w1", "w2", "1/2*w3"),
+    ("basis w1 = sqrt 1/3\nbasis w2 = sqrt 2\nbasis w3 = sqrt 6\nproduct w1 w2 = 1/3*w3\n"
+     "product w1 w3 = w2\nproduct w2 w3 = 6*w1", "w2", "w3", "6*w1"),
+])
+def test_exact_sqrt_products_still_load(text, left, right, product):
+    spec = parse_algebra(text)
+    value = spec.basis_element(left) * spec.basis_element(right) - spec.parse(product)
+    assert value.sign() == 0
+
+
+def test_unit_embeds_as_exactly_one():
+    # a unit at 1 + 1e-10 once loaded: 10^12 then had float 1000000000100.0, floor 10^12
+    with pytest.raises(PreconditionError, match="unit element must embed as 1.0"):
+        AlgebraSpec(["1", "u"], [1, None], [1 + 1e-10, 0.5])
+    assert float(AlgebraSpec(["1", "u"], [1, None], [1.0, 0.5]).from_rational(10**12)) == 10**12
 
 
 def test_mismatched_specs_rejected(sqrt2, sqrt23):

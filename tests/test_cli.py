@@ -667,9 +667,15 @@ def test_two_dim_region_names(tmp_path):
     ("report", "[brs]\nset = [0,1/2)\nalpha = w1\nN = 20\n", 66, "brs", "J"),
     ("duality", _DUALITY_CFG.replace("beta = 1\n", ""), 66, "duality", "beta"),
     ("report", "[gen]\nalpha = w1\nbeta = 1\n", 66, "gen", "window"),
+    ("report", "[disc]\nalpha = w1\nn = 10\n", 66, "disc", "set"),
+    ("report", "[brs]\nset = [0,1/2)\nN = 20\nJ = 2\n", 66, "brs", "alpha"),
+    ("duality", _DUALITY_CFG.replace("region = [0,-1+1*w1) U [1,3-1*w1)\n", ""), 66,
+     "duality", "region"),
+    ("report", "[gen]\nbeta = 1\nwindow = (-1,0]\n", 66, "gen", "alpha"),
     # range is optional, with the default of gen --range
     ("report", "[gen]\nalpha = w1\nbeta = 1\nwindow = (-1,0]\n", 0, "gen", None),
-], ids=["disc_n", "brs_J", "duality_beta", "gen_window", "gen_range"])
+], ids=["disc_n", "brs_J", "duality_beta", "gen_window", "disc_set", "brs_alpha",
+        "duality_region", "gen_alpha", "gen_range"])
 def test_missing_config_key(tmp_path, capsys, command, text, rc, section, key):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"[experiment]\noutdir = {tmp_path}\n" + text)
@@ -679,6 +685,27 @@ def test_missing_config_key(tmp_path, capsys, command, text, rc, section, key):
     else:
         rep = load_json(tmp_path / "experiment_report.json")
         assert rep["stages"]["gen"]["count"] == 201
+
+
+@pytest.mark.parametrize("command, typo, near", [
+    ("report", "disk", "disc"),
+    ("duality", "dualty", "duality"),
+    ("report", "plots", None),
+])
+def test_config_refuses_a_section_no_command_reads(tmp_path, capsys, command, typo, near):
+    # such a section once ran nothing and was echoed in config_echo as if read
+    out = tmp_path / "out"
+    text = (_report_cfg(tmp_path)[0].read_text() if command == "report"
+            else _DUALITY_CFG + f"outdir = {out}\n")
+    text = text.replace(f"[{near}]", f"[{typo}]") if near else text + f"[{typo}]\nkind = x\n"
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 66
+    lineno = text.splitlines().index(f"[{typo}]") + 1
+    err = capsys.readouterr().err
+    assert f"{cfg}:{lineno}: no command reads section [{typo}]" in err
+    assert ("did you mean" not in err) if near is None else f"did you mean [{near}]?" in err
+    assert not out.exists() and not (tmp_path / "rep").exists()
 
 
 def test_config_reads_files_like_flags(tmp_path):
@@ -701,6 +728,54 @@ def test_config_reads_files_like_flags(tmp_path):
     assert reports[0] == reports[1]
     for name in ("primal_bounds.csv", "dual_bounds.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_printed_lines_pinned(tmp_path, capsys):
+    # each subcommand's stdout, with the output directory replaced by OUT; the
+    # eigenvalue is the one BLAS thread's that tests/conftest.py sets
+    cfg, _ = _report_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(str(tmp_path / "rep"), str(tmp_path)))
+    (tmp_path / "dual.cfg").write_text(_DUALITY_CFG + f"outdir = {tmp_path}\n")
+    runs = [
+        (["gen", "--alpha", "w1", "--beta", "1", "--window", "(-1,0]", "--range", "100"],
+         "wrote OUT/points.csv (201 points)"),
+        (["dual", "--alpha", "w1", "--beta", "1", "--region", "[0,1)", "--n-range=-500:500"],
+         "wrote OUT/dual_points.csv (1001 points)"),
+        (["periodic", "--alpha", "w1", "--window", "[0,1/2)"],
+         "wrote OUT/periodic_points.csv (1001 points)"),
+        (["periodic", "--alpha", "w1", "--dual-region", "[0,1/2)", "--m-range=-300:300"],
+         "wrote OUT/periodic_dual.csv (301 points)"),
+        (["disc", "--set", "[0,1/2)", "--alpha", "w1", "--n", "3000"],
+         "wrote OUT/trace.csv (max |D_n| = 3.0)"),
+        (["brs-test", "--set", "[0,-1+1*w1)", "--alpha", "w1", "--N", "2000", "--J", "200"],
+         "wrote OUT/brs_test.json (statistic = 0.9994923857214957)"),
+        (["brs-make", "--alpha", "w1,w2", "--algebra", "sqrt:2,3", "--gamma", "w1"],
+         "wrote OUT/brs_region.txt (volume = 1*w1, 1 pieces)"),
+        (["brs-make", "--alpha", "w1", "--gamma", "w1 - 1", "--K", "[1/10,2/5]", "--U", "(0,1)",
+          "--epsilon", "0.05"],
+         "wrote OUT/brs_region.txt (volume = -1 + 1*w1, 15 pieces)"),
+        (["enum", "--alpha", "w1", "--beta", "1", "--region", "[0,1)", "--n-range=-500:500"],
+         "wrote OUT/enum.csv (1001 points, blocks -500..500)"),
+        (["avdonin", "--alpha", "w1", "--beta", "1", "--region", "[0,1)",
+          "--n-range=-1200:1200", "--k-bound", "1000"],
+         "wrote OUT/avdonin.json (satisfied_at = 3)"),
+        (["gram", "--points", str(tmp_path / "points.csv"), "--region", "[0,1)"],
+         "wrote OUT/gram.json (lambda_min = 0.12063671162501292)"),
+        (["bounds", "--points", str(tmp_path / "points.csv"), "--region", "[0,1)",
+          "--radii", "10,20"],
+         "wrote OUT/bounds.csv"),
+        (["duality", "--config", str(tmp_path / "dual.cfg")],
+         "wrote OUT/duality_report.json"),
+        (["report", "--config", str(cfg)],
+         "wrote OUT/points.csv (81 points)\nwrote OUT/experiment_report.json"),
+        (["report", "--plot", "discrepancy", "--from", str(tmp_path / "experiment_report.json")],
+         "wrote OUT/Dn.dat\nwrote OUT/Dn.dat.meta"),
+        (["report", "--plot", "bounds", "--from", str(tmp_path / "duality_report.json")],
+         "wrote OUT/lmin.dat\nwrote OUT/lmin.dat.meta"),
+    ]
+    for argv, printed in runs:
+        assert run_cli(*argv, "--out", str(tmp_path)) == 0, argv
+        assert capsys.readouterr().out.replace(str(tmp_path), "OUT") == printed + "\n"
 
 
 def test_json_outputs_are_deterministic(tmp_path):
