@@ -15,8 +15,9 @@ something the code proves: the constructor checks that the numeric
 embedding is consistent with the product table to within ``EMBED_TOL``
 relative to the magnitudes of the two sides, that the unit embeds as 1.0,
 that a product of two sqrt elements is exact where its root is declared, and
-that no two sqrt elements share a squarefree root (``sqrt 2`` and ``sqrt 8``
-would make ``2*w1 - w2`` nonzero by its coefficients but of exact sign 0).  A
+that no two elements share a squarefree root (``sqrt 2`` and ``sqrt 8``
+would make ``2*w1 - w2`` nonzero by its coefficients but of exact sign 0; the
+unit's root is 1, so ``sqrt 4``, ``sqrt 9/4`` and ``sqrt 0`` are refused).  A
 sqrt radicand's numerator times denominator is at most ``RADICAND_MAX`` = 10^15.
 
 Exact decisions (:meth:`AlgebraSpec.sign_of`, :meth:`AlgebraSpec.floor_of`)
@@ -172,7 +173,7 @@ class AlgebraSpec:
     radicands:
         Per basis element, the rational ``r`` such that the element embeds
         as ``sqrt(r)``, or ``None`` for an element declared only numerically.
-        No two non-unit elements may share a squarefree root, and the
+        No two elements, the unit included, may share a squarefree root, and the
         numerator times denominator of each ``r`` is at most RADICAND_MAX.
     numerics:
         Float embedding per element; derived from radicands when omitted.
@@ -230,7 +231,7 @@ class AlgebraSpec:
                 self._products[(i, i)] = (r, *[Fraction(0)] * (k - 1))
         self._check_embedding()
         surds = [None if rad is None else _surd(rad) for rad in self.radicands]
-        roots: dict[int, int] = {}
+        roots = {1: 0}  # the unit's root: a sqrt of a rational square or of 0 is refused
         for i in range(1, k):
             if surds[i] is not None:
                 j = roots.setdefault(surds[i][2], i)
@@ -250,7 +251,7 @@ class AlgebraSpec:
             if self._roots[i] and self._roots[j]:
                 (ri, mi), (rj, mj) = self._roots[i], self._roots[j]
                 g, r = _squarefree_product(ri, rj)  # w_i * w_j = mi * mj * g * sqrt(r) / _qden^2
-                l = 0 if r == 1 else roots.get(r)
+                l = roots.get(r)
                 if l is not None and (any(coeffs[:l] + coeffs[l + 1:])
                                       or coeffs[l] * self._qden * self._roots[l][1] != mi * mj * g):
                     raise PreconditionError(f"product {self.names[i]}*{self.names[j]} is not the "

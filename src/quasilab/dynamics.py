@@ -84,6 +84,26 @@ def _count_orbit(region: RegionSet, alpha, x0, k_lo: int, out: np.ndarray) -> np
     return out
 
 
+def _running(region: RegionSet, alpha, x0, k0: int, step: int, skip: int,
+             out: np.ndarray, mes: float) -> None:
+    """out[i - skip - 1] = step*h - step*i*mes, h the hits over the first i points of
+    the orbit walked from k0 by step = +-1, counted one chunk at a time into one int64
+    buffer and carried from chunk to chunk; the first skip points are not written."""
+    total, h = skip + len(out), 0
+    buf = np.empty(min(_ORBIT_CHUNK, total), dtype=np.int64)
+    for s in range(0, total, _ORBIT_CHUNK):
+        m = min(_ORBIT_CHUNK, total - s)
+        k_lo = k0 + s if step > 0 else k0 - s - m + 1
+        hits = _count_orbit(region, alpha, x0, k_lo, buf[:m])[::step]  # in walking order
+        if step < 0:
+            np.negative(hits, out=hits)
+        np.cumsum(hits, out=hits)
+        hits += h
+        h, a = int(hits[-1]), min(max(skip - s, 0), m)  # a: the chunk's first written point
+        seg = out[s + a - skip:s + m - skip]
+        seg[:] = hits[a:] - np.arange(step * (s + a + 1), step * (s + m + 1), step) * mes
+
+
 @dataclass(eq=False)
 class DiscrepancyTrace:
     """Orbit discrepancy values D_n over a range of n (possibly two-sided)."""
@@ -132,16 +152,12 @@ def discrepancy_trace(
     if n_lo < 0 and not two_sided:
         raise PreconditionError("negative n requires two_sided=True")
     alpha, mes = _alpha_vector(region, alpha), float(region.volume())
-    # c[j] counts the hits over k_lo .. k_lo + j - 1, so c[n - k_lo] - c[-k_lo]
-    # is the count over 0..n-1 for n > 0 and minus the count over n..-1 for n < 0
-    k_lo, k_hi = min(n_lo, 0), max(n_hi, 0)
-    c = np.zeros(k_hi - k_lo + 1, dtype=np.int64)
-    np.cumsum(_count_orbit(region, alpha, x0, k_lo, c[1:]), out=c[1:])
-    counts = c[n_lo - k_lo:n_hi - k_lo + 1]
-    counts -= c[-k_lo]  # in place: c[-k_lo] is read out first
-    values = np.arange(n_lo, n_hi + 1, dtype=np.float64)  # n * mes as ns * mes, for |n| < 2^53
-    values *= mes
-    np.subtract(counts, values, out=values)
+    values = np.zeros(n_hi - n_lo + 1)  # D_0 = 0
+    if n_hi >= 1:  # k = 0, 1, ..., n - 1: the i-th point walked ends D_i
+        _running(region, alpha, x0, 0, 1, max(n_lo - 1, 0), values[max(1 - n_lo, 0):], mes)
+    if n_lo <= -1:  # k = -1, -2, ..., n: suffix sums end D_-i, written right to left
+        hi = min(n_hi, -1)
+        _running(region, alpha, x0, -1, -1, -hi - 1, values[hi - n_lo::-1], mes)
     return DiscrepancyTrace(
         ", ".join(map(str, alpha)), region.describe(), x0, int(n_lo), values, mes,
     )
@@ -204,7 +220,7 @@ def brs_empirical(region: RegionSet, alpha, N: int, J: int) -> BrsStatistic:
     # f[i] sums the orbit values k = -J + 1 .. -J + i minus i*mes, so the
     # prefix up to k = j is f-index j + J in [0, 2J]; up to j+n it is j + J + n.
     f = np.zeros(N + 2 * J + 1)
-    f[1:] = np.cumsum(orbit_hits(region, alpha, None, -J + 1, J + N)) - mes * np.arange(1, len(f))
+    _running(region, alpha, None, -J + 1, 1, 0, f[1:], mes)
     starts = f[:2 * J + 1]
     ends = f[1:]  # t = 1 .. 2J + N; entry t - 1 of top/bottom covers s in [t-N, t-1]
     top = _sliding_max(starts, N)

@@ -431,8 +431,8 @@ def test_floor_against_isqrt_oracle(sqrt2, a, b, q, near):
     assert x.sign() == want
 
 
-# sqrt(p/q) declared as text: squarefree, not squarefree, rational, a square
-_CLOSED_FORM_RADICANDS = {"2": (2, 1), "8": (8, 1), "1/2": (1, 2), "4": (4, 1)}
+# sqrt(p/q) declared as text: squarefree, not squarefree, rational
+_CLOSED_FORM_RADICANDS = {"2": (2, 1), "8": (8, 1), "1/2": (1, 2)}
 _CLOSED_FORM_SPECS = {
     rad: AlgebraSpec.from_text(f"basis w1 = sqrt {rad}") for rad in _CLOSED_FORM_RADICANDS
 }
@@ -484,19 +484,14 @@ def _oracle_floor(a, b, p, q, den):
     second=st.booleans(),
 )
 def test_closed_form_sign_floor_against_oracle(rad, a, b, den, cancel, second):
-    # cancel: a + b*sqrt(p/q) is a convergent's error (or exactly 0 for the
-    # square radicand), scaled by den >= 1e4 to |value| < 1e-20
+    # cancel: a + b*sqrt(p/q) is a convergent's error, scaled by den >= 1e4
+    # to |value| < 1e-20
     p, q = _CLOSED_FORM_RADICANDS[rad]
     if cancel:
-        root = math.isqrt(p * q)
-        if root * root == p * q:
-            t = b // (q * root)
-            a, b = -root * t, q * t
-        else:
-            conv = _sqrt_convergents(p * q, 10**17 // q)
-            big_p, big_q = conv[-2] if second else conv[-1]
-            flip = -1 if b < 0 else 1
-            a, b = -flip * big_p, flip * q * big_q
+        conv = _sqrt_convergents(p * q, 10**17 // q)
+        big_p, big_q = conv[-2] if second else conv[-1]
+        flip = -1 if b < 0 else 1
+        a, b = -flip * big_p, flip * q * big_q
         den += 10**4
     want, v = _oracle_sign(a, b, p, q)
     if cancel:
@@ -583,6 +578,12 @@ def test_spec_refuses_a_repeated_squarefree_root():
         AlgebraSpec(["1", "a", "b"], [1, 3, Fraction(1, 3)])
     with pytest.raises(PreconditionError, match="same squarefree root sqrt 1"):
         AlgebraSpec.from_text("basis w1 = sqrt 4\nbasis w2 = sqrt 9\n")
+    # a rational square or 0 alone shares the unit's root 1: w1 - 2 over sqrt 4
+    # would be neither < 0, > 0 nor == 0
+    for rad in ("4", "0", "9/4"):
+        with pytest.raises(PreconditionError,
+                           match=f"'basis 1 = sqrt 1' and 'basis w1 = sqrt {rad}'"):
+            AlgebraSpec.from_text(f"basis w1 = sqrt {rad}\n")
     spec = AlgebraSpec.from_text(
         "basis w1 = sqrt 2\nbasis w2 = sqrt 3\nbasis w3 = sqrt 24\n"
         "product w1 w2 = 1/2*w3\n")  # sqrt 24 = 2 sqrt 6: distinct roots

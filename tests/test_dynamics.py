@@ -352,11 +352,12 @@ def _traced(call):
 @pytest.mark.parametrize("n_range, two_sided", [((0, 1 << 20), False),
                                                 ((-(1 << 18), 1 << 18), True)])
 def test_trace_allocates_about_its_output(sqrt2, half, n_range, two_sided):
-    # the hits are counted into the prefix buffer and the values built in place:
-    # no orbit-length k or n column (4.1x the values with them)
+    # each D value is written straight into the values from one chunk-sized count
+    # buffer: no int64 count twin (2.0x the values with it), no orbit-length k or
+    # n column (4.1x with them)
     tr, peak = _traced(lambda: discrepancy_trace(half, sqrt2.basis_element("w1"), sqrt2.parse("1/3"),
                                                  n_range, two_sided=two_sided))
-    assert peak <= 2.25 * tr.values.nbytes
+    assert peak <= (1.7 if two_sided else 1.4) * tr.values.nbytes
     assert tr.ns.dtype == np.int64 and np.array_equal(tr.ns, np.arange(n_range[0], n_range[1] + 1))
 
 
@@ -386,6 +387,37 @@ def test_orbit_chunks_match_per_point_multiplicity(sqrt2, monkeypatch, extra):
     want = [multiplicity(region, (x0 + w1 * k,)) for k in ks]
     assert orbit_hits(region, w1, x0, ks[0], ks[-1]).tolist() == want
     assert want[63:65] == [1, 1][:len(ks) - 63]
+
+
+def _trace_reference(region, alpha, x0, n_lo, n_hi):
+    """D_n from one orbit_hits prefix sum: hits over 0..n-1, or minus those over
+    n..-1, as an int64 count, minus n * mes."""
+    k_lo, k_hi = min(n_lo, 0), max(n_hi, 0)
+    c = np.zeros(k_hi - k_lo + 1, dtype=np.int64)
+    if k_hi > k_lo:
+        c[1:] = np.cumsum(orbit_hits(region, alpha, x0, k_lo, k_hi - 1))
+    ns = np.arange(n_lo, n_hi + 1)
+    return (c[ns - k_lo] - c[-k_lo]) - ns.astype(np.float64) * float(region.volume())
+
+
+def test_running_sums_match_one_prefix_sum_at_chunk_edges(sqrt2, half, hecke, monkeypatch):
+    # blocks of 16 and chunks of 64 points: ranges that skip whole chunks and part of
+    # one, end on a chunk edge or one past it, on either side of n = 0
+    monkeypatch.setattr(regions, "_BLOCK", 16)
+    monkeypatch.setattr(dynamics, "_ORBIT_CHUNK", 64)
+    w1 = sqrt2.basis_element("w1")
+    union = parse_region_literal(sqrt2, "[0,1/4) U (1/3,-1+1*w1]")
+    ranges = [(100, 300), (130, 140), (64, 128), (-200, 150), (-64, 64), (-65, 65),
+              (-300, -70), (-129, -1), (0, 0), (-1, 0), (0, 1), (-1, -1)]
+    for region in (half, hecke, union):
+        for x0 in (None, sqrt2.parse("1/3"), w1 * -100):
+            for n_lo, n_hi in ranges:
+                tr = discrepancy_trace(region, w1, x0, (n_lo, n_hi), two_sided=True)
+                want = _trace_reference(region, w1, x0, n_lo, n_hi)
+                assert tr.values.tobytes() == want.tobytes(), (n_lo, n_hi)
+        for N, J in [(1, 0), (200, 0), (150, 100), (40, 70)]:
+            stat = brs_empirical(region, w1, N, J)
+            assert (stat.value, stat.argmax_n, stat.argmax_j) == _brs_reference(region, w1, N, J)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
